@@ -29,7 +29,6 @@ _CONFIG_CASTERS = {
     "m_max": int,
     "deg_cut": int,
     "digits": int,
-    "jobs": int,
     "mu": str,
     "cache_dir": str,
     "format": str,
@@ -66,7 +65,6 @@ def parse_config(path: str) -> dict:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--q", type=int, help="field size (prime power)")
     p.add_argument("--digits", type=int, default=12, help="printed float digits")
-    p.add_argument("--jobs", type=int, default=1, help="worker thread bound")
     p.add_argument("--cache-dir", dest="cache_dir", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--plot", action="store_true")
@@ -161,7 +159,7 @@ def _run_count_quadratic(args):
     cols = ["q", "M", "count", "stable", "main_term", "ratio"]
     rows = []
     for M in _m_range(args):
-        qc = quadfield.enumerate_degree2(field, M, jobs=args.jobs)
+        qc = quadfield.enumerate_degree2(field, M)
         if not qc.stable and not args.allow_unstable:
             raise UnstableCountError(
                 f"count at M={M} is unstable under bound growth; "
@@ -260,7 +258,7 @@ print("wrote", {out!r})
 
 
 def _fingerprint_config(args, key) -> dict:
-    skip = {"cache_dir", "format", "plot", "jobs", "config"}
+    skip = {"cache_dir", "format", "plot", "config"}
     cfg = {"command": list(k for k in key if k)}
     for name, value in sorted(vars(args).items()):
         if name in skip or name in ("command", "subcommand"):

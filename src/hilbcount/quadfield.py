@@ -22,8 +22,13 @@ with z the root of F, so it depends on the line only through (d_P, d_Q).
 Counting therefore factors as (number of lines per degree class) times
 (number of forms matching the target height per class).  The bounds
 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
-H^2 >= q^(deg F + 2 d_P), so the search is complete; the stability flag is
-still computed by exhaustively probing enlarged bounds.
+H^2 >= q^(deg F + 2 d_P), so the search is complete.  The stability flag
+still re-checks that with enlarged bounds, but the form side of the check
+goes over degree profiles (deg A, deg B, deg C) rather than forms: a profile
+fixes deg F and leaves at most three possible infinity data, so only the
+profiles that could reach exponent M are scanned.  Since the exponent is at
+least deg F, no profile of degree above fmax >= M can, and at the default
+bounds the probe scans no form at all.
 """
 
 from __future__ import annotations
@@ -488,10 +493,6 @@ def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
     return DegreeTwoPoint(ext, out, key)
 
 
-def conjugate_point(P: DegreeTwoPoint) -> DegreeTwoPoint:
-    return canonicalize_quadratic(P.ext, tuple(c.conj() for c in P.coords))
-
-
 def height_degree2(P: DegreeTwoPoint) -> Fraction:
     """Exponent h with H(P) = q^h (h a half-integer >= 0)."""
     ext = P.ext
@@ -674,31 +675,42 @@ def _is_square_poly(f: Poly) -> bool:
     return _poly_sqrt(f) is not None
 
 
-def _form_stream(field: FqField, fmax: int, a_codes=None, min_deg: int = 0):
+def _form_stream(field: FqField, fmax: int, min_deg: int = 0, profiles=None):
     """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
-    discriminant, and coefficient degrees <= fmax (max degree >= min_deg)."""
+    discriminant, and coefficient degrees <= fmax (max degree >= min_deg).
+    With profiles given, only forms whose degree profile (deg A, deg B or
+    None, deg C) lies in that set are yielded."""
     from .fqarith import all_polys
 
     polys = all_polys(field, fmax)
     monic_codes = [i for i, f in enumerate(polys) if f.is_monic]
     ncodes = len(polys)
-    if len(monic_codes) * ncodes * ncodes > FORM_GUARD:
-        raise SizeError("form enumeration exceeds guard")
-    if a_codes is None:
-        a_codes = monic_codes
+    triples = len(monic_codes) * ncodes * ncodes
+    if triples > FORM_GUARD:
+        raise SizeError(
+            f"form enumeration of {triples} coefficient triples exceeds guard {FORM_GUARD}"
+        )
+    if profiles is not None:
+        live_ac = {(alpha, gamma) for alpha, _, gamma in profiles}
     bsq = [f * f for f in polys]
     four = field.add(field.add(1, 1), field.add(1, 1))
     degs = [f.degree for f in polys]
-    for ai in a_codes:
+    for ai in monic_codes:
         A = polys[ai]
         dA = degs[ai]
         for ci in range(1, ncodes):
+            dC = degs[ci]
+            if profiles is not None and (dA, dC) not in live_ac:
+                continue
             C = polys[ci]
             ac4 = (A * C).scale(four)
             gAC = poly_gcd(A, C)
-            dmaxAC = max(dA, degs[ci])
+            dmaxAC = max(dA, dC)
             for bi in range(ncodes):
-                if dmaxAC < min_deg and degs[bi] < min_deg:
+                dB = degs[bi]
+                if dmaxAC < min_deg and dB < min_deg:
+                    continue
+                if profiles is not None and (dA, dB if dB >= 0 else None, dC) not in profiles:
                     continue
                 B = polys[bi]
                 disc = bsq[bi] - ac4
@@ -709,32 +721,61 @@ def _form_stream(field: FqField, fmax: int, a_codes=None, min_deg: int = 0):
                 yield A, B, C, disc
 
 
-def _match_counts(field, fmax, classes, M, min_deg=0, jobs=1):
-    """For each (d_P, d_Q) class, how many forms give exponent exactly M."""
-    counts = {cls: 0 for cls in classes}
+def _form_classes(field: FqField, fmax: int, min_deg: int = 0, profiles=None) -> Counter:
+    """Counter {FormData: number of forms} over the form stream."""
+    return Counter(
+        _classify_form(A, B, C, disc, field)
+        for A, B, C, disc in _form_stream(field, fmax, min_deg, profiles)
+    )
 
-    def run(a_codes):
-        local = {cls: 0 for cls in classes}
-        for A, B, C, disc in _form_stream(field, fmax, a_codes, min_deg):
-            fd = _classify_form(A, B, C, disc, field)
-            for cls in classes:
-                if _form_exponent(fd, *cls) == M:
-                    local[cls] += 1
-        return local
 
-    if jobs <= 1:
-        return run(None)
-    from concurrent.futures import ThreadPoolExecutor
+def _match_counts(forms: Counter, classes, M: int) -> dict:
+    """For each (d_P, d_Q) class, how many of the forms give exponent exactly M."""
+    return {
+        cls: sum(n for fd, n in forms.items() if _form_exponent(fd, *cls) == M)
+        for cls in classes
+    }
 
-    from .fqarith import all_polys
 
-    monic = [i for i, f in enumerate(all_polys(field, fmax)) if f.is_monic]
-    chunks = [monic[i::jobs] for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for local in pool.map(run, chunks):
-            for cls, v in local.items():
-                counts[cls] += v
-    return counts
+def _profile_candidates(alpha: int, beta: int | None, gamma: int) -> tuple[FormData, ...]:
+    """Every FormData that _classify_form can give a form with degree profile
+    (alpha, beta, gamma), beta None for B = 0: distinct Newton slopes force
+    split2, otherwise the infinity type is ramified or inert, or split1 when
+    alpha - gamma is even."""
+    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
+    if beta is not None and 2 * beta > alpha + gamma:
+        return (FormData(deg_f, "split2", (alpha - beta, beta - gamma)),)
+    W = alpha - gamma
+    kinds = ("ramified", "inert", "split1") if W % 2 == 0 else ("ramified", "inert")
+    return tuple(FormData(deg_f, kind, (W,)) for kind in kinds)
+
+
+def _live_profiles(fmax: int, classes, M: int) -> set:
+    """Degree profiles with max degree in (fmax, fmax+2] that have a
+    candidate FormData reaching exponent M on one of the classes."""
+    live = set()
+    top = fmax + 2
+    for alpha in range(top + 1):
+        for gamma in range(top + 1):
+            for beta in (None, *range(top + 1)):
+                candidates = _profile_candidates(alpha, beta, gamma)
+                deg_f = candidates[0].deg_f
+                # the exponent is at least deg F, so deg F > M never matches
+                if deg_f <= fmax or deg_f > M:
+                    continue
+                if any(
+                    _form_exponent(fd, *cls) == M for fd in candidates for cls in classes
+                ):
+                    live.add((alpha, beta, gamma))
+    return live
+
+
+def _probe_matches(field: FqField, fmax: int, classes, M: int) -> dict:
+    """The matches per class that forms of degree in (fmax, fmax+2] add;
+    only the forms of live degree profiles are scanned."""
+    live = _live_profiles(fmax, classes, M)
+    forms = _form_classes(field, fmax + 2, fmax + 1, live) if live else Counter()
+    return _match_counts(forms, classes, M)
 
 
 @dataclass(frozen=True)
@@ -748,7 +789,7 @@ class QuadraticCount:
 
 
 def enumerate_degree2(
-    field: FqField, M: int, bound: tuple[int, int] | None = None, jobs: int = 1
+    field: FqField, M: int, bound: tuple[int, int] | None = None
 ) -> QuadraticCount:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^M.
 
@@ -756,12 +797,16 @@ def enumerate_degree2(
     degrees; the defaults (M // 2, M) are complete by the height inequalities
     in the module docstring.  The stability flag re-probes with both caps
     enlarged: boundary line classes are checked to contribute no matching
-    form (so their line counts are irrelevant), and the enlarged form scan
-    must add no matches to any class."""
+    form (so their line counts are irrelevant), and forms of degree in
+    (fmax, fmax+2] must add no matches to any class.  That second check goes
+    over degree profiles and scans only the profiles whose candidate
+    FormData can reach exponent M, so it is exact for any bound and scans
+    nothing at the default bounds."""
     _require_odd(field)
     if M < 1:
         raise ValueError("M >= 1 required")
     dq_cap, fmax = bound if bound is not None else (M // 2, M)
+    forms = _form_classes(field, fmax)  # first, so the form guard fails fast
     classes = _line_classes(field, dq_cap)
     boundary = [
         (dP, dQ)
@@ -769,12 +814,10 @@ def enumerate_degree2(
         for dP in range(dQ + 1)
     ]
     all_classes = sorted(set(classes) | set(boundary))
-    matches = _match_counts(field, fmax, all_classes, M, jobs=jobs)
-    count = sum(classes[cls] * matches.get(cls, 0) for cls in classes)
-    stable = all(matches[cls] == 0 for cls in boundary)
-    # enlarged form scan: degrees in (fmax, fmax+2] must contribute nothing
-    extra = _match_counts(field, fmax + 2, all_classes, M, min_deg=fmax + 1, jobs=jobs)
-    stable = stable and all(v == 0 for v in extra.values())
+    matches = _match_counts(forms, all_classes, M)
+    count = sum(classes[cls] * matches[cls] for cls in classes)
+    extra = _probe_matches(field, fmax, all_classes, M)
+    stable = all(matches[cls] == 0 for cls in boundary) and not any(extra.values())
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, stable, main, Fraction(count) / main)
 
@@ -829,5 +872,4 @@ def hilb2_split_counts(field: FqField, M: int) -> Hilb2Splits:
     total = Fraction(3, 2) * S * S * q3m * M
     sym_coeff = S * S / 6
     assert total == 3 * sym_coeff * q3m * (3 * M)
-    assert Fraction(1, 9) + Fraction(1, 18) == Fraction(1, 6)
     return Hilb2Splits(irreducible, reducible, total, sym_coeff)

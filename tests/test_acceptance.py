@@ -188,7 +188,7 @@ def test_criterion_7_quadratic_heights():
 
 
 def test_criterion_8_degree2_counts():
-    with budget(600):
+    with budget(60):
         results = [enumerate_degree2(F3, M) for M in (1, 2)]
         for res in results:
             assert res.stable

@@ -89,10 +89,23 @@ def test_size_guard_exit_3():
     assert code == 3
 
 
+def test_count_quadratic_q5_exits_0():
+    code, out = run(["count", "quadratic", "--q", "5", "--M", "1"])
+    assert code == 0
+    assert out.splitlines()[1] == "5,1,93000,true,1107072/5,625/1488"
+
+
+def test_form_guard_exit_3(capsys):
+    code, out = run(["count", "quadratic", "--q", "5", "--M", "3"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert f"{156 * 625 * 625} coefficient triples exceeds guard {quadfield.FORM_GUARD}" in err
+
+
 def test_unstable_exit_4(monkeypatch):
     fake = QuadraticCount(q=3, M=1, count=1, stable=False,
                           main_term=Fraction(1), ratio=Fraction(1))
-    monkeypatch.setattr(quadfield, "enumerate_degree2", lambda field, M, jobs=1: fake)
+    monkeypatch.setattr(quadfield, "enumerate_degree2", lambda field, M: fake)
     code, _ = run(["count", "quadratic", "--q", "3", "--M", "1"])
     assert code == 4
     code, out = run(["count", "quadratic", "--q", "3", "--M", "1", "--allow-unstable"])

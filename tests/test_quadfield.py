@@ -1,10 +1,12 @@
+import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from hilbcount.errors import CharacteristicError, WrongDegreeError
+from hilbcount.errors import CharacteristicError, SizeError, WrongDegreeError
 from hilbcount.fqarith import (
     FqField,
     Poly,
@@ -14,9 +16,16 @@ from hilbcount.fqarith import (
     multiplicity,
 )
 from hilbcount.quadfield import (
+    FORM_GUARD,
     INFINITE_PLACE,
     QuadExt,
+    _classify_form,
+    _form_exponent,
+    _form_stream,
     _is_square_poly,
+    _line_classes,
+    _probe_matches,
+    _profile_candidates,
     canonicalize_quadratic,
     degree2_orbits,
     enumerate_degree2,
@@ -258,9 +267,89 @@ def test_enumerate_degree2_m1():
     assert res.stable
     assert res.ratio == Fraction(81, 208)
     assert res.main_term == kt_main_term(F3, 1)
-    # threaded run partitions the form scan and must agree exactly
-    res_jobs = enumerate_degree2(F3, 1, jobs=2)
-    assert res_jobs.count == res.count and res_jobs.stable == res.stable
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_forms(fmax, min_deg):
+    """(degree profile, FormData) of every form of the F_3 stream, one entry
+    per form; equal entries are shared to keep the tuple small."""
+    shared = {}
+    out = []
+    for A, B, C, disc in _form_stream(F3, fmax, min_deg):
+        entry = (
+            (A.degree, None if B.is_zero else B.degree, C.degree),
+            _classify_form(A, B, C, disc, F3),
+        )
+        out.append(shared.setdefault(entry, entry))
+    return tuple(out)
+
+
+def _brute_matches(fmax, classes, M, min_deg=0):
+    counts = {cls: 0 for cls in classes}
+    for _, fd in _brute_forms(fmax, min_deg):
+        for cls in classes:
+            if _form_exponent(fd, *cls) == M:
+                counts[cls] += 1
+    return counts
+
+
+def _brute_degree2(M, bound=None):
+    """Oracle for enumerate_degree2 over F_3: every form is checked against
+    every class, and the stability probe scans all forms of degree in
+    (fmax, fmax+2].  Returns (count, stable, nonzero extra matches, classes)."""
+    dq_cap, fmax = bound if bound is not None else (M // 2, M)
+    classes = _line_classes(F3, dq_cap)
+    boundary = [(dP, dQ) for dQ in (dq_cap + 1, dq_cap + 2) for dP in range(dQ + 1)]
+    all_classes = sorted(set(classes) | set(boundary))
+    matches = _brute_matches(fmax, all_classes, M)
+    count = sum(classes[cls] * matches[cls] for cls in classes)
+    extra = _brute_matches(fmax + 2, all_classes, M, min_deg=fmax + 1)
+    stable = all(matches[cls] == 0 for cls in boundary) and all(v == 0 for v in extra.values())
+    return count, stable, {cls: v for cls, v in extra.items() if v}, all_classes
+
+
+@pytest.mark.parametrize(
+    "M, bound, count, stable, extra",
+    [
+        (1, None, 2808, True, {}),
+        (1, (0, 0), 0, False, {(0, 0): 216}),
+        (2, (1, 1), 34632, False, {(0, 0): 7260, (0, 1): 141}),
+    ],
+)
+def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
+    want = _brute_degree2(M, bound)
+    assert want[:3] == (count, stable, extra)
+    res = enumerate_degree2(F3, M, bound)
+    assert (res.count, res.stable) == (count, stable)
+    fmax = bound[1] if bound is not None else M
+    probe = _probe_matches(F3, fmax, want[3], M)
+    assert {cls: v for cls, v in probe.items() if v} == extra
+
+
+def test_profile_candidates_cover_every_form():
+    forms = _brute_forms(3, 2)
+    assert forms
+    for profile, fd in forms:
+        assert fd in _profile_candidates(*profile)
+
+
+def test_form_guard_message_states_size_and_limit():
+    with pytest.raises(SizeError) as exc:
+        next(_form_stream(F5, 3))
+    # 156 monic A and 625 choices each of B and C at degree <= 3 over F_5
+    assert [int(n) for n in re.findall(r"\d+", str(exc.value))] == [156 * 625 * 625, FORM_GUARD]
+
+
+@pytest.mark.parametrize(
+    "field, M, count",
+    [(F5, 1, 93000), (FqField(7), 1, 938448), (F3, 3, 6225336)],
+)
+def test_enumerate_degree2_reach(field, M, count):
+    """Rows whose degree <= fmax+2 form space exceeds the form guard; the
+    profile probe scans none of it at the default bounds."""
+    res = enumerate_degree2(field, M)
+    assert res.count == count
+    assert res.stable
 
 
 def test_enumerate_degree2_cross_validation():
