@@ -71,7 +71,6 @@ from .asympt import (
     technical_lemma_check,
     technical_sum,
 )
-from .records import CountRecord
 from .cli import dispatch
 
 __version__ = "0.1.0"

@@ -1,5 +1,7 @@
 """On-disk result cache: one JSON file per command fingerprint, written
-atomically (temp file then rename).  Corrupted files are quarantined with a
+atomically (temp file then rename).  The payload is a table: a dict whose
+"columns" is a list of strings and whose "rows" is a list of lists of
+strings.  Corrupted files, malformed tables included, are quarantined with a
 warning and treated as misses; a schema version bump invalidates everything.
 """
 
@@ -28,9 +30,8 @@ def _path(cache_dir: str, fp: str) -> str:
 
 
 def store(cache_dir: str, config: dict, payload) -> str:
-    """Write the payload under the config's fingerprint; returns the path.
-    The payload must be JSON-serializable (the CLI stores table rows as
-    lists of strings)."""
+    """Write the payload table under the config's fingerprint; returns the
+    path."""
     os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
     entry = {
@@ -51,6 +52,18 @@ def store(cache_dir: str, config: dict, payload) -> str:
     return _path(cache_dir, fp)
 
 
+def _is_table(payload) -> bool:
+    if not isinstance(payload, dict):
+        return False
+    columns, rows = payload.get("columns"), payload.get("rows")
+    return (
+        isinstance(columns, list)
+        and all(isinstance(c, str) for c in columns)
+        and isinstance(rows, list)
+        and all(isinstance(r, list) and all(isinstance(v, str) for v in r) for r in rows)
+    )
+
+
 def load(cache_dir: str, config: dict):
     """Return the cached payload for this config, or None on miss.  A file
     that fails to parse or violates its invariants is renamed aside."""
@@ -66,13 +79,14 @@ def load(cache_dir: str, config: dict):
         if entry.get("fingerprint") != fp:
             raise ValueError("fingerprint mismatch")
         payload = entry["payload"]
-        version = entry["schema_version"]
+        if entry["schema_version"] != SCHEMA_VERSION:
+            return None
+        if not _is_table(payload):
+            raise ValueError("payload is not a table of string columns and rows")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         quarantine = path + ".corrupt"
         os.replace(path, quarantine)
         log.warning("quarantined corrupt cache file %s (%s)", quarantine, exc)
-        return None
-    if version != SCHEMA_VERSION:
         return None
     return payload
 

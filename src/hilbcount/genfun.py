@@ -303,7 +303,7 @@ def hilb_count_poly(m: int) -> QPoly:
     if m < 0:
         raise ValueError("m >= 0 required")
     if m > SERIES_ORDER_GUARD:
-        raise SizeError("series guard exceeded")
+        raise SizeError(f"series guard exceeded (m {m} > {SERIES_ORDER_GUARD})")
     x = QPoly.var()
 
     def counts(k):

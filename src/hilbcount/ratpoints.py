@@ -64,47 +64,64 @@ def height_rational(P: ProjPointFqt) -> int:
 
 
 def enumerate_exact_height(n: int, field: FqField, M: int):
-    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M."""
+    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
+
+    Every coordinate, and every partial gcd of coordinates, has degree <= M,
+    so each is handled as its code in range(q^(M+1)), whose base-q digits
+    are its coefficients.  Points come in itertools.product order over the
+    codes: by pivot position from the last to the first, then by monic
+    pivot, then by free tail.  The running gcd is a code, read from a row
+    [gcd(g, c) for every code c] and stopped at code 1, the polynomial 1.
+    The pivot's row lives for its tail loop; rows of the non-unit gcds of
+    two or more coordinates are memoised for the call.  At n = 1 nothing is
+    memoised; at n >= 2 the guard keeps q^(M+1) <= 1000, so the memo holds
+    at most q^(M+1) rows of q^(M+1) entries, 10^6 in all.
+    """
     if n < 1 or M < 0:
         raise ValueError("need n >= 1 and M >= 0")
     q = field.q
     ncodes = q ** (M + 1)
     if ncodes ** (n + 1) > TUPLE_GUARD:
         raise SizeError(
-            f"enumeration would scan q^((n+1)(M+1)) = {q}^{(n + 1) * (M + 1)} tuples"
+            f"enumeration of q^((n+1)(M+1)) = {q}^{(n + 1) * (M + 1)} "
+            f"coordinate tuples exceeds guard {TUPLE_GUARD}"
         )
-    # precompute one Poly per code along with the filter data
     polys = []
-    degs = []
-    monic = []
     for code in range(ncodes):
         digits = []
         c = code
         for _ in range(M + 1):
             digits.append(c % q)
             c //= q
-        f = Poly(field, digits)
-        polys.append(f)
-        degs.append(f.degree)
-        monic.append(f.is_monic)
-    one = Poly.one(field)
-    for tup in itertools.product(range(ncodes), repeat=n + 1):
-        if max(degs[c] for c in tup) != M:
-            continue
-        # canonical form: first nonzero coordinate monic
-        pivot = next(c for c in tup if c)
-        if not monic[pivot]:
-            continue
-        g = Poly.zero(field)
-        coprime = False
-        for c in tup:
-            g = poly_gcd(g, polys[c])
-            if g.degree == 0:
-                coprime = True
-                break
-        if not coprime and g != one:
-            continue
-        yield ProjPointFqt(tuple(polys[c] for c in tup))
+        polys.append(Poly(field, digits))
+    code_of = {f.coeffs: code for code, f in enumerate(polys)}
+    monics = [code for code, f in enumerate(polys) if f.is_monic]
+    top = q**M  # the codes of degree exactly M are those >= top
+    codes = range(ncodes)
+
+    def gcd_row(g):
+        return [code_of[poly_gcd(polys[g], f).coeffs] for f in polys]
+
+    memo = {}
+    for pos in range(n, -1, -1):
+        k = n - pos
+        for pivot in monics:
+            head = (polys[0],) * pos + (polys[pivot],)
+            reaches_M = pivot >= top
+            pivot_row = gcd_row(pivot) if pivot != 1 and k else None
+            for tail in itertools.product(codes, repeat=k):
+                if not reaches_M and max(tail, default=0) < top:
+                    continue
+                g = pivot
+                for c in tail:
+                    if g == 1:
+                        break
+                    row = pivot_row if g == pivot else memo.get(g)
+                    if row is None:
+                        row = memo[g] = gcd_row(g)
+                    g = row[c]
+                if g == 1:
+                    yield ProjPointFqt(head + tuple(map(polys.__getitem__, tail)))
 
 
 def schanuel_constant(

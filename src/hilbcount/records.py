@@ -1,36 +1,10 @@
-"""Row type shared by every CLI table and cache payload: one verified count
-with its parameters, the predicted value, and the match flag."""
+"""Cell formatting shared by every CLI table and cache payload."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One verified count.  match is |observed - predicted| <= tolerance
-    (tolerance 0 for exact identities).  tolerance None marks trend-only
-    rows with no finite-M target; their match flag is supplied by the
-    producer (e.g. a stability flag)."""
-
-    label: str
-    params: dict
-    observed: object
-    predicted: object
-    match: bool
-    tolerance: object
-
-
-def record(label, params, observed, predicted, tolerance=Fraction(0), match=None):
-    if match is None:
-        if isinstance(observed, (int, Fraction)) and isinstance(predicted, (int, Fraction)):
-            match = abs(Fraction(observed) - Fraction(predicted)) <= tolerance
-        else:
-            match = abs(mpmath.mpf(str(observed)) - mpmath.mpf(str(predicted))) <= tolerance
-    return CountRecord(label, dict(params), observed, predicted, match, tolerance)
 
 
 def fmt_value(v, digits: int = 12) -> str:

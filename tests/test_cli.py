@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hilbcount import cache, cli, quadfield
+import hilbcount
+from hilbcount import cache, cli, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
 from hilbcount.quadfield import QuadraticCount
 
@@ -84,9 +87,27 @@ def test_usage_errors_exit_2():
     assert dispatch(["count", "rational", "--q", "6", "--n", "1", "--M", "1"], out=io.StringIO()) == 2
 
 
-def test_size_guard_exit_3():
-    code, _ = run(["count", "rational", "--q", "97", "--n", "5", "--M", "9"])
-    assert code == 3
+def test_size_guard_exit_3(capsys):
+    code, out = run(["count", "rational", "--q", "97", "--n", "5", "--M", "9"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert f"= 97^60 coordinate tuples exceeds guard {ratpoints.TUPLE_GUARD}" in err
+
+
+def test_python_m_hilbcount():
+    src = os.path.dirname(os.path.dirname(hilbcount.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbcount", "count", "rational", "--q", "2", "--n", "1", "--M", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "q,n,M,observed,predicted,match\n2,1,1,6,6,true\n"
 
 
 def test_count_quadratic_q5_exits_0():
@@ -163,15 +184,15 @@ def test_cache_env_var(tmp_path, monkeypatch):
 
 def test_cache_corrupt_quarantine(tmp_path):
     config = {"a": 1}
-    path = cache.store(str(tmp_path), config, {"rows": []})
-    assert cache.load(str(tmp_path), config) == {"rows": []}
+    path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})
+    assert cache.load(str(tmp_path), config) == {"columns": [], "rows": []}
     with open(path, "w") as fh:
         fh.write("{not json")
     assert cache.load(str(tmp_path), config) is None
     assert os.path.exists(path + ".corrupt")
     assert not os.path.exists(path)
     # fingerprint mismatch is also quarantined
-    path = cache.store(str(tmp_path), config, {"rows": []})
+    path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})
     with open(path) as fh:
         entry = json.load(fh)
     entry["fingerprint"] = "0" * 64
@@ -179,6 +200,25 @@ def test_cache_corrupt_quarantine(tmp_path):
         json.dump(entry, fh)
     assert cache.load(str(tmp_path), config) is None
     assert os.path.exists(path + ".corrupt")
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"rows": []}, {"columns": ["a"], "rows": [1]}])
+def test_cache_malformed_payload_recomputed(tmp_path, payload):
+    argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
+    code, cold = run(argv)
+    assert code == 0
+    (name,) = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+    path = os.path.join(tmp_path, name)
+    with open(path) as fh:
+        entry = json.load(fh)
+    entry["payload"] = payload
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    code, out = run(argv)
+    assert code == 0 and out == cold
+    assert os.path.exists(path + ".corrupt")
+    # the recomputed table is stored again
+    assert os.path.exists(path)
 
 
 def test_cache_schema_version_bump(tmp_path, monkeypatch):

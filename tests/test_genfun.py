@@ -94,6 +94,8 @@ def test_hilb_count_poly_shape():
         assert p.degree == 2 * m
         assert p.coefficient(2 * m) == 1
         assert p.coefficient(2 * m - 1) == 2
+    with pytest.raises(SizeError, match=r"^series guard exceeded \(m 65 > 64\)$"):
+        hilb_count_poly(65)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

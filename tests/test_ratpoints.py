@@ -1,11 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from hilbcount import ratpoints
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import FqField, Poly, all_polys, irreducibles_of_degree, multiplicity
+from hilbcount.fqarith import (
+    FqField,
+    Poly,
+    all_polys,
+    field_from_order,
+    irreducibles_of_degree,
+    multiplicity,
+    poly_gcd,
+)
 from hilbcount.ratpoints import (
+    ProjPointFqt,
     canonicalize,
     count_pairs_closed_subset,
     count_reducible_pairs,
@@ -93,9 +104,98 @@ def test_m0_counts():
     assert point_count_exact_height(2, F3, 0) == 13
 
 
-def test_enumeration_guard():
-    with pytest.raises(SizeError):
+def _brute_exact_height(n, field, M):
+    """Reference enumeration: every coordinate tuple in itertools.product
+    order, filtered by height, monic pivot and a poly_gcd chain."""
+    q = field.q
+    ncodes = q ** (M + 1)
+    polys = []
+    for code in range(ncodes):
+        digits = []
+        c = code
+        for _ in range(M + 1):
+            digits.append(c % q)
+            c //= q
+        polys.append(Poly(field, digits))
+    one = Poly.one(field)
+    for tup in itertools.product(range(ncodes), repeat=n + 1):
+        if max(polys[c].degree for c in tup) != M:
+            continue
+        pivot = next(c for c in tup if c)
+        if not polys[pivot].is_monic:
+            continue
+        g = Poly.zero(field)
+        for c in tup:
+            g = poly_gcd(g, polys[c])
+            if g.degree == 0:
+                break
+        if g == one:
+            yield ProjPointFqt(tuple(polys[c] for c in tup))
+
+
+@pytest.mark.parametrize(
+    "n,q,Ms",
+    [
+        (1, 2, range(0, 4)),
+        (1, 3, range(0, 3)),
+        (1, 4, range(0, 3)),
+        (1, 5, range(0, 3)),
+        (1, 9, range(0, 2)),
+        (2, 2, range(0, 3)),
+        (2, 3, range(0, 2)),
+        (2, 4, range(0, 2)),
+        (2, 5, range(0, 2)),
+        (2, 9, range(0, 1)),
+        (3, 2, range(0, 2)),
+        (3, 3, range(0, 2)),
+        (3, 4, range(0, 2)),
+        (3, 5, range(0, 1)),
+        (3, 9, range(0, 1)),
+    ],
+)
+def test_enumeration_matches_brute_force_in_order(n, q, Ms):
+    field = field_from_order(q)
+    for M in Ms:
+        got = [p.serialize() for p in enumerate_exact_height(n, field, M)]
+        want = [p.serialize() for p in _brute_exact_height(n, field, M)]
+        assert got == want, (n, q, M)
+
+
+def _count_gcd_calls(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratpoints, "poly_gcd", counting_gcd)
+    return calls
+
+
+def test_enumeration_gcd_rows(monkeypatch):
+    calls = _count_gcd_calls(monkeypatch)
+    # n = 1: one row per non-unit monic pivot (3 + 9 of them at M = 2, one
+    # entry per code), and no memoised row
+    list(enumerate_exact_height(1, F3, 2))
+    assert len(calls) == 12 * 27
+    # n = 2: at most one pivot row per pivot position with a tail, plus one
+    # memoised row per non-unit monic gcd; the memo does not outlive a call
+    calls.clear()
+    list(enumerate_exact_height(2, F3, 2))
+    first = len(calls)
+    assert 12 * 27 < first <= (2 * 12 + 12) * 27
+    calls.clear()
+    list(enumerate_exact_height(2, F3, 2))
+    assert len(calls) == first
+
+
+def test_enumeration_guard(monkeypatch):
+    calls = _count_gcd_calls(monkeypatch)
+    with pytest.raises(
+        SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"
+    ):
         list(enumerate_exact_height(5, FqField(97), 9))
+    assert calls == []
 
 
 def test_product_formula_rational_points():
