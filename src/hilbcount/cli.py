@@ -1,14 +1,16 @@
 """Command-line surface: argument parsing, key=value config files, result
 caching, and CSV/JSON table emission.
 
-Exit codes: 0 ok, 2 usage error, 3 guard violation (size error), 4 unstable
-quadratic count without --allow-unstable.
+Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
+error, 3 guard violation (size error), 4 unstable quadratic count without
+--allow-unstable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from fractions import Fraction
@@ -19,6 +21,8 @@ from .fqarith import field_from_order
 from .records import fmt_value
 
 CACHE_ENV = "ACL_CACHE_DIR"
+
+log = logging.getLogger(__name__)
 
 _CONFIG_CASTERS = {
     "q": int,
@@ -258,8 +262,12 @@ print("wrote", {out!r})
 
 
 def _fingerprint_config(args, key) -> dict:
+    """The run configuration a cache entry is keyed by, including the package
+    version, so rows computed by other code are never served."""
+    from . import __version__  # at call time: the package imports this module
+
     skip = {"cache_dir", "format", "plot", "config"}
-    cfg = {"command": list(k for k in key if k)}
+    cfg = {"command": list(k for k in key if k), "version": __version__}
     for name, value in sorted(vars(args).items()):
         if name in skip or name in ("command", "subcommand"):
             continue
@@ -347,6 +355,10 @@ def dispatch(argv, out=None) -> int:
     except UnstableCountError as exc:
         print(f"unstable: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

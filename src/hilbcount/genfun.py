@@ -2,9 +2,15 @@
 symmetric/Hilbert generating functions of the plane over F_q, and the
 closed 0-cycle formulas they cross-validate.
 
-Everything here is exact: series coefficients are Fractions (or polynomials
-with Fraction coefficients), and integrality of the final counts is asserted
-rather than assumed.
+Everything here is exact: series coefficients are Fractions, point-count
+polynomials have integer coefficients, and integrality of the final counts
+is asserted rather than assumed.
+
+|Hilb^m P^2| comes by two routes that share no arithmetic.  The polynomial
+in the field size, `hilb_count_poly`, is Goettsche's product over Z[x]
+(integer shift-and-add); the numeric counts, `hilb_counts`, are the
+exponential formula over Q (`TruncSeries.exp` on Fractions).  The tests
+hold the two equal for every m up to the series guard.
 """
 
 from __future__ import annotations
@@ -117,18 +123,14 @@ class QPoly:
     def coefficient(self, i) -> Fraction:
         return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def __repr__(self):
         return f"QPoly({list(self.coeffs)})"
 
 
 class TruncSeries:
-    """Power series truncated at a fixed order, with exact coefficients.
+    """Power series truncated at a fixed order, with Fraction coefficients.
 
-    Coefficients may be Fractions or QPoly values; all arithmetic is exact
-    through the truncation order."""
+    All arithmetic is exact through the truncation order."""
 
     __slots__ = ("order", "coeffs")
 
@@ -197,26 +199,23 @@ class TruncSeries:
     def exp(self):
         if self.coeffs[0]:
             raise ValueError("exp needs zero constant term")
-        one = Fraction(1) if isinstance(self.coeffs[0], Fraction) else QPoly((1,))
-        out = [one] + [self.coeffs[0] * 0] * self.order
+        out = [Fraction(1)] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
-            acc = self.coeffs[0] * 0
+            acc = Fraction(0)
             for k in range(1, n + 1):
-                acc = acc + (self.coeffs[k] * k) * out[n - k]
-            out[n] = acc * Fraction(1, n)
+                acc += self.coeffs[k] * k * out[n - k]
+            out[n] = acc / n
         return TruncSeries(self.order, out)
 
     def log(self):
-        one = Fraction(1) if isinstance(self.coeffs[0], Fraction) else QPoly((1,))
-        if self.coeffs[0] != one:
+        if self.coeffs[0] != 1:
             raise ValueError("log needs constant term 1")
-        zero = self.coeffs[0] * 0
-        out = [zero] * (self.order + 1)
+        out = [Fraction(0)] * (self.order + 1)
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n] * n
+            acc = Fraction(self.coeffs[n] * n)
             for k in range(1, n):
-                acc = acc - (out[k] * k) * self.coeffs[n - k]
-            out[n] = acc * Fraction(1, n)
+                acc -= out[k] * k * self.coeffs[n - k]
+            out[n] = acc / n
         return TruncSeries(self.order, out)
 
 
@@ -267,17 +266,15 @@ def chen7_closed(F, m: int) -> int:
     return int(total)
 
 
-def _gottsche_argument(point_counts, N: int, zero, one):
-    """The series sum_k (t^k / k) * c_k / (1 - q^k t^k) inside the exp, with
-    c_k = point_counts(k) in whatever coefficient ring is supplied."""
-    coeffs = [zero for _ in range(N + 1)]
+def _gottsche_argument(q: int, N: int) -> TruncSeries:
+    """The series sum_k (t^k / k) * N_k / (1 - q^k t^k) inside the exp, with
+    N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of the plane."""
+    coeffs = [Fraction(0)] * (N + 1)
     for k in range(1, N + 1):
-        c_k, qk = point_counts(k)
-        power = one
-        for j in range(0, (N - k) // k + 1):
-            # term (c_k / k) * q^(k j) t^(k (j+1))
-            coeffs[k * (j + 1)] = coeffs[k * (j + 1)] + (c_k * power) * Fraction(1, k)
-            power = power * qk
+        c_k = Fraction(q ** (2 * k) + q**k + 1, k)
+        for j in range(N // k):
+            # term (N_k / k) * q^(k j) t^(k (j+1))
+            coeffs[k * (j + 1)] += c_k * q ** (k * j)
     return TruncSeries(N, coeffs)
 
 
@@ -285,11 +282,7 @@ def hilb_counts(F, m_max: int) -> list[int]:
     """|Hilb^m P^2(F_q)| for m = 0..m_max via the exponential formula."""
     q = _field_size(F)
     _check_series_guard(q, m_max)
-
-    def counts(k):
-        return Fraction(q ** (2 * k) + q**k + 1), Fraction(q**k)
-
-    series = _gottsche_argument(counts, m_max, Fraction(0), Fraction(1)).exp()
+    series = _gottsche_argument(q, m_max).exp()
     out = []
     for c in series.coeffs:
         assert c.denominator == 1, "Hilbert count coefficients must be integers"
@@ -298,20 +291,30 @@ def hilb_counts(F, m_max: int) -> list[int]:
 
 
 def hilb_count_poly(m: int) -> QPoly:
-    """|Hilb^m P^2| as a polynomial in the field size (degree 2m, monic,
-    second coefficient 2)."""
+    """|Hilb^m P^2| as a polynomial in the field size x (degree 2m, monic,
+    second coefficient 2), from Goettsche's product over Z[x]:
+
+        sum_m |Hilb^m P^2| t^m = prod_{n>=1} Z(x^(n-1) t^n),
+        Z(u) = 1 / ((1 - u)(1 - x u)(1 - x^2 u)).
+
+    Each factor 1/(1 - x^s t^n), s in {n-1, n, n+1}, is applied in place by
+    series[i] += x^s * series[i-n] for i = n..m, on integer coefficient
+    lists.  Goettsche, Math. Ann. 286 (1990)."""
     if m < 0:
         raise ValueError("m >= 0 required")
     if m > SERIES_ORDER_GUARD:
         raise SizeError(f"series guard exceeded (m {m} > {SERIES_ORDER_GUARD})")
-    x = QPoly.var()
-
-    def counts(k):
-        return x ** (2 * k) + x**k + 1, x**k
-
-    series = _gottsche_argument(counts, m, QPoly(), QPoly((1,))).exp()
-    poly = series.coeffs[m]
-    assert poly.is_integral(), "Hilbert count polynomial must have integer coefficients"
+    # series[i] holds the x-coefficients of the t^i term; x^s series[i-n]
+    # has degree at most s + 2(i-n) <= 2i, so 2i+1 slots suffice
+    series = [[0] * (2 * i + 1) for i in range(m + 1)]
+    series[0][0] = 1
+    for n in range(1, m + 1):
+        for s in (n - 1, n, n + 1):
+            for i in range(n, m + 1):
+                src, dst = series[i - n], series[i]
+                for j, c in enumerate(src, s):
+                    dst[j] += c
+    poly = QPoly(series[m])
     assert poly.degree == 2 * m
     if m >= 1:
         assert poly.coefficient(2 * m) == 1
@@ -352,12 +355,16 @@ def chen8_closed(F, m: int) -> Chen8Result:
     if m < 2:
         raise ValueError("m >= 2 required")
     q = _field_size(F)
+    return _chen8(q, m, closed_point_counts(q, m)[m - 1])
+
+
+def _chen8(q: int, m: int, recursion: int) -> Chen8Result:
+    """chen8_closed given the recursion's count of degree-m closed points."""
     if m % 2 == 0:
         value = Fraction(q ** (2 * m) - q ** (m // 2), m)
     else:
         j = next(d for d in range(2, m + 1) if m % d == 0)
         value = Fraction(q ** (2 * m) + q**m - q ** (2 * m // j) - q ** (m // j), m)
-    recursion = closed_point_counts(q, m)[m - 1]
     return Chen8Result(value, recursion, value == recursion)
 
 
@@ -374,7 +381,13 @@ def chen1_ratio(F, m: int) -> Chen1Result:
     if m < 1:
         raise ValueError("m >= 1 required")
     q = _field_size(F)
-    ratio = Fraction(closed_point_counts(q, m)[m - 1], sym_counts(q, m)[m])
+    return _chen1(q, m, closed_point_counts(q, m)[m - 1], sym_counts(q, m)[m])
+
+
+def _chen1(q: int, m: int, primes: int, sym: int) -> Chen1Result:
+    """chen1_ratio given the counts of degree-m closed points and of
+    degree-m 0-cycles."""
+    ratio = Fraction(primes, sym)
     main = Fraction(1, m) * (
         1 - Fraction(1, q) - Fraction(1, q * q) + Fraction(1, q**3)
     )
@@ -403,11 +416,11 @@ def cycle_table(F, m_max: int) -> list[CycleRow]:
     rows = []
     for m in range(1, m_max + 1):
         c8 = (
-            chen8_closed(q, m)
+            _chen8(q, m, primes[m - 1])
             if m >= 2
             else Chen8Result(Fraction(primes[0]), primes[0], True)
         )
-        c1 = chen1_ratio(q, m)
+        c1 = _chen1(q, m, primes[m - 1], sym[m])
         rows.append(
             CycleRow(
                 m=m,

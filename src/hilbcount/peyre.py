@@ -151,7 +151,10 @@ def mu_slope(m: int, mu=None) -> Fraction:
     """Minimum-slope parameter of the effective cone.  Table-driven: 1 for
     m = 2, and r when m is the binomial coefficient C(r+2, 2)."""
     if mu is not None:
-        mu = Fraction(mu)
+        try:
+            mu = Fraction(mu)
+        except ZeroDivisionError:
+            raise ValueError(f"mu {mu!r} has a zero denominator") from None
         if mu <= 0:
             raise ValueError("mu must be positive")
         return mu
@@ -175,6 +178,8 @@ def alpha_star_hilbm(mu) -> Fraction:
 
 def peyre_constant_pn(n: int, params: GlobalFieldParams, dps: int = DEFAULT_DPS):
     """Leading constant for P^n: S_K(n+1, 1) / ((n+1) log q)."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
     q = params.field.q
     if params.genus == 0:
         S = schanuel_constant(n, params.field)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import hilbcount
-from hilbcount import cache, cli, quadfield, ratpoints
+from hilbcount import cache, cli, genfun, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
 from hilbcount.quadfield import QuadraticCount
 
@@ -85,6 +85,30 @@ def test_usage_errors_exit_2():
     assert dispatch(["count", "rational", "--nope"], out=io.StringIO()) == 2
     assert dispatch(["count", "quadratic", "--q", "2", "--M", "1"], out=io.StringIO()) == 2  # even q
     assert dispatch(["count", "rational", "--q", "6", "--n", "1", "--M", "1"], out=io.StringIO()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["peyre", "hilbm", "--q", "2", "--m", "3", "--mu", "1/0"], "error: mu '1/0' has a zero denominator"),
+        (["peyre", "pn", "--q", "2", "--n", "-2"], "error: n >= 1 required"),
+        (["peyre", "pn", "--q", "2", "--n", "0"], "error: n >= 1 required"),
+    ],
+)
+def test_peyre_bad_input_exit_2(capsys, argv, message):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_internal_error_exit_1(capsys, monkeypatch):
+    def boom(field, m_max):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(genfun, "cycle_table", boom)
+    code, out = run(["cycles", "--q", "2", "--m-max", "3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
 
 
 def test_size_guard_exit_3(capsys):
@@ -173,6 +197,27 @@ def test_cache_warm_equals_cold(tmp_path):
     # a different parameter must not hit the same entry
     run(["count", "pairs", "--q", "3", "--M", "1", "--cache-dir", str(tmp_path)])
     assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
+
+
+def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
+    calls = []
+    real = ratpoints.count_reducible_pairs
+
+    def counting(field, M):
+        calls.append(M)
+        return real(field, M)
+
+    monkeypatch.setattr(ratpoints, "count_reducible_pairs", counting)
+    argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
+    code, cold = run(argv)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.setattr(hilbcount, "__version__", hilbcount.__version__ + ".dev1")
+    code, out = run(argv)
+    assert code == 0 and out == cold
+    assert len(calls) == 2  # a miss: the entry of the other version is not served
+    assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
+    code, out = run(argv)
+    assert code == 0 and out == cold and len(calls) == 2  # same version: a hit
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

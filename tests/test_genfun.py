@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField
 from hilbcount.genfun import (
+    SERIES_ORDER_GUARD,
+    SERIES_Q_GUARD,
     Chen8Result,
     QPoly,
     TruncSeries,
@@ -88,6 +91,57 @@ def test_hilb_counts():
             assert hilb_count_poly(m).evaluate(Fraction(q)) == counts[m]
 
 
+def _exp_route_poly(m):
+    """|Hilb^m P^2| by the exponential formula with QPoly coefficients:
+    the t^m coefficient of exp(sum_k (t^k / k) N_k(x) / (1 - x^k t^k)),
+    N_k(x) = x^(2k) + x^k + 1.  The product route must equal it exactly."""
+    x = QPoly.var()
+    arg = [QPoly() for _ in range(m + 1)]
+    for k in range(1, m + 1):
+        c_k = (x ** (2 * k) + x**k + 1) * Fraction(1, k)
+        for j in range(m // k):
+            arg[k * (j + 1)] = arg[k * (j + 1)] + c_k * x ** (k * j)
+    out = [QPoly((1,))] + [QPoly() for _ in range(m)]
+    for n in range(1, m + 1):
+        acc = QPoly()
+        for k in range(1, n + 1):
+            acc = acc + (arg[k] * k) * out[n - k]
+        out[n] = acc * Fraction(1, n)
+    return out[m]
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_hilb_count_poly_equals_exp_route_oracle(m):
+    assert hilb_count_poly(m) == _exp_route_poly(m)
+
+
+def test_hilb_count_poly_interpolates_hilb_counts():
+    # 2m+1 points fix a polynomial of degree 2m
+    m_max = 7
+    assert 2 * m_max + 2 <= SERIES_Q_GUARD
+    counts = {q: hilb_counts(q, m_max) for q in range(2, 2 * m_max + 3)}
+    for m in range(m_max + 1):
+        poly = hilb_count_poly(m)
+        for q in range(2, 2 * m + 3):
+            assert poly.evaluate(q) == counts[q][m], (m, q)
+
+
+def test_hilb_count_poly_matches_hilb_counts_to_guard():
+    counts = {q: hilb_counts(q, SERIES_ORDER_GUARD) for q in (2, 3, 16)}
+    for m in range(SERIES_ORDER_GUARD + 1):
+        poly = hilb_count_poly(m)
+        for q, row in counts.items():
+            assert poly.evaluate(q) == row[m], (m, q)
+
+
+def test_hilb_count_poly_budget():
+    start = time.perf_counter()
+    poly = hilb_count_poly(SERIES_ORDER_GUARD)
+    elapsed = time.perf_counter() - start
+    assert poly.degree == 2 * SERIES_ORDER_GUARD
+    assert elapsed < 2, f"hilb_count_poly({SERIES_ORDER_GUARD}) took {elapsed:.2f}s"
+
+
 def test_hilb_count_poly_shape():
     for m in (2, 3, 4, 6):
         p = hilb_count_poly(m)
@@ -131,6 +185,19 @@ def test_cycle_table_rows():
     rows = cycle_table(FqField(2), 3)
     assert [(r.sym, r.hilb, r.primes) for r in rows[1:]] == [(35, 49, 7), (155, 281, 22)]
     assert all(r.chen7 == r.sym for r in rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_cycle_table_matches_per_m_checks(q):
+    rows = cycle_table(FqField(q), 12)
+    assert [r.m for r in rows] == list(range(1, 13))
+    for r in rows:
+        assert r.ratio_error == chen1_ratio(q, r.m).normalized_error, (q, r.m)
+        if r.m >= 2:
+            c8 = chen8_closed(q, r.m)
+            assert (r.chen8, r.chen8_valid) == (c8.value, c8.valid), (q, r.m)
+        else:
+            assert (r.chen8, r.chen8_valid) == (r.primes, True)
 
 
 def test_series_guards():
