@@ -15,7 +15,6 @@ from .fqarith import (
     all_polys,
     field_from_order,
     irreducibles_of_degree,
-    poly_core,
     quadratic_character,
     count_points_pn,
 )

@@ -129,9 +129,3 @@ def symm_main_terms(F: FqField, m: int, dps: int = DEFAULT_DPS) -> SymmMainTerms
         return SymmMainTerms(
             reducible, reducible, None, to_mpf(diag) / logq2, to_mpf(j2) / logq2
         )
-
-
-def binomial_cancellation(k: int) -> int:
-    """sum_j C(2k-1, j) (-1)^j; identically 0, the cancellation that kills
-    the order-M^(m-2) terms."""
-    return sum((-1) ** j * math.comb(2 * k - 1, j) for j in range(2 * k))

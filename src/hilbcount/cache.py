@@ -89,10 +89,3 @@ def load(cache_dir: str, config: dict):
         log.warning("quarantined corrupt cache file %s (%s)", quarantine, exc)
         return None
     return payload
-
-
-def cache_roundtrip(cache_dir: str, config: dict, payload):
-    """Store then reload; returns the reloaded payload (must equal the
-    stored one)."""
-    store(cache_dir, config, payload)
-    return load(cache_dir, config)

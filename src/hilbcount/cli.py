@@ -2,8 +2,7 @@
 caching, and CSV/JSON table emission.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
-error, 3 guard violation (size error), 4 unstable quadratic count without
---allow-unstable.
+error, 3 guard violation (size error), 4 unstable quadratic count.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ _CONFIG_CASTERS = {
     "cache_dir": str,
     "format": str,
     "plot": lambda s: s.lower() in ("1", "true", "yes"),
-    "allow_unstable": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 
@@ -93,7 +91,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
         _m_range_flags(sp)
         leaves.append(sp)
     leaves[0].add_argument("--n", type=int, help="projective dimension")
-    leaves[2].add_argument("--allow-unstable", action="store_true", dest="allow_unstable")
 
     cyc = subs.add_parser("cycles", help="0-cycle count table")
     _common_flags(cyc)
@@ -164,11 +161,8 @@ def _run_count_quadratic(args):
     rows = []
     for M in _m_range(args):
         qc = quadfield.enumerate_degree2(field, M)
-        if not qc.stable and not args.allow_unstable:
-            raise UnstableCountError(
-                f"count at M={M} is unstable under bound growth; "
-                "pass --allow-unstable to print it anyway"
-            )
+        if not qc.stable:
+            raise UnstableCountError(f"count at M={M} is unstable under bound growth")
         rows.append([qc.q, qc.M, qc.count, qc.stable, qc.main_term, qc.ratio])
     return cols, rows
 

@@ -490,16 +490,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
-def poly_core(a: Poly, b: Poly) -> dict:
-    """Bundle of the four ring operations used everywhere downstream."""
-    out = {"sum": a + b, "product": a * b, "gcd": poly_gcd(a, b)}
-    if not b.is_zero:
-        q, r = divmod(a, b)
-        out["quotient"] = q
-        out["remainder"] = r
-    return out
-
-
 def multiplicity(f: Poly, p: Poly) -> int:
     """Largest e with p^e | f; f must be nonzero."""
     if f.is_zero:

@@ -185,9 +185,7 @@ class TruncSeries:
         c0 = self.coeffs[0]
         if not c0:
             raise ValueError("inverse needs nonzero constant term")
-        inv0 = 1 / c0 if isinstance(c0, Fraction) else None
-        if inv0 is None:
-            raise ValueError("inverse supported for Fraction coefficients only")
+        inv0 = 1 / Fraction(c0)
         out = [inv0] + [Fraction(0)] * self.order
         for n in range(1, self.order + 1):
             acc = Fraction(0)

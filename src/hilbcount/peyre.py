@@ -147,17 +147,22 @@ class PeyreResult:
     exact_prefactor: Fraction
 
 
+def _positive_mu(mu) -> Fraction:
+    """mu as a positive Fraction; ValueError for anything else."""
+    try:
+        mu = Fraction(mu)
+    except ZeroDivisionError:
+        raise ValueError(f"mu {mu!r} has a zero denominator") from None
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return mu
+
+
 def mu_slope(m: int, mu=None) -> Fraction:
     """Minimum-slope parameter of the effective cone.  Table-driven: 1 for
     m = 2, and r when m is the binomial coefficient C(r+2, 2)."""
     if mu is not None:
-        try:
-            mu = Fraction(mu)
-        except ZeroDivisionError:
-            raise ValueError(f"mu {mu!r} has a zero denominator") from None
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        return mu
+        return _positive_mu(mu)
     if m == 2:
         return Fraction(1)
     r = 1
@@ -170,10 +175,7 @@ def mu_slope(m: int, mu=None) -> Fraction:
 
 def alpha_star_hilbm(mu) -> Fraction:
     """alpha^* of Hilb^m of the plane: mu / 9."""
-    mu = Fraction(mu)
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return mu / 9
+    return _positive_mu(mu) / 9
 
 
 def peyre_constant_pn(n: int, params: GlobalFieldParams, dps: int = DEFAULT_DPS):

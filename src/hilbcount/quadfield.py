@@ -22,13 +22,11 @@ with z the root of F, so it depends on the line only through (d_P, d_Q).
 Counting therefore factors as (number of lines per degree class) times
 (number of forms matching the target height per class).  The bounds
 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
-H^2 >= q^(deg F + 2 d_P), so the search is complete.  The stability flag
-still re-checks that with enlarged bounds, but the form side of the check
-goes over degree profiles (deg A, deg B, deg C) rather than forms: a profile
-fixes deg F and leaves at most three possible infinity data, so only the
-profiles that could reach exponent M are scanned.  Since the exponent is at
-least deg F, no profile of degree above fmax >= M can, and at the default
-bounds the probe scans no form at all.
+H^2 >= q^(deg F + 2 d_P), so the search is complete.  Each is also checked
+where it is used: the stability flag of enumerate_degree2 requires that no
+form match a line class with d_Q in (M // 2, M // 2 + 2], and _form_exponent
+asserts that the exponent is at least deg F, so no form of degree above M
+can match.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from .errors import CharacteristicError, SizeError, WrongDegreeError
 from .fqarith import (
     FqField,
     Poly,
+    all_polys,
     is_squarefree,
     multiplicity,
     poly_gcd,
@@ -50,6 +49,7 @@ from .fqarith import (
     poly_xgcd,
     quadratic_character,
     squarefree_decompose,
+    trial_factor,
 )
 
 INF = math.inf
@@ -416,8 +416,6 @@ def infinite_places(ext: QuadExt) -> tuple[PlaceQ, ...]:
 
 def _finite_support(polys: list[Poly]) -> list[Poly]:
     """Monic irreducible factors of the gcd of the given nonzero polynomials."""
-    from .fqarith import trial_factor
-
     g = Poly.zero(polys[0].field)
     for f in polys:
         g = poly_gcd(g, f)
@@ -514,8 +512,6 @@ def height_degree2(P: DegreeTwoPoint) -> Fraction:
 def product_formula_defect(z: QuadElem) -> int:
     """sum_w w(z) deg(w) over all places where z can have nonzero valuation;
     zero iff the normalization is consistent."""
-    from .fqarith import trial_factor
-
     ext = z.ext
     support: dict = {}
     norm = z.norm()
@@ -643,45 +639,11 @@ def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> For
     return FormData(deg_f, kind, (alpha - gamma,))
 
 
-def _poly_sqrt(f: Poly) -> Poly | None:
-    """The polynomial square root of f, or None.  f nonzero, even degree,
-    square leading unit assumed pre-checked."""
-    field = f.field
-    n = f.degree // 2
-    g = [0] * (n + 1)
-    g[n] = field.sqrt_unit(f.lead)
-    two = field.add(1, 1)
-    inv_top = field.inv(field.mul(two, g[n]))
-    for k in range(1, n + 1):
-        idx = 2 * n - k
-        acc = f.coeffs[idx] if idx < len(f.coeffs) else 0
-        # known ordered cross terms: g_i g_{idx-i} with both indices above n-k
-        for i in range(n - k + 1, n):
-            acc = field.sub(acc, field.mul(g[i], g[idx - i]))
-        g[n - k] = field.mul(acc, inv_top)
-    cand = Poly(field, g)
-    return cand if cand * cand == f else None
-
-
-def _is_square_poly(f: Poly) -> bool:
-    if f.is_zero:
-        return True
-    if f.degree % 2 == 1:
-        return False
-    if not f.field.is_square_unit(f.lead):
-        return False
-    if f.degree == 0:
-        return True
-    return _poly_sqrt(f) is not None
-
-
-def _form_stream(field: FqField, fmax: int, min_deg: int = 0, profiles=None):
+def _form_stream(field: FqField, fmax: int):
     """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
-    discriminant, and coefficient degrees <= fmax (max degree >= min_deg).
-    With profiles given, only forms whose degree profile (deg A, deg B or
-    None, deg C) lies in that set are yielded."""
-    from .fqarith import all_polys
-
+    discriminant, and coefficient degrees <= fmax.  disc = B^2 - 4AC has
+    degree <= 2 fmax, so it is a square, zero included, iff it is the square
+    of a polynomial of degree <= fmax: one of the B^2."""
     polys = all_polys(field, fmax)
     monic_codes = [i for i, f in enumerate(polys) if f.is_monic]
     ncodes = len(polys)
@@ -690,42 +652,29 @@ def _form_stream(field: FqField, fmax: int, min_deg: int = 0, profiles=None):
         raise SizeError(
             f"form enumeration of {triples} coefficient triples exceeds guard {FORM_GUARD}"
         )
-    if profiles is not None:
-        live_ac = {(alpha, gamma) for alpha, _, gamma in profiles}
     bsq = [f * f for f in polys]
+    squares = {f.coeffs for f in bsq}
     four = field.add(field.add(1, 1), field.add(1, 1))
-    degs = [f.degree for f in polys]
     for ai in monic_codes:
         A = polys[ai]
-        dA = degs[ai]
         for ci in range(1, ncodes):
-            dC = degs[ci]
-            if profiles is not None and (dA, dC) not in live_ac:
-                continue
             C = polys[ci]
             ac4 = (A * C).scale(four)
             gAC = poly_gcd(A, C)
-            dmaxAC = max(dA, dC)
             for bi in range(ncodes):
-                dB = degs[bi]
-                if dmaxAC < min_deg and dB < min_deg:
-                    continue
-                if profiles is not None and (dA, dB if dB >= 0 else None, dC) not in profiles:
+                disc = bsq[bi] - ac4
+                if disc.coeffs in squares:
                     continue
                 B = polys[bi]
-                disc = bsq[bi] - ac4
-                if disc.is_zero or _is_square_poly(disc):
-                    continue
                 if gAC.degree > 0 and poly_gcd(gAC, B).degree > 0:
                     continue
                 yield A, B, C, disc
 
 
-def _form_classes(field: FqField, fmax: int, min_deg: int = 0, profiles=None) -> Counter:
+def _form_classes(field: FqField, fmax: int) -> Counter:
     """Counter {FormData: number of forms} over the form stream."""
     return Counter(
-        _classify_form(A, B, C, disc, field)
-        for A, B, C, disc in _form_stream(field, fmax, min_deg, profiles)
+        _classify_form(A, B, C, disc, field) for A, B, C, disc in _form_stream(field, fmax)
     )
 
 
@@ -735,47 +684,6 @@ def _match_counts(forms: Counter, classes, M: int) -> dict:
         cls: sum(n for fd, n in forms.items() if _form_exponent(fd, *cls) == M)
         for cls in classes
     }
-
-
-def _profile_candidates(alpha: int, beta: int | None, gamma: int) -> tuple[FormData, ...]:
-    """Every FormData that _classify_form can give a form with degree profile
-    (alpha, beta, gamma), beta None for B = 0: distinct Newton slopes force
-    split2, otherwise the infinity type is ramified or inert, or split1 when
-    alpha - gamma is even."""
-    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
-    if beta is not None and 2 * beta > alpha + gamma:
-        return (FormData(deg_f, "split2", (alpha - beta, beta - gamma)),)
-    W = alpha - gamma
-    kinds = ("ramified", "inert", "split1") if W % 2 == 0 else ("ramified", "inert")
-    return tuple(FormData(deg_f, kind, (W,)) for kind in kinds)
-
-
-def _live_profiles(fmax: int, classes, M: int) -> set:
-    """Degree profiles with max degree in (fmax, fmax+2] that have a
-    candidate FormData reaching exponent M on one of the classes."""
-    live = set()
-    top = fmax + 2
-    for alpha in range(top + 1):
-        for gamma in range(top + 1):
-            for beta in (None, *range(top + 1)):
-                candidates = _profile_candidates(alpha, beta, gamma)
-                deg_f = candidates[0].deg_f
-                # the exponent is at least deg F, so deg F > M never matches
-                if deg_f <= fmax or deg_f > M:
-                    continue
-                if any(
-                    _form_exponent(fd, *cls) == M for fd in candidates for cls in classes
-                ):
-                    live.add((alpha, beta, gamma))
-    return live
-
-
-def _probe_matches(field: FqField, fmax: int, classes, M: int) -> dict:
-    """The matches per class that forms of degree in (fmax, fmax+2] add;
-    only the forms of live degree profiles are scanned."""
-    live = _live_profiles(fmax, classes, M)
-    forms = _form_classes(field, fmax + 2, fmax + 1, live) if live else Counter()
-    return _match_counts(forms, classes, M)
 
 
 @dataclass(frozen=True)
@@ -788,36 +696,28 @@ class QuadraticCount:
     ratio: Fraction  # count / main_term; tends to 1/2 (orbits vs points)
 
 
-def enumerate_degree2(
-    field: FqField, M: int, bound: tuple[int, int] | None = None
-) -> QuadraticCount:
+def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^M.
 
-    bound = (dq_cap, fmax) caps the line class d_Q and the form coefficient
-    degrees; the defaults (M // 2, M) are complete by the height inequalities
-    in the module docstring.  The stability flag re-probes with both caps
-    enlarged: boundary line classes are checked to contribute no matching
-    form (so their line counts are irrelevant), and forms of degree in
-    (fmax, fmax+2] must add no matches to any class.  That second check goes
-    over degree profiles and scans only the profiles whose candidate
-    FormData can reach exponent M, so it is exact for any bound and scans
-    nothing at the default bounds."""
+    Line classes go up to d_Q <= M // 2 and forms up to coefficient degree
+    M, which is complete by the height inequalities in the module docstring.
+    The stability flag checks the d_Q bound on the same forms: the boundary
+    classes with d_Q in (M // 2, M // 2 + 2] must match none of them, so
+    their line counts are irrelevant."""
     _require_odd(field)
     if M < 1:
         raise ValueError("M >= 1 required")
-    dq_cap, fmax = bound if bound is not None else (M // 2, M)
-    forms = _form_classes(field, fmax)  # first, so the form guard fails fast
+    dq_cap = M // 2
+    forms = _form_classes(field, M)  # first, so the form guard fails fast
     classes = _line_classes(field, dq_cap)
     boundary = [
         (dP, dQ)
         for dQ in (dq_cap + 1, dq_cap + 2)
         for dP in range(dQ + 1)
     ]
-    all_classes = sorted(set(classes) | set(boundary))
-    matches = _match_counts(forms, all_classes, M)
+    matches = _match_counts(forms, sorted(set(classes) | set(boundary)), M)
     count = sum(classes[cls] * matches[cls] for cls in classes)
-    extra = _probe_matches(field, fmax, all_classes, M)
-    stable = all(matches[cls] == 0 for cls in boundary) and not any(extra.values())
+    stable = all(matches[cls] == 0 for cls in boundary)
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, stable, main, Fraction(count) / main)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError
-from .fqarith import FqField, Poly, poly_gcd
+from .fqarith import FqField, Poly, all_polys, poly_gcd
 
 # Max number of coordinate tuples scanned by enumerate_exact_height.
 TUPLE_GUARD = 10**9
@@ -86,14 +86,7 @@ def enumerate_exact_height(n: int, field: FqField, M: int):
             f"enumeration of q^((n+1)(M+1)) = {q}^{(n + 1) * (M + 1)} "
             f"coordinate tuples exceeds guard {TUPLE_GUARD}"
         )
-    polys = []
-    for code in range(ncodes):
-        digits = []
-        c = code
-        for _ in range(M + 1):
-            digits.append(c % q)
-            c //= q
-        polys.append(Poly(field, digits))
+    polys = all_polys(field, M)
     code_of = {f.coeffs: code for code, f in enumerate(polys)}
     monics = [code for code, f in enumerate(polys) if f.is_monic]
     top = q**M  # the codes of degree exactly M are those >= top

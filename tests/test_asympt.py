@@ -6,7 +6,6 @@ import pytest
 
 from hilbcount.fqarith import FqField
 from hilbcount.asympt import (
-    binomial_cancellation,
     manin_main_term,
     product_main_term_check,
     symm_main_terms,
@@ -115,6 +114,12 @@ def test_symm_main_terms_m3():
     assert res.total_coeff == S**3 / (27 * math.factorial(3) * math.factorial(2))
     assert res.total_coeff == res.reducible_coeff
     assert res.diagonal > 0 and res.j2_cycle > 0
+
+
+def binomial_cancellation(k):
+    """sum_j C(2k-1, j) (-1)^j; identically 0, the cancellation that kills
+    the order-M^(m-2) terms."""
+    return sum((-1) ** j * math.comb(2 * k - 1, j) for j in range(2 * k))
 
 
 def test_binomial_cancellation():

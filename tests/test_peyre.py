@@ -160,6 +160,8 @@ def test_mu_slope_and_alpha_star():
     assert alpha_star_hilbm(mu_slope(10)) == Fraction(1, 3)
     with pytest.raises(ValueError):
         alpha_star_hilbm(0)
+    with pytest.raises(ValueError):
+        alpha_star_hilbm("1/0")  # the same parser as mu_slope
 
 
 def test_cm_constant():

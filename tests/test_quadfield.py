@@ -11,9 +11,11 @@ from hilbcount.fqarith import (
     FqField,
     Poly,
     all_polys,
+    field_from_order,
     irreducibles_of_degree,
     is_squarefree,
     multiplicity,
+    poly_gcd,
 )
 from hilbcount.quadfield import (
     FORM_GUARD,
@@ -22,10 +24,7 @@ from hilbcount.quadfield import (
     _classify_form,
     _form_exponent,
     _form_stream,
-    _is_square_poly,
     _line_classes,
-    _probe_matches,
-    _profile_candidates,
     canonicalize_quadratic,
     degree2_orbits,
     enumerate_degree2,
@@ -41,6 +40,7 @@ from hilbcount.quadfield import (
 F2 = FqField(2)
 F3 = FqField(3)
 F5 = FqField(5)
+F9 = field_from_order(9)
 
 
 def mk(field, *coeff_lists):
@@ -255,10 +255,56 @@ def test_hilb2_split_counts():
     assert res3.sym_coeff == Fraction(104, 9) ** 2 / 6
 
 
-def test_is_square_poly_brute_force():
-    squares = {(g * g).coeffs for g in all_polys(F3, 2)}
-    for f in all_polys(F3, 4):
-        assert _is_square_poly(f) == (f.coeffs in squares)
+def _poly_sqrt_by_coefficients(f):
+    """The polynomial square root of f, or None, by solving for the
+    coefficients from the top down (f nonzero, even degree, square leading
+    unit)."""
+    field = f.field
+    n = f.degree // 2
+    g = [0] * (n + 1)
+    g[n] = field.sqrt_unit(f.lead)
+    inv_top = field.inv(field.mul(field.add(1, 1), g[n]))
+    for k in range(1, n + 1):
+        idx = 2 * n - k
+        acc = f.coeffs[idx] if idx < len(f.coeffs) else 0
+        for i in range(n - k + 1, n):
+            acc = field.sub(acc, field.mul(g[i], g[idx - i]))
+        g[n - k] = field.mul(acc, inv_top)
+    cand = Poly(field, g)
+    return cand if cand * cand == f else None
+
+
+def _is_square_by_sqrt(f):
+    if f.is_zero:
+        return True
+    if f.degree % 2 == 1 or not f.field.is_square_unit(f.lead):
+        return False
+    return f.degree == 0 or _poly_sqrt_by_coefficients(f) is not None
+
+
+def _form_stream_by_sqrt(field, fmax):
+    """The form stream with the square filter that solved for a square root
+    of each discriminant; the oracle for the set lookup of squares."""
+    polys = all_polys(field, fmax)
+    four = field.add(field.add(1, 1), field.add(1, 1))
+    for A in (f for f in polys if f.is_monic):
+        for C in polys[1:]:
+            ac4 = (A * C).scale(four)
+            gAC = poly_gcd(A, C)
+            for B in polys:
+                disc = B * B - ac4
+                if _is_square_by_sqrt(disc):
+                    continue
+                if gAC.degree > 0 and poly_gcd(gAC, B).degree > 0:
+                    continue
+                yield A, B, C, disc
+
+
+def test_form_stream_square_lookup_matches_sqrt_oracle():
+    for field, fmax in ((F3, 2), (F5, 1), (F9, 1)):
+        got = [tuple(f.coeffs for f in form) for form in _form_stream(field, fmax)]
+        want = [tuple(f.coeffs for f in form) for form in _form_stream_by_sqrt(field, fmax)]
+        assert got and got == want
 
 
 def test_enumerate_degree2_m1():
@@ -270,23 +316,25 @@ def test_enumerate_degree2_m1():
 
 
 @functools.lru_cache(maxsize=None)
-def _brute_forms(fmax, min_deg):
-    """(degree profile, FormData) of every form of the F_3 stream, one entry
-    per form; equal entries are shared to keep the tuple small."""
+def _stream_forms(fmax):
+    """(max coefficient degree, FormData) of every form of the F_3 stream,
+    one entry per form; equal entries are shared to keep the tuple small."""
     shared = {}
     out = []
-    for A, B, C, disc in _form_stream(F3, fmax, min_deg):
-        entry = (
-            (A.degree, None if B.is_zero else B.degree, C.degree),
-            _classify_form(A, B, C, disc, F3),
-        )
+    for A, B, C, disc in _form_stream(F3, fmax):
+        entry = (max(A.degree, B.degree, C.degree), _classify_form(A, B, C, disc, F3))
         out.append(shared.setdefault(entry, entry))
     return tuple(out)
 
 
+def _brute_forms(fmax, min_deg):
+    """FormData of every form of the F_3 stream with max degree >= min_deg."""
+    return [fd for deg, fd in _stream_forms(fmax) if deg >= min_deg]
+
+
 def _brute_matches(fmax, classes, M, min_deg=0):
     counts = {cls: 0 for cls in classes}
-    for _, fd in _brute_forms(fmax, min_deg):
+    for fd in _brute_forms(fmax, min_deg):
         for cls in classes:
             if _form_exponent(fd, *cls) == M:
                 counts[cls] += 1
@@ -294,9 +342,10 @@ def _brute_matches(fmax, classes, M, min_deg=0):
 
 
 def _brute_degree2(M, bound=None):
-    """Oracle for enumerate_degree2 over F_3: every form is checked against
-    every class, and the stability probe scans all forms of degree in
-    (fmax, fmax+2].  Returns (count, stable, nonzero extra matches, classes)."""
+    """Oracle for enumerate_degree2 over F_3 with enlarged bounds: every form
+    is checked against every class, the line classes go two past the d_Q
+    cap, and the forms of degree in (fmax, fmax+2] are scanned as well.
+    Returns (count, stable, nonzero extra matches)."""
     dq_cap, fmax = bound if bound is not None else (M // 2, M)
     classes = _line_classes(F3, dq_cap)
     boundary = [(dP, dQ) for dQ in (dq_cap + 1, dq_cap + 2) for dP in range(dQ + 1)]
@@ -305,7 +354,7 @@ def _brute_degree2(M, bound=None):
     count = sum(classes[cls] * matches[cls] for cls in classes)
     extra = _brute_matches(fmax + 2, all_classes, M, min_deg=fmax + 1)
     stable = all(matches[cls] == 0 for cls in boundary) and all(v == 0 for v in extra.values())
-    return count, stable, {cls: v for cls, v in extra.items() if v}, all_classes
+    return count, stable, {cls: v for cls, v in extra.items() if v}
 
 
 @pytest.mark.parametrize(
@@ -317,20 +366,13 @@ def _brute_degree2(M, bound=None):
     ],
 )
 def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
-    want = _brute_degree2(M, bound)
-    assert want[:3] == (count, stable, extra)
-    res = enumerate_degree2(F3, M, bound)
-    assert (res.count, res.stable) == (count, stable)
-    fmax = bound[1] if bound is not None else M
-    probe = _probe_matches(F3, fmax, want[3], M)
-    assert {cls: v for cls, v in probe.items() if v} == extra
-
-
-def test_profile_candidates_cover_every_form():
-    forms = _brute_forms(3, 2)
-    assert forms
-    for profile, fd in forms:
-        assert fd in _profile_candidates(*profile)
+    """At the proven bounds the enlarged-bound oracle finds nothing that
+    enumerate_degree2 leaves out; the truncated bounds show that the oracle
+    catches a search that stops short."""
+    assert _brute_degree2(M, bound) == (count, stable, extra)
+    if bound is None:
+        res = enumerate_degree2(F3, M)
+        assert (res.count, res.stable) == (count, stable)
 
 
 def test_form_guard_message_states_size_and_limit():
@@ -342,11 +384,16 @@ def test_form_guard_message_states_size_and_limit():
 
 @pytest.mark.parametrize(
     "field, M, count",
-    [(F5, 1, 93000), (FqField(7), 1, 938448), (F3, 3, 6225336)],
+    [
+        (F5, 1, 93000),
+        (FqField(7), 1, 938448),
+        (F3, 3, 6225336),
+        (F3, 2, 173004),
+        (F9, 1, 5307120),
+    ],
 )
 def test_enumerate_degree2_reach(field, M, count):
-    """Rows whose degree <= fmax+2 form space exceeds the form guard; the
-    profile probe scans none of it at the default bounds."""
+    """Pinned counts; F_9 takes the prime-power arithmetic path."""
     res = enumerate_degree2(field, M)
     assert res.count == count
     assert res.stable
