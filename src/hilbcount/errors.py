@@ -11,7 +11,3 @@ class CharacteristicError(Exception):
 
 class WrongDegreeError(Exception):
     """Point does not have the algebraic degree the operation expects."""
-
-
-class UnstableCountError(Exception):
-    """Growing the search bound changed an enumerated count."""

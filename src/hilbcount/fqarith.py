@@ -223,12 +223,6 @@ class FqField:
 # --- raw F_p polynomial helpers, used only to pick the field modulus ---
 
 
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def _fp_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     a = list(a)
     db = len(b) - 1
@@ -465,6 +459,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def poly_gcd_all(polys) -> Poly:
+    """Monic gcd of a nonempty list of polynomials, stopping once it is 1;
+    the gcd of all-zero polynomials is 0."""
+    g = Poly.zero(polys[0].field)
+    for f in polys:
+        g = poly_gcd(g, f)
+        if g.degree == 0:
+            break
+    return g
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

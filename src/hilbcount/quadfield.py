@@ -22,11 +22,10 @@ with z the root of F, so it depends on the line only through (d_P, d_Q).
 Counting therefore factors as (number of lines per degree class) times
 (number of forms matching the target height per class).  The bounds
 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
-H^2 >= q^(deg F + 2 d_P), so the search is complete.  Each is also checked
-where it is used: the stability flag of enumerate_degree2 requires that no
-form match a line class with d_Q in (M // 2, M // 2 + 2], and _form_exponent
-asserts that the exponent is at least deg F, so no form of degree above M
-can match.
+H^2 >= q^(deg F + 2 d_P), so the search is complete.  The tests check both
+inequalities on _form_exponent for every form class and line class of
+degree up to 8, so no form matches a line class with d_Q > M // 2 and no
+form of degree above M matches at all.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .fqarith import (
     is_squarefree,
     multiplicity,
     poly_gcd,
+    poly_gcd_all,
     poly_lcm,
     poly_xgcd,
     quadratic_character,
@@ -224,9 +224,6 @@ class QuadElem:
 
     def trace(self) -> RatFunc:
         return self.a + self.a
-
-    def scalar_mul(self, r: RatFunc):
-        return QuadElem(self.ext, self.a * r, self.b * r)
 
     def __truediv__(self, other):
         if other.is_zero:
@@ -416,11 +413,9 @@ def infinite_places(ext: QuadExt) -> tuple[PlaceQ, ...]:
 
 def _finite_support(polys: list[Poly]) -> list[Poly]:
     """Monic irreducible factors of the gcd of the given nonzero polynomials."""
-    g = Poly.zero(polys[0].field)
-    for f in polys:
-        g = poly_gcd(g, f)
-        if g.degree == 0:
-            return []
+    g = poly_gcd_all(polys)
+    if g.degree == 0:
+        return []
     return [p for p, _ in trial_factor(g)]
 
 
@@ -468,11 +463,7 @@ def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
         h = poly_lcm(h, c.b.den)
     apols = [c.a.num * (h // c.a.den) for c in y]
     bpols = [c.b.num * (h // c.b.den) for c in y]
-    g = Poly.zero(field)
-    for f in apols + bpols:
-        g = poly_gcd(g, f)
-        if g.degree == 0:
-            break
+    g = poly_gcd_all(apols + bpols)
     if g.degree > 0:
         apols = [f // g for f in apols]
         bpols = [f // g for f in bpols]
@@ -691,7 +682,6 @@ class QuadraticCount:
     q: int
     M: int
     count: int
-    stable: bool
     main_term: Fraction  # kt_main_term
     ratio: Fraction  # count / main_term; tends to 1/2 (orbits vs points)
 
@@ -700,26 +690,16 @@ def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^M.
 
     Line classes go up to d_Q <= M // 2 and forms up to coefficient degree
-    M, which is complete by the height inequalities in the module docstring.
-    The stability flag checks the d_Q bound on the same forms: the boundary
-    classes with d_Q in (M // 2, M // 2 + 2] must match none of them, so
-    their line counts are irrelevant."""
+    M, which is complete by the height inequalities in the module docstring."""
     _require_odd(field)
     if M < 1:
         raise ValueError("M >= 1 required")
-    dq_cap = M // 2
     forms = _form_classes(field, M)  # first, so the form guard fails fast
-    classes = _line_classes(field, dq_cap)
-    boundary = [
-        (dP, dQ)
-        for dQ in (dq_cap + 1, dq_cap + 2)
-        for dP in range(dQ + 1)
-    ]
-    matches = _match_counts(forms, sorted(set(classes) | set(boundary)), M)
+    classes = _line_classes(field, M // 2)
+    matches = _match_counts(forms, classes, M)
     count = sum(classes[cls] * matches[cls] for cls in classes)
-    stable = all(matches[cls] == 0 for cls in boundary)
     main = kt_main_term(field, M)
-    return QuadraticCount(field.q, M, count, stable, main, Fraction(count) / main)
+    return QuadraticCount(field.q, M, count, main, Fraction(count) / main)
 
 
 def degree2_orbits(field: FqField, M: int):
@@ -771,5 +751,4 @@ def hilb2_split_counts(field: FqField, M: int) -> Hilb2Splits:
     reducible = ratpoints.count_reducible_pairs(field, M)
     total = Fraction(3, 2) * S * S * q3m * M
     sym_coeff = S * S / 6
-    assert total == 3 * sym_coeff * q3m * (3 * M)
     return Hilb2Splits(irreducible, reducible, total, sym_coeff)

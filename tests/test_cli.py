@@ -3,14 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
 import hilbcount
 from hilbcount import cache, cli, genfun, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
-from hilbcount.quadfield import QuadraticCount
 
 
 def run(argv):
@@ -147,13 +145,7 @@ def test_form_guard_exit_3(capsys):
     assert f"{156 * 625 * 625} coefficient triples exceeds guard {quadfield.FORM_GUARD}" in err
 
 
-def test_unstable_exit_4(monkeypatch, tmp_path, capsys):
-    fake = QuadraticCount(q=3, M=1, count=1, stable=False,
-                          main_term=Fraction(1), ratio=Fraction(1))
-    monkeypatch.setattr(quadfield, "enumerate_degree2", lambda field, M: fake)
-    code, out = run(["count", "quadratic", "--q", "3", "--M", "1"])
-    assert code == 4 and out == ""
-    # no option prints an unstable count
+def test_allow_unstable_is_gone(tmp_path, capsys):
     code, out = run(["count", "quadratic", "--q", "3", "--M", "1", "--allow-unstable"])
     assert code == 2 and out == ""
     cfg = tmp_path / "run.cfg"

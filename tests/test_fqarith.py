@@ -16,6 +16,7 @@ from hilbcount.fqarith import (
     mobius,
     multiplicity,
     poly_gcd,
+    poly_gcd_all,
     poly_lcm,
     poly_xgcd,
     quadratic_character,
@@ -113,6 +114,16 @@ def test_gcd_xgcd(a, b):
     if not (pa.is_zero or pb.is_zero):
         assert (lcm % pa).is_zero and (lcm % pb).is_zero
         assert lcm.degree == pa.degree + pb.degree - g.degree
+
+
+@given(cs=st.lists(codes, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_gcd_all_folds_gcd(cs):
+    polys = [poly_from_code(F3, c, 5) for c in cs]
+    g = Poly.zero(F3)
+    for f in polys:
+        g = poly_gcd(g, f)
+    assert poly_gcd_all(polys) == g
 
 
 def poly_core(a: Poly, b: Poly) -> dict:

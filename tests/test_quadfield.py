@@ -20,6 +20,7 @@ from hilbcount.fqarith import (
 from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
+    FormData,
     QuadExt,
     _classify_form,
     _form_exponent,
@@ -253,6 +254,10 @@ def test_hilb2_split_counts():
     assert res3.irreducible_main == Fraction(104, 9) ** 2 * 27
     assert res3.total_main == Fraction(3, 2) * res3.irreducible_main
     assert res3.sym_coeff == Fraction(104, 9) ** 2 / 6
+    # split points sit on heights divisible by 3: 3 * smoothed coefficient at 3M
+    for M in (1, 2, 5):
+        res = hilb2_split_counts(F3, M)
+        assert res.total_main == 3 * res.sym_coeff * Fraction(3) ** (3 * M) * (3 * M)
 
 
 def _poly_sqrt_by_coefficients(f):
@@ -310,7 +315,6 @@ def test_form_stream_square_lookup_matches_sqrt_oracle():
 def test_enumerate_degree2_m1():
     res = enumerate_degree2(F3, 1)
     assert res.count == 2808
-    assert res.stable
     assert res.ratio == Fraction(81, 208)
     assert res.main_term == kt_main_term(F3, 1)
 
@@ -371,8 +375,53 @@ def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
     catches a search that stops short."""
     assert _brute_degree2(M, bound) == (count, stable, extra)
     if bound is None:
-        res = enumerate_degree2(F3, M)
-        assert (res.count, res.stable) == (count, stable)
+        assert enumerate_degree2(F3, M).count == count
+
+
+def _form_data_candidates(alpha, beta, gamma):
+    """Every FormData _classify_form can return for a form with coefficient
+    degrees (alpha, beta or None for B = 0, gamma): split2 when 2 beta >
+    alpha + gamma, else ramified and inert, plus split1 when alpha - gamma
+    is even."""
+    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
+    if beta is not None and 2 * beta > alpha + gamma:
+        return {FormData(deg_f, "split2", (alpha - beta, beta - gamma))}
+    W = alpha - gamma
+    kinds = ("ramified", "inert", "split1") if W % 2 == 0 else ("ramified", "inert")
+    return {FormData(deg_f, kind, (W,)) for kind in kinds}
+
+
+def test_form_exponent_proven_bounds():
+    """The completeness bounds of enumerate_degree2, H^2 >= q^(2 d_Q) and
+    H^2 >= q^(deg F + 2 d_P), for every form class and line class of degree
+    up to 8; so no form matches a line class past d_Q = M // 2 and no form
+    of degree above M matches at all, for every M <= 8."""
+    degs = range(9)
+    forms = set().union(*(
+        _form_data_candidates(alpha, beta, gamma)
+        for alpha in degs for gamma in degs for beta in (None, *degs)
+    ))
+    assert len(forms) == 547
+    classes = [(dP, dQ) for dQ in degs for dP in range(dQ + 1)]
+    for fd in forms:
+        for dP, dQ in classes:
+            e = _form_exponent(fd, dP, dQ)
+            assert e >= 2 * dQ and e >= fd.deg_f + 2 * dP, (fd, dP, dQ)
+    for M in range(1, 9):
+        boundary = [(dP, dQ) for dQ in (M // 2 + 1, M // 2 + 2) for dP in range(dQ + 1)]
+        for fd in forms:
+            checked = classes if fd.deg_f > M else boundary
+            assert all(_form_exponent(fd, *cls) != M for cls in checked), (M, fd)
+
+
+def test_form_stream_classes_lie_in_degree_candidates():
+    """The class sweep above covers the real forms: each form of the stream
+    classifies into a candidate of its own coefficient degrees."""
+    for field, fmax in ((F3, 2), (F5, 1), (F9, 1)):
+        for A, B, C, disc in _form_stream(field, fmax):
+            beta = None if B.is_zero else B.degree
+            fd = _classify_form(A, B, C, disc, field)
+            assert fd in _form_data_candidates(A.degree, beta, C.degree)
 
 
 def test_form_guard_message_states_size_and_limit():
@@ -394,9 +443,7 @@ def test_form_guard_message_states_size_and_limit():
 )
 def test_enumerate_degree2_reach(field, M, count):
     """Pinned counts; F_9 takes the prime-power arithmetic path."""
-    res = enumerate_degree2(field, M)
-    assert res.count == count
-    assert res.stable
+    assert enumerate_degree2(field, M).count == count
 
 
 def test_enumerate_degree2_cross_validation():
