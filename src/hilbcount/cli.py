@@ -1,6 +1,10 @@
 """Command-line surface: argument parsing, key=value config files, result
 caching, and CSV/JSON table emission.
 
+Each runner imports the compute modules of its own command when it runs, so
+a command loads only what it computes with and a cache hit loads none of
+them.
+
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
 """
@@ -8,16 +12,14 @@ error, 3 guard violation (size error).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import os
 import sys
-from fractions import Fraction
 
-from . import asympt, cache, genfun, peyre, quadfield, ratpoints
+from . import cache
 from .errors import CharacteristicError, SizeError
-from .fqarith import field_from_order
-from .records import fmt_value
 
 CACHE_ENV = "ACL_CACHE_DIR"
 
@@ -131,9 +133,19 @@ def _m_range(args):
     return range(args.M, m_max + 1)
 
 
+def _field(args):
+    """F_q for the required --q."""
+    from .fqarith import field_from_order
+
+    _require(args, "q")
+    return field_from_order(args.q)
+
+
 def _run_count_rational(args):
+    from . import ratpoints
+
     _require(args, "q", "n")
-    field = field_from_order(args.q)
+    field = _field(args)
     cols = ["q", "n", "M", "observed", "predicted", "match"]
     rows = []
     for M in _m_range(args):
@@ -144,8 +156,9 @@ def _run_count_rational(args):
 
 
 def _run_count_pairs(args):
-    _require(args, "q")
-    field = field_from_order(args.q)
+    from . import ratpoints
+
+    field = _field(args)
     cols = ["q", "M", "observed", "closed_form", "match"]
     rows = []
     for M in _m_range(args):
@@ -155,8 +168,9 @@ def _run_count_pairs(args):
 
 
 def _run_count_quadratic(args):
-    _require(args, "q")
-    field = field_from_order(args.q)
+    from . import quadfield
+
+    field = _field(args)
     cols = ["q", "M", "count", "stable", "main_term", "ratio"]
     rows = []
     for M in _m_range(args):
@@ -167,8 +181,9 @@ def _run_count_quadratic(args):
 
 
 def _run_cycles(args):
-    _require(args, "q")
-    field = field_from_order(args.q)
+    from . import genfun
+
+    field = _field(args)
     cols = ["m", "sym", "hilb", "primes", "chen7", "chen8", "chen8_valid", "ratio_error"]
     rows = []
     for r in genfun.cycle_table(field, args.m_max):
@@ -177,8 +192,9 @@ def _run_cycles(args):
 
 
 def _run_peyre(args):
-    _require(args, "q")
-    field = field_from_order(args.q)
+    from . import peyre
+
+    field = _field(args)
     params = peyre.GlobalFieldParams(field)
     dps = max(args.digits + 10, 50)
     if args.subcommand == "pn":
@@ -194,8 +210,11 @@ def _run_peyre(args):
 
 
 def _run_verify_lemmas(args):
-    _require(args, "q")
-    field = field_from_order(args.q)
+    from fractions import Fraction
+
+    from . import asympt
+
+    field = _field(args)
     cols = ["lemma", "params", "M", "ratio_or_dev", "pass"]
     rows = []
     for M in (50, 100, 200, 400):
@@ -254,13 +273,30 @@ print("wrote", {out!r})
 """
 
 
+def _source_digest(pkg_dir: str) -> str:
+    """sha256 over the names and bytes of the package's *.py files, read in
+    sorted name order without importing them."""
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(pkg_dir) if f.endswith(".py")):
+        with open(os.path.join(pkg_dir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _fingerprint_config(args, key) -> dict:
     """The run configuration a cache entry is keyed by, including the package
-    version, so rows computed by other code are never served."""
+    version and a digest of the package source, so rows computed by other
+    code are never served."""
     from . import __version__  # the package attribute as it is now, not at import
 
     skip = {"cache_dir", "format", "plot", "config"}
-    cfg = {"command": list(k for k in key if k), "version": __version__}
+    cfg = {
+        "command": list(k for k in key if k),
+        "version": __version__,
+        "source": _source_digest(os.path.dirname(os.path.abspath(__file__))),
+    }
     for name, value in sorted(vars(args).items()):
         if name in skip or name in ("command", "subcommand"):
             continue
@@ -279,6 +315,8 @@ def _emit(columns, rows, fmt, out):
 
 
 def _emit_plot(key, columns, rows):
+    from fractions import Fraction
+
     spec = _PLOT_RATIO.get(key)
     if spec is None:
         print("note: --plot is only supported for count subcommands", file=sys.stderr)
@@ -303,27 +341,27 @@ def dispatch(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = list(argv)
     try:
-        config = {}
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            config = parse_config(argv[idx + 1])
         parser, leaves = build_parser()
-        if config:
-            for sp in leaves:
-                sp.set_defaults(**config)
         try:
             args = parser.parse_args(argv)
+            if args.config is not None:
+                # every spelling argparse accepts names the file; flags still win
+                config = parse_config(args.config)
+                for sp in leaves:
+                    sp.set_defaults(**config)
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         key = (args.command, getattr(args, "subcommand", None))
-        runner = _RUNNERS[key]
-        fp_config = _fingerprint_config(args, key)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-        payload = cache.load(cache_dir, fp_config) if cache_dir else None
+        payload = None
+        if cache_dir:
+            fp_config = _fingerprint_config(args, key)
+            payload = cache.load(cache_dir, fp_config)
         if payload is None:
-            columns, raw_rows = runner(args)
+            from .records import fmt_value
+
+            columns, raw_rows = _RUNNERS[key](args)
             rows = [[fmt_value(v, args.digits) for v in row] for row in raw_rows]
             if cache_dir:
                 cache.store(cache_dir, fp_config, {"columns": columns, "rows": rows})

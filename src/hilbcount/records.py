@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 
 def fmt_value(v, digits: int = 12) -> str:
     """Token-safe rendering: no commas, no quotes, no spaces."""
@@ -19,6 +17,8 @@ def fmt_value(v, digits: int = 12) -> str:
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, str):
         return v
+    import mpmath  # only floats need it loaded; an mpf means it is loaded already
+
     if isinstance(v, mpmath.mpf) or isinstance(v, float):
         return mpmath.nstr(mpmath.mpf(v), digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")

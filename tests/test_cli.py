@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -116,20 +117,76 @@ def test_size_guard_exit_3(capsys):
     assert f"= 97^60 coordinate tuples exceeds guard {ratpoints.TUPLE_GUARD}" in err
 
 
-def test_python_m_hilbcount():
+def _src_env():
+    """The environment of a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(hilbcount.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop(cli.CACHE_ENV, None)
+    return env
+
+
+def test_python_m_hilbcount():
     proc = subprocess.run(
         [sys.executable, "-m", "hilbcount", "count", "rational", "--q", "2", "--n", "1", "--M", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "q,n,M,observed,predicted,match\n2,1,1,6,6,true\n"
+
+
+# Runs in a fresh interpreter: imports the CLI, then dispatches each named
+# argv in order and records the package modules and mpmath loaded so far.
+_IMPORT_PROBE = r"""
+import io, json, sys
+from hilbcount import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "mpmath" or m.startswith("hilbcount."))
+
+steps = {"import": {"modules": loaded()}}
+for name, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    code = cli.dispatch(argv, out=out)
+    steps[name] = {"code": code, "stdout": out.getvalue(), "modules": loaded()}
+print(json.dumps(steps))
+"""
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
+    code, cold = run(hit_argv)  # fills the cache in this process
+    assert code == 0
+    plan = [
+        ("hit", hit_argv),
+        ("rational", ["count", "rational", "--q", "2", "--n", "1", "--M", "1"]),
+        ("pairs", ["count", "pairs", "--q", "2", "--M", "1"]),
+        ("cycles", ["cycles", "--q", "2", "--m-max", "3"]),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(plan)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    compute = {"mpmath"} | {
+        f"hilbcount.{m}" for m in ("fqarith", "ratpoints", "quadfield", "genfun", "peyre", "asympt", "records")
+    }
+    assert not compute & set(steps["import"]["modules"])
+    assert steps["hit"]["code"] == 0 and steps["hit"]["stdout"] == cold
+    assert not compute & set(steps["hit"]["modules"])
+    # the steps share the interpreter, so each list holds what came before too
+    rational = set(steps["rational"]["modules"])
+    assert "hilbcount.ratpoints" in rational
+    assert not {"mpmath", "hilbcount.quadfield", "hilbcount.genfun", "hilbcount.peyre"} & rational
+    assert "mpmath" not in steps["pairs"]["modules"]
+    assert "hilbcount.genfun" in steps["cycles"]["modules"]
+    assert "mpmath" not in steps["cycles"]["modules"]
+    assert all(steps[name]["code"] == 0 for name, _argv in plan)
 
 
 def test_count_quadratic_q5_exits_0():
@@ -170,6 +227,20 @@ def test_parse_config(tmp_path):
         parse_config(str(noeq))
 
 
+def test_config_every_spelling_is_read(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("M = 2\n")
+    code, spaced = run(["count", "pairs", "--q", "2", "--config", str(cfg)])
+    assert code == 0 and spaced.splitlines()[1].startswith("2,2,3234,")
+    assert run(["count", "pairs", "--q", "2", f"--config={cfg}"]) == (0, spaced)
+    assert run(["count", "pairs", "--q", "2", "--conf", str(cfg)]) == (0, spaced)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("zq = 2\n")
+    capsys.readouterr()
+    assert run(["count", "pairs", "--q", "2", "--M", "1", f"--config={bad}"]) == (2, "")
+    assert "unknown config key 'zq'" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("q = 2\nM = 1\n")
@@ -197,7 +268,9 @@ def test_cache_warm_equals_cold(tmp_path):
     assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
 
 
-def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
+def _assert_changed_code_recomputes(tmp_path, monkeypatch, change):
+    """A cold run, then `change()` to how the code identifies itself, then a
+    miss that recomputes the same stdout and is then a hit."""
     calls = []
     real = ratpoints.count_reducible_pairs
 
@@ -209,13 +282,46 @@ def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
     code, cold = run(argv)
     assert code == 0 and len(calls) == 1
-    monkeypatch.setattr(hilbcount, "__version__", hilbcount.__version__ + ".dev1")
+    change()
     code, out = run(argv)
     assert code == 0 and out == cold
-    assert len(calls) == 2  # a miss: the entry of the other version is not served
+    assert len(calls) == 2  # a miss: the entry of the other code is not served
     assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
     code, out = run(argv)
-    assert code == 0 and out == cold and len(calls) == 2  # same version: a hit
+    assert code == 0 and out == cold and len(calls) == 2  # same code: a hit
+
+
+def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
+    _assert_changed_code_recomputes(
+        tmp_path, monkeypatch,
+        lambda: monkeypatch.setattr(hilbcount, "__version__", hilbcount.__version__ + ".dev1"),
+    )
+
+
+def test_cache_source_change_recomputes(tmp_path, monkeypatch):
+    _assert_changed_code_recomputes(
+        tmp_path, monkeypatch, lambda: monkeypatch.setattr(cli, "_source_digest", lambda pkg_dir: "0" * 64)
+    )
+
+
+def test_source_digest_reads_every_byte(tmp_path, monkeypatch):
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    copy = tmp_path / "hilbcount"
+    shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert cli._source_digest(str(copy)) == cli._source_digest(pkg)
+    path = copy / "genfun.py"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+    assert cli._source_digest(str(copy)) != cli._source_digest(pkg)
+
+    def unread(pkg_dir):
+        raise AssertionError("the source was read without a cache dir")
+
+    # without a cache dir no source file is read
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(cli, "_source_digest", unread)
+    assert run(["count", "pairs", "--q", "2", "--M", "1"])[0] == 0
 
 
 def test_version_has_one_copy():
