@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import tempfile
 import time
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger(__name__)
 
 
 def fingerprint(config: dict) -> str:
@@ -86,6 +83,10 @@ def load(cache_dir: str, config: dict):
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         quarantine = path + ".corrupt"
         os.replace(path, quarantine)
-        log.warning("quarantined corrupt cache file %s (%s)", quarantine, exc)
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "quarantined corrupt cache file %s (%s)", quarantine, exc
+        )
         return None
     return payload

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import os
 import sys
 
@@ -22,8 +21,6 @@ from . import cache
 from .errors import CharacteristicError, SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
-
-log = logging.getLogger(__name__)
 
 _CONFIG_CASTERS = {
     "q": int,
@@ -149,7 +146,7 @@ def _run_count_rational(args):
     cols = ["q", "n", "M", "observed", "predicted", "match"]
     rows = []
     for M in _m_range(args):
-        observed = sum(1 for _ in ratpoints.enumerate_exact_height(args.n, field, M))
+        observed = ratpoints.count_exact_height(args.n, field, M)
         predicted = ratpoints.point_count_exact_height(args.n, field, M)
         rows.append([args.q, args.n, M, observed, predicted, observed == predicted])
     return cols, rows
@@ -378,7 +375,9 @@ def dispatch(argv, out=None) -> int:
         print(f"size guard: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
-        log.debug("internal error", exc_info=True)
+        import logging
+
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,10 @@ closed-form counts they must reproduce.
 
 A point is stored as a coprime tuple of polynomials whose first nonzero
 entry is monic; this is the unique representative of its F_q(t)^*-orbit,
-and its height is q to the maximum coordinate degree.
+and its height is q to the maximum coordinate degree.  The points of one
+height are scanned on the integer codes of their coordinates, and their
+coprimality is read from a sieve of divisor masks; count_exact_height counts
+them without building them, as the observed side of the closed form.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeError
-from .fqarith import FqField, Poly, all_polys, poly_gcd, poly_gcd_all
+from .fqarith import FqField, Poly, all_polys, poly_gcd_all
 
-# Max number of coordinate tuples scanned by enumerate_exact_height.
+# Max number of coordinate tuples scanned by enumerate_exact_height and
+# count_exact_height.
 TUPLE_GUARD = 10**9
 
 
@@ -59,19 +63,18 @@ def height_rational(P: ProjPointFqt) -> int:
     return P.field.q ** height_exponent(P)
 
 
-def enumerate_exact_height(n: int, field: FqField, M: int):
-    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
+def _scan_masks(n: int, field: FqField, M: int):
+    """Guard a scan of P^n at height q^M; then sieve the divisor masks.
 
-    Every coordinate, and every partial gcd of coordinates, has degree <= M,
-    so each is handled as its code in range(q^(M+1)), whose base-q digits
-    are its coefficients.  Points come in itertools.product order over the
-    codes: by pivot position from the last to the first, then by monic
-    pivot, then by free tail.  The running gcd is a code, read from a row
-    [gcd(g, c) for every code c] and stopped at code 1, the polynomial 1.
-    The pivot's row lives for its tail loop; rows of the non-unit gcds of
-    two or more coordinates are memoised for the call.  At n = 1 nothing is
-    memoised; at n >= 2 the guard keeps q^(M+1) <= 1000, so the memo holds
-    at most q^(M+1) rows of q^(M+1) entries, 10^6 in all.
+    Returns (polys, mask, monics): every polynomial of degree <= M by its
+    code in range(q^(M+1)), whose base-q digits are its coefficients; for
+    each code a mask with one bit per monic irreducible that divides it; and
+    the monic codes in ascending order.  mask[0] is -1, since 0 is divisible
+    by everything, and units have mask 0, so a tuple is coprime iff the AND
+    of its masks is 0.  Ascending code is non-decreasing degree, so a monic
+    code of degree >= 1 still at mask 0 when the walk reaches it has no
+    irreducible divisor of lower degree: it is irreducible, and its new bit
+    goes to every nonzero multiple of degree <= M.
     """
     if n < 1 or M < 0:
         raise ValueError("need n >= 1 and M >= 0")
@@ -85,32 +88,84 @@ def enumerate_exact_height(n: int, field: FqField, M: int):
     polys = all_polys(field, M)
     code_of = {f.coeffs: code for code, f in enumerate(polys)}
     monics = [code for code, f in enumerate(polys) if f.is_monic]
-    top = q**M  # the codes of degree exactly M are those >= top
-    codes = range(ncodes)
+    mask = [0] * ncodes
+    mask[0] = -1
+    bit = 1
+    for d in monics:
+        f = polys[d]
+        if f.degree < 1 or mask[d]:
+            continue
+        for h in polys[1 : q ** (M - f.degree + 1)]:
+            mask[code_of[(f * h).coeffs]] |= bit
+        bit <<= 1
+    return polys, mask, monics
 
-    def gcd_row(g):
-        return [code_of[poly_gcd(polys[g], f).coeffs] for f in polys]
 
-    memo = {}
+def enumerate_exact_height(n: int, field: FqField, M: int):
+    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
+
+    Every coordinate has degree <= M, so each is handled as its code in
+    range(q^(M+1)).  Points come in itertools.product order over the codes:
+    by pivot position from the last to the first, then by monic pivot, then
+    by free tail.  Coprimality is the running AND of the coordinates'
+    divisor masks (see _scan_masks), stopped at 0.
+    """
+    polys, mask, monics = _scan_masks(n, field, M)
+    top = field.q**M  # the codes of degree exactly M are those >= top
+    codes = range(len(polys))
     for pos in range(n, -1, -1):
         k = n - pos
         for pivot in monics:
             head = (polys[0],) * pos + (polys[pivot],)
             reaches_M = pivot >= top
-            pivot_row = gcd_row(pivot) if pivot != 1 and k else None
             for tail in itertools.product(codes, repeat=k):
                 if not reaches_M and max(tail, default=0) < top:
                     continue
-                g = pivot
+                g = mask[pivot]
                 for c in tail:
-                    if g == 1:
+                    if not g:
                         break
-                    row = pivot_row if g == pivot else memo.get(g)
-                    if row is None:
-                        row = memo[g] = gcd_row(g)
-                    g = row[c]
-                if g == 1:
+                    g &= mask[c]
+                if not g:
                     yield ProjPointFqt(head + tuple(map(polys.__getitem__, tail)))
+
+
+def count_exact_height(n: int, field: FqField, M: int) -> int:
+    """Number of points enumerate_exact_height(n, field, M) yields, counted
+    without building them.
+
+    The scan is the enumeration's over every coordinate but the last.  For a
+    prefix whose masks AND to g, the last coordinate is counted over the
+    codes c with g & mask[c] == 0: all of them if the prefix reaches degree
+    M, else those of degree M.  The two numbers are memoised per distinct g
+    for the call.
+    """
+    _polys, mask, monics = _scan_masks(n, field, M)
+    top = field.q**M
+    low, high = mask[:top], mask[top:]
+    codes = range(len(mask))
+    memo = {}
+    total = 0
+    for pos in range(n, -1, -1):
+        k = n - pos
+        for pivot in monics:
+            reaches_M = pivot >= top
+            if not k:
+                if reaches_M and not mask[pivot]:
+                    total += 1
+                continue
+            for prefix in itertools.product(codes, repeat=k - 1):
+                g = mask[pivot]
+                for c in prefix:
+                    if not g:
+                        break
+                    g &= mask[c]
+                counts = memo.get(g)
+                if counts is None:
+                    n_high = sum(1 for m in high if not g & m)
+                    counts = memo[g] = (n_high + sum(1 for m in low if not g & m), n_high)
+                total += counts[0] if reaches_M or max(prefix, default=0) >= top else counts[1]
+    return total
 
 
 def schanuel_constant(

@@ -1,9 +1,11 @@
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -32,6 +34,26 @@ def test_count_rational_spot_42():
     code, out = run(["count", "rational", "--q", "2", "--n", "2", "--M", "1"])
     assert code == 0
     assert out.splitlines()[1] == "2,2,1,42,42,true"
+
+
+def test_count_rational_reaches_M4():
+    code, out = run(["count", "rational", "--q", "3", "--n", "2", "--M", "1", "--M-max", "4"])
+    assert code == 0
+    assert out == (
+        "q,n,M,observed,predicted,match\n"
+        "3,2,1,312,312,true\n"
+        "3,2,2,8424,8424,true\n"
+        "3,2,3,227448,227448,true\n"
+        "3,2,4,6141096,6141096,true\n"
+    )
+
+
+def test_count_rational_n1_budget():
+    start = time.monotonic()
+    code, out = run(["count", "rational", "--q", "3", "--n", "1", "--M", "5"])
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert out.splitlines()[1] == "3,1,5,157464,157464,true"
 
 
 def test_count_pairs_golden_csv():
@@ -100,14 +122,19 @@ def test_peyre_bad_input_exit_2(capsys, argv, message):
     assert capsys.readouterr().err == message + "\n"
 
 
-def test_internal_error_exit_1(capsys, monkeypatch):
+def test_internal_error_exit_1(capsys, monkeypatch, caplog):
     def boom(field, m_max):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(genfun, "cycle_table", boom)
+    caplog.set_level(logging.DEBUG, logger="hilbcount.cli")
     code, out = run(["cycles", "--q", "2", "--m-max", "3"])
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: internal: RuntimeError: boom\n"
+    # the traceback goes to the DEBUG log only
+    (rec,) = caplog.records
+    assert (rec.name, rec.levelno, rec.getMessage()) == ("hilbcount.cli", logging.DEBUG, "internal error")
+    assert rec.exc_info[0] is RuntimeError
 
 
 def test_size_guard_exit_3(capsys):
@@ -140,13 +167,14 @@ def test_python_m_hilbcount():
 
 
 # Runs in a fresh interpreter: imports the CLI, then dispatches each named
-# argv in order and records the package modules and mpmath loaded so far.
+# argv in order and records the package modules, mpmath and logging loaded
+# so far.
 _IMPORT_PROBE = r"""
 import io, json, sys
 from hilbcount import cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "mpmath" or m.startswith("hilbcount."))
+    return sorted(m for m in sys.modules if m in ("mpmath", "logging") or m.startswith("hilbcount."))
 
 steps = {"import": {"modules": loaded()}}
 for name, argv in json.loads(sys.argv[1]):
@@ -173,12 +201,13 @@ def test_each_command_imports_only_its_modules(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    compute = {"mpmath"} | {
+    # logging serves only the error paths, so no step here loads it
+    unused = {"mpmath", "logging"} | {
         f"hilbcount.{m}" for m in ("fqarith", "ratpoints", "quadfield", "genfun", "peyre", "asympt", "records")
     }
-    assert not compute & set(steps["import"]["modules"])
+    assert not unused & set(steps["import"]["modules"])
     assert steps["hit"]["code"] == 0 and steps["hit"]["stdout"] == cold
-    assert not compute & set(steps["hit"]["modules"])
+    assert not unused & set(steps["hit"]["modules"])
     # the steps share the interpreter, so each list holds what came before too
     rational = set(steps["rational"]["modules"])
     assert "hilbcount.ratpoints" in rational
@@ -343,7 +372,7 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert any(f.endswith(".json") for f in os.listdir(tmp_path))
 
 
-def test_cache_corrupt_quarantine(tmp_path):
+def test_cache_corrupt_quarantine(tmp_path, caplog):
     config = {"a": 1}
     path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})
     assert cache.load(str(tmp_path), config) == {"columns": [], "rows": []}
@@ -351,6 +380,9 @@ def test_cache_corrupt_quarantine(tmp_path):
         fh.write("{not json")
     assert cache.load(str(tmp_path), config) is None
     assert os.path.exists(path + ".corrupt")
+    (rec,) = caplog.records
+    assert (rec.name, rec.levelno) == ("hilbcount.cache", logging.WARNING)
+    assert rec.getMessage().startswith(f"quarantined corrupt cache file {path}.corrupt (")
     assert not os.path.exists(path)
     # fingerprint mismatch is also quarantined
     path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})

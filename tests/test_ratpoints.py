@@ -1,10 +1,10 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from hilbcount import ratpoints
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import (
     FqField,
@@ -18,6 +18,7 @@ from hilbcount.fqarith import (
 from hilbcount.ratpoints import (
     ProjPointFqt,
     canonicalize,
+    count_exact_height,
     count_pairs_closed_subset,
     count_reducible_pairs,
     enumerate_exact_height,
@@ -159,42 +160,46 @@ def test_enumeration_matches_brute_force_in_order(n, q, Ms):
         got = [p.serialize() for p in enumerate_exact_height(n, field, M)]
         want = [p.serialize() for p in _brute_exact_height(n, field, M)]
         assert got == want, (n, q, M)
+        assert count_exact_height(n, field, M) == len(want), (n, q, M)
 
 
-def _count_gcd_calls(monkeypatch):
+def test_count_matches_closed_form_beyond_enumeration():
+    start = time.monotonic()
+    for n, q, M in [(1, 3, 6), (2, 3, 4), (3, 3, 3), (2, 9, 2), (2, 31, 1), (5, 2, 2)]:
+        field = field_from_order(q)
+        assert count_exact_height(n, field, M) == point_count_exact_height(n, field, M), (n, q, M)
+    assert time.monotonic() - start < 5
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of the Poly method `name` for the rest of the test."""
     calls = []
+    method = getattr(Poly, name)
 
-    def counting_gcd(a, b):
+    def counting(*args):
         calls.append(1)
-        return poly_gcd(a, b)
+        return method(*args)
 
-    monkeypatch.setattr(ratpoints, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(Poly, name, counting)
     return calls
 
 
-def test_enumeration_gcd_rows(monkeypatch):
-    calls = _count_gcd_calls(monkeypatch)
-    # n = 1: one row per non-unit monic pivot (3 + 9 of them at M = 2, one
-    # entry per code), and no memoised row
-    list(enumerate_exact_height(1, F3, 2))
-    assert len(calls) == 12 * 27
-    # n = 2: at most one pivot row per pivot position with a tail, plus one
-    # memoised row per non-unit monic gcd; the memo does not outlive a call
-    calls.clear()
-    list(enumerate_exact_height(2, F3, 2))
-    first = len(calls)
-    assert 12 * 27 < first <= (2 * 12 + 12) * 27
-    calls.clear()
-    list(enumerate_exact_height(2, F3, 2))
-    assert len(calls) == first
+def test_scans_make_no_division(monkeypatch):
+    # coprimality comes from the sieved divisor masks, not from gcds
+    calls = _count_calls(monkeypatch, "__divmod__")
+    for n in (1, 2):
+        pts = list(enumerate_exact_height(n, F3, 2))
+        assert count_exact_height(n, F3, 2) == len(pts) == point_count_exact_height(n, F3, 2)
+    assert calls == []
 
 
 def test_enumeration_guard(monkeypatch):
-    calls = _count_gcd_calls(monkeypatch)
-    with pytest.raises(
-        SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"
-    ):
-        list(enumerate_exact_height(5, FqField(97), 9))
+    calls = _count_calls(monkeypatch, "__mul__")
+    for scan in (lambda *a: list(enumerate_exact_height(*a)), count_exact_height):
+        with pytest.raises(
+            SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"
+        ):
+            scan(5, FqField(97), 9)
     assert calls == []
 
 
