@@ -9,8 +9,8 @@ q^(i/t) or log q is evaluated in mpmath at a caller-chosen precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -96,8 +96,7 @@ def manin_main_term(c, r: int, F: FqField, M: int, dps: int = DEFAULT_DPS):
         )
 
 
-@dataclass(frozen=True)
-class SymmMainTerms:
+class SymmMainTerms(NamedTuple):
     """Leading coefficients of the Sym^m count at height exponent M (the
     anticanonical-height scale).  Each entry multiplies q^M M^(power)."""
 

@@ -3,7 +3,7 @@ caching, and CSV/JSON table emission.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
-them.
+them.  The cache module, hashlib and json load only when a run uses them.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
@@ -12,15 +12,13 @@ error, 3 guard violation (size error).
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 
-from . import cache
 from .errors import CharacteristicError, SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
+_FORMATS = ("csv", "json")
 
 _CONFIG_CASTERS = {
     "q": int,
@@ -67,9 +65,18 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--q", type=int, help="field size (prime power)")
     p.add_argument("--digits", type=int, default=12, help="printed float digits")
     p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("--plot", action="store_true")
     p.add_argument("--config", default=None, help="key=value config file")
+
+
+def _check_output_args(args):
+    """Reject a format that came from a config file (argparse applies choices
+    to flags only) and digits below 1 from either."""
+    if args.format not in _FORMATS:
+        raise UsageError(f"format must be one of {', '.join(_FORMATS)}, not {args.format!r}")
+    if args.digits < 1:
+        raise UsageError(f"digits must be >= 1, not {args.digits}")
 
 
 def _m_range_flags(p: argparse.ArgumentParser):
@@ -273,6 +280,8 @@ print("wrote", {out!r})
 def _source_digest(pkg_dir: str) -> str:
     """sha256 over the names and bytes of the package's *.py files, read in
     sorted name order without importing them."""
+    import hashlib
+
     h = hashlib.sha256()
     for name in sorted(f for f in os.listdir(pkg_dir) if f.endswith(".py")):
         with open(os.path.join(pkg_dir, name), "rb") as fh:
@@ -307,6 +316,8 @@ def _emit(columns, rows, fmt, out):
         for row in rows:
             out.write(",".join(row) + "\n")
     else:
+        import json
+
         out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
         out.write("\n")
 
@@ -349,10 +360,13 @@ def dispatch(argv, out=None) -> int:
                 args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        _check_output_args(args)
         key = (args.command, getattr(args, "subcommand", None))
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
         payload = None
         if cache_dir:
+            from . import cache
+
             fp_config = _fingerprint_config(args, key)
             payload = cache.load(cache_dir, fp_config)
         if payload is None:

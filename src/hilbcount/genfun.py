@@ -15,8 +15,8 @@ hold the two equal for every m up to the series guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SizeError
 from .fqarith import FqField, mobius
@@ -338,8 +338,7 @@ def closed_point_counts(F, m_max: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Chen8Result:
+class Chen8Result(NamedTuple):
     value: Fraction  # the formula value, exact (integral for prime powers)
     recursion: int  # the Mobius-recursion ground truth
     valid: bool
@@ -366,8 +365,7 @@ def _chen8(q: int, m: int, recursion: int) -> Chen8Result:
     return Chen8Result(value, recursion, value == recursion)
 
 
-@dataclass(frozen=True)
-class Chen1Result:
+class Chen1Result(NamedTuple):
     ratio: Fraction
     main_term: Fraction  # (1/m)(1 - 1/q - 1/q^2 + 1/q^3)
     normalized_error: Fraction  # |m*ratio - m*main| * q^m
@@ -393,8 +391,7 @@ def _chen1(q: int, m: int, primes: int, sym: int) -> Chen1Result:
     return Chen1Result(ratio, main, err)
 
 
-@dataclass(frozen=True)
-class CycleRow:
+class CycleRow(NamedTuple):
     m: int
     sym: int
     hilb: int

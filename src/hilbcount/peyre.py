@@ -11,8 +11,8 @@ of the damped density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -24,19 +24,46 @@ from .ratpoints import schanuel_constant
 DEFAULT_DPS = 50
 
 
-@dataclass(frozen=True)
 class GlobalFieldParams:
     """Arithmetic invariants of the global field.  Defaults describe F_q(t);
-    other fields are supported by the closed-form constants only."""
+    other fields are supported by the closed-form constants only.  Immutable,
+    and equal to any params with the same fields."""
 
-    field: FqField
-    genus: int = 0
-    class_number: int = 1
-    l_poly: tuple[int, ...] = (1,)
+    __slots__ = ("field", "genus", "class_number", "l_poly")
 
-    def __post_init__(self):
-        if self.genus == 0 and (self.class_number != 1 or tuple(self.l_poly) != (1,)):
+    def __init__(
+        self, field: FqField, genus: int = 0, class_number: int = 1, l_poly: tuple[int, ...] = (1,)
+    ):
+        if genus == 0 and (class_number != 1 or tuple(l_poly) != (1,)):
             raise ValueError("genus 0 forces class number 1 and trivial L-polynomial")
+        init = object.__setattr__
+        init(self, "field", field)
+        init(self, "genus", genus)
+        init(self, "class_number", class_number)
+        init(self, "l_poly", l_poly)
+
+    def _key(self) -> tuple:
+        return (self.field, self.genus, self.class_number, self.l_poly)
+
+    def __eq__(self, other):
+        if type(other) is not GlobalFieldParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"GlobalFieldParams(field={self.field!r}, genus={self.genus!r}, "
+            f"class_number={self.class_number!r}, l_poly={self.l_poly!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GlobalFieldParams is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GlobalFieldParams is immutable; cannot delete {name!r}")
 
 
 def zeta_fqt(s, field: FqField):
@@ -140,8 +167,7 @@ def euler_product_density(field: FqField, m: int, deg_cut: int, dps: int = DEFAU
         return value, residual
 
 
-@dataclass(frozen=True)
-class PeyreResult:
+class PeyreResult(NamedTuple):
     value: object  # mpmath.mpf
     residual_bound: object  # mpmath.mpf
     exact_prefactor: Fraction

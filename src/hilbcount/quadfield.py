@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ratpoints
 from .errors import CharacteristicError, SizeError, WrongDegreeError
@@ -236,16 +236,27 @@ class QuadElem:
         return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
 
 
-@dataclass(frozen=True, eq=False)
 class PlaceQ:
-    """A place of L above a place of F_q(t); seed fixes the split branch."""
+    """A place of L above a place of F_q(t); seed fixes the split branch.
+    Immutable, and equal only to itself: the two split places above one base
+    place are distinct places even where their seeds compare equal."""
 
-    ext: QuadExt
-    base: object  # monic irreducible Poly, or INFINITE_PLACE
-    kind: str  # split | inert | ramified
-    e: int
-    f: int
-    seed: object = None  # split: residue sqrt of D (Poly) / field code at infinity
+    __slots__ = ("ext", "base", "kind", "e", "f", "seed")
+
+    def __init__(self, ext: QuadExt, base, kind: str, e: int, f: int, seed=None):
+        init = object.__setattr__
+        init(self, "ext", ext)
+        init(self, "base", base)  # monic irreducible Poly, or INFINITE_PLACE
+        init(self, "kind", kind)  # split | inert | ramified
+        init(self, "e", e)
+        init(self, "f", f)
+        init(self, "seed", seed)  # split: residue sqrt of D (Poly) / field code at infinity
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PlaceQ is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PlaceQ is immutable; cannot delete {name!r}")
 
     @property
     def base_degree(self) -> int:
@@ -419,8 +430,7 @@ def _finite_support(polys: list[Poly]) -> list[Poly]:
     return [p for p, _ in trial_factor(g)]
 
 
-@dataclass(frozen=True)
-class DegreeTwoPoint:
+class DegreeTwoPoint(NamedTuple):
     ext: QuadExt
     coords: tuple[QuadElem, ...]  # polynomial parts, canonical
     orbit_key: tuple
@@ -585,8 +595,7 @@ def _line_classes(field: FqField, dq_cap: int) -> Counter:
     return classes
 
 
-@dataclass(frozen=True)
-class FormData:
+class FormData(NamedTuple):
     """Infinity data of a primitive irreducible form A s^2 + B s u + C u^2."""
 
     deg_f: int
@@ -677,8 +686,7 @@ def _match_counts(forms: Counter, classes, M: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class QuadraticCount:
+class QuadraticCount(NamedTuple):
     q: int
     M: int
     count: int
@@ -729,8 +737,7 @@ def degree2_orbits(field: FqField, M: int):
                 yield canonicalize_quadratic(ext, coords)
 
 
-@dataclass(frozen=True)
-class Hilb2Splits:
+class Hilb2Splits(NamedTuple):
     irreducible_main: Fraction  # S^2 q^(3M) M
     reducible: ratpoints.PairCount  # exact
     total_main: Fraction  # (3/2) S^2 q^(3M) M

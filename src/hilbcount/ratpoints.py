@@ -12,8 +12,8 @@ them without building them, as the observed side of the closed form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SizeError
 from .fqarith import FqField, Poly, all_polys, poly_gcd_all
@@ -23,8 +23,7 @@ from .fqarith import FqField, Poly, all_polys, poly_gcd_all
 TUPLE_GUARD = 10**9
 
 
-@dataclass(frozen=True)
-class ProjPointFqt:
+class ProjPointFqt(NamedTuple):
     coords: tuple[Poly, ...]
 
     @property
@@ -204,8 +203,7 @@ def point_count_exact_height(n: int, field: FqField, M: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class PairCount:
+class PairCount(NamedTuple):
     observed: Fraction
     closed_form: Fraction
 

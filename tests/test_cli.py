@@ -167,14 +167,17 @@ def test_python_m_hilbcount():
 
 
 # Runs in a fresh interpreter: imports the CLI, then dispatches each named
-# argv in order and records the package modules, mpmath and logging loaded
-# so far.
+# argv in order and records the package modules, mpmath, logging,
+# dataclasses and hashlib loaded so far.
 _IMPORT_PROBE = r"""
 import io, json, sys
 from hilbcount import cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m in ("mpmath", "logging") or m.startswith("hilbcount."))
+    return sorted(
+        m for m in sys.modules
+        if m in ("mpmath", "logging", "dataclasses", "hashlib") or m.startswith("hilbcount.")
+    )
 
 steps = {"import": {"modules": loaded()}}
 for name, argv in json.loads(sys.argv[1]):
@@ -185,37 +188,56 @@ print(json.dumps(steps))
 """
 
 
-def test_each_command_imports_only_its_modules(tmp_path):
-    hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
-    code, cold = run(hit_argv)  # fills the cache in this process
-    assert code == 0
-    plan = [
-        ("hit", hit_argv),
-        ("rational", ["count", "rational", "--q", "2", "--n", "1", "--M", "1"]),
-        ("pairs", ["count", "pairs", "--q", "2", "--M", "1"]),
-        ("cycles", ["cycles", "--q", "2", "--m-max", "3"]),
-    ]
+def _import_probe(plan) -> dict:
+    """The steps of _IMPORT_PROBE run over plan in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(plan)],
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
+    assert all(steps[name]["code"] == 0 for name, _argv in plan)
+    # no command builds a dataclass, so none pays for dataclasses and inspect
+    assert not any("dataclasses" in step["modules"] for step in steps.values())
+    return steps
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
+    code, cold = run(hit_argv)  # fills the cache in this process
+    assert code == 0
     # logging serves only the error paths, so no step here loads it
     unused = {"mpmath", "logging"} | {
         f"hilbcount.{m}" for m in ("fqarith", "ratpoints", "quadfield", "genfun", "peyre", "asympt", "records")
     }
-    assert not unused & set(steps["import"]["modules"])
-    assert steps["hit"]["code"] == 0 and steps["hit"]["stdout"] == cold
+    cache_only = {"hashlib", "hilbcount.cache"}
+    steps = _import_probe([("hit", hit_argv)])
+    assert not (unused | cache_only) & set(steps["import"]["modules"])
+    assert steps["hit"]["stdout"] == cold
     assert not unused & set(steps["hit"]["modules"])
+    assert cache_only <= set(steps["hit"]["modules"])
+
+    # without a cache dir: a second interpreter, which the hit has not touched
+    plan = [
+        ("rational", ["count", "rational", "--q", "2", "--n", "1", "--M", "1"]),
+        ("pairs", ["count", "pairs", "--q", "2", "--M", "1"]),
+        ("cycles", ["cycles", "--q", "2", "--m-max", "3"]),
+        ("quadratic", ["count", "quadratic", "--q", "3", "--M", "1"]),
+        ("pn", ["peyre", "pn", "--q", "3", "--n", "3"]),
+    ]
+    steps = _import_probe(plan)
     # the steps share the interpreter, so each list holds what came before too
+    assert not (unused | cache_only) & set(steps["import"]["modules"])
+    assert not cache_only & set(steps["pn"]["modules"])
     rational = set(steps["rational"]["modules"])
     assert "hilbcount.ratpoints" in rational
     assert not {"mpmath", "hilbcount.quadfield", "hilbcount.genfun", "hilbcount.peyre"} & rational
     assert "mpmath" not in steps["pairs"]["modules"]
     assert "hilbcount.genfun" in steps["cycles"]["modules"]
     assert "mpmath" not in steps["cycles"]["modules"]
-    assert all(steps[name]["code"] == 0 for name, _argv in plan)
+    assert "hilbcount.quadfield" in steps["quadratic"]["modules"]
+    assert "mpmath" not in steps["quadratic"]["modules"]
+    assert {"mpmath", "hilbcount.peyre"} <= set(steps["pn"]["modules"])
 
 
 def test_count_quadratic_q5_exits_0():
@@ -240,6 +262,36 @@ def test_allow_unstable_is_gone(tmp_path, capsys):
     code, out = run(["count", "quadratic", "--q", "3", "--M", "1", "--config", str(cfg)])
     assert code == 2 and out == ""
     assert "unknown config key 'allow_unstable'" in capsys.readouterr().err
+
+
+def test_config_format_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text("format=xml\n")
+    code, out = run(["count", "rational", "--q", "2", "--n", "1", "--M", "1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: format must be one of csv, json, not 'xml'\n"
+    # the flag is refused by argparse, also with exit 2
+    code, out = run(["count", "rational", "--q", "2", "--n", "1", "--M", "1", "--format", "xml"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "hilbcount count rational: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"
+    ]
+
+
+def test_digits_below_1_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "d.cfg"
+    for digits in (0, -2):
+        code, out = run(["peyre", "hilb2", "--q", "3", "--digits", str(digits)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: digits must be >= 1, not {digits}\n"
+        cfg.write_text(f"digits = {digits}\n")
+        code, out = run(["peyre", "hilb2", "--q", "3", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: digits must be >= 1, not {digits}\n"
+    code, out = run(["peyre", "hilb2", "--q", "3", "--digits", "1"])
+    assert code == 0
+    assert out.splitlines()[1] == "1.0e+1,0.0,10816/729"
 
 
 def test_parse_config(tmp_path):

@@ -42,8 +42,18 @@ def test_zeta_fqt():
 def test_global_field_params_validation():
     with pytest.raises(ValueError):
         GlobalFieldParams(F3, genus=0, class_number=2)
+    with pytest.raises(ValueError):
+        GlobalFieldParams(F3, class_number=2)
+    with pytest.raises(ValueError):
+        GlobalFieldParams(F3, l_poly=(1, 2))
     p = GlobalFieldParams(F3)
     assert zeta_k(3, p) == zeta_fqt(3, F3)
+    # immutable, and equal to params with the same fields
+    assert p == GlobalFieldParams(F3, 0, 1, (1,)) and hash(p) == hash(GlobalFieldParams(F3))
+    assert p != GlobalFieldParams(F2) and p != (F3, 0, 1, (1,))
+    assert GlobalFieldParams(F3, genus=1, class_number=5, l_poly=(1, 1, 3)).class_number == 5
+    with pytest.raises(AttributeError):
+        p.genus = 1
 
 
 def test_local_density_poly():

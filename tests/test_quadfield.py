@@ -21,7 +21,9 @@ from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
     FormData,
+    PlaceQ,
     QuadExt,
+    QuadraticCount,
     _classify_form,
     _form_exponent,
     _form_stream,
@@ -72,6 +74,32 @@ def test_quadext_validation():
         QuadExt(F3, t * t)  # not squarefree
     # nonsquare constant is allowed and inert at infinity
     assert QuadExt(F3, Poly.constant(F3, 2)).infinite_type() == "inert"
+
+
+def test_records_are_immutable():
+    fd = FormData(2, "split2", (1, 1))
+    qc = QuadraticCount(3, 1, 0, Fraction(1), Fraction(0))
+    for record, name in ((fd, "deg_f"), (fd, "slopes"), (qc, "count"), (qc, "ratio")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    place = PlaceQ(ext_t(), INFINITE_PLACE, "ramified", 2, 1)
+    with pytest.raises(AttributeError):
+        place.kind = "split"
+    with pytest.raises(AttributeError):
+        del place.seed
+    assert (place.kind, place.e, place.f, place.seed) == ("ramified", 2, 1, None)
+
+
+def test_places_compare_by_identity():
+    ext = ext_t()
+    a = PlaceQ(ext, INFINITE_PLACE, "split", 1, 1, seed=1)
+    b = PlaceQ(ext, INFINITE_PLACE, "split", 1, 1, seed=1)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+    # the two split places above one base place are distinct places
+    v = Poly(F3, [2, 1])  # t + 2 splits in F_3(t)(sqrt t): t = 1 mod (t + 2)
+    w1, w2 = splitting_type(v, ext)
+    assert w1 != w2 and w1.base == w2.base
 
 
 def test_element_arithmetic():

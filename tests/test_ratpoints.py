@@ -36,6 +36,13 @@ def P(field, *coeff_lists):
     return tuple(Poly(field, c) for c in coeff_lists)
 
 
+def test_point_is_immutable():
+    pt = ProjPointFqt((Poly.one(F3), Poly.t(F3)))
+    with pytest.raises(AttributeError):
+        pt.coords = (Poly.one(F3),)
+    assert (pt.n, pt.field) == (1, F3)
+
+
 def test_canonicalize_examples():
     # [t, t^2] over F_2 -> [1 : t]
     pt = canonicalize(P(F2, [0, 1], [0, 0, 1]))
