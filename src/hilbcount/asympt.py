@@ -3,16 +3,15 @@ sums, the exact convolution ratios, and the Manin-type main-term evaluators
 used to compare exact counts with their predicted leading behavior.
 
 Ratios that can be exact are kept as Fractions; everything involving
-q^(i/t) or log q is evaluated in mpmath at a caller-chosen precision.
+q^(i/t) or log q is a stdlib Decimal evaluated at a caller-chosen precision.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .fqarith import FqField
 from .ratpoints import schanuel_constant
@@ -24,23 +23,21 @@ def technical_sum(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT
     """sum_{i=0}^{M} q^((t-j)i/t) * i^(m-t), high precision."""
     if not (0 < j < t < m):
         raise ValueError("need 0 < j < t < m")
-    q = F.q
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for i in range(M + 1):
-            total += mpmath.mpf(q) ** (mpmath.mpf(i) * (t - j) / t) * mpmath.mpf(i) ** (
-                m - t
-            )
-        return total
+    with localcontext() as ctx:
+        ctx.prec = dps
+        # one fractional power, then integer powers of it: q^((t-j)i/t) = root^i
+        root = Decimal(F.q) ** (Decimal(t - j) / t)
+        return sum(root**i * i ** (m - t) for i in range(M + 1))
 
 
 def technical_main_term(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT_DPS):
     """Predicted leading term (1/(((t-j)/t) log q) + 1/2) q^((t-j)M/t) M^(m-t)."""
-    q = F.q
-    with mpmath.workdps(dps):
-        alpha = mpmath.mpf(t - j) / t
-        lead = 1 / (alpha * mpmath.log(q)) + mpmath.mpf(1) / 2
-        return lead * mpmath.mpf(q) ** (alpha * M) * mpmath.mpf(M) ** (m - t)
+    with localcontext() as ctx:
+        ctx.prec = dps
+        alpha = Decimal(t - j) / t
+        q = Decimal(F.q)
+        lead = 1 / (alpha * q.ln()) + Decimal(1) / 2
+        return lead * q ** (alpha * M) * Decimal(M) ** (m - t)
 
 
 def technical_lemma_check(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT_DPS):
@@ -48,7 +45,8 @@ def technical_lemma_check(F: FqField, t: int, j: int, m: int, M: int, dps: int =
     the lemma's main term is right."""
     s = technical_sum(F, t, j, m, M, dps)
     main = technical_main_term(F, t, j, m, M, dps)
-    with mpmath.workdps(dps):
+    with localcontext() as ctx:
+        ctx.prec = dps
         return abs(s / main - 1) * M
 
 
@@ -81,19 +79,11 @@ def manin_main_term(c, r: int, F: FqField, M: int, dps: int = DEFAULT_DPS):
     """c * (log q)^r / (r-1)! * q^M * M^(r-1)."""
     if r < 1:
         raise ValueError("rank r >= 1 required")
-    q = F.q
-    with mpmath.workdps(dps):
-        if isinstance(c, Fraction):
-            c = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        else:
-            c = mpmath.mpf(c)
-        return (
-            c
-            * mpmath.log(q) ** r
-            / math.factorial(r - 1)
-            * mpmath.mpf(q) ** M
-            * mpmath.mpf(M) ** (r - 1)
-        )
+    with localcontext() as ctx:
+        ctx.prec = dps
+        c = Decimal(c.numerator) / c.denominator if isinstance(c, Fraction) else Decimal(c)
+        q = Decimal(F.q)
+        return c * q.ln() ** r / math.factorial(r - 1) * q**M * Decimal(M) ** (r - 1)
 
 
 class SymmMainTerms(NamedTuple):
@@ -103,8 +93,8 @@ class SymmMainTerms(NamedTuple):
     reducible_coeff: Fraction  # power m-1
     total_coeff: Fraction  # power m-1
     irreducible_coeff: Fraction | None  # m = 2 only; power 1
-    diagonal: object | None  # mpf coefficient at power m-3, m >= 3
-    j2_cycle: object | None  # mpf coefficient at power m-3, m >= 3
+    diagonal: Decimal | None  # coefficient at power m-3, m >= 3
+    j2_cycle: Decimal | None  # coefficient at power m-3, m >= 3
 
 
 def symm_main_terms(F: FqField, m: int, dps: int = DEFAULT_DPS) -> SymmMainTerms:
@@ -118,13 +108,17 @@ def symm_main_terms(F: FqField, m: int, dps: int = DEFAULT_DPS) -> SymmMainTerms
         total = S * S / 6
         assert total == irreducible + reducible
         return SymmMainTerms(reducible, total, irreducible, None, None)
-    with mpmath.workdps(dps):
-        logq2 = mpmath.log(F.q) ** 2
-        diag = Fraction(2) * S ** (m - 1) / (
-            3 ** (m - 1) * math.factorial(m) * math.factorial(m - 3)
-        )
-        j2 = Fraction(4) * S**m / (3**m * math.factorial(m) * math.factorial(m - 3))
-        to_mpf = lambda f: mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+    diag = Fraction(2) * S ** (m - 1) / (
+        3 ** (m - 1) * math.factorial(m) * math.factorial(m - 3)
+    )
+    j2 = Fraction(4) * S**m / (3**m * math.factorial(m) * math.factorial(m - 3))
+    with localcontext() as ctx:
+        ctx.prec = dps
+        logq2 = Decimal(F.q).ln() ** 2
         return SymmMainTerms(
-            reducible, reducible, None, to_mpf(diag) / logq2, to_mpf(j2) / logq2
+            reducible,
+            reducible,
+            None,
+            Decimal(diag.numerator) / diag.denominator / logq2,
+            Decimal(j2.numerator) / j2.denominator / logq2,
         )

@@ -19,6 +19,15 @@ from .errors import CharacteristicError, SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
 _FORMATS = ("csv", "json")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_bool(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, not {value!r}") from None
+
 
 _CONFIG_CASTERS = {
     "q": int,
@@ -32,7 +41,7 @@ _CONFIG_CASTERS = {
     "mu": str,
     "cache_dir": str,
     "format": str,
-    "plot": lambda s: s.lower() in ("1", "true", "yes"),
+    "plot": _config_bool,
 }
 
 

@@ -1,16 +1,15 @@
-"""Truncated power series with exact rational coefficients, the zeta and
-symmetric/Hilbert generating functions of the plane over F_q, and the
-closed 0-cycle formulas they cross-validate.
+"""The zeta and symmetric/Hilbert generating functions of the plane over
+F_q, and the closed 0-cycle formulas they cross-validate.
 
-Everything here is exact: series coefficients are Fractions, point-count
+Everything here is exact: series coefficients are integers, point-count
 polynomials have integer coefficients, and integrality of the final counts
 is asserted rather than assumed.
 
 |Hilb^m P^2| comes by two routes that share no arithmetic.  The polynomial
 in the field size, `hilb_count_poly`, is Goettsche's product over Z[x]
 (integer shift-and-add); the numeric counts, `hilb_counts`, are the
-exponential formula over Q (`TruncSeries.exp` on Fractions).  The tests
-hold the two equal for every m up to the series guard.
+exponential formula as an integer recurrence with exact division.  The
+tests hold the two equal for every m up to the series guard.
 """
 
 from __future__ import annotations
@@ -127,96 +126,6 @@ class QPoly:
         return f"QPoly({list(self.coeffs)})"
 
 
-class TruncSeries:
-    """Power series truncated at a fixed order, with Fraction coefficients.
-
-    All arithmetic is exact through the truncation order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        c = list(coeffs)[: order + 1]
-        while len(c) < order + 1:
-            c.append(Fraction(0))
-        self.order = order
-        self.coeffs = c
-
-    @classmethod
-    def constant(cls, order, value=Fraction(1)):
-        return cls(order, [value])
-
-    def coefficient(self, m):
-        return self.coeffs[m]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeries)
-            and self.order == other.order
-            and all(x == y for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __add__(self, other):
-        return TruncSeries(
-            min(self.order, other.order),
-            [x + y for x, y in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __sub__(self, other):
-        return TruncSeries(
-            min(self.order, other.order),
-            [x - y for x, y in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __mul__(self, other):
-        N = min(self.order, other.order)
-        out = [Fraction(0)] * (N + 1)
-        for i, x in enumerate(self.coeffs[: N + 1]):
-            if not x:
-                continue
-            for j in range(N + 1 - i):
-                y = other.coeffs[j]
-                if y:
-                    out[i + j] = out[i + j] + x * y
-        return TruncSeries(N, out)
-
-    def inverse(self):
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ValueError("inverse needs nonzero constant term")
-        inv0 = 1 / Fraction(c0)
-        out = [inv0] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k]
-            out[n] = -inv0 * acc
-        return TruncSeries(self.order, out)
-
-    def exp(self):
-        if self.coeffs[0]:
-            raise ValueError("exp needs zero constant term")
-        out = [Fraction(1)] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * k * out[n - k]
-            out[n] = acc / n
-        return TruncSeries(self.order, out)
-
-    def log(self):
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        out = [Fraction(0)] * (self.order + 1)
-        for n in range(1, self.order + 1):
-            acc = Fraction(self.coeffs[n] * n)
-            for k in range(1, n):
-                acc -= out[k] * k * self.coeffs[n - k]
-            out[n] = acc / n
-        return TruncSeries(self.order, out)
-
-
 def _check_series_guard(q: int, order: int):
     if order > SERIES_ORDER_GUARD or q > SERIES_Q_GUARD:
         raise SizeError(
@@ -225,25 +134,17 @@ def _check_series_guard(q: int, order: int):
         )
 
 
-def zeta_p2_series(F, N: int) -> TruncSeries:
-    """Zeta series of the plane: 1/((1-t)(1-qt)(1-q^2 t)) through order N."""
-    q = _field_size(F)
-    _check_series_guard(q, N)
-    prod = TruncSeries.constant(N)
-    for a in (1, q, q * q):
-        geom = TruncSeries(N, [Fraction(a) ** i for i in range(N + 1)])
-        prod = prod * geom
-    return prod
-
-
 def sym_counts(F, m_max: int) -> list[int]:
-    """|Sym^m P^2(F_q)| for m = 0..m_max."""
-    series = zeta_p2_series(F, m_max)
-    out = []
-    for c in series.coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    """|Sym^m P^2(F_q)| for m = 0..m_max: the coefficients of the zeta
+    series 1/((1-t)(1-qt)(1-q^2 t)), each geometric factor 1/(1 - a t)
+    applied in place by series[i] += a * series[i-1]."""
+    q = _field_size(F)
+    _check_series_guard(q, m_max)
+    series = [1] + [0] * m_max
+    for a in (1, q, q * q):
+        for i in range(1, m_max + 1):
+            series[i] += a * series[i - 1]
+    return series
 
 
 def chen7_closed(F, m: int) -> int:
@@ -264,27 +165,26 @@ def chen7_closed(F, m: int) -> int:
     return int(total)
 
 
-def _gottsche_argument(q: int, N: int) -> TruncSeries:
-    """The series sum_k (t^k / k) * N_k / (1 - q^k t^k) inside the exp, with
-    N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of the plane."""
-    coeffs = [Fraction(0)] * (N + 1)
-    for k in range(1, N + 1):
-        c_k = Fraction(q ** (2 * k) + q**k + 1, k)
-        for j in range(N // k):
-            # term (N_k / k) * q^(k j) t^(k (j+1))
-            coeffs[k * (j + 1)] += c_k * q ** (k * j)
-    return TruncSeries(N, coeffs)
-
-
 def hilb_counts(F, m_max: int) -> list[int]:
-    """|Hilb^m P^2(F_q)| for m = 0..m_max via the exponential formula."""
+    """|Hilb^m P^2(F_q)| for m = 0..m_max via the exponential formula.
+
+    The counts are the coefficients h_n of exp(sum_k (t^k / k) N_k /
+    (1 - q^k t^k)), N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of
+    the plane.  With b_n = n * [t^n] of the argument, an integer, they obey
+    n h_n = sum_{k=1}^{n} b_k h_{n-k}; the division by n must be exact."""
     q = _field_size(F)
     _check_series_guard(q, m_max)
-    series = _gottsche_argument(q, m_max).exp()
-    out = []
-    for c in series.coeffs:
-        assert c.denominator == 1, "Hilbert count coefficients must be integers"
-        out.append(int(c))
+    # b_n = sum over k | n of (n/k) N_k q^(n-k)
+    b = [0] * (m_max + 1)
+    for k in range(1, m_max + 1):
+        n_k = q ** (2 * k) + q**k + 1
+        for n in range(k, m_max + 1, k):
+            b[n] += (n // k) * n_k * q ** (n - k)
+    out = [1] + [0] * m_max
+    for n in range(1, m_max + 1):
+        acc = sum(b[k] * out[n - k] for k in range(1, n + 1))
+        assert acc % n == 0, "Hilbert count coefficients must be integers"
+        out[n] = acc // n
     return out
 
 

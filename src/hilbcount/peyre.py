@@ -11,10 +11,9 @@ of the damped density.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .errors import SizeError
 from .fqarith import FqField, irreducible_count
@@ -67,17 +66,20 @@ class GlobalFieldParams:
 
 
 def zeta_fqt(s, field: FqField):
-    """zeta of F_q(t): 1/((1 - q^(1-s))(1 - q^(-s))).  Exact for integer s."""
+    """zeta of F_q(t): 1/((1 - q^(1-s))(1 - q^(-s))).  Exact for integer s;
+    otherwise a Decimal to DEFAULT_DPS digits."""
     q = field.q
     if isinstance(s, int):
         if s <= 1:
             raise ValueError("s > 1 required")
         return 1 / ((1 - Fraction(1, q ** (s - 1))) * (1 - Fraction(1, q**s)))
-    s = mpmath.mpf(s)
-    if s <= 1:
-        raise ValueError("s > 1 required")
-    q = mpmath.mpf(q)
-    return 1 / ((1 - q ** (1 - s)) * (1 - q**-s))
+    with localcontext() as ctx:
+        ctx.prec = DEFAULT_DPS
+        s = Decimal(s)
+        if s <= 1:
+            raise ValueError("s > 1 required")
+        q = Decimal(q)
+        return 1 / ((1 - q ** (1 - s)) * (1 - q**-s))
 
 
 def zeta_k(s: int, params: GlobalFieldParams):
@@ -154,22 +156,25 @@ def euler_product_density(field: FqField, m: int, deg_cut: int, dps: int = DEFAU
     <= deg_cut, with an explicit bound on the log of the omitted tail."""
     poly = damped_density_poly(m)
     factors = euler_product_factors(field, poly, deg_cut)
-    with mpmath.workdps(dps):
-        value = mpmath.mpf(1)
+    tb = _tail_log_bound(field, poly, deg_cut)
+    with localcontext() as ctx:
+        # a base rounded to prec digits and raised to the power count is off
+        # by about count units in its last place, so carry that many more
+        ctx.prec = dps + len(str(max(count for _, count, _ in factors)))
+        value = Decimal(1)
         for _, count, base in factors:
-            value *= mpmath.mpf(base.numerator) ** count / mpmath.mpf(
-                base.denominator
-            ) ** count
-        tb = _tail_log_bound(field, poly, deg_cut)
-        tail = mpmath.mpf(tb.numerator) / mpmath.mpf(tb.denominator)
-        # |true/truncated - 1| <= e^tail - 1
-        residual = mpmath.expm1(tail) * abs(value)
+            value *= (Decimal(base.numerator) / base.denominator) ** count
+        tail = Decimal(tb.numerator) / tb.denominator
+        # |true/truncated - 1| <= e^tail - 1, whose subtraction cancels the
+        # -tail.adjusted() leading digits of e^tail
+        ctx.prec += max(0, -tail.adjusted())
+        residual = (tail.exp() - 1) * abs(value)
         return value, residual
 
 
 class PeyreResult(NamedTuple):
-    value: object  # mpmath.mpf
-    residual_bound: object  # mpmath.mpf
+    value: Decimal
+    residual_bound: Decimal
     exact_prefactor: Fraction
 
 
@@ -219,13 +224,10 @@ def peyre_constant_pn(n: int, params: GlobalFieldParams, dps: int = DEFAULT_DPS)
             class_number=params.class_number,
             zeta_value=zeta_k(n + 1, params),
         )
-    with mpmath.workdps(dps):
-        value = (
-            mpmath.mpf(S.numerator)
-            / mpmath.mpf(S.denominator)
-            / ((n + 1) * mpmath.log(q))
-        )
-        return PeyreResult(value, mpmath.mpf(0), S)
+    with localcontext() as ctx:
+        ctx.prec = dps
+        value = Decimal(S.numerator) / S.denominator / ((n + 1) * Decimal(q).ln())
+        return PeyreResult(value, Decimal(0), S)
 
 
 def peyre_constant_hilb2(params: GlobalFieldParams, dps: int = DEFAULT_DPS):
@@ -235,13 +237,10 @@ def peyre_constant_hilb2(params: GlobalFieldParams, dps: int = DEFAULT_DPS):
     g, J = params.genus, params.class_number
     rational = Fraction(J * J, 9 * (q - 1) ** 2) * Fraction(q) ** (-6 * (g - 1))
     rational /= zeta_k(3, params) ** 2
-    with mpmath.workdps(dps):
-        value = (
-            mpmath.mpf(rational.numerator)
-            / mpmath.mpf(rational.denominator)
-            / mpmath.log(q) ** 2
-        )
-        return PeyreResult(value, mpmath.mpf(0), rational)
+    with localcontext() as ctx:
+        ctx.prec = dps
+        value = Decimal(rational.numerator) / rational.denominator / Decimal(q).ln() ** 2
+        return PeyreResult(value, Decimal(0), rational)
 
 
 def peyre_constant_hilbm(
@@ -262,12 +261,9 @@ def peyre_constant_hilbm(
     prefactor = mu * Fraction(params.class_number**2, 9 * (q - 1) ** 2)
     prefactor *= Fraction(q) ** (-2 * (m + 1) * (params.genus - 1))
     product, residual = euler_product_density(params.field, m, deg_cut, dps)
-    with mpmath.workdps(dps):
-        scale = (
-            mpmath.mpf(prefactor.numerator)
-            / mpmath.mpf(prefactor.denominator)
-            / mpmath.log(q) ** 2
-        )
+    with localcontext() as ctx:
+        ctx.prec = dps
+        scale = Decimal(prefactor.numerator) / prefactor.denominator / Decimal(q).ln() ** 2
         return PeyreResult(scale * product, scale * residual, prefactor)
 
 
@@ -284,8 +280,9 @@ def cm_constant(
     if m < 2:
         raise ValueError("m >= 2 required")
     if m == 2:
-        with mpmath.workdps(dps):
-            return PeyreResult(mpmath.mpf(2) / 3, mpmath.mpf(0), Fraction(2, 3))
+        with localcontext() as ctx:
+            ctx.prec = dps
+            return PeyreResult(Decimal(2) / 3, Decimal(0), Fraction(2, 3))
     if params.genus != 0:
         raise ValueError("c_m implemented for genus 0 only")
     mu = mu_slope(m, mu)
@@ -299,8 +296,9 @@ def cm_constant(
         / S ** (m - 2)
     )
     product, residual = euler_product_density(params.field, m, deg_cut, dps)
-    with mpmath.workdps(dps):
-        scale = mpmath.mpf(prefactor.numerator) / mpmath.mpf(prefactor.denominator)
+    with localcontext() as ctx:
+        ctx.prec = dps
+        scale = Decimal(prefactor.numerator) / prefactor.denominator
         return PeyreResult(scale * product, scale * residual, prefactor)
 
 

@@ -218,13 +218,8 @@ def count_reducible_pairs(field: FqField, M: int) -> PairCount:
     if M < 1:
         raise ValueError("M >= 1 required")
     q = field.q
-    observed = Fraction(0)
-    for N in range(M + 1):
-        observed += Fraction(
-            point_count_exact_height(2, field, N)
-            * point_count_exact_height(2, field, M - N),
-            2,
-        )
+    A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
+    observed = Fraction(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
     S = schanuel_constant(2, field)
     closed = (
         Fraction(S * S, 2) * q ** (3 * M) * M

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -17,8 +18,33 @@ def fmt_value(v, digits: int = 12) -> str:
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, str):
         return v
-    import mpmath  # only floats need it loaded; an mpf means it is loaded already
-
-    if isinstance(v, mpmath.mpf) or isinstance(v, float):
-        return mpmath.nstr(mpmath.mpf(v), digits)
+    if isinstance(v, (Decimal, float)):
+        return _fmt_real(Decimal(v), digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")
+
+
+def _fmt_real(v: Decimal, digits: int) -> str:
+    """v rounded half-up to `digits` significant digits, laid out as
+    mpmath.nstr lays out a number: fixed notation for decimal exponents in
+    (min(-(digits // 3), -5), digits), scientific (`1.5e+44`, `2.0e-7`)
+    otherwise, trailing zeros stripped down to one after the point."""
+    if not v:
+        return "0.0"
+    sign, coeff, _ = v.as_tuple()
+    coeff = "".join(map(str, coeff))
+    lead = v.adjusted()  # decimal exponent of the first digit
+    if len(coeff) > digits:
+        coeff = str(int(coeff[:digits]) + (coeff[digits] >= "5"))
+        if len(coeff) > digits:  # 99..9 rounded up to 100..0
+            coeff = coeff[:digits]
+            lead += 1
+    if min(-(digits // 3), -5) < lead < digits:
+        if lead < 0:
+            whole, frac = "0", "0" * (-lead - 1) + coeff
+        else:
+            coeff = coeff.ljust(lead + 1, "0")
+            whole, frac = coeff[: lead + 1], coeff[lead + 1 :]
+        exponent = ""
+    else:
+        whole, frac, exponent = coeff[0], coeff[1:], f"e{lead:+d}"
+    return ("-" if sign else "") + whole + "." + (frac.rstrip("0") or "0") + exponent

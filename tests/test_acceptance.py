@@ -129,7 +129,7 @@ def test_criterion_6_peyre():
         res = peyre_constant_hilb2(GlobalFieldParams(F3))
         with mpmath.workdps(50):
             target = mpmath.mpf(10816) / 81 / 9 / mpmath.log(3) ** 2
-            assert abs(res.value - target) < 1e-9
+            assert abs(mpmath.mpf(str(res.value)) - target) < 1e-9
 
 
 def test_criterion_7_quadratic_heights():
@@ -221,4 +221,4 @@ def test_criterion_10_main_term_identities():
             assert 3 * Fraction(1, 9) * Fraction(3) ** (3 * M) * (3 * M) == Fraction(3) ** (3 * M) * M
         with mpmath.workdps(50):
             v = manin_main_term(Fraction(2), 1, F3, 4)
-            assert abs(v - 2 * mpmath.log(3) * 81) < mpmath.mpf(10) ** -40
+            assert abs(mpmath.mpf(str(v)) - 2 * mpmath.log(3) * 81) < mpmath.mpf(10) ** -40

@@ -7,11 +7,17 @@ import subprocess
 import sys
 import time
 
+from decimal import Decimal
+
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hilbcount
-from hilbcount import cache, cli, genfun, quadfield, ratpoints
+from hilbcount import cache, cli, genfun, peyre, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
+from hilbcount.fqarith import FqField
+from hilbcount.records import fmt_value
 
 
 def run(argv):
@@ -90,6 +96,67 @@ def test_peyre_json_keys():
     (row,) = json.loads(out)
     assert set(row) == {"value", "residual_bound", "exact_prefactor"}
     assert abs(float(row["value"]) - 12.2927838461584) < 1e-9
+
+
+def test_peyre_digits_past_a_double():
+    """Digits a double cannot hold come from the Decimal result itself; each
+    printed value is checked against mpmath at 60 digits."""
+    code, out = run(["peyre", "hilb2", "--q", "3", "--digits", "25"])
+    assert code == 0
+    assert out.splitlines()[1] == "12.29278384615837098486326,0.0,10816/729"
+    with mpmath.workdps(60):
+        assert mpmath.nstr(10816 / mpmath.mpf(729) / mpmath.log(3) ** 2, 25) == "12.29278384615837098486326"
+
+    code, out = run(["peyre", "hilbm", "--q", "5", "--m", "6", "--deg-cut", "10", "--digits", "15"])
+    assert code == 0
+    assert out.splitlines()[1] == "81596787.0211267,426.132173254495,6103515625/72"
+    field, poly = FqField(5), peyre.damped_density_poly(6)
+    tail = peyre._tail_log_bound(field, poly, 10)
+    with mpmath.workdps(60):
+        product = mpmath.fprod(
+            mpmath.mpf(base.numerator) ** count / mpmath.mpf(base.denominator) ** count
+            for _, count, base in peyre.euler_product_factors(field, poly, 10)
+        )
+        scale = mpmath.mpf(6103515625) / 72 / mpmath.log(5) ** 2
+        residual = scale * product * mpmath.expm1(mpmath.mpf(tail.numerator) / tail.denominator)
+        assert mpmath.nstr(scale * product, 15) == "81596787.0211267"
+        assert mpmath.nstr(residual, 15) == "426.132173254495"
+
+
+@given(
+    coeff=st.integers(10**59, 10**60 - 1),
+    exponent=st.integers(-80, -15),  # first digit at 10^-21 .. 10^44
+    negative=st.booleans(),
+    digits=st.integers(1, 30),
+)
+@settings(max_examples=300, deadline=None)
+def test_fmt_value_matches_nstr(coeff, exponent, negative, digits):
+    # a decimal tie, 5 then zeros past the last digit kept, rounds half-up
+    # here while nstr sees the nearest binary number on either side of it
+    assume(str(coeff)[digits:] != "5".ljust(60 - digits, "0"))
+    v = Decimal(f"{'-' if negative else ''}{coeff}e{exponent}")
+    with mpmath.workdps(80):
+        assert fmt_value(v, digits) == mpmath.nstr(mpmath.mpf(str(v)), digits)
+
+
+@pytest.mark.parametrize(
+    "v, digits, want",
+    [
+        (Decimal(0), 12, "0.0"),
+        (Decimal("9.9996"), 4, "10.0"),
+        (Decimal("99999.96"), 6, "100000.0"),
+        (Decimal("1e44"), 12, "1.0e+44"),
+        (Decimal("-2e-7"), 12, "-2.0e-7"),
+        (Decimal("0.00012345"), 3, "0.000123"),
+        (Decimal("0.000012345"), 3, "1.23e-5"),
+        (0.1, 17, "0.10000000000000001"),
+        (2.5e-300, 5, "2.5e-300"),
+    ],
+)
+def test_fmt_value_layout(v, digits, want):
+    assert fmt_value(v, digits) == want
+    with mpmath.workdps(80):
+        assert mpmath.nstr(mpmath.mpf(v if isinstance(v, float) else str(v)), digits) == want
 
 
 def test_verify_lemmas_all_pass():
@@ -224,20 +291,22 @@ def test_each_command_imports_only_its_modules(tmp_path):
         ("cycles", ["cycles", "--q", "2", "--m-max", "3"]),
         ("quadratic", ["count", "quadratic", "--q", "3", "--M", "1"]),
         ("pn", ["peyre", "pn", "--q", "3", "--n", "3"]),
+        ("hilbm", ["peyre", "hilbm", "--q", "3", "--m", "3", "--mu", "1"]),
+        ("lemmas", ["verify", "lemmas", "--q", "3"]),
     ]
     steps = _import_probe(plan)
     # the steps share the interpreter, so each list holds what came before too
     assert not (unused | cache_only) & set(steps["import"]["modules"])
-    assert not cache_only & set(steps["pn"]["modules"])
+    assert not cache_only & set(steps["lemmas"]["modules"])
+    # no command loads mpmath: the constants and lemma checks are Decimals
+    assert "mpmath" not in steps["lemmas"]["modules"]
     rational = set(steps["rational"]["modules"])
     assert "hilbcount.ratpoints" in rational
-    assert not {"mpmath", "hilbcount.quadfield", "hilbcount.genfun", "hilbcount.peyre"} & rational
-    assert "mpmath" not in steps["pairs"]["modules"]
+    assert not {"hilbcount.quadfield", "hilbcount.genfun", "hilbcount.peyre"} & rational
     assert "hilbcount.genfun" in steps["cycles"]["modules"]
-    assert "mpmath" not in steps["cycles"]["modules"]
     assert "hilbcount.quadfield" in steps["quadratic"]["modules"]
-    assert "mpmath" not in steps["quadratic"]["modules"]
-    assert {"mpmath", "hilbcount.peyre"} <= set(steps["pn"]["modules"])
+    assert "hilbcount.peyre" in steps["pn"]["modules"]
+    assert "hilbcount.asympt" in steps["lemmas"]["modules"]
 
 
 def test_count_quadratic_q5_exits_0():
@@ -292,6 +361,25 @@ def test_digits_below_1_exit_2(tmp_path, capsys):
     code, out = run(["peyre", "hilb2", "--q", "3", "--digits", "1"])
     assert code == 0
     assert out.splitlines()[1] == "1.0e+1,0.0,10816/729"
+
+
+def test_config_plot_is_checked(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.cfg"
+    argv = ["count", "pairs", "--q", "2", "--M", "1", "--config", str(cfg)]
+    for value in ("on", "2", ""):
+        cfg.write_text(f"plot = {value}\n")
+        code, out = run(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:1: bad value for plot: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("count_pairs_plot.*"))
+    for value, plotted in (("Yes", True), ("true", True), ("1", True), ("NO", False), ("false", False), ("0", False)):
+        cfg.write_text(f"plot = {value}\n")
+        assert run(argv)[0] == 0
+        assert (tmp_path / "count_pairs_plot.csv").exists() is plotted
+        for path in tmp_path.glob("count_pairs_plot.*"):
+            path.unlink()
 
 
 def test_parse_config(tmp_path):

@@ -11,7 +11,6 @@ from hilbcount.genfun import (
     SERIES_Q_GUARD,
     Chen8Result,
     QPoly,
-    TruncSeries,
     chen1_ratio,
     chen7_closed,
     chen8_closed,
@@ -20,8 +19,104 @@ from hilbcount.genfun import (
     hilb_count_poly,
     hilb_counts,
     sym_counts,
-    zeta_p2_series,
 )
+
+
+class TruncSeries:
+    """Power series truncated at a fixed order, with Fraction coefficients:
+    the oracle the package's integer series are held equal to.
+
+    All arithmetic is exact through the truncation order."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        c = list(coeffs)[: order + 1]
+        while len(c) < order + 1:
+            c.append(Fraction(0))
+        self.order = order
+        self.coeffs = c
+
+    @classmethod
+    def constant(cls, order, value=Fraction(1)):
+        return cls(order, [value])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncSeries)
+            and self.order == other.order
+            and all(x == y for x, y in zip(self.coeffs, other.coeffs))
+        )
+
+    def __mul__(self, other):
+        N = min(self.order, other.order)
+        out = [Fraction(0)] * (N + 1)
+        for i, x in enumerate(self.coeffs[: N + 1]):
+            if not x:
+                continue
+            for j in range(N + 1 - i):
+                y = other.coeffs[j]
+                if y:
+                    out[i + j] = out[i + j] + x * y
+        return TruncSeries(N, out)
+
+    def inverse(self):
+        c0 = self.coeffs[0]
+        if not c0:
+            raise ValueError("inverse needs nonzero constant term")
+        inv0 = 1 / Fraction(c0)
+        out = [inv0] + [Fraction(0)] * self.order
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                acc += self.coeffs[k] * out[n - k]
+            out[n] = -inv0 * acc
+        return TruncSeries(self.order, out)
+
+    def exp(self):
+        if self.coeffs[0]:
+            raise ValueError("exp needs zero constant term")
+        out = [Fraction(1)] + [Fraction(0)] * self.order
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                acc += self.coeffs[k] * k * out[n - k]
+            out[n] = acc / n
+        return TruncSeries(self.order, out)
+
+    def log(self):
+        if self.coeffs[0] != 1:
+            raise ValueError("log needs constant term 1")
+        out = [Fraction(0)] * (self.order + 1)
+        for n in range(1, self.order + 1):
+            acc = Fraction(self.coeffs[n] * n)
+            for k in range(1, n):
+                acc -= out[k] * k * self.coeffs[n - k]
+            out[n] = acc / n
+        return TruncSeries(self.order, out)
+
+
+def zeta_p2_series(q: int, N: int) -> TruncSeries:
+    """Zeta series of the plane: 1/((1-t)(1-qt)(1-q^2 t)) through order N."""
+    prod = TruncSeries.constant(N)
+    for a in (1, q, q * q):
+        geom = TruncSeries(N, [Fraction(a) ** i for i in range(N + 1)])
+        prod = prod * geom
+    return prod
+
+
+def gottsche_argument(q: int, N: int) -> TruncSeries:
+    """The series sum_k (t^k / k) * N_k / (1 - q^k t^k) inside the exp, with
+    N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of the plane."""
+    coeffs = [Fraction(0)] * (N + 1)
+    for k in range(1, N + 1):
+        c_k = Fraction(q ** (2 * k) + q**k + 1, k)
+        for j in range(N // k):
+            # term (N_k / k) * q^(k j) t^(k (j+1))
+            coeffs[k * (j + 1)] += c_k * q ** (k * j)
+    return TruncSeries(N, coeffs)
 
 small_fracs = st.fractions(
     min_value=-3, max_value=3, max_denominator=6
@@ -81,8 +176,17 @@ def test_sym_counts_and_chen7(q):
 
 
 def test_zeta_series_is_sym_generating_function():
-    s = zeta_p2_series(FqField(2), 8)
+    s = zeta_p2_series(2, 8)
     assert [int(c) for c in s.coeffs] == sym_counts(2, 8)
+
+
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_integer_series_equal_fraction_oracle(q):
+    # every m up to the series guard: sym_counts is the zeta series, and
+    # hilb_counts the exp of the Goettsche argument, computed over Q
+    N = SERIES_ORDER_GUARD
+    assert [Fraction(c) for c in sym_counts(q, N)] == zeta_p2_series(q, N).coeffs
+    assert [Fraction(c) for c in hilb_counts(q, N)] == gottsche_argument(q, N).exp().coeffs
 
 
 def test_hilb_counts():
@@ -207,7 +311,8 @@ def test_cycle_table_matches_per_m_checks(q):
 
 
 def test_series_guards():
-    with pytest.raises(SizeError):
-        zeta_p2_series(FqField(17), 4)
-    with pytest.raises(SizeError):
-        zeta_p2_series(FqField(2), 65)
+    for counts in (sym_counts, hilb_counts):
+        with pytest.raises(SizeError):
+            counts(FqField(17), 4)
+        with pytest.raises(SizeError):
+            counts(FqField(2), 65)
