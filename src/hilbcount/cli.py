@@ -117,11 +117,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list]:
     for name in ("pn", "hilb2", "hilbm", "cm"):
         sp = pey_subs.add_parser(name)
         _common_flags(sp)
-        sp.add_argument("--n", type=int, default=2)
+        leaves.append(sp)
+    # each constant gets only the flags it reads, so none enters a cache key unread
+    pn, _, hilbm, cm = leaves[-4:]
+    pn.add_argument("--n", type=int, default=2)
+    for sp in (hilbm, cm):
         sp.add_argument("--m", type=int, default=2)
         sp.add_argument("--mu", default=None)
         sp.add_argument("--deg-cut", type=int, dest="deg_cut", default=8)
-        leaves.append(sp)
 
     ver = subs.add_parser("verify", help="asymptotic lemma checks")
     ver_subs = ver.add_subparsers(dest="subcommand", required=True)
@@ -362,10 +365,13 @@ def dispatch(argv, out=None) -> int:
         try:
             args = parser.parse_args(argv)
             if args.config is not None:
-                # every spelling argparse accepts names the file; flags still win
+                # every spelling argparse accepts names the file; flags still win.
+                # A leaf takes only the keys it has flags for, so a file shared
+                # between commands adds nothing unread to a cache key.
                 config = parse_config(args.config)
                 for sp in leaves:
-                    sp.set_defaults(**config)
+                    dests = {action.dest for action in sp._actions}
+                    sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
                 args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)

@@ -31,101 +31,6 @@ def _field_size(F) -> int:
     return q
 
 
-class QPoly:
-    """Dense polynomial with Fraction coefficients in one formal variable.
-
-    Used both for point counts as polynomials in the field size and for
-    local densities as polynomials in 1/q_v."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def var(cls):
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly((other,))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return QPoly((other,)) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * (1 / Fraction(other))
-
-    def __pow__(self, e: int):
-        result = QPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def evaluate(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def coefficient(self, i) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-
-    def __repr__(self):
-        return f"QPoly({list(self.coeffs)})"
-
-
 def _check_series_guard(q: int, order: int):
     if order > SERIES_ORDER_GUARD or q > SERIES_Q_GUARD:
         raise SizeError(
@@ -188,9 +93,10 @@ def hilb_counts(F, m_max: int) -> list[int]:
     return out
 
 
-def hilb_count_poly(m: int) -> QPoly:
-    """|Hilb^m P^2| as a polynomial in the field size x (degree 2m, monic,
-    second coefficient 2), from Goettsche's product over Z[x]:
+def hilb_count_poly(m: int) -> list[int]:
+    """|Hilb^m P^2| as a polynomial in the field size x: its 2m+1 integer
+    coefficients, constant term first (degree 2m, monic, second coefficient
+    2), from Goettsche's product over Z[x]:
 
         sum_m |Hilb^m P^2| t^m = prod_{n>=1} Z(x^(n-1) t^n),
         Z(u) = 1 / ((1 - u)(1 - x u)(1 - x^2 u)).
@@ -212,12 +118,10 @@ def hilb_count_poly(m: int) -> QPoly:
                 src, dst = series[i - n], series[i]
                 for j, c in enumerate(src, s):
                     dst[j] += c
-    poly = QPoly(series[m])
-    assert poly.degree == 2 * m
-    if m >= 1:
-        assert poly.coefficient(2 * m) == 1
+    poly = series[m]
+    assert poly[2 * m] == 1
     if m >= 2:
-        assert poly.coefficient(2 * m - 1) == 2
+        assert poly[2 * m - 1] == 2
     return poly
 
 
@@ -303,7 +207,10 @@ class CycleRow(NamedTuple):
 
 
 def cycle_table(F, m_max: int) -> list[CycleRow]:
-    """One row per m with every 0-cycle count and its closed-form checks."""
+    """One row per m = 1..m_max with every 0-cycle count and its
+    closed-form checks."""
+    if m_max < 1:
+        raise ValueError("m_max >= 1 required")
     q = _field_size(F)
     sym = sym_counts(q, m_max)
     hilb = hilb_counts(q, m_max)

@@ -2,10 +2,10 @@
 of local densities of the punctual Hilbert schemes of the plane, and the
 leading constants they assemble into.
 
-Local densities are represented exactly as polynomials in x = 1/q_v, so the
-m = 2 telescoping identity can be checked by rational comparison and the
-Euler-product tail admits an explicit bound from the 1 + O(x^2) expansion
-of the damped density.
+Local densities are polynomials in x = 1/q_v held as integer coefficient
+lists, constant term first, so the m = 2 telescoping identity is a list
+equality and the Euler-product tail admits an explicit bound from the
+1 + O(x^2) expansion of the damped density.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import SizeError
 from .fqarith import FqField, irreducible_count
-from .genfun import QPoly, hilb_count_poly
+from .genfun import hilb_count_poly
 from .ratpoints import schanuel_constant
 
 DEFAULT_DPS = 50
@@ -89,27 +89,29 @@ def zeta_k(s: int, params: GlobalFieldParams):
     return lval * zeta_fqt(s, params.field)
 
 
-def local_density_poly(m: int) -> QPoly:
+def local_density_poly(m: int) -> list[int]:
     """omega_v for Hilb^m of the plane as a polynomial in x = 1/q_v:
-    |Hilb^m(F_{q_v})| / q_v^(2m).  Constant term 1, second coefficient 2."""
-    hp = hilb_count_poly(m)
-    coeffs = list(reversed([hp.coefficient(i) for i in range(2 * m + 1)]))
-    out = QPoly(coeffs)
-    assert out.coefficient(0) == 1
+    |Hilb^m(F_{q_v})| / q_v^(2m), the count's coefficients reversed.
+    Constant term 1, second coefficient 2."""
+    out = hilb_count_poly(m)[::-1]
+    assert out[0] == 1
     if m >= 2:
-        assert out.coefficient(1) == 2
+        assert out[1] == 2
     return out
 
 
-def damped_density_poly(m: int) -> QPoly:
+def damped_density_poly(m: int) -> list[int]:
     """(1 - x)^2 * omega_v(x): the convergence-factored local density.
     Expands as 1 + O(x^2); the vanishing linear term is what makes the
     Euler product converge."""
-    x = QPoly.var()
-    out = (1 - x) * (1 - x) * local_density_poly(m)
-    assert out.coefficient(0) == 1
+    out = local_density_poly(m) + [0, 0]
+    for _ in range(2):
+        # times (1 - x), top down so out[i-1] is still the old coefficient
+        for i in range(len(out) - 1, 0, -1):
+            out[i] -= out[i - 1]
+    assert out[0] == 1
     if m >= 2:
-        assert out.coefficient(1) == 0
+        assert out[1] == 0
     return out
 
 
@@ -125,27 +127,41 @@ def places_by_degree(field: FqField, deg_cut: int) -> list[tuple[int, int]]:
     return out
 
 
-def euler_product_factors(field: FqField, poly: QPoly, deg_cut: int):
-    """Exact per-degree factors (degree, count, base value at x = q^-d)."""
-    return [
-        (d, count, poly.evaluate(Fraction(1, field.q**d)))
-        for d, count in places_by_degree(field, deg_cut)
-    ]
+def euler_product_factors(field: FqField, poly: list[int], deg_cut: int):
+    """Exact per-degree factors (degree, count, base value at x = q^-d).
+
+    With Q = q^d, poly(1/Q) = (sum_i c_i Q^(n-i)) / Q^n, n = len(poly) - 1,
+    whose numerator is an integer Horner pass at Q."""
+    out = []
+    for d, count in places_by_degree(field, deg_cut):
+        Q = field.q**d
+        num = 0
+        for c in poly:
+            num = num * Q + c
+        out.append((d, count, Fraction(num, Q ** (len(poly) - 1))))
+    return out
 
 
-def _tail_log_bound(field: FqField, poly: QPoly, deg_cut: int) -> Fraction:
+def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
     """Bound on |log of the omitted factors| for degrees > deg_cut.
 
     Uses |poly(x) - 1| <= C x^k0 for x <= 1, with k0 the first nonzero power
     (k0 >= 2 for damped densities) and C the absolute coefficient sum,
     |log(1+u)| <= 2|u| for |u| <= 1/2, and at most 2 q^d / d <= 2 q^d places
     of degree d."""
-    k0 = next(i for i, c in enumerate(poly.coeffs[1:], 1) if c != 0)
+    k0 = next(i for i, c in enumerate(poly[1:], 1) if c != 0)
     assert k0 >= 2
-    C = sum(abs(c) for c in poly.coeffs[1:])
+    C = sum(abs(c) for c in poly[1:])
     q = field.q
-    if C * Fraction(1, q ** (k0 * (deg_cut + 1))) > Fraction(1, 2):
-        raise SizeError("deg_cut too small for the tail bound to apply")
+    if 2 * C > q ** (k0 * (deg_cut + 1)):
+        # the smallest cut d with C q^(-k0 (d+1)) <= 1/2
+        need = deg_cut + 1
+        while 2 * C > q ** (k0 * (need + 1)):
+            need += 1
+        raise SizeError(
+            f"deg_cut {deg_cut} too small for the tail bound to apply "
+            f"(needs deg_cut >= {need})"
+        )
     # sum_{d > deg_cut} 2 q^d * 2C q^(-k0 d) = 4C r^(deg_cut+1) / (1 - r)
     r = Fraction(1, q ** (k0 - 1))
     return 4 * C * r ** (deg_cut + 1) / (1 - r)
@@ -302,8 +318,7 @@ def cm_constant(
         return PeyreResult(scale * product, scale * residual, prefactor)
 
 
-def zeta3_damped_poly() -> QPoly:
+def zeta3_damped_poly() -> list[int]:
     """(1 - x^3)^2: the per-place factor of zeta_K(3)^-2.  For m = 2 this
     equals the damped density identically (telescoping identity)."""
-    x3 = QPoly((0, 0, 0, 1))
-    return (1 - x3) * (1 - x3)
+    return [1, 0, 0, -2, 0, 0, 1]

@@ -173,6 +173,8 @@ def test_usage_errors_exit_2():
     assert dispatch(["count", "rational", "--nope"], out=io.StringIO()) == 2
     assert dispatch(["count", "quadratic", "--q", "2", "--M", "1"], out=io.StringIO()) == 2  # even q
     assert dispatch(["count", "rational", "--q", "6", "--n", "1", "--M", "1"], out=io.StringIO()) == 2
+    for m_max in ("0", "-1"):
+        assert dispatch(["cycles", "--q", "2", "--m-max", m_max], out=io.StringIO()) == 2
 
 
 @pytest.mark.parametrize(
@@ -187,6 +189,31 @@ def test_peyre_bad_input_exit_2(capsys, argv, message):
     code, out = run(argv)
     assert code == 2 and out == ""
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_peyre_subcommands_take_only_their_flags(tmp_path):
+    assert dispatch(["peyre", "hilb2", "--q", "3", "--m", "7"], out=io.StringIO()) == 2
+    assert dispatch(["peyre", "pn", "--q", "3", "--deg-cut", "3"], out=io.StringIO()) == 2
+    # a config key is read only by the subcommands that have its flag, so
+    # hilb2 takes none of these and writes one cache entry with or without them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 7\nn = 5\ndeg_cut = 2\nmu = 9\n")
+    cache_dir = tmp_path / "cache"
+    argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(cache_dir)]
+    code, plain = run(argv)
+    assert code == 0
+    assert run(argv + ["--config", str(cfg)]) == (0, plain)
+    assert len(os.listdir(cache_dir)) == 1
+    assert run(["peyre", "pn", "--q", "3", "--config", str(cfg)]) == run(["peyre", "pn", "--q", "3", "--n", "5"])
+
+
+def test_tail_bound_guard_states_cut_and_limit(capsys):
+    code, out = run(["peyre", "hilbm", "--q", "2", "--m", "6", "--deg-cut", "1"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        "size guard: deg_cut 1 too small for the tail bound to apply (needs deg_cut >= 3)\n"
+    )
+    assert run(["peyre", "hilbm", "--q", "2", "--m", "6", "--deg-cut", "3"])[0] == 0
 
 
 def test_internal_error_exit_1(capsys, monkeypatch, caplog):

@@ -3,10 +3,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField
 from hilbcount.genfun import hilb_counts
 from hilbcount.peyre import (
     GlobalFieldParams,
+    _tail_log_bound,
     alpha_star_hilbm,
     cm_constant,
     damped_density_poly,
@@ -63,26 +65,34 @@ def test_global_field_params_validation():
         p.genus = 1
 
 
+def horner(coeffs, x):
+    """The polynomial with these coefficients, constant term first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_local_density_poly():
     for m in (2, 3, 4):
         poly = local_density_poly(m)
-        assert poly.coefficient(0) == 1
-        assert poly.coefficient(1) == 2
+        assert poly[0] == 1
+        assert poly[1] == 2
         # density at x = 1/q equals |Hilb^m(F_q)| / q^(2m)
         for q in (2, 3):
             counts = hilb_counts(q, m)
-            assert poly.evaluate(Fraction(1, q)) == Fraction(counts[m], q ** (2 * m))
+            assert horner(poly, Fraction(1, q)) == Fraction(counts[m], q ** (2 * m))
 
 
 def test_damped_density_expansion():
     for m in (2, 3, 4, 5):
         poly = damped_density_poly(m)
-        assert poly.coefficient(0) == 1
-        assert poly.coefficient(1) == 0
+        assert poly[0] == 1
+        assert poly[1] == 0
 
 
 def test_m2_telescoping_identity():
-    assert damped_density_poly(2).coeffs == zeta3_damped_poly().coeffs
+    assert damped_density_poly(2) == zeta3_damped_poly()
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -104,6 +114,15 @@ def test_m2_truncated_product_equals_zeta3_product(q, deg_cut):
             prod_l *= base_l**count
             prod_r *= base_r**count
         assert prod_l == prod_r
+
+
+@pytest.mark.parametrize("q, m, need", [(2, 6, 3), (3, 45, 8)])
+def test_tail_bound_guard_names_smallest_cut(q, m, need):
+    field, poly = FqField(q), damped_density_poly(m)
+    message = rf"^deg_cut {need - 1} too small for the tail bound to apply \(needs deg_cut >= {need}\)$"
+    with pytest.raises(SizeError, match=message):
+        _tail_log_bound(field, poly, need - 1)
+    assert _tail_log_bound(field, poly, need) > 0
 
 
 def test_places_by_degree():
