@@ -3,9 +3,11 @@
 Field elements are encoded as plain integers in [0, q).  The base-p digits
 of the code are the coordinates in the polynomial basis 1, x, ..., x^(k-1)
 of F_{p^k} over F_p; for k = 1 the code is just the residue mod p.  The
-defining modulus is the lexicographically least monic irreducible of degree
-k over F_p (by coefficient sequence, lowest degree first), so outputs are
-reproducible across runs.
+defining modulus is still the lexicographically least monic irreducible of
+degree k over F_p (by coefficient sequence, lowest degree first), so outputs
+are reproducible across runs.  It and the products in F_{p^k} are computed
+with `Poly` over F_p: the modulus is the first monic candidate that
+`is_irreducible` accepts, and a product is a `Poly` product reduced by it.
 
 Polynomials over F_q are immutable dense coefficient tuples (lowest degree
 first, no trailing zeros).  All counts use Python's arbitrary-precision
@@ -15,7 +17,6 @@ integers.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import CharacteristicError, SizeError
 
@@ -72,12 +73,12 @@ def mobius(n: int) -> int:
 
 def irreducible_count(d: int, q: int) -> int:
     """Number of monic irreducibles of degree d over F_q (Mobius count)."""
-    total = Fraction(0)
+    total = 0
     for e in range(1, d + 1):
         if d % e == 0:
-            total += Fraction(mobius(e) * q ** (d // e), d)
-    assert total.denominator == 1
-    return int(total)
+            total += mobius(e) * q ** (d // e)
+    assert total % d == 0
+    return total // d
 
 
 class FqField:
@@ -95,15 +96,24 @@ class FqField:
             # t itself; never used in arithmetic but kept for the record
             self.modulus = (0, 1) if modulus is None else tuple(modulus)
         else:
+            base = FqField(p)
             if modulus is None:
-                modulus = _least_irreducible_modulus(p, k)
+                if self.q > ENUM_GUARD:
+                    raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
+                # the first hit in product order is the least irreducible
+                for tail in itertools.product(range(p), repeat=k):
+                    mod_poly = Poly(base, tail + (1,))
+                    if is_irreducible(mod_poly):
+                        break
             else:
                 modulus = tuple(c % p for c in modulus)
                 if len(modulus) != k + 1 or modulus[-1] != 1:
                     raise ValueError("modulus must be monic of degree k")
-                if not _fp_is_irreducible(modulus, p):
+                mod_poly = Poly(base, modulus)
+                if not is_irreducible(mod_poly):
                     raise ValueError("modulus is reducible over F_p")
-            self.modulus = modulus
+            self._mod_poly = mod_poly
+            self.modulus = mod_poly.coeffs
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
 
@@ -162,21 +172,9 @@ class FqField:
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
-        prod = [0] * (2 * self.k - 1)
-        da, db = self.digits(a), self.digits(b)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the defining polynomial
-        m = self.modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.k):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * m[j]) % self.p
-        result = self.encode(prod[: self.k])
+        base = self._mod_poly.field
+        prod = Poly(base, self.digits(a)) * Poly(base, self.digits(b)) % self._mod_poly
+        result = self.encode(prod.coeffs)
         self._mul_cache[key] = result
         return result
 
@@ -218,46 +216,6 @@ class FqField:
 
     def elements(self):
         return range(self.q)
-
-
-# --- raw F_p polynomial helpers, used only to pick the field modulus ---
-
-
-def _fp_mod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for j in range(len(b)):
-            a[shift + j] = (a[shift + j] - c * b[j]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _fp_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    # trial division by every monic polynomial of degree <= deg/2
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tuple(tail) + (1,)
-            if not _fp_mod(f, g, p):
-                return False
-    return True
-
-
-def _least_irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
-    if p**k > ENUM_GUARD:
-        raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
-    for tail in itertools.product(range(p), repeat=k):
-        f = tuple(tail) + (1,)
-        if _fp_is_irreducible(f, p):
-            return f
-    raise AssertionError("no irreducible polynomial found (impossible)")
 
 
 class Poly:
@@ -406,13 +364,6 @@ class Poly:
         if self.is_monic:
             return self
         return self.scale(self.field.inv(self.lead))
-
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def derivative(self):
         F = self.field

@@ -136,9 +136,8 @@ def closed_point_counts(F, m_max: int) -> list[int]:
             if m % d == 0:
                 r = m // d
                 total += mobius(d) * (q ** (2 * r) + q**r + 1)
-        value = Fraction(total, m)
-        assert value.denominator == 1 and value > 0
-        out.append(int(value))
+        assert total % m == 0 and total > 0
+        out.append(total // m)
     return out
 
 

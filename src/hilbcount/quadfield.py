@@ -73,6 +73,15 @@ def _require_odd(field: FqField):
         raise CharacteristicError("quadratic extensions need odd q")
 
 
+def _infinite_kind(field: FqField, f: Poly) -> str:
+    """How the infinite place of F_q(t) behaves in F_q(t)(sqrt(f)) for a
+    nonsquare f: ramified for odd degree, split for a square leading
+    coefficient, otherwise inert."""
+    if f.degree % 2 == 1:
+        return "ramified"
+    return "split" if field.is_square_unit(f.lead) else "inert"
+
+
 class RatFunc:
     """Reduced fraction of polynomials with monic denominator."""
 
@@ -161,9 +170,7 @@ class QuadExt:
         return hash((self.field, self.d))
 
     def infinite_type(self) -> str:
-        if self.deg_d % 2 == 1:
-            return "ramified"
-        return "split" if self.field.is_square_unit(self.d.lead) else "inert"
+        return _infinite_kind(self.field, self.d)
 
     def element(self, a, b) -> "QuadElem":
         if isinstance(a, Poly):
@@ -295,25 +302,6 @@ def _sqrt_mod(c: Poly, p: Poly, field: FqField) -> Poly:
     raise ValueError("residue is not a square")
 
 
-def _poly_modinv(a: Poly, mod: Poly) -> Poly:
-    g, s, _ = poly_xgcd(a % mod, mod)
-    assert g == Poly.one(a.field), "element not invertible modulo the given power"
-    return s % mod
-
-
-def _hensel_sqrt(d: Poly, p: Poly, seed: Poly, prec: int) -> Poly:
-    """Lift seed (a sqrt of d mod p) to a sqrt of d mod p^prec by Newton."""
-    r = seed % p
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p**k
-        inv = _poly_modinv(r + r, mod)
-        r = ((r * r + d) * inv) % mod
-    assert ((r * r - d) % p**prec).is_zero
-    return r
-
-
 def splitting_type(v, ext: QuadExt) -> tuple[PlaceQ, ...]:
     """The places of L above the place v of F_q(t) (v = monic irreducible
     or INFINITE_PLACE), with (e, f) and split-branch seeds."""
@@ -343,19 +331,21 @@ def splitting_type(v, ext: QuadExt) -> tuple[PlaceQ, ...]:
 
 
 def _split_finite_valuation(A: Poly, B: Poly, d: Poly, p: Poly, seed: Poly) -> int:
-    """w(A + B sqrt(d)) at a finite split place with branch seed."""
-    if B.is_zero:
-        return multiplicity(A, p)
-    if A.is_zero:
-        return multiplicity(B, p)  # sqrt(d) is a unit at a split place
-    norm = A * A - d * B * B
-    prec = multiplicity(norm, p) + 1
-    r = _hensel_sqrt(d, p, seed, prec)
-    g = (A + B * r) % p**prec
-    assert not g.is_zero, "split valuation reached its precision bound"
-    v = multiplicity(g, p)
-    assert v < prec
-    return v
+    """w(A + B sqrt(d)) at a finite split place with branch seed, for A and B
+    not both zero.
+
+    Write A + B sqrt(d) = p^c z with z = A' + B' sqrt(d) and p not dividing
+    both A' and B', and let e = v_p(A'^2 - d B'^2).  The two places above p
+    are w and the place w' with w'(z) = w(conj z), so w(z) + w'(z) = e, the
+    valuation of the norm.  Both cannot be positive: z and conj z would then
+    vanish at w, so p would divide 2A' and 2B' seed, hence A' and B' (q is
+    odd and seed is a unit).  So w(z) = e if z vanishes at w, that is if
+    A' + B' seed = 0 mod p, and w(z) = 0 otherwise."""
+    c = min(multiplicity(f, p) for f in (A, B) if not f.is_zero)
+    pc = p**c
+    A, B = A // pc, B // pc
+    e = multiplicity(A * A - d * B * B, p)
+    return c + e if ((A + B * seed) % p).is_zero else c
 
 
 def _reverse(f: Poly) -> Poly:
@@ -581,18 +571,20 @@ def _reduce_basis(u1, u2):
         assert any(not x.is_zero for x in u2), "basis degenerated (impossible)"
 
 
-def _line_classes(field: FqField, dq_cap: int) -> Counter:
-    """Counter {(d_P, d_Q): number of lines} over all rational lines whose
-    reduced basis has d_Q <= dq_cap (dual height d_P + d_Q <= 2 dq_cap)."""
-    classes: Counter = Counter()
+def _lines(field: FqField, dq_cap: int):
+    """Yield ((P, d_P), (Q, d_Q)), the reduced basis of each rational line
+    with d_Q <= dq_cap (dual height d_P + d_Q <= 2 dq_cap)."""
     for N in range(0, 2 * dq_cap + 1):
         for pt in ratpoints.enumerate_exact_height(2, field, N):
-            u1, u2 = _line_basis(pt.coords)
-            (_, dP), (_, dQ) = _reduce_basis(u1, u2)
+            (P, dP), (Q, dQ) = _reduce_basis(*_line_basis(pt.coords))
             assert dP + dQ == N, "reduced basis degrees must sum to dual height"
             if dQ <= dq_cap:
-                classes[(dP, dQ)] += 1
-    return classes
+                yield (P, dP), (Q, dQ)
+
+
+def _line_classes(field: FqField, dq_cap: int) -> Counter:
+    """Counter {(d_P, d_Q): number of lines} over _lines."""
+    return Counter((dP, dQ) for (_, dP), (_, dQ) in _lines(field, dq_cap))
 
 
 class FormData(NamedTuple):
@@ -624,12 +616,7 @@ def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> For
     gamma = C.degree
     beta = B.degree if not B.is_zero else None
     deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
-    if disc.degree % 2 == 1:
-        kind = "ramified"
-    elif field.is_square_unit(disc.lead):
-        kind = "split"
-    else:
-        kind = "inert"
+    kind = _infinite_kind(field, disc)
     if beta is not None and 2 * beta > alpha + gamma:
         assert kind == "split", "distinct Newton slopes force a split infinity"
         return FormData(deg_f, "split2", (alpha - beta, beta - gamma))
@@ -678,14 +665,6 @@ def _form_classes(field: FqField, fmax: int) -> Counter:
     )
 
 
-def _match_counts(forms: Counter, classes, M: int) -> dict:
-    """For each (d_P, d_Q) class, how many of the forms give exponent exactly M."""
-    return {
-        cls: sum(n for fd, n in forms.items() if _form_exponent(fd, *cls) == M)
-        for cls in classes
-    }
-
-
 class QuadraticCount(NamedTuple):
     q: int
     M: int
@@ -704,8 +683,12 @@ def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
         raise ValueError("M >= 1 required")
     forms = _form_classes(field, M)  # first, so the form guard fails fast
     classes = _line_classes(field, M // 2)
-    matches = _match_counts(forms, classes, M)
-    count = sum(classes[cls] * matches[cls] for cls in classes)
+    count = sum(
+        lines * n
+        for cls, lines in classes.items()
+        for fd, n in forms.items()
+        if _form_exponent(fd, *cls) == M
+    )
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, main, Fraction(count) / main)
 
@@ -714,27 +697,21 @@ def degree2_orbits(field: FqField, M: int):
     """Construct each counted orbit explicitly (slow; for cross-validation).
     Yields DegreeTwoPoint values, one per orbit."""
     _require_odd(field)
-    dq_cap, fmax = M // 2, M
     forms = [
         (A, B, C, disc, _classify_form(A, B, C, disc, field))
-        for A, B, C, disc in _form_stream(field, fmax)
+        for A, B, C, disc in _form_stream(field, M)
     ]
-    for N in range(0, 2 * dq_cap + 1):
-        for pt in ratpoints.enumerate_exact_height(2, field, N):
-            u1, u2 = _line_basis(pt.coords)
-            (P, dP), (Q, dQ) = _reduce_basis(u1, u2)
-            if dQ > dq_cap:
+    for (P, dP), (Q, dQ) in _lines(field, M // 2):
+        for A, B, C, disc, fd in forms:
+            if _form_exponent(fd, dP, dQ) != M:
                 continue
-            for A, B, C, disc, fd in forms:
-                if _form_exponent(fd, dP, dQ) != M:
-                    continue
-                d0, h = squarefree_decompose(disc)
-                ext = QuadExt(field, d0)
-                two_a = A + A
-                coords = []
-                for Pi, Qi in zip(P, Q):
-                    coords.append(ext.element(-(B * Pi) + two_a * Qi, h * Pi))
-                yield canonicalize_quadratic(ext, coords)
+            d0, h = squarefree_decompose(disc)
+            ext = QuadExt(field, d0)
+            two_a = A + A
+            coords = []
+            for Pi, Qi in zip(P, Q):
+                coords.append(ext.element(-(B * Pi) + two_a * Qi, h * Pi))
+            yield canonicalize_quadratic(ext, coords)
 
 
 class Hilb2Splits(NamedTuple):

@@ -226,18 +226,3 @@ def count_reducible_pairs(field: FqField, M: int) -> PairCount:
         + Fraction(q * q + 1, 2 * (q * q - 1)) * S * S * q ** (3 * M)
     )
     return PairCount(observed, closed)
-
-
-def count_pairs_closed_subset(field: FqField, M: int) -> Fraction:
-    """Halved convolution of P^1 x P^2 exact-height counts; the majorant for
-    pairs with a rational component on a line."""
-    if M < 1:
-        raise ValueError("M >= 1 required")
-    total = Fraction(0)
-    for N in range(M + 1):
-        total += Fraction(
-            point_count_exact_height(1, field, N)
-            * point_count_exact_height(2, field, M - N),
-            2,
-        )
-    return total

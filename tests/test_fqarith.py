@@ -85,6 +85,43 @@ def test_extension_field_modulus_irreducible():
     assert mod.degree == 2
 
 
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [
+        (2, 2, (1, 1, 1)),
+        (2, 3, (1, 0, 1, 1)),
+        (2, 4, (1, 0, 0, 1, 1)),
+        (2, 5, (1, 0, 0, 1, 0, 1)),
+        (2, 6, (1, 0, 0, 0, 0, 1, 1)),
+        (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
+        (3, 2, (1, 0, 1)),
+        (3, 3, (1, 0, 2, 1)),
+        (3, 4, (1, 0, 1, 1, 1)),
+        (5, 2, (1, 1, 1)),
+        (5, 3, (1, 0, 1, 1)),
+        (7, 2, (1, 0, 1)),
+        (11, 2, (1, 0, 1)),
+        (13, 2, (1, 3, 1)),
+    ],
+)
+def test_extension_field_modulus_is_least_irreducible(p, k, modulus):
+    """The default modulus is the least monic irreducible of degree k,
+    coefficients lowest degree first."""
+    assert FqField(p, k).modulus == modulus
+
+
+def test_user_modulus_checked():
+    F = FqField(3, 2, modulus=(2, 1, 1))
+    assert F.modulus == (2, 1, 1)
+    assert F.mul(3, 3) == F.encode((1, 2))  # x^2 = -2 - x = 1 + 2x
+    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, 9))
+    for bad in [(1, 1), (1, 0, 1, 0), (1, 0, 2), (2, 1, 2)]:
+        with pytest.raises(ValueError, match="monic of degree k"):
+            FqField(3, 2, modulus=bad)
+    with pytest.raises(ValueError, match="reducible"):
+        FqField(3, 2, modulus=(2, 0, 1))  # x^2 - 1
+
+
 @given(a=codes, b=codes)
 @settings(max_examples=60, deadline=None)
 def test_poly_divmod(a, b):

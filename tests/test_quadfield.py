@@ -16,7 +16,9 @@ from hilbcount.fqarith import (
     is_squarefree,
     multiplicity,
     poly_gcd,
+    poly_xgcd,
 )
+from hilbcount import quadfield
 from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
@@ -197,6 +199,91 @@ def test_split_branch_consistency(dcoeffs):
             norm = z.norm()
             vn = multiplicity(norm.num, p) - multiplicity(norm.den, p)
             assert sum(valuation(z, w) for w in above) == vn
+
+
+def _hensel_sqrt(d, p, seed, prec):
+    """Lift seed (a sqrt of d mod p) to a sqrt of d mod p^prec by Newton."""
+    r = seed % p
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        mod = p**k
+        g, inv, _ = poly_xgcd((r + r) % mod, mod)
+        assert g == Poly.one(d.field)
+        r = ((r * r + d) * inv) % mod
+    assert ((r * r - d) % p**prec).is_zero
+    return r
+
+
+def _hensel_split_valuation(A, B, d, p, seed):
+    """Oracle: w(A + B sqrt(d)) read off A + B r with r a square root of d
+    lifted past the valuation of the norm."""
+    if B.is_zero:
+        return multiplicity(A, p)
+    if A.is_zero:
+        return multiplicity(B, p)
+    prec = multiplicity(A * A - d * B * B, p) + 1
+    g = (A + B * _hensel_sqrt(d, p, seed, prec)) % p**prec
+    assert not g.is_zero
+    return multiplicity(g, p)
+
+
+def _cancelling_pair(rng, d, p, seed, depth, common):
+    """(A, B) with p^common dividing both, and A + B sqrt(d) vanishing to
+    order common + depth at the branch of seed."""
+    field = d.field
+    pk = p**depth
+    r = _hensel_sqrt(d, p, seed, depth)
+    while True:
+        B = Poly(field, [rng.randrange(field.q) for _ in range(3)])
+        if not (B % p).is_zero:
+            break
+    rest = Poly(field, [rng.randrange(field.q) for _ in range(2)])
+    A = (-(B * r)) % pk + pk * rest
+    pc = p**common
+    return A * pc, B * pc
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_split_valuation_matches_hensel_oracle(q, monkeypatch):
+    """The residue-seed split valuation equals the Hensel-lifted one on
+    inputs that cancel to depth 1-3, at finite and infinite split places."""
+    field = field_from_order(q)
+    rng = random.Random(q)
+    t = Poly.t(field)
+    one = Poly.one(field)
+    cases = []  # (z, w, lower bound on valuation(z, w))
+    for d in (t, t * t * t + t + one):
+        ext = QuadExt(field, d)
+        for p in irreducibles_of_degree(1, field) + irreducibles_of_degree(2, field)[:3]:
+            for w in splitting_type(p, ext):
+                if w.kind != "split":
+                    continue
+                for depth, common, _ in itertools.product((1, 2, 3), (0, 1), range(2)):
+                    A, B = _cancelling_pair(rng, d, p, w.seed, depth, common)
+                    cases.append((ext.element(A, B), w, depth + common))
+    square = field.mul(q - 1, q - 1)
+    for d in (t * t + one, (t * t * t + one).scale(square) * t + one):
+        ext = QuadExt(field, d)
+        dpr = d.degree // 2
+        dt = Poly(field, tuple(reversed(d.coeffs)))
+        for w in infinite_places(ext):
+            assert w.kind == "split"
+            for depth, common, _ in itertools.product((1, 2, 3), (0, 1), range(2)):
+                # a pair in u = 1/t, moved back to t: A + B sqrt(d) is
+                # t^m (P1 + P2 sqrt(dt)) with m = max(deg P1, deg P2 + dpr)
+                seed = Poly.constant(field, w.seed)
+                P1, P2 = _cancelling_pair(rng, dt, t, seed, depth, common)
+                m = max(P1.degree, P2.degree + dpr)
+                A = Poly(field, tuple(reversed(P1.coeffs))).shift(m - P1.degree)
+                B = Poly(field, tuple(reversed(P2.coeffs))).shift(m - dpr - P2.degree)
+                cases.append((ext.element(A, B), w, depth + common - m))
+    assert len(cases) >= 150
+    assert any(w.base is INFINITE_PLACE for _, w, _ in cases)
+    new = [valuation(z, w) for z, w, _ in cases]
+    assert all(v >= low for v, (_, _, low) in zip(new, cases))
+    monkeypatch.setattr(quadfield, "_split_finite_valuation", _hensel_split_valuation)
+    assert [valuation(z, w) for z, w, _ in cases] == new
 
 
 @pytest.mark.parametrize("field", [F3, F5])

@@ -19,7 +19,6 @@ from hilbcount.ratpoints import (
     ProjPointFqt,
     canonicalize,
     count_exact_height,
-    count_pairs_closed_subset,
     count_reducible_pairs,
     enumerate_exact_height,
     height_exponent,
@@ -243,6 +242,21 @@ def test_reducible_pairs():
             assert pc.match, (q, M, pc)
     with pytest.raises(ValueError):
         count_reducible_pairs(F2, 0)
+
+
+def count_pairs_closed_subset(field, M):
+    """Halved convolution of P^1 x P^2 exact-height counts; the majorant for
+    pairs with a rational component on a line."""
+    if M < 1:
+        raise ValueError("M >= 1 required")
+    total = Fraction(0)
+    for N in range(M + 1):
+        total += Fraction(
+            point_count_exact_height(1, field, N)
+            * point_count_exact_height(2, field, M - N),
+            2,
+        )
+    return total
 
 
 def test_pairs_closed_subset():

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hilbcount"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hilbcount"
 
 
 def _names_used(top):
@@ -38,3 +39,47 @@ def test_every_private_helper_is_used():
     ]
     assert private
     assert [entry for entry in private if entry.split(":")[1] not in used] == []
+
+
+def _statements(tree):
+    """Top-level statements, with each class body opened up so that every
+    method counts as a statement of its own."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from top.body
+        else:
+            yield top
+
+
+def _public_callables(tree):
+    """(label, name) of each public top-level function and each non-dunder
+    method of a top-level class."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in tree.body:
+        if isinstance(top, funcs) and not top.name.startswith("_"):
+            yield top.name, top.name
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, funcs) and not item.name.startswith("__"):
+                    yield f"{top.name}.{item.name}", item.name
+
+
+def test_every_public_callable_is_used():
+    """Every public top-level function and non-dunder method in the package
+    is referenced somewhere in the package or the tests, other than by
+    itself, so public code that nothing calls does not pile up either."""
+    package = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    tests = [ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py")]
+    used = {
+        name
+        for tree in [*package.values(), *tests]
+        for top in _statements(tree)
+        for name in _names_used(top)
+    }
+    callables = [
+        (f"{module}:{label}", name)
+        for module, tree in sorted(package.items())
+        for label, name in _public_callables(tree)
+    ]
+    assert callables
+    assert [entry for entry, name in callables if name not in used] == []
