@@ -114,6 +114,13 @@ class FqField:
                     raise ValueError("modulus is reducible over F_p")
             self._mod_poly = mod_poly
             self.modulus = mod_poly.coeffs
+            # _neg[a] is -a: digit i of the code contributes (-d) % p at p^i
+            neg = [0]
+            for i in range(k):
+                step = p**i
+                neg = [(-d) % p * step + x for d in range(p) for x in neg]
+            self._neg = neg
+            self._add_cache: dict[tuple[int, int], int] = {}
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
 
@@ -151,19 +158,24 @@ class FqField:
     def add(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.encode((x + y) % self.p for x, y in zip(da, db))
+        key = (a, b) if a <= b else (b, a)
+        cached = self._add_cache.get(key)
+        if cached is not None:
+            return cached
+        p = self.p
+        result = self.encode((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        self._add_cache[key] = result
+        return result
 
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        return self.encode((x - y) % self.p for x, y in zip(da, db))
+        return self.add(a, self._neg[b])
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self.encode((-x) % self.p for x in self.digits(a))
+        return self._neg[a]
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:

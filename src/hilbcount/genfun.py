@@ -53,21 +53,28 @@ def sym_counts(F, m_max: int) -> list[int]:
 
 
 def chen7_closed(F, m: int) -> int:
-    """Closed even/odd formula for |Sym^m P^2(F_q)|."""
+    """Closed even/odd formula for |Sym^m P^2(F_q)|:
+
+        (1 + 1/q) sum_{i<m//2} (i+1)(q^(2(m-i)) + q^(2i+1))
+          + (m+2)/2 q^m                   (m even)
+          + (m+1)/2 q^(m-1)(q^2 + q + 1)  (m odd).
+
+    Every term of the sum has a factor q, so it is evaluated as
+    (q+1) sum / q in integers; each division is asserted exact."""
     if m < 1:
         raise ValueError("m >= 1 required")
     q = _field_size(F)
-    k = m // 2
-    total = Fraction(0)
-    for i in range(k):
-        total += (i + 1) * Fraction(q ** (2 * (m - i)) + q ** (2 * i + 1))
-    total *= 1 + Fraction(1, q)
+    total = sum((i + 1) * (q ** (2 * (m - i)) + q ** (2 * i + 1)) for i in range(m // 2))
+    total, rem = divmod((q + 1) * total, q)
+    assert rem == 0
     if m % 2 == 0:
-        total += Fraction(m + 2, 2) * q**m
+        half, rem = divmod(m + 2, 2)
+        total += half * q**m
     else:
-        total += Fraction(m + 1, 2) * q ** (m - 1) * (q * q + q + 1)
-    assert total.denominator == 1
-    return int(total)
+        half, rem = divmod(m + 1, 2)
+        total += half * q ** (m - 1) * (q * q + q + 1)
+    assert rem == 0
+    return total
 
 
 def hilb_counts(F, m_max: int) -> list[int]:

@@ -7,16 +7,24 @@ and its height is q to the maximum coordinate degree.  The points of one
 height are scanned on the integer codes of their coordinates, and their
 coprimality is read from a sieve of divisor masks; count_exact_height counts
 them without building them, as the observed side of the closed form.
+
+Every count here is an integer and is computed in integers: the closed
+forms are products of integer factors, and each division in them is
+asserted exact.  Only schanuel_constant, the leading constant the Peyre and
+asymptotic modules build on, is a Fraction; it imports `fractions` when
+called, so the counts load neither `fractions` nor `decimal`.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
 from .fqarith import FqField, Poly, all_polys, poly_gcd_all
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Max number of coordinate tuples scanned by enumerate_exact_height and
 # count_exact_height.
@@ -179,6 +187,8 @@ def schanuel_constant(
     For K = F_q(t) this is q^(n+1)(1 - q^-n)(1 - q^-(n+1))/(q - 1), an exact
     rational.  For other (g, class number) the caller must supply the value
     of zeta_K at n+1."""
+    from fractions import Fraction
+
     q = field.q
     if g == 0 and class_number == 1 and zeta_value is None:
         return (
@@ -194,18 +204,22 @@ def schanuel_constant(
 
 
 def point_count_exact_height(n: int, field: FqField, M: int) -> int:
-    """Closed-form count of P^n(F_q(t)) points of height exactly q^M."""
+    """Closed-form count of P^n(F_q(t)) points of height exactly q^M.
+
+    For M >= 1 this is schanuel_constant(n) q^((n+1)M), with the constant's
+    denominator (q - 1) q^n cancelled: (q^n - 1)/(q - 1) (q^(n+1) - 1)
+    q^((n+1)M - n)."""
     q = field.q
     if M == 0:
         return (q ** (n + 1) - 1) // (q - 1)
-    value = schanuel_constant(n, field) * q ** ((n + 1) * M)
-    assert value.denominator == 1
-    return int(value)
+    lines, rem = divmod(q**n - 1, q - 1)
+    assert rem == 0
+    return lines * (q ** (n + 1) - 1) * q ** ((n + 1) * M - n)
 
 
 class PairCount(NamedTuple):
-    observed: Fraction
-    closed_form: Fraction
+    observed: int
+    closed_form: int
 
     @property
     def match(self) -> bool:
@@ -214,15 +228,21 @@ class PairCount(NamedTuple):
 
 def count_reducible_pairs(field: FqField, M: int) -> PairCount:
     """Halved convolution (1/2) sum_N A(N) A(M-N) over P^2 heights, with the
-    exact closed form it must equal for M >= 1."""
+    exact closed form it must equal for M >= 1:
+
+        S^2 q^(3M) (M/2 + (q^2 + 1)/(2(q^2 - 1)))
+          = (q+1)(q^3-1)^2 (M(q^2-1) + q^2 + 1) q^(3M) / (2(q-1)q^4),
+
+    S = schanuel_constant(2) = (q^2 - 1)(q^3 - 1)/((q - 1) q^2)."""
     if M < 1:
         raise ValueError("M >= 1 required")
     q = field.q
     A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
-    observed = Fraction(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
-    S = schanuel_constant(2, field)
-    closed = (
-        Fraction(S * S, 2) * q ** (3 * M) * M
-        + Fraction(q * q + 1, 2 * (q * q - 1)) * S * S * q ** (3 * M)
+    observed, odd = divmod(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
+    assert odd == 0
+    closed, rem = divmod(
+        (q + 1) * (q**3 - 1) ** 2 * (M * (q * q - 1) + q * q + 1) * q ** (3 * M),
+        2 * (q - 1) * q**4,
     )
+    assert rem == 0
     return PairCount(observed, closed)

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
 def fmt_value(v, digits: int = 12) -> str:
-    """Token-safe rendering: no commas, no quotes, no spaces."""
+    """Token-safe rendering: no commas, no quotes, no spaces.
+
+    bool, int and str are handled before `fractions` and `decimal` are
+    imported, so a table of integers loads neither."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
+    if isinstance(v, str):
+        return v
+    from decimal import Decimal
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, str):
-        return v
     if isinstance(v, (Decimal, float)):
         return _fmt_real(Decimal(v), digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")

@@ -270,7 +270,8 @@ from hilbcount import cli
 def loaded():
     return sorted(
         m for m in sys.modules
-        if m in ("mpmath", "logging", "dataclasses", "hashlib") or m.startswith("hilbcount.")
+        if m in ("mpmath", "logging", "dataclasses", "hashlib", "fractions", "decimal")
+        or m.startswith("hilbcount.")
     )
 
 steps = {"import": {"modules": loaded()}}
@@ -330,6 +331,11 @@ def test_each_command_imports_only_its_modules(tmp_path):
     rational = set(steps["rational"]["modules"])
     assert "hilbcount.ratpoints" in rational
     assert not {"hilbcount.quadfield", "hilbcount.genfun", "hilbcount.peyre"} & rational
+    # the counts are integers all the way to the table; cycles, next, is the
+    # first step to load fractions
+    for name in ("rational", "pairs"):
+        assert not {"fractions", "decimal"} & set(steps[name]["modules"]), name
+    assert "fractions" in steps["cycles"]["modules"]
     assert "hilbcount.genfun" in steps["cycles"]["modules"]
     assert "hilbcount.quadfield" in steps["quadratic"]["modules"]
     assert "hilbcount.peyre" in steps["pn"]["modules"]

@@ -57,6 +57,28 @@ def test_field_from_order():
         field_from_order(1)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_extension_add_sub_neg_match_digitwise_oracle(q):
+    """add, sub and neg on codes equal digit-wise arithmetic mod p, computed
+    here from the base-p digits of each code."""
+    field = field_from_order(q)
+    p = field.p
+
+    def digits(a):
+        return [a // p**i % p for i in range(field.k)]
+
+    def code(ds):
+        return sum(d % p * p**i for i, d in enumerate(ds))
+
+    for a in range(q):
+        da = digits(a)
+        assert field.neg(a) == code([-x for x in da])
+        for b in range(q):
+            db = digits(b)
+            assert field.add(a, b) == code([x + y for x, y in zip(da, db)])
+            assert field.sub(a, b) == code([x - y for x, y in zip(da, db)])
+
+
 @pytest.mark.parametrize("field", [F2, F3, F5, F9])
 def test_field_axioms(field):
     elems = list(field.elements())

@@ -175,6 +175,28 @@ def test_sym_counts_and_chen7(q):
         assert chen7_closed(q, m) == sym[m]
 
 
+def _chen7_by_fraction(q, m):
+    """The Fraction form of chen7_closed."""
+    total = Fraction(0)
+    for i in range(m // 2):
+        total += (i + 1) * Fraction(q ** (2 * (m - i)) + q ** (2 * i + 1))
+    total *= 1 + Fraction(1, q)
+    if m % 2 == 0:
+        total += Fraction(m + 2, 2) * q**m
+    else:
+        total += Fraction(m + 1, 2) * q ** (m - 1) * (q * q + q + 1)
+    assert total.denominator == 1
+    return int(total)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16])
+def test_chen7_integer_form_matches_fraction_oracle(q):
+    for m in range(1, SERIES_ORDER_GUARD + 1):
+        value = chen7_closed(q, m)
+        assert type(value) is int
+        assert value == _chen7_by_fraction(q, m), m
+
+
 def test_zeta_series_is_sym_generating_function():
     s = zeta_p2_series(2, 8)
     assert [int(c) for c in s.coeffs] == sym_counts(2, 8)

@@ -561,11 +561,17 @@ def test_enumerate_degree2_reach(field, M, count):
     assert enumerate_degree2(field, M).count == count
 
 
-def test_enumerate_degree2_cross_validation():
+@pytest.fixture(scope="module")
+def orbits_f3_m1():
+    """degree2_orbits(F3, 1), built once for the tests that read it."""
+    return list(degree2_orbits(F3, 1))
+
+
+def test_enumerate_degree2_cross_validation(orbits_f3_m1):
     """The class-count total must equal the number of distinct canonical
     orbits built explicitly, and every orbit's height must come out as
     q^(M/2) through the independent valuation-based height."""
-    orbits = list(degree2_orbits(F3, 1))
+    orbits = orbits_f3_m1
     keys = {o.orbit_key for o in orbits}
     assert len(orbits) == len(keys) == 2808
     rng = random.Random(31)
@@ -573,13 +579,13 @@ def test_enumerate_degree2_cross_validation():
         assert height_degree2(o) == Fraction(1, 2)
 
 
-def test_enumerate_degree2_contains_sqrt_t_orbit():
+def test_enumerate_degree2_contains_sqrt_t_orbit(orbits_f3_m1):
     ext = ext_t()
     zero, one = Poly.zero(F3), Poly.one(F3)
     target = canonicalize_quadratic(
         ext, (ext.element(zero, one), ext.element(one, zero), ext.element(zero, zero))
     )
-    keys = {o.orbit_key for o in degree2_orbits(F3, 1)}
+    keys = {o.orbit_key for o in orbits_f3_m1}
     assert target.orbit_key in keys
 
 

@@ -244,6 +244,47 @@ def test_reducible_pairs():
         count_reducible_pairs(F2, 0)
 
 
+def _point_count_by_fraction(n, field, M):
+    """The Fraction form of point_count_exact_height for M >= 1: the Schanuel
+    constant times q^((n+1)M), asserted integral."""
+    value = schanuel_constant(n, field) * field.q ** ((n + 1) * M)
+    assert value.denominator == 1
+    return int(value)
+
+
+def _reducible_pairs_by_fraction(field, M):
+    """The Fraction forms of count_reducible_pairs: (observed, closed_form)."""
+    q = field.q
+    A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
+    observed = Fraction(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
+    S = schanuel_constant(2, field)
+    closed = (
+        Fraction(S * S, 2) * q ** (3 * M) * M
+        + Fraction(q * q + 1, 2 * (q * q - 1)) * S * S * q ** (3 * M)
+    )
+    return observed, closed
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 97])
+def test_point_count_integer_form_matches_fraction_oracle(q):
+    field = field_from_order(q)
+    for n in range(1, 6):
+        for M in range(1, 12):
+            count = point_count_exact_height(n, field, M)
+            assert type(count) is int
+            assert count == _point_count_by_fraction(n, field, M), (n, M)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
+def test_reducible_pairs_integer_form_matches_fraction_oracle(q):
+    field = field_from_order(q)
+    for M in range(1, 41):
+        pc = count_reducible_pairs(field, M)
+        assert type(pc.observed) is int and type(pc.closed_form) is int
+        assert (pc.observed, pc.closed_form) == _reducible_pairs_by_fraction(field, M), M
+        assert pc.match
+
+
 def count_pairs_closed_subset(field, M):
     """Halved convolution of P^1 x P^2 exact-height counts; the majorant for
     pairs with a rational component on a line."""
