@@ -29,20 +29,26 @@ def _config_bool(value: str) -> bool:
         raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, not {value!r}") from None
 
 
-_CONFIG_CASTERS = {
-    "q": int,
-    "n": int,
-    "m": int,
-    "M": int,
-    "M_max": int,
-    "m_max": int,
-    "deg_cut": int,
-    "digits": int,
-    "mu": str,
-    "cache_dir": str,
-    "format": str,
-    "plot": _config_bool,
+# Each flag's add_argument keywords, by dest.  The flag is "--" and the dest
+# with "-" for "_".  A config file sets any flag but --config under its dest,
+# typed by its `type` (str if none) or, for the store_true --plot, by
+# _config_bool.
+_FLAGS = {
+    "q": dict(type=int, help="field size (prime power)"),
+    "digits": dict(type=int, default=12, help="printed float digits"),
+    "cache_dir": {},
+    "format": dict(choices=_FORMATS, default="csv"),
+    "plot": dict(action="store_true"),
+    "config": dict(help="key=value config file"),
+    "M": dict(type=int, help="height exponent (first)"),
+    "M_max": dict(type=int),
+    "n": dict(type=int, help="projective dimension"),
+    "m_max": dict(type=int, default=8),
+    "m": dict(type=int, default=2),
+    "mu": {},
+    "deg_cut": dict(type=int, default=8),
 }
+_COMMON = ("q", "digits", "cache_dir", "format", "plot", "config")
 
 
 class UsageError(Exception):
@@ -61,22 +67,15 @@ def parse_config(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_CASTERS:
+            if key not in _FLAGS or key == "config":
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            flag = _FLAGS[key]
+            cast = _config_bool if flag.get("action") == "store_true" else flag.get("type", str)
             try:
-                out[key] = _CONFIG_CASTERS[key](value)
+                out[key] = cast(value)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
-
-
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--q", type=int, help="field size (prime power)")
-    p.add_argument("--digits", type=int, default=12, help="printed float digits")
-    p.add_argument("--cache-dir", dest="cache_dir", default=None)
-    p.add_argument("--format", choices=_FORMATS, default="csv")
-    p.add_argument("--plot", action="store_true")
-    p.add_argument("--config", default=None, help="key=value config file")
 
 
 def _check_output_args(args):
@@ -86,53 +85,6 @@ def _check_output_args(args):
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}, not {args.format!r}")
     if args.digits < 1:
         raise UsageError(f"digits must be >= 1, not {args.digits}")
-
-
-def _m_range_flags(p: argparse.ArgumentParser):
-    p.add_argument("--M", type=int, dest="M", help="height exponent (first)")
-    p.add_argument("--M-max", type=int, dest="M_max", default=None)
-
-
-def build_parser() -> tuple[argparse.ArgumentParser, list]:
-    parser = argparse.ArgumentParser(prog="hilbcount")
-    subs = parser.add_subparsers(dest="command", required=True)
-    leaves = []
-
-    count = subs.add_parser("count", help="exact point counts")
-    count_subs = count.add_subparsers(dest="subcommand", required=True)
-    for name in ("rational", "pairs", "quadratic"):
-        sp = count_subs.add_parser(name)
-        _common_flags(sp)
-        _m_range_flags(sp)
-        leaves.append(sp)
-    leaves[0].add_argument("--n", type=int, help="projective dimension")
-
-    cyc = subs.add_parser("cycles", help="0-cycle count table")
-    _common_flags(cyc)
-    cyc.add_argument("--m-max", type=int, dest="m_max", default=8)
-    leaves.append(cyc)
-
-    pey = subs.add_parser("peyre", help="leading constants")
-    pey_subs = pey.add_subparsers(dest="subcommand", required=True)
-    for name in ("pn", "hilb2", "hilbm", "cm"):
-        sp = pey_subs.add_parser(name)
-        _common_flags(sp)
-        leaves.append(sp)
-    # each constant gets only the flags it reads, so none enters a cache key unread
-    pn, _, hilbm, cm = leaves[-4:]
-    pn.add_argument("--n", type=int, default=2)
-    for sp in (hilbm, cm):
-        sp.add_argument("--m", type=int, default=2)
-        sp.add_argument("--mu", default=None)
-        sp.add_argument("--deg-cut", type=int, dest="deg_cut", default=8)
-
-    ver = subs.add_parser("verify", help="asymptotic lemma checks")
-    ver_subs = ver.add_subparsers(dest="subcommand", required=True)
-    lem = ver_subs.add_parser("lemmas")
-    _common_flags(lem)
-    leaves.append(lem)
-
-    return parser, leaves
 
 
 def _require(args, *names):
@@ -160,8 +112,8 @@ def _field(args):
 def _run_count_rational(args):
     from . import ratpoints
 
-    _require(args, "q", "n")
     field = _field(args)
+    _require(args, "n")
     cols = ["q", "n", "M", "observed", "predicted", "match"]
     rows = []
     for M in _m_range(args):
@@ -248,24 +200,52 @@ def _run_verify_lemmas(args):
     return cols, rows
 
 
-_RUNNERS = {
-    ("count", "rational"): _run_count_rational,
-    ("count", "pairs"): _run_count_pairs,
-    ("count", "quadratic"): _run_count_quadratic,
-    ("cycles", None): _run_cycles,
-    ("peyre", "pn"): _run_peyre,
-    ("peyre", "hilb2"): _run_peyre,
-    ("peyre", "hilbm"): _run_peyre,
-    ("peyre", "cm"): _run_peyre,
-    ("verify", "lemmas"): _run_verify_lemmas,
+_COUNT = ("M", "M_max")
+# each constant gets only the flags it reads, so none enters a cache key unread
+_CONSTANT = ("m", "mu", "deg_cut")
+
+# (command, subcommand or None) -> (runner, flags beyond _COMMON, defaults
+# the command overrides, (M, numerator, denominator) columns for --plot)
+_COMMANDS = {
+    ("count", "rational"): (_run_count_rational, _COUNT + ("n",), {}, ("M", "observed", "predicted")),
+    ("count", "pairs"): (_run_count_pairs, _COUNT, {}, ("M", "observed", "closed_form")),
+    ("count", "quadratic"): (_run_count_quadratic, _COUNT, {}, ("M", "count", "main_term")),
+    ("cycles", None): (_run_cycles, ("m_max",), {}, None),
+    ("peyre", "pn"): (_run_peyre, ("n",), {"n": 2}, None),
+    ("peyre", "hilb2"): (_run_peyre, (), {}, None),
+    ("peyre", "hilbm"): (_run_peyre, _CONSTANT, {}, None),
+    ("peyre", "cm"): (_run_peyre, _CONSTANT, {}, None),
+    ("verify", "lemmas"): (_run_verify_lemmas, (), {}, None),
 }
 
-# ratio columns eligible for --plot emission, per command key
-_PLOT_RATIO = {
-    ("count", "rational"): ("M", "observed", "predicted"),
-    ("count", "pairs"): ("M", "observed", "closed_form"),
-    ("count", "quadratic"): ("M", "count", "main_term"),
+_HELP = {
+    "count": "exact point counts",
+    "cycles": "0-cycle count table",
+    "peyre": "leading constants",
+    "verify": "asymptotic lemma checks",
 }
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and, by _COMMANDS key, the leaf parser of each command."""
+    parser = argparse.ArgumentParser(prog="hilbcount")
+    subs = parser.add_subparsers(dest="command", required=True)
+    groups, leaves = {}, {}
+    for key, (_run, flags, defaults, _plot) in _COMMANDS.items():
+        command, sub = key
+        if sub is None:
+            leaf = subs.add_parser(command, help=_HELP[command])
+        else:
+            if command not in groups:
+                group = subs.add_parser(command, help=_HELP[command])
+                groups[command] = group.add_subparsers(dest="subcommand", required=True)
+            leaf = groups[command].add_parser(sub)
+        for dest in _COMMON + flags:
+            leaf.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
+        leaf.set_defaults(**defaults)
+        leaves[key] = leaf
+    return parser, leaves
+
 
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
@@ -337,7 +317,7 @@ def _emit(columns, rows, fmt, out):
 def _emit_plot(key, columns, rows):
     from fractions import Fraction
 
-    spec = _PLOT_RATIO.get(key)
+    spec = _COMMANDS[key][3]
     if spec is None:
         print("note: --plot is only supported for count subcommands", file=sys.stderr)
         return
@@ -364,19 +344,18 @@ def dispatch(argv, out=None) -> int:
         parser, leaves = build_parser()
         try:
             args = parser.parse_args(argv)
+            key = (args.command, getattr(args, "subcommand", None))
             if args.config is not None:
                 # every spelling argparse accepts names the file; flags still win.
-                # A leaf takes only the keys it has flags for, so a file shared
+                # The leaf takes only the keys it has flags for, so a file shared
                 # between commands adds nothing unread to a cache key.
+                flags = _COMMON + _COMMANDS[key][1]
                 config = parse_config(args.config)
-                for sp in leaves:
-                    dests = {action.dest for action in sp._actions}
-                    sp.set_defaults(**{k: v for k, v in config.items() if k in dests})
+                leaves[key].set_defaults(**{k: v for k, v in config.items() if k in flags})
                 args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         _check_output_args(args)
-        key = (args.command, getattr(args, "subcommand", None))
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
         payload = None
         if cache_dir:
@@ -387,7 +366,7 @@ def dispatch(argv, out=None) -> int:
         if payload is None:
             from .records import fmt_value
 
-            columns, raw_rows = _RUNNERS[key](args)
+            columns, raw_rows = _COMMANDS[key][0](args)
             rows = [[fmt_value(v, args.digits) for v in row] for row in raw_rows]
             if cache_dir:
                 cache.store(cache_dir, fp_config, {"columns": columns, "rows": rows})

@@ -7,7 +7,9 @@ defining modulus is still the lexicographically least monic irreducible of
 degree k over F_p (by coefficient sequence, lowest degree first), so outputs
 are reproducible across runs.  It and the products in F_{p^k} are computed
 with `Poly` over F_p: the modulus is the first monic candidate that
-`is_irreducible` accepts, and a product is a `Poly` product reduced by it.
+`is_irreducible` accepts, the search starting at constant term 1 since every
+candidate with constant term 0 is divisible by t, and a product is a `Poly`
+product reduced by it.
 
 Polynomials over F_q are immutable dense coefficient tuples (lowest degree
 first, no trailing zeros).  All counts use Python's arbitrary-precision
@@ -100,8 +102,9 @@ class FqField:
             if modulus is None:
                 if self.q > ENUM_GUARD:
                     raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
-                # the first hit in product order is the least irreducible
-                for tail in itertools.product(range(p), repeat=k):
+                # the first hit in product order is the least irreducible; a
+                # zero constant term makes t a factor, so the tails skip it
+                for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
                     mod_poly = Poly(base, tail + (1,))
                     if is_irreducible(mod_poly):
                         break

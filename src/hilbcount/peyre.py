@@ -148,22 +148,28 @@ def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
     Uses |poly(x) - 1| <= C x^k0 for x <= 1, with k0 the first nonzero power
     (k0 >= 2 for damped densities) and C the absolute coefficient sum,
     |log(1+u)| <= 2|u| for |u| <= 1/2, and at most 2 q^d / d <= 2 q^d places
-    of degree d."""
+    of degree d.  A cut is refused, with the smallest that works named,
+    unless C q^(-k0 (deg_cut+1)) <= 1/2, so that the log bound holds at every
+    omitted place, and the returned bound is <= 1/2, so that the residual
+    (e^bound - 1)|value| is at most (e^(1/2) - 1)|value|."""
     k0 = next(i for i, c in enumerate(poly[1:], 1) if c != 0)
     assert k0 >= 2
     C = sum(abs(c) for c in poly[1:])
     q = field.q
-    if 2 * C > q ** (k0 * (deg_cut + 1)):
-        # the smallest cut d with C q^(-k0 (d+1)) <= 1/2
+    # sum_{d > cut} 2 q^d * 2C q^(-k0 d) = 4C r^(cut+1) / (1 - r)
+    r = Fraction(1, q ** (k0 - 1))
+
+    def admits(cut):
+        return 2 * C <= q ** (k0 * (cut + 1)) and 8 * C * r ** (cut + 1) <= 1 - r
+
+    if not admits(deg_cut):
         need = deg_cut + 1
-        while 2 * C > q ** (k0 * (need + 1)):
+        while not admits(need):
             need += 1
         raise SizeError(
             f"deg_cut {deg_cut} too small for the tail bound to apply "
             f"(needs deg_cut >= {need})"
         )
-    # sum_{d > deg_cut} 2 q^d * 2C q^(-k0 d) = 4C r^(deg_cut+1) / (1 - r)
-    r = Fraction(1, q ** (k0 - 1))
     return 4 * C * r ** (deg_cut + 1) / (1 - r)
 
 

@@ -628,17 +628,17 @@ def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> For
 
 def _form_stream(field: FqField, fmax: int):
     """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
-    discriminant, and coefficient degrees <= fmax.  disc = B^2 - 4AC has
-    degree <= 2 fmax, so it is a square, zero included, iff it is the square
-    of a polynomial of degree <= fmax: one of the B^2."""
-    polys = all_polys(field, fmax)
-    monic_codes = [i for i, f in enumerate(polys) if f.is_monic]
-    ncodes = len(polys)
-    triples = len(monic_codes) * ncodes * ncodes
+    discriminant, and coefficient degrees <= fmax.  The form is primitive
+    iff the AND of the divisor masks of A, B and C is 0.  disc = B^2 - 4AC
+    has degree <= 2 fmax, so it is a square, zero included, iff it is the
+    square of a polynomial of degree <= fmax: one of the B^2."""
+    ncodes = field.q ** (fmax + 1)
+    triples = (ncodes - 1) // (field.q - 1) * ncodes * ncodes  # monic A, any B, C
     if triples > FORM_GUARD:
         raise SizeError(
             f"form enumeration of {triples} coefficient triples exceeds guard {FORM_GUARD}"
         )
+    polys, mask, monic_codes = ratpoints.divisor_masks(field, fmax)
     bsq = [f * f for f in polys]
     squares = {f.coeffs for f in bsq}
     four = field.add(field.add(1, 1), field.add(1, 1))
@@ -647,15 +647,14 @@ def _form_stream(field: FqField, fmax: int):
         for ci in range(1, ncodes):
             C = polys[ci]
             ac4 = (A * C).scale(four)
-            gAC = poly_gcd(A, C)
+            mAC = mask[ai] & mask[ci]
             for bi in range(ncodes):
+                if mAC & mask[bi]:
+                    continue
                 disc = bsq[bi] - ac4
                 if disc.coeffs in squares:
                     continue
-                B = polys[bi]
-                if gAC.degree > 0 and poly_gcd(gAC, B).degree > 0:
-                    continue
-                yield A, B, C, disc
+                yield A, polys[bi], C, disc
 
 
 def _form_classes(field: FqField, fmax: int) -> Counter:

@@ -70,8 +70,19 @@ def height_rational(P: ProjPointFqt) -> int:
     return P.field.q ** height_exponent(P)
 
 
-def _scan_masks(n: int, field: FqField, M: int):
-    """Guard a scan of P^n at height q^M; then sieve the divisor masks.
+def _guard_tuples(n: int, field: FqField, M: int):
+    """Refuse a scan of P^n at height q^M past TUPLE_GUARD tuples."""
+    if n < 1 or M < 0:
+        raise ValueError("need n >= 1 and M >= 0")
+    if field.q ** ((n + 1) * (M + 1)) > TUPLE_GUARD:
+        raise SizeError(
+            f"enumeration of q^((n+1)(M+1)) = {field.q}^{(n + 1) * (M + 1)} "
+            f"coordinate tuples exceeds guard {TUPLE_GUARD}"
+        )
+
+
+def divisor_masks(field: FqField, M: int):
+    """The divisor-mask sieve over the polynomials of degree <= M.
 
     Returns (polys, mask, monics): every polynomial of degree <= M by its
     code in range(q^(M+1)), whose base-q digits are its coefficients; for
@@ -83,19 +94,11 @@ def _scan_masks(n: int, field: FqField, M: int):
     irreducible divisor of lower degree: it is irreducible, and its new bit
     goes to every nonzero multiple of degree <= M.
     """
-    if n < 1 or M < 0:
-        raise ValueError("need n >= 1 and M >= 0")
     q = field.q
-    ncodes = q ** (M + 1)
-    if ncodes ** (n + 1) > TUPLE_GUARD:
-        raise SizeError(
-            f"enumeration of q^((n+1)(M+1)) = {q}^{(n + 1) * (M + 1)} "
-            f"coordinate tuples exceeds guard {TUPLE_GUARD}"
-        )
     polys = all_polys(field, M)
     code_of = {f.coeffs: code for code, f in enumerate(polys)}
     monics = [code for code, f in enumerate(polys) if f.is_monic]
-    mask = [0] * ncodes
+    mask = [0] * len(polys)
     mask[0] = -1
     bit = 1
     for d in monics:
@@ -115,9 +118,10 @@ def enumerate_exact_height(n: int, field: FqField, M: int):
     range(q^(M+1)).  Points come in itertools.product order over the codes:
     by pivot position from the last to the first, then by monic pivot, then
     by free tail.  Coprimality is the running AND of the coordinates'
-    divisor masks (see _scan_masks), stopped at 0.
+    divisor masks (see divisor_masks), stopped at 0.
     """
-    polys, mask, monics = _scan_masks(n, field, M)
+    _guard_tuples(n, field, M)
+    polys, mask, monics = divisor_masks(field, M)
     top = field.q**M  # the codes of degree exactly M are those >= top
     codes = range(len(polys))
     for pos in range(n, -1, -1):
@@ -147,7 +151,8 @@ def count_exact_height(n: int, field: FqField, M: int) -> int:
     M, else those of degree M.  The two numbers are memoised per distinct g
     for the call.
     """
-    _polys, mask, monics = _scan_masks(n, field, M)
+    _guard_tuples(n, field, M)
+    _polys, mask, monics = divisor_masks(field, M)
     top = field.q**M
     low, high = mask[:top], mask[top:]
     codes = range(len(mask))

@@ -211,9 +211,14 @@ def test_tail_bound_guard_states_cut_and_limit(capsys):
     code, out = run(["peyre", "hilbm", "--q", "2", "--m", "6", "--deg-cut", "1"])
     assert code == 3 and out == ""
     assert capsys.readouterr().err == (
-        "size guard: deg_cut 1 too small for the tail bound to apply (needs deg_cut >= 3)\n"
+        "size guard: deg_cut 1 too small for the tail bound to apply (needs deg_cut >= 9)\n"
     )
-    assert run(["peyre", "hilbm", "--q", "2", "--m", "6", "--deg-cut", "3"])[0] == 0
+    assert run(["peyre", "hilbm", "--q", "2", "--m", "6", "--deg-cut", "9"])[0] == 0
+    # a cut that passed the per-place condition alone printed a residual
+    # bound of 8.5e+11835 here; the log-tail bound must be <= 1/2 as well
+    capsys.readouterr()
+    assert run(["peyre", "hilbm", "--q", "3", "--m", "45", "--deg-cut", "8"]) == (3, "")
+    assert "(needs deg_cut >= 18)" in capsys.readouterr().err
 
 
 def test_internal_error_exit_1(capsys, monkeypatch, caplog):
@@ -615,3 +620,46 @@ def test_plot_outputs(tmp_path, monkeypatch):
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
     script = (tmp_path / "count_pairs_plot.py").read_text()
     assert "semilogx" in script
+
+
+# per command, a non-default value of each flag it has beyond the common ones
+_OWN_FLAGS = {
+    ("count", "rational"): {"M": "1", "M_max": "2", "n": "1"},
+    ("count", "pairs"): {"M": "1", "M_max": "2"},
+    ("count", "quadratic"): {"M": "1", "M_max": "1"},
+    ("cycles", None): {"m_max": "3"},
+    ("peyre", "pn"): {"n": "3"},
+    ("peyre", "hilb2"): {},
+    ("peyre", "hilbm"): {"m": "3", "mu": "2", "deg_cut": "10"},
+    ("peyre", "cm"): {"m": "3", "mu": "2", "deg_cut": "10"},
+    ("verify", "lemmas"): {},
+}
+# values that would change the output, or fail, if a command read them
+_FOREIGN_FLAGS = {"M": "2", "M_max": "3", "n": "5", "m_max": "4", "m": "7", "mu": "9", "deg_cut": "2"}
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: "-".join(k for k in key if k))
+def test_config_file_equals_flags(key, tmp_path, monkeypatch, capsys):
+    """A config file setting each flag of a command prints what the same
+    flags print, under the same cache entry; a key whose flag only another
+    command has is ignored."""
+    monkeypatch.chdir(tmp_path)  # --plot writes its files here
+    own = _OWN_FLAGS[key]
+    assert set(own) == set(cli._COMMANDS[key][1])
+    cache_dir = tmp_path / "cache"
+    values = {"q": "3", "digits": "8", "format": "json", "cache_dir": str(cache_dir), **own}
+    command = [k for k in key if k]
+    argv = command + ["--plot"]
+    for name, value in values.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    cfg = tmp_path / "run.cfg"
+    lines = [f"{name} = {value}" for name, value in values.items()]
+    lines += [f"{name} = {value}" for name, value in _FOREIGN_FLAGS.items() if name not in own]
+    cfg.write_text("\n".join(lines + ["plot = yes"]) + "\n")
+
+    code, flagged = run(argv)
+    flagged_err = capsys.readouterr().err
+    assert code == 0 and flagged
+    assert run(command + ["--config", str(cfg)]) == (0, flagged)
+    assert capsys.readouterr().err == flagged_err
+    assert len(os.listdir(cache_dir)) == 1  # the second run was a hit

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,6 +133,31 @@ def test_extension_field_modulus_is_least_irreducible(p, k, modulus):
     """The default modulus is the least monic irreducible of degree k,
     coefficients lowest degree first."""
     assert FqField(p, k).modulus == modulus
+
+
+def _least_irreducible_by_full_scan(p, k):
+    """The modulus search over every monic tail, zero constant terms
+    included; the oracle for the search that skips them."""
+    base = FqField(p)
+    for tail in itertools.product(range(p), repeat=k):
+        f = Poly(base, tail + (1,))
+        if is_irreducible(f):
+            return f.coeffs
+
+
+_EXTENSIONS = [(p, k) for p in range(2, 65) if is_prime(p) for k in range(2, 13) if p**k <= 4096]
+
+
+@pytest.mark.parametrize("p, k", _EXTENSIONS)
+def test_modulus_search_matches_full_scan(p, k):
+    assert FqField(p, k).modulus == _least_irreducible_by_full_scan(p, k)
+
+
+def test_modulus_search_budget():
+    start = time.perf_counter()
+    F = FqField(2, 20)
+    assert time.perf_counter() - start < 2
+    assert F.modulus == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
 
 def test_user_modulus_checked():

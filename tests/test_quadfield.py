@@ -427,6 +427,14 @@ def test_form_stream_square_lookup_matches_sqrt_oracle():
         assert got and got == want
 
 
+def test_form_stream_reads_primitivity_from_masks(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("the form stream called poly_gcd")
+
+    monkeypatch.setattr(quadfield, "poly_gcd", no_gcd)
+    assert sum(1 for _ in _form_stream(F3, 2)) == 7479
+
+
 def test_enumerate_degree2_m1():
     res = enumerate_degree2(F3, 1)
     assert res.count == 2808

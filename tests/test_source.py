@@ -1,7 +1,10 @@
-"""Checks on the package source itself, made with `ast` alone."""
+"""Checks on the package source itself, made with `ast` alone, and on the
+CLI's flag and command tables."""
 
 import ast
 from pathlib import Path
+
+from hilbcount import cli
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hilbcount"
@@ -83,3 +86,10 @@ def test_every_public_callable_is_used():
     ]
     assert callables
     assert [entry for entry, name in callables if name not in used] == []
+
+
+def test_every_flag_is_used_by_a_command():
+    """Every `cli._FLAGS` entry is a common flag or a flag of some command in
+    `cli._COMMANDS`, so a flag that no command parses cannot linger."""
+    used = set(cli._COMMON).union(*(flags for _run, flags, _defaults, _plot in cli._COMMANDS.values()))
+    assert sorted(set(cli._FLAGS) - used) == []
