@@ -116,11 +116,11 @@ def _run_count_rational(args):
     _require(args, "n")
     cols = ["q", "n", "M", "observed", "predicted", "match"]
     rows = []
-    for M in _m_range(args):
+    for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
         observed = ratpoints.count_exact_height(args.n, field, M)
         predicted = ratpoints.point_count_exact_height(args.n, field, M)
         rows.append([args.q, args.n, M, observed, predicted, observed == predicted])
-    return cols, rows
+    return cols, rows[::-1]
 
 
 def _run_count_pairs(args):
@@ -141,11 +141,11 @@ def _run_count_quadratic(args):
     field = _field(args)
     cols = ["q", "M", "count", "stable", "main_term", "ratio"]
     rows = []
-    for M in _m_range(args):
+    for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
         qc = quadfield.enumerate_degree2(field, M)
         # stable is constant true: the bounds are proven; pinned outputs keep it
         rows.append([qc.q, qc.M, qc.count, True, qc.main_term, qc.ratio])
-    return cols, rows
+    return cols, rows[::-1]
 
 
 def _run_cycles(args):

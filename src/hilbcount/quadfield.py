@@ -20,12 +20,29 @@ height of the point attached to a form F is exactly
 
 with z the root of F, so it depends on the line only through (d_P, d_Q).
 Counting therefore factors as (number of lines per degree class) times
-(number of forms matching the target height per class).  The bounds
-2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
+(number of forms matching the target height per class).
+
+The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
 H^2 >= q^(deg F + 2 d_P), so the search is complete.  The tests check both
 inequalities on _form_exponent for every form class and line class of
 degree up to 8, so no form matches a line class with d_Q > M // 2 and no
 form of degree above M matches at all.
+
+Lines per class: a line is the kernel E = O(-d_P) + O(-d_Q) of a primitive
+dual vector O^3 -> O(d_P + d_Q) on P^1 (its Grothendieck splitting; d_P is
+the mu of a mu-basis, Cox, Sederberg and Chen, CAGD 1998).  A saturated
+O(-d_P) in O^3 is a point of P^2 of height q^(d_P): s = q^2 + q + 1 of them
+for d_P = 0, s (q^2 - 1) q^(3 d_P - 2) for d_P >= 1.  E / O(-d_P) is a
+saturated O(-d_Q) in O^3 / O(-d_P) = O(c) + O(d_P - c), one of
+(q^2 - 1) q^(2 d_Q + d_P - 1) for d_Q >= 1 whatever c is, and the extension
+splits since H^1(O(d_Q - d_P)) = 0.  The O(-d_P) in E is unique for
+d_P < d_Q, and one of q + 1 for d_P = d_Q.  So class (d_P, d_Q) has
+T(d_P, d_Q) lines, which the tests check against a walk over dual vectors:
+
+    T(0, 0) = s
+    T(0, b) = s (q^2 - 1) q^(2b - 1)                 b >= 1
+    T(a, a) = s (q^2 - 1) (q - 1) q^(6a - 3)         a >= 1
+    T(a, b) = s (q^2 - 1)^2 q^(4a + 2b - 3)          1 <= a < b
 """
 
 from __future__ import annotations
@@ -40,15 +57,12 @@ from .errors import CharacteristicError, SizeError, WrongDegreeError
 from .fqarith import (
     FqField,
     Poly,
-    all_polys,
     is_squarefree,
     multiplicity,
     poly_gcd,
     poly_gcd_all,
     poly_lcm,
-    poly_xgcd,
     quadratic_character,
-    squarefree_decompose,
     trial_factor,
 )
 
@@ -528,63 +542,17 @@ def kt_main_term(field: FqField, M: int) -> Fraction:
     return 2 * S * S * Fraction(field.q) ** (3 * M) * M
 
 
-def _line_basis(lams: tuple[Poly, Poly, Poly]):
-    """A basis of the saturated kernel {X : lam . X = 0} for a coprime lam.
-    The cross product of the returned vectors equals lam exactly."""
-    l0, l1, l2 = lams
-    field = l0.field
-    zero, one = Poly.zero(field), Poly.one(field)
-    if l0.is_zero and l1.is_zero:
-        # lam = (0, 0, 1) in canonical form
-        return (one, zero, zero), (zero, one, zero)
-    g1, a, b = poly_xgcd(l0, l1)
-    u1 = (-(l1 // g1), l0 // g1, zero)
-    u2 = (-(a * l2), -(b * l2), g1)
-    return u1, u2
-
-
-def _vec_degree(v) -> int:
-    return max(c.degree for c in v if not c.is_zero)
-
-
-def _lead_vector(v, d: int):
-    return tuple(c.coeffs[d] if len(c.coeffs) > d else 0 for c in v)
-
-
-def _reduce_basis(u1, u2):
-    """Reduce at infinity until the leading coefficient vectors are
-    independent over F_q; returns ((P, d_P), (Q, d_Q)) with d_P <= d_Q."""
-    field = u1[0].field
-    while True:
-        d1, d2 = _vec_degree(u1), _vec_degree(u2)
-        if d1 > d2:
-            u1, u2 = u2, u1
-            d1, d2 = d2, d1
-        L1 = _lead_vector(u1, d1)
-        L2 = _lead_vector(u2, d2)
-        i = next(i for i, c in enumerate(L1) if c)
-        c = field.mul(L2[i], field.inv(L1[i]))
-        if c == 0 or any(L2[j] != field.mul(c, L1[j]) for j in range(3)):
-            return (u1, d1), (u2, d2)
-        shift = d2 - d1
-        u2 = tuple(x2 - x1.scale(c).shift(shift) for x1, x2 in zip(u1, u2))
-        assert any(not x.is_zero for x in u2), "basis degenerated (impossible)"
-
-
-def _lines(field: FqField, dq_cap: int):
-    """Yield ((P, d_P), (Q, d_Q)), the reduced basis of each rational line
-    with d_Q <= dq_cap (dual height d_P + d_Q <= 2 dq_cap)."""
-    for N in range(0, 2 * dq_cap + 1):
-        for pt in ratpoints.enumerate_exact_height(2, field, N):
-            (P, dP), (Q, dQ) = _reduce_basis(*_line_basis(pt.coords))
-            assert dP + dQ == N, "reduced basis degrees must sum to dual height"
-            if dQ <= dq_cap:
-                yield (P, dP), (Q, dQ)
-
-
-def _line_classes(field: FqField, dq_cap: int) -> Counter:
-    """Counter {(d_P, d_Q): number of lines} over _lines."""
-    return Counter((dP, dQ) for (_, dP), (_, dQ) in _lines(field, dq_cap))
+def _line_count(q: int, dP: int, dQ: int) -> int:
+    """T(d_P, d_Q), the number of rational lines of class (d_P, d_Q); see
+    the module docstring."""
+    s = q * q + q + 1
+    if dQ == 0:
+        return s
+    if dP == 0:
+        return s * (q * q - 1) * q ** (2 * dQ - 1)
+    if dP == dQ:
+        return s * (q * q - 1) * (q - 1) * q ** (6 * dP - 3)
+    return s * (q * q - 1) ** 2 * q ** (4 * dP + 2 * dQ - 3)
 
 
 class FormData(NamedTuple):
@@ -675,42 +643,22 @@ class QuadraticCount(NamedTuple):
 def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^M.
 
-    Line classes go up to d_Q <= M // 2 and forms up to coefficient degree
-    M, which is complete by the height inequalities in the module docstring."""
+    Each line class with d_Q <= M // 2 contributes T(d_P, d_Q) lines times
+    the forms of coefficient degree <= M that reach exponent M on it, which
+    is complete by the height inequalities in the module docstring."""
     _require_odd(field)
     if M < 1:
         raise ValueError("M >= 1 required")
-    forms = _form_classes(field, M)  # first, so the form guard fails fast
-    classes = _line_classes(field, M // 2)
+    forms = _form_classes(field, M)
     count = sum(
-        lines * n
-        for cls, lines in classes.items()
+        _line_count(field.q, dP, dQ) * n
+        for dQ in range(M // 2 + 1)
+        for dP in range(dQ + 1)
         for fd, n in forms.items()
-        if _form_exponent(fd, *cls) == M
+        if _form_exponent(fd, dP, dQ) == M
     )
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, main, Fraction(count) / main)
-
-
-def degree2_orbits(field: FqField, M: int):
-    """Construct each counted orbit explicitly (slow; for cross-validation).
-    Yields DegreeTwoPoint values, one per orbit."""
-    _require_odd(field)
-    forms = [
-        (A, B, C, disc, _classify_form(A, B, C, disc, field))
-        for A, B, C, disc in _form_stream(field, M)
-    ]
-    for (P, dP), (Q, dQ) in _lines(field, M // 2):
-        for A, B, C, disc, fd in forms:
-            if _form_exponent(fd, dP, dQ) != M:
-                continue
-            d0, h = squarefree_decompose(disc)
-            ext = QuadExt(field, d0)
-            two_a = A + A
-            coords = []
-            for Pi, Qi in zip(P, Q):
-                coords.append(ext.element(-(B * Pi) + two_a * Qi, h * Pi))
-            yield canonicalize_quadratic(ext, coords)
 
 
 class Hilb2Splits(NamedTuple):

@@ -198,6 +198,12 @@ def test_criterion_8_degree2_counts():
         assert abs(r2 - Fraction(1, 2)) < abs(r1 - Fraction(1, 2))
 
 
+def test_degree2_count_reads_line_classes_in_closed_form():
+    # catches a return to walking the rational lines, over 60 s on 2 cores
+    with budget(20):
+        assert enumerate_degree2(F5, 2).count == 27767940
+
+
 def test_criterion_9_technical_lemmas():
     with budget(10):
         for M in (10, 100, 1000):

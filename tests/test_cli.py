@@ -243,6 +243,27 @@ def test_size_guard_exit_3(capsys):
     assert f"= 97^60 coordinate tuples exceeds guard {ratpoints.TUPLE_GUARD}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "rational", "--q", "3", "--n", "1", "--M", "7", "--M-max", "9"], "3^20 coordinate tuples"),
+        (["count", "quadratic", "--q", "5", "--M", "2", "--M-max", "3"], f"{156 * 625 * 625} coefficient triples"),
+    ],
+)
+def test_range_guard_fails_before_any_row(argv, message, monkeypatch, capsys):
+    """The guard of the range's largest M fires before a smaller M's row is
+    computed: both scans build their divisor masks only past their guard."""
+    def no_row(*args):
+        raise AssertionError("a row was computed before the guard")
+
+    monkeypatch.setattr(ratpoints, "divisor_masks", no_row)
+    start = time.monotonic()
+    code, out = run(argv)
+    assert time.monotonic() - start < 1
+    assert code == 3 and out == ""
+    assert message in capsys.readouterr().err
+
+
 def _src_env():
     """The environment of a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(hilbcount.__file__))

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from hilbcount.fqarith import (
     multiplicity,
     poly_gcd,
     poly_xgcd,
+    squarefree_decompose,
 )
-from hilbcount import quadfield
+from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
@@ -29,9 +31,9 @@ from hilbcount.quadfield import (
     _classify_form,
     _form_exponent,
     _form_stream,
-    _line_classes,
+    _line_count,
+    _require_odd,
     canonicalize_quadratic,
-    degree2_orbits,
     enumerate_degree2,
     height_degree2,
     hilb2_split_counts,
@@ -435,6 +437,91 @@ def test_form_stream_reads_primitivity_from_masks(monkeypatch):
     assert sum(1 for _ in _form_stream(F3, 2)) == 7479
 
 
+# A walk over every rational line, by a reduced basis of each dual vector:
+# the oracle for T, and the lines of the explicit orbits.
+
+
+def _line_basis(lams: tuple[Poly, Poly, Poly]):
+    """A basis of the saturated kernel {X : lam . X = 0} for a coprime lam.
+    The cross product of the returned vectors equals lam exactly."""
+    l0, l1, l2 = lams
+    field = l0.field
+    zero, one = Poly.zero(field), Poly.one(field)
+    if l0.is_zero and l1.is_zero:
+        # lam = (0, 0, 1) in canonical form
+        return (one, zero, zero), (zero, one, zero)
+    g1, a, b = poly_xgcd(l0, l1)
+    u1 = (-(l1 // g1), l0 // g1, zero)
+    u2 = (-(a * l2), -(b * l2), g1)
+    return u1, u2
+
+
+def _vec_degree(v) -> int:
+    return max(c.degree for c in v if not c.is_zero)
+
+
+def _lead_vector(v, d: int):
+    return tuple(c.coeffs[d] if len(c.coeffs) > d else 0 for c in v)
+
+
+def _reduce_basis(u1, u2):
+    """Reduce at infinity until the leading coefficient vectors are
+    independent over F_q; returns ((P, d_P), (Q, d_Q)) with d_P <= d_Q."""
+    field = u1[0].field
+    while True:
+        d1, d2 = _vec_degree(u1), _vec_degree(u2)
+        if d1 > d2:
+            u1, u2 = u2, u1
+            d1, d2 = d2, d1
+        L1 = _lead_vector(u1, d1)
+        L2 = _lead_vector(u2, d2)
+        i = next(i for i, c in enumerate(L1) if c)
+        c = field.mul(L2[i], field.inv(L1[i]))
+        if c == 0 or any(L2[j] != field.mul(c, L1[j]) for j in range(3)):
+            return (u1, d1), (u2, d2)
+        shift = d2 - d1
+        u2 = tuple(x2 - x1.scale(c).shift(shift) for x1, x2 in zip(u1, u2))
+        assert any(not x.is_zero for x in u2), "basis degenerated (impossible)"
+
+
+def _lines(field: FqField, dq_cap: int):
+    """Yield ((P, d_P), (Q, d_Q)), the reduced basis of each rational line
+    with d_Q <= dq_cap (dual height d_P + d_Q <= 2 dq_cap)."""
+    for N in range(0, 2 * dq_cap + 1):
+        for pt in ratpoints.enumerate_exact_height(2, field, N):
+            (P, dP), (Q, dQ) = _reduce_basis(*_line_basis(pt.coords))
+            assert dP + dQ == N, "reduced basis degrees must sum to dual height"
+            if dQ <= dq_cap:
+                yield (P, dP), (Q, dQ)
+
+
+@functools.lru_cache(maxsize=None)
+def _line_classes(field: FqField, dq_cap: int) -> Counter:
+    """Counter {(d_P, d_Q): number of lines} over _lines."""
+    return Counter((dP, dQ) for (_, dP), (_, dQ) in _lines(field, dq_cap))
+
+
+def test_line_count_matches_line_walk():
+    """T equals the walk's classes at q = 3 up to dual height 2."""
+    assert _line_classes(F3, 1) == Counter(
+        {(dP, dQ): _line_count(3, dP, dQ) for dQ in range(2) for dP in range(dQ + 1)}
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_line_count_sums_to_plane_points(q):
+    """The classes of dual height N are all the lines of dual height N, one
+    per point of the dual plane of height q^N; those through a constant
+    point are class (0, N), s for each point of P^1 of height q^N."""
+    field = field_from_order(q)
+    s = q * q + q + 1
+    for N in range(13):
+        lines = sum(_line_count(q, dP, N - dP) for dP in range(N // 2 + 1))
+        assert lines == ratpoints.point_count_exact_height(2, field, N)
+        if N >= 1:
+            assert _line_count(q, 0, N) == s * ratpoints.point_count_exact_height(1, field, N)
+
+
 def test_enumerate_degree2_m1():
     res = enumerate_degree2(F3, 1)
     assert res.count == 2808
@@ -562,11 +649,33 @@ def test_form_guard_message_states_size_and_limit():
         (F3, 3, 6225336),
         (F3, 2, 173004),
         (F9, 1, 5307120),
+        (F5, 2, 27767940),
     ],
 )
 def test_enumerate_degree2_reach(field, M, count):
     """Pinned counts; F_9 takes the prime-power arithmetic path."""
     assert enumerate_degree2(field, M).count == count
+
+
+def degree2_orbits(field: FqField, M: int):
+    """Construct each counted orbit explicitly (slow; for cross-validation).
+    Yields DegreeTwoPoint values, one per orbit."""
+    _require_odd(field)
+    forms = [
+        (A, B, C, disc, _classify_form(A, B, C, disc, field))
+        for A, B, C, disc in _form_stream(field, M)
+    ]
+    for (P, dP), (Q, dQ) in _lines(field, M // 2):
+        for A, B, C, disc, fd in forms:
+            if _form_exponent(fd, dP, dQ) != M:
+                continue
+            d0, h = squarefree_decompose(disc)
+            ext = QuadExt(field, d0)
+            two_a = A + A
+            coords = []
+            for Pi, Qi in zip(P, Q):
+                coords.append(ext.element(-(B * Pi) + two_a * Qi, h * Pi))
+            yield canonicalize_quadratic(ext, coords)
 
 
 @pytest.fixture(scope="module")
