@@ -3,15 +3,26 @@ atomically (temp file then rename).  The payload is a table: a dict whose
 "columns" is a list of strings and whose "rows" is a list of lists of
 strings.  Corrupted files, malformed tables included, are quarantined with a
 warning and treated as misses; a schema version bump invalidates everything.
+
+This is the one module that hashes.  SHA-256 comes from the interpreter's
+builtin module, so a cached run never loads `hashlib` and with it OpenSSL's
+libcrypto; the digests are the same bytes either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 import time
+
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without them
 
 SCHEMA_VERSION = 1
 
@@ -19,7 +30,19 @@ SCHEMA_VERSION = 1
 def fingerprint(config: dict) -> str:
     """sha256 of the canonical JSON serialization of the run configuration."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
+
+
+def source_digest(pkg_dir: str) -> str:
+    """sha256 over the names and bytes of the package's *.py files, read in
+    sorted name order without importing them."""
+    h = sha256()
+    for name in sorted(f for f in os.listdir(pkg_dir) if f.endswith(".py")):
+        with open(os.path.join(pkg_dir, name), "rb") as fh:
+            data = fh.read()
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def _path(cache_dir: str, fp: str) -> str:

@@ -3,7 +3,9 @@ caching, and CSV/JSON table emission.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
-them.  The cache module, hashlib and json load only when a run uses them.
+them.  The cache module and json load only when a run uses them, and no run
+loads hashlib: the cache hashes with the builtin SHA-256.  The parser holds
+the flags of the named command only.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
@@ -226,19 +228,36 @@ _HELP = {
 }
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and, by _COMMANDS key, the leaf parser of each command."""
+def _named_command(argv):
+    """The _COMMANDS key whose command path argv starts with, or None."""
+    for key in _COMMANDS:
+        path = [k for k in key if k]
+        if list(argv[: len(path)]) == path:
+            return key
+    return None
+
+
+def build_parser(argv=()) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and, by _COMMANDS key, the leaf parser of each command it
+    builds.  When argv starts with a command path, only that command's leaf
+    is built; otherwise (help, an unknown or incomplete command) every leaf
+    is.  Every top-level command is registered either way, so usage lines
+    and errors read the same."""
+    named = _named_command(argv)
     parser = argparse.ArgumentParser(prog="hilbcount")
     subs = parser.add_subparsers(dest="command", required=True)
-    groups, leaves = {}, {}
+    tops, groups, leaves = {}, {}, {}
     for key, (_run, flags, defaults, _plot) in _COMMANDS.items():
         command, sub = key
+        if command not in tops:
+            tops[command] = subs.add_parser(command, help=_HELP[command])
+        if named not in (None, key):
+            continue
         if sub is None:
-            leaf = subs.add_parser(command, help=_HELP[command])
+            leaf = tops[command]
         else:
             if command not in groups:
-                group = subs.add_parser(command, help=_HELP[command])
-                groups[command] = group.add_subparsers(dest="subcommand", required=True)
+                groups[command] = tops[command].add_subparsers(dest="subcommand", required=True)
             leaf = groups[command].add_parser(sub)
         for dest in _COMMON + flags:
             leaf.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
@@ -269,31 +288,18 @@ print("wrote", {out!r})
 """
 
 
-def _source_digest(pkg_dir: str) -> str:
-    """sha256 over the names and bytes of the package's *.py files, read in
-    sorted name order without importing them."""
-    import hashlib
-
-    h = hashlib.sha256()
-    for name in sorted(f for f in os.listdir(pkg_dir) if f.endswith(".py")):
-        with open(os.path.join(pkg_dir, name), "rb") as fh:
-            data = fh.read()
-        h.update(f"{name}\0{len(data)}\0".encode())
-        h.update(data)
-    return h.hexdigest()
-
-
 def _fingerprint_config(args, key) -> dict:
     """The run configuration a cache entry is keyed by, including the package
     version and a digest of the package source, so rows computed by other
     code are never served."""
     from . import __version__  # the package attribute as it is now, not at import
+    from . import cache
 
     skip = {"cache_dir", "format", "plot", "config"}
     cfg = {
         "command": list(k for k in key if k),
         "version": __version__,
-        "source": _source_digest(os.path.dirname(os.path.abspath(__file__))),
+        "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),
     }
     for name, value in sorted(vars(args).items()):
         if name in skip or name in ("command", "subcommand"):
@@ -341,7 +347,7 @@ def dispatch(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = list(argv)
     try:
-        parser, leaves = build_parser()
+        parser, leaves = build_parser(argv)
         try:
             args = parser.parse_args(argv)
             key = (args.command, getattr(args, "subcommand", None))

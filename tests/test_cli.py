@@ -288,7 +288,8 @@ def test_python_m_hilbcount():
 
 # Runs in a fresh interpreter: imports the CLI, then dispatches each named
 # argv in order and records the package modules, mpmath, logging,
-# dataclasses and hashlib loaded so far.
+# dataclasses, fractions, decimal, hashlib and _hashlib (OpenSSL) loaded so
+# far.
 _IMPORT_PROBE = r"""
 import io, json, sys
 from hilbcount import cli
@@ -296,7 +297,7 @@ from hilbcount import cli
 def loaded():
     return sorted(
         m for m in sys.modules
-        if m in ("mpmath", "logging", "dataclasses", "hashlib", "fractions", "decimal")
+        if m in ("mpmath", "logging", "dataclasses", "hashlib", "_hashlib", "fractions", "decimal")
         or m.startswith("hilbcount.")
     )
 
@@ -331,12 +332,13 @@ def test_each_command_imports_only_its_modules(tmp_path):
     unused = {"mpmath", "logging"} | {
         f"hilbcount.{m}" for m in ("fqarith", "ratpoints", "quadfield", "genfun", "peyre", "asympt", "records")
     }
-    cache_only = {"hashlib", "hilbcount.cache"}
+    # the cache hashes with the builtin SHA-256, so not even a hit loads OpenSSL
+    openssl = {"hashlib", "_hashlib"}
     steps = _import_probe([("hit", hit_argv)])
-    assert not (unused | cache_only) & set(steps["import"]["modules"])
+    assert not (unused | openssl | {"hilbcount.cache"}) & set(steps["import"]["modules"])
     assert steps["hit"]["stdout"] == cold
-    assert not unused & set(steps["hit"]["modules"])
-    assert cache_only <= set(steps["hit"]["modules"])
+    assert not (unused | openssl) & set(steps["hit"]["modules"])
+    assert "hilbcount.cache" in steps["hit"]["modules"]
 
     # without a cache dir: a second interpreter, which the hit has not touched
     plan = [
@@ -350,8 +352,8 @@ def test_each_command_imports_only_its_modules(tmp_path):
     ]
     steps = _import_probe(plan)
     # the steps share the interpreter, so each list holds what came before too
-    assert not (unused | cache_only) & set(steps["import"]["modules"])
-    assert not cache_only & set(steps["lemmas"]["modules"])
+    assert not unused & set(steps["import"]["modules"])
+    assert not (openssl | {"hilbcount.cache"}) & set(steps["lemmas"]["modules"])
     # no command loads mpmath: the constants and lemma checks are Decimals
     assert "mpmath" not in steps["lemmas"]["modules"]
     rational = set(steps["rational"]["modules"])
@@ -528,28 +530,50 @@ def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
 
 def test_cache_source_change_recomputes(tmp_path, monkeypatch):
     _assert_changed_code_recomputes(
-        tmp_path, monkeypatch, lambda: monkeypatch.setattr(cli, "_source_digest", lambda pkg_dir: "0" * 64)
+        tmp_path, monkeypatch, lambda: monkeypatch.setattr(cache, "source_digest", lambda pkg_dir: "0" * 64)
     )
 
 
 def test_source_digest_reads_every_byte(tmp_path, monkeypatch):
-    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    pkg = os.path.dirname(os.path.abspath(cache.__file__))
     copy = tmp_path / "hilbcount"
     shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    assert cli._source_digest(str(copy)) == cli._source_digest(pkg)
+    assert cache.source_digest(str(copy)) == cache.source_digest(pkg)
     path = copy / "genfun.py"
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 1
     path.write_bytes(bytes(data))
-    assert cli._source_digest(str(copy)) != cli._source_digest(pkg)
+    assert cache.source_digest(str(copy)) != cache.source_digest(pkg)
 
     def unread(pkg_dir):
         raise AssertionError("the source was read without a cache dir")
 
     # without a cache dir no source file is read
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    monkeypatch.setattr(cli, "_source_digest", unread)
+    monkeypatch.setattr(cache, "source_digest", unread)
     assert run(["count", "pairs", "--q", "2", "--M", "1"])[0] == 0
+
+
+def test_digests_are_hashlib_sha256():
+    """The builtin SHA-256 the cache uses gives hashlib's bytes, so the
+    fingerprints and source digests of entries already on disk still match."""
+    import hashlib
+
+    config = {"a": 1}
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert cache.fingerprint(config) == hashlib.sha256(blob).hexdigest()
+    assert cache.fingerprint(config) == "015abd7f5cc57a2dd94b7590f04ad8084273905ee33ec5cebeae62276a97f862"
+    config = {"command": ["peyre", "hilbm"], "mu": "None", "q": "3", "source": "0" * 64}
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert cache.fingerprint(config) == hashlib.sha256(blob).hexdigest()
+
+    pkg = os.path.dirname(os.path.abspath(cache.__file__))
+    h = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            data = fh.read()
+        h.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
+    assert cache.source_digest(pkg) == h.hexdigest()
 
 
 def test_version_has_one_copy():
@@ -659,7 +683,56 @@ _OWN_FLAGS = {
 _FOREIGN_FLAGS = {"M": "2", "M_max": "3", "n": "5", "m_max": "4", "m": "7", "mu": "9", "deg_cut": "2"}
 
 
-@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=lambda key: "-".join(k for k in key if k))
+def _parse_outcome(parser, argv, capsys):
+    """The Namespace parser makes of argv, or its exit code, with what it
+    printed to stdout and stderr."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+def _key_id(key):
+    return "-".join(k for k in key if k)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
+def test_named_parser_equals_full_parser(key, capsys):
+    """The parser built for the command argv names holds only its leaf, and
+    parses, helps and fails byte for byte as the full tree does."""
+    command = [k for k in key if k]
+    flagged = command + ["--q", "3"]
+    for name, value in _OWN_FLAGS[key].items():
+        flagged += ["--" + name.replace("_", "-"), value]
+    assert set(cli.build_parser(flagged)[1]) == {key}
+    full = cli.build_parser()[0]
+    cases = {
+        "flags": flagged,
+        "help": command + ["--help"],
+        "unknown flag": flagged + ["--nope", "1"],
+        "missing value": flagged[:-1],
+        "extra positional": flagged + ["extra"],
+    }
+    for case, argv in cases.items():
+        named = _parse_outcome(cli.build_parser(argv)[0], argv, capsys)
+        assert named == _parse_outcome(full, argv, capsys), case
+        result, out, err = named
+        if case == "flags":
+            assert result.q == 3 and (result.command, getattr(result, "subcommand", None)) == key
+        elif case == "help":
+            assert (result, err) == (0, "") and out.startswith(f"usage: hilbcount {' '.join(command)} ")
+        else:
+            assert (result, out) == (2, "") and "error:" in err, case
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["count", "--help"], ["peyre"], ["nope", "--q", "3"], ["--q", "3", "cycles"]])
+def test_parser_without_command_path_is_full(argv):
+    assert set(cli.build_parser(argv)[1]) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
 def test_config_file_equals_flags(key, tmp_path, monkeypatch, capsys):
     """A config file setting each flag of a command prints what the same
     flags print, under the same cache entry; a key whose flag only another

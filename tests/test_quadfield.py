@@ -649,7 +649,6 @@ def test_form_guard_message_states_size_and_limit():
         (F3, 3, 6225336),
         (F3, 2, 173004),
         (F9, 1, 5307120),
-        (F5, 2, 27767940),
     ],
 )
 def test_enumerate_degree2_reach(field, M, count):
