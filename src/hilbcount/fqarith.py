@@ -95,8 +95,11 @@ class FqField:
         self.k = k
         self.q = p**k
         if k == 1:
+            # F_p has one coding, so a modulus would only split equal fields
+            if modulus is not None:
+                raise ValueError("F_p takes no modulus")
             # t itself; never used in arithmetic but kept for the record
-            self.modulus = (0, 1) if modulus is None else tuple(modulus)
+            self.modulus = (0, 1)
         else:
             base = FqField(p)
             if modulus is None:
@@ -117,13 +120,8 @@ class FqField:
                     raise ValueError("modulus is reducible over F_p")
             self._mod_poly = mod_poly
             self.modulus = mod_poly.coeffs
-            # _neg[a] is -a: digit i of the code contributes (-d) % p at p^i
-            neg = [0]
-            for i in range(k):
-                step = p**i
-                neg = [(-d) % p * step + x for d in range(p) for x in neg]
-            self._neg = neg
             self._add_cache: dict[tuple[int, int], int] = {}
+            self._neg_cache: dict[int, int] = {}
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
 
@@ -173,12 +171,16 @@ class FqField:
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        return self.add(a, self._neg[b])
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self._neg[a]
+        cached = self._neg_cache.get(a)
+        if cached is None:
+            cached = self.encode(-d for d in self.digits(a))
+            self._neg_cache[a] = cached
+        return cached
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:

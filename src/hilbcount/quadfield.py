@@ -22,9 +22,23 @@ with z the root of F, so it depends on the line only through (d_P, d_Q).
 Counting therefore factors as (number of lines per degree class) times
 (number of forms matching the target height per class).
 
+A form F = A s^2 + B s u + C u^2 enters H^2 only through deg F and the
+absolute values |z|_w of its root at the places above infinity, and those
+are read off the Newton polygon of F at infinity, that is off the degree
+profile (alpha, beta, gamma) = (deg A, deg B, deg C), with deg 0 = -1.  In
+the valuation v = -deg of F_q(t) at infinity, extended: if 2 beta > alpha +
+gamma the polygon has two slopes, the two roots have the distinct
+valuations alpha - beta and beta - gamma, and infinity splits.  Otherwise
+the polygon is one segment, and both conjugate roots have valuation W / 2
+with W = alpha - gamma at every place above infinity.  Since sum e f = 2
+there, the product over w | infty then has the exponent
+max(2 d_P - W, 2 d_Q) - max(-W, 0) whether infinity splits, is inert or
+ramifies.  So a form's class is its degree profile, and the type at
+infinity never enters the count.
+
 The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
 H^2 >= q^(deg F + 2 d_P), so the search is complete.  The tests check both
-inequalities on _form_exponent for every form class and line class of
+inequalities on _form_exponent for every degree profile and line class of
 degree up to 8, so no form matches a line class with d_Q > M // 2 and no
 form of degree above M matches at all.
 
@@ -85,15 +99,6 @@ INFINITE_PLACE = _Infinity()
 def _require_odd(field: FqField):
     if field.q % 2 == 0:
         raise CharacteristicError("quadratic extensions need odd q")
-
-
-def _infinite_kind(field: FqField, f: Poly) -> str:
-    """How the infinite place of F_q(t) behaves in F_q(t)(sqrt(f)) for a
-    nonsquare f: ramified for odd degree, split for a square leading
-    coefficient, otherwise inert."""
-    if f.degree % 2 == 1:
-        return "ramified"
-    return "split" if field.is_square_unit(f.lead) else "inert"
 
 
 class RatFunc:
@@ -184,7 +189,11 @@ class QuadExt:
         return hash((self.field, self.d))
 
     def infinite_type(self) -> str:
-        return _infinite_kind(self.field, self.d)
+        """How the infinite place of F_q(t) behaves in L: ramified for odd
+        deg D, split for a square leading coefficient, otherwise inert."""
+        if self.deg_d % 2 == 1:
+            return "ramified"
+        return "split" if self.field.is_square_unit(self.d.lead) else "inert"
 
     def element(self, a, b) -> "QuadElem":
         if isinstance(a, Poly):
@@ -555,43 +564,19 @@ def _line_count(q: int, dP: int, dQ: int) -> int:
     return s * (q * q - 1) ** 2 * q ** (4 * dP + 2 * dQ - 3)
 
 
-class FormData(NamedTuple):
-    """Infinity data of a primitive irreducible form A s^2 + B s u + C u^2."""
-
-    deg_f: int
-    inf_kind: str  # split2 (distinct slopes) | split1 | inert | ramified
-    slopes: tuple  # (v1, v2) for split2, else (W,) with W = alpha - gamma
-
-
-def _form_exponent(fd: FormData, dP: int, dQ: int) -> int:
-    """Exponent of q in H^2 for the point of this form on a (d_P, d_Q) line."""
-    if fd.inf_kind == "split2":
+def _form_exponent(alpha: int, beta: int, gamma: int, dP: int, dQ: int) -> int:
+    """Exponent of q in H^2 for the point of a form with coefficient degrees
+    (alpha, beta, gamma) on a (d_P, d_Q) line; beta = -1 for B = 0."""
+    if 2 * beta > alpha + gamma:
+        # distinct Newton slopes: one term per root, of valuation v
         g = 0
-        for v in fd.slopes:
+        for v in (alpha - beta, beta - gamma):
             g += max(dP - v, dQ) - max(-v, 0)
-    elif fd.inf_kind == "split1":
-        v0 = fd.slopes[0] // 2
-        g = 2 * (max(dP - v0, dQ) - max(-v0, 0))
     else:
-        W = fd.slopes[0]
+        W = alpha - gamma
         g = max(2 * dP - W, 2 * dQ) - max(-W, 0)
     assert g >= 0
-    return fd.deg_f + g
-
-
-def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> FormData:
-    alpha = A.degree
-    gamma = C.degree
-    beta = B.degree if not B.is_zero else None
-    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
-    kind = _infinite_kind(field, disc)
-    if beta is not None and 2 * beta > alpha + gamma:
-        assert kind == "split", "distinct Newton slopes force a split infinity"
-        return FormData(deg_f, "split2", (alpha - beta, beta - gamma))
-    if kind == "split":
-        assert (alpha - gamma) % 2 == 0
-        return FormData(deg_f, "split1", (alpha - gamma,))
-    return FormData(deg_f, kind, (alpha - gamma,))
+    return max(alpha, beta, gamma) + g
 
 
 def _form_stream(field: FqField, fmax: int):
@@ -626,10 +611,9 @@ def _form_stream(field: FqField, fmax: int):
 
 
 def _form_classes(field: FqField, fmax: int) -> Counter:
-    """Counter {FormData: number of forms} over the form stream."""
-    return Counter(
-        _classify_form(A, B, C, disc, field) for A, B, C, disc in _form_stream(field, fmax)
-    )
+    """Counter {(deg A, deg B, deg C): number of forms} over the form stream,
+    deg B = -1 for B = 0."""
+    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(field, fmax))
 
 
 class QuadraticCount(NamedTuple):
@@ -654,8 +638,8 @@ def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
         _line_count(field.q, dP, dQ) * n
         for dQ in range(M // 2 + 1)
         for dP in range(dQ + 1)
-        for fd, n in forms.items()
-        if _form_exponent(fd, dP, dQ) == M
+        for profile, n in forms.items()
+        if _form_exponent(*profile, dP, dQ) == M
     )
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, main, Fraction(count) / main)

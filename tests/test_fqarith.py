@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +171,23 @@ def test_user_modulus_checked():
             FqField(3, 2, modulus=bad)
     with pytest.raises(ValueError, match="reducible"):
         FqField(3, 2, modulus=(2, 0, 1))  # x^2 - 1
+    # F_p has one coding, so no modulus may make a second, unequal F_p
+    for bad in [(7, 7, 7), (1, 1), (0, 1)]:
+        with pytest.raises(ValueError, match="no modulus"):
+            FqField(3, 1, modulus=bad)
+
+
+def test_extension_field_builds_no_per_element_table():
+    """Negation is computed per element on demand, so building a field of
+    2^19 elements allocates no table of q entries."""
+    tracemalloc.start()
+    try:
+        F = FqField(2, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert F.sub(5, 3) == F.add(5, F.neg(3)) == 6
 
 
 @given(a=codes, b=codes)

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -24,11 +25,9 @@ from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
-    FormData,
     PlaceQ,
     QuadExt,
     QuadraticCount,
-    _classify_form,
     _form_exponent,
     _form_stream,
     _line_count,
@@ -81,11 +80,10 @@ def test_quadext_validation():
 
 
 def test_records_are_immutable():
-    fd = FormData(2, "split2", (1, 1))
     qc = QuadraticCount(3, 1, 0, Fraction(1), Fraction(0))
-    for record, name in ((fd, "deg_f"), (fd, "slopes"), (qc, "count"), (qc, "ratio")):
+    for name in ("count", "ratio"):
         with pytest.raises(AttributeError):
-            setattr(record, name, 0)
+            setattr(qc, name, 0)
     place = PlaceQ(ext_t(), INFINITE_PLACE, "ramified", 2, 1)
     with pytest.raises(AttributeError):
         place.kind = "split"
@@ -531,27 +529,20 @@ def test_enumerate_degree2_m1():
 
 @functools.lru_cache(maxsize=None)
 def _stream_forms(fmax):
-    """(max coefficient degree, FormData) of every form of the F_3 stream,
-    one entry per form; equal entries are shared to keep the tuple small."""
-    shared = {}
-    out = []
-    for A, B, C, disc in _form_stream(F3, fmax):
-        entry = (max(A.degree, B.degree, C.degree), _classify_form(A, B, C, disc, F3))
-        out.append(shared.setdefault(entry, entry))
-    return tuple(out)
-
-
-def _brute_forms(fmax, min_deg):
-    """FormData of every form of the F_3 stream with max degree >= min_deg."""
-    return [fd for deg, fd in _stream_forms(fmax) if deg >= min_deg]
+    """Counter {(deg A, deg B, deg C): number of forms} over the F_3 stream."""
+    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(F3, fmax))
 
 
 def _brute_matches(fmax, classes, M, min_deg=0):
+    """Forms of the F_3 stream with max degree >= min_deg reaching exponent
+    M, per line class."""
     counts = {cls: 0 for cls in classes}
-    for fd in _brute_forms(fmax, min_deg):
+    for profile, n in _stream_forms(fmax).items():
+        if max(profile) < min_deg:
+            continue
         for cls in classes:
-            if _form_exponent(fd, *cls) == M:
-                counts[cls] += 1
+            if _form_exponent(*profile, *cls) == M:
+                counts[cls] += n
     return counts
 
 
@@ -588,50 +579,96 @@ def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
         assert enumerate_degree2(F3, M).count == count
 
 
-def _form_data_candidates(alpha, beta, gamma):
-    """Every FormData _classify_form can return for a form with coefficient
-    degrees (alpha, beta or None for B = 0, gamma): split2 when 2 beta >
-    alpha + gamma, else ramified and inert, plus split1 when alpha - gamma
-    is even."""
-    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
-    if beta is not None and 2 * beta > alpha + gamma:
-        return {FormData(deg_f, "split2", (alpha - beta, beta - gamma))}
-    W = alpha - gamma
-    kinds = ("ramified", "inert", "split1") if W % 2 == 0 else ("ramified", "inert")
-    return {FormData(deg_f, kind, (W,)) for kind in kinds}
-
-
 def test_form_exponent_proven_bounds():
     """The completeness bounds of enumerate_degree2, H^2 >= q^(2 d_Q) and
-    H^2 >= q^(deg F + 2 d_P), for every form class and line class of degree
-    up to 8; so no form matches a line class past d_Q = M // 2 and no form
-    of degree above M matches at all, for every M <= 8."""
+    H^2 >= q^(deg F + 2 d_P), for every degree profile and line class of
+    degree up to 8; so no form matches a line class past d_Q = M // 2 and no
+    form of degree above M matches at all, for every M <= 8."""
     degs = range(9)
-    forms = set().union(*(
-        _form_data_candidates(alpha, beta, gamma)
-        for alpha in degs for gamma in degs for beta in (None, *degs)
-    ))
-    assert len(forms) == 547
+    profiles = [
+        (alpha, beta, gamma) for alpha in degs for beta in (-1, *degs) for gamma in degs
+    ]
+    assert len(profiles) == 810
     classes = [(dP, dQ) for dQ in degs for dP in range(dQ + 1)]
-    for fd in forms:
+    for profile in profiles:
+        deg_f = max(profile)
         for dP, dQ in classes:
-            e = _form_exponent(fd, dP, dQ)
-            assert e >= 2 * dQ and e >= fd.deg_f + 2 * dP, (fd, dP, dQ)
+            e = _form_exponent(*profile, dP, dQ)
+            assert e >= 2 * dQ and e >= deg_f + 2 * dP, (profile, dP, dQ)
     for M in range(1, 9):
         boundary = [(dP, dQ) for dQ in (M // 2 + 1, M // 2 + 2) for dP in range(dQ + 1)]
-        for fd in forms:
-            checked = classes if fd.deg_f > M else boundary
-            assert all(_form_exponent(fd, *cls) != M for cls in checked), (M, fd)
+        for profile in profiles:
+            checked = classes if max(profile) > M else boundary
+            assert all(_form_exponent(*profile, *cls) != M for cls in checked), (M, profile)
 
 
-def test_form_stream_classes_lie_in_degree_candidates():
-    """The class sweep above covers the real forms: each form of the stream
-    classifies into a candidate of its own coefficient degrees."""
+# Each form classified by its type at infinity, with an exponent formula per
+# type: the oracle for the claim of the quadfield docstring that the type at
+# infinity drops out of the exponent.
+
+
+class FormData(NamedTuple):
+    """Infinity data of a primitive irreducible form A s^2 + B s u + C u^2."""
+
+    deg_f: int
+    inf_kind: str  # split2 (distinct slopes) | split1 | inert | ramified
+    slopes: tuple  # (v1, v2) for split2, else (W,) with W = alpha - gamma
+
+
+def _infinite_kind(field: FqField, f: Poly) -> str:
+    """How the infinite place of F_q(t) behaves in F_q(t)(sqrt(f)) for a
+    nonsquare f: ramified for odd degree, split for a square leading
+    coefficient, otherwise inert."""
+    if f.degree % 2 == 1:
+        return "ramified"
+    return "split" if field.is_square_unit(f.lead) else "inert"
+
+
+def _kind_exponent(fd: FormData, dP: int, dQ: int) -> int:
+    """Exponent of q in H^2 for the point of this form on a (d_P, d_Q) line."""
+    if fd.inf_kind == "split2":
+        g = 0
+        for v in fd.slopes:
+            g += max(dP - v, dQ) - max(-v, 0)
+    elif fd.inf_kind == "split1":
+        v0 = fd.slopes[0] // 2
+        g = 2 * (max(dP - v0, dQ) - max(-v0, 0))
+    else:
+        W = fd.slopes[0]
+        g = max(2 * dP - W, 2 * dQ) - max(-W, 0)
+    assert g >= 0
+    return fd.deg_f + g
+
+
+def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> FormData:
+    alpha = A.degree
+    gamma = C.degree
+    beta = B.degree if not B.is_zero else None
+    deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
+    kind = _infinite_kind(field, disc)
+    if beta is not None and 2 * beta > alpha + gamma:
+        assert kind == "split", "distinct Newton slopes force a split infinity"
+        return FormData(deg_f, "split2", (alpha - beta, beta - gamma))
+    if kind == "split":
+        assert (alpha - gamma) % 2 == 0
+        return FormData(deg_f, "split1", (alpha - gamma,))
+    return FormData(deg_f, kind, (alpha - gamma,))
+
+
+def test_profile_exponent_matches_infinity_type_oracle():
+    """On every form of the stream and every line class with d_Q <= 3, the
+    exponent of the form's degree profile equals the exponent of its type
+    at infinity; the stream reaches all four types."""
+    classes = [(dP, dQ) for dQ in range(4) for dP in range(dQ + 1)]
     for field, fmax in ((F3, 2), (F5, 1), (F9, 1)):
-        for A, B, C, disc in _form_stream(field, fmax):
-            beta = None if B.is_zero else B.degree
-            fd = _classify_form(A, B, C, disc, field)
-            assert fd in _form_data_candidates(A.degree, beta, C.degree)
+        pairs = Counter(
+            ((A.degree, B.degree, C.degree), _classify_form(A, B, C, disc, field))
+            for A, B, C, disc in _form_stream(field, fmax)
+        )
+        assert {fd.inf_kind for _, fd in pairs} == {"split2", "split1", "inert", "ramified"}
+        for profile, fd in pairs:
+            for cls in classes:
+                assert _form_exponent(*profile, *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
 
 
 def test_form_guard_message_states_size_and_limit():
@@ -660,13 +697,10 @@ def degree2_orbits(field: FqField, M: int):
     """Construct each counted orbit explicitly (slow; for cross-validation).
     Yields DegreeTwoPoint values, one per orbit."""
     _require_odd(field)
-    forms = [
-        (A, B, C, disc, _classify_form(A, B, C, disc, field))
-        for A, B, C, disc in _form_stream(field, M)
-    ]
+    forms = list(_form_stream(field, M))
     for (P, dP), (Q, dQ) in _lines(field, M // 2):
-        for A, B, C, disc, fd in forms:
-            if _form_exponent(fd, dP, dQ) != M:
+        for A, B, C, disc in forms:
+            if _form_exponent(A.degree, B.degree, C.degree, dP, dQ) != M:
                 continue
             d0, h = squarefree_decompose(disc)
             ext = QuadExt(field, d0)

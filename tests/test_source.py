@@ -10,10 +10,15 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "hilbcount"
 
 
+def _parse(directory):
+    """{file name: module tree} of the Python files in directory."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in directory.glob("*.py")}
+
+
 def _names_used(top):
     """Names a top-level statement reads, as a variable, an attribute or an
-    import, leaving out a function's references to itself."""
-    own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+    import, leaving out a function's or a class's references to itself."""
+    own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
     for node in ast.walk(top):
         if isinstance(node, ast.Name):
             name = node.id
@@ -30,7 +35,7 @@ def _names_used(top):
 def test_every_private_helper_is_used():
     """Every top-level `def _name` in the package is used somewhere else in
     the package, so helpers that nothing calls do not pile up."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    trees = _parse(SRC)
     used = {name for tree in trees.values() for top in tree.body for name in _names_used(top)}
     private = [
         f"{module}:{top.name}"
@@ -71,8 +76,8 @@ def test_every_public_callable_is_used():
     """Every public top-level function and non-dunder method in the package
     is referenced somewhere in the package or the tests, other than by
     itself, so public code that nothing calls does not pile up either."""
-    package = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    tests = [ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py")]
+    package = _parse(SRC)
+    tests = list(_parse(TESTS).values())
     used = {
         name
         for tree in [*package.values(), *tests]
@@ -86,6 +91,28 @@ def test_every_public_callable_is_used():
     ]
     assert callables
     assert [entry for entry, name in callables if name not in used] == []
+
+
+def test_every_class_is_used():
+    """Every top-level class in the package is referenced somewhere in the
+    package or the tests outside its own definition, so a record whose last
+    reader is gone does not linger."""
+    package = _parse(SRC)
+    tests = list(_parse(TESTS).values())
+    used = {
+        name
+        for tree in [*package.values(), *tests]
+        for top in tree.body
+        for name in _names_used(top)
+    }
+    classes = [
+        f"{module}:{top.name}"
+        for module, tree in sorted(package.items())
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+    ]
+    assert classes
+    assert [entry for entry in classes if entry.split(":")[1] not in used] == []
 
 
 def test_every_flag_is_used_by_a_command():
