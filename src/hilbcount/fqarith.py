@@ -457,12 +457,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.scale(c), s0.scale(c), u0.scale(c)
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def multiplicity(f: Poly, p: Poly) -> int:
     """Largest e with p^e | f; f must be nonzero."""
     if f.is_zero:
@@ -587,11 +581,3 @@ def quadratic_character(a: Poly, p: Poly, field: FqField) -> int:
         return 1
     assert s == Poly.constant(field, field.neg(1)), "character power must be +-1"
     return -1
-
-
-def count_points_pn(n: int, field: FqField, k: int = 1) -> int:
-    """|P^n(F_{q^k})| as an exact integer."""
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    qk = field.q**k
-    return (qk ** (n + 1) - 1) // (qk - 1)

@@ -8,6 +8,17 @@ infinite base place of F_q(t) given degree 1.  This is the unique choice
 satisfying the product formula in L, and H(x) = (prod_w max_i |x_i|_w)^(1/2)
 is then Galois- and scaling-invariant.
 
+Coordinates: an element a + b sqrt(D) holds polynomial parts a, b in
+F_q[t], and nothing here divides in L.  Every point of P^2(L) has such
+coordinates, and canonicalize_quadratic picks one: multiplying by the
+conjugate of the first nonzero coordinate x_0 turns it into N(x_0) in
+F_q[t], which leaves only F_q(t)^* to scale by, and removing the content of
+the six parts and making the first nonzero leading coefficient 1 fixes that
+scale.  A Galois orbit {x, conj x} is a point of Sym^2 P^2, the point
+(x_i conj(x_i), x_i conj(x_j) + x_j conj(x_i)) of P^5(F_q(t)), the
+coefficients of the product of the two conjugate linear forms; it is
+unchanged by conjugation and by scaling, and it is the orbit's key.
+
 Enumeration strategy: every degree-2 point of the plane lies on a unique
 rational line, and on that line corresponds to a unique irreducible binary
 quadratic form over F_q[t] (primitive, leading coefficient monic).  Writing
@@ -73,9 +84,7 @@ from .fqarith import (
     Poly,
     is_squarefree,
     multiplicity,
-    poly_gcd,
     poly_gcd_all,
-    poly_lcm,
     quadratic_character,
     trial_factor,
 )
@@ -99,71 +108,6 @@ INFINITE_PLACE = _Infinity()
 def _require_odd(field: FqField):
     if field.q % 2 == 0:
         raise CharacteristicError("quadratic extensions need odd q")
-
-
-class RatFunc:
-    """Reduced fraction of polynomials with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        field = num.field
-        if den is None:
-            den = Poly.one(field)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Poly.one(field)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            if not den.is_monic:
-                c = field.inv(den.lead)
-                num, den = num.scale(c), den.scale(c)
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def serialize(self) -> str:
-        return f"{self.num.serialize()}|{self.den.serialize()}"
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}/{self.den!r})"
 
 
 class QuadExt:
@@ -195,23 +139,16 @@ class QuadExt:
             return "ramified"
         return "split" if self.field.is_square_unit(self.d.lead) else "inert"
 
-    def element(self, a, b) -> "QuadElem":
-        if isinstance(a, Poly):
-            a = RatFunc(a)
-        if isinstance(b, Poly):
-            b = RatFunc(b)
-        return QuadElem(self, a, b)
-
     def __repr__(self):
         return f"QuadExt(q={self.field.q}, D={self.d!r})"
 
 
 class QuadElem:
-    """a + b sqrt(D) with rational-function parts."""
+    """a + b sqrt(D) with polynomial parts."""
 
     __slots__ = ("ext", "a", "b")
 
-    def __init__(self, ext: QuadExt, a: RatFunc, b: RatFunc):
+    def __init__(self, ext: QuadExt, a: Poly, b: Poly):
         self.ext = ext
         self.a = a
         self.b = b
@@ -231,36 +168,21 @@ class QuadElem:
     def __add__(self, other):
         return QuadElem(self.ext, self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other):
-        return QuadElem(self.ext, self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return QuadElem(self.ext, -self.a, -self.b)
-
     def __mul__(self, other):
-        d = RatFunc(self.ext.d)
         return QuadElem(
             self.ext,
-            self.a * other.a + d * (self.b * other.b),
+            self.a * other.a + self.ext.d * (self.b * other.b),
             self.a * other.b + self.b * other.a,
         )
 
     def conj(self):
         return QuadElem(self.ext, self.a, -self.b)
 
-    def norm(self) -> RatFunc:
-        d = RatFunc(self.ext.d)
-        return self.a * self.a - d * (self.b * self.b)
+    def norm(self) -> Poly:
+        return self.a * self.a - self.ext.d * (self.b * self.b)
 
-    def trace(self) -> RatFunc:
+    def trace(self) -> Poly:
         return self.a + self.a
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero element")
-        n = other.norm()
-        w = self * other.conj()
-        return QuadElem(w.ext, w.a / n, w.b / n)
 
     def __repr__(self):
         return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
@@ -375,8 +297,11 @@ def _reverse(f: Poly) -> Poly:
     return Poly(f.field, tuple(reversed(f.coeffs)))
 
 
-def _integral_valuation(w: PlaceQ, A: Poly, B: Poly):
-    """w(A + B sqrt(D)) for polynomial parts, not both zero."""
+def valuation(z: QuadElem, w: PlaceQ) -> int:
+    """Normalized valuation of z = A + B sqrt(D) at w (surjective onto Z)."""
+    if z.is_zero:
+        raise ZeroDivisionError("valuation of zero")
+    A, B = z.a, z.b
     ext = w.ext
     d = ext.d
     if w.base is INFINITE_PLACE:
@@ -385,8 +310,7 @@ def _integral_valuation(w: PlaceQ, A: Poly, B: Poly):
             vb = INF if B.is_zero else -2 * B.degree - d.degree
             return min(va, vb)
         if w.kind == "inert":
-            norm = A * A - d * B * B
-            v = -norm.degree
+            v = -z.norm().degree
             assert v % 2 == 0, "inert valuation numerator must be even"
             return v // 2
         # split at infinity: move to u = 1/t coordinates and reuse the
@@ -409,26 +333,10 @@ def _integral_valuation(w: PlaceQ, A: Poly, B: Poly):
         vb = INF if B.is_zero else 2 * multiplicity(B, p) + 1
         return min(va, vb)
     if w.kind == "inert":
-        norm = A * A - d * B * B
-        v = multiplicity(norm, p)
+        v = multiplicity(z.norm(), p)
         assert v % 2 == 0, "inert valuation numerator must be even"
         return v // 2
     return _split_finite_valuation(A, B, d, p, w.seed)
-
-
-def valuation(z: QuadElem, w: PlaceQ) -> int:
-    """Normalized valuation of z at w (surjective onto Z)."""
-    if z.is_zero:
-        raise ZeroDivisionError("valuation of zero")
-    h = poly_lcm(z.a.den, z.b.den)
-    A = z.a.num * (h // z.a.den)
-    B = z.b.num * (h // z.b.den)
-    v = _integral_valuation(w, A, B)
-    if w.base is INFINITE_PLACE:
-        vh = -h.degree
-    else:
-        vh = multiplicity(h, w.base)
-    return v - w.e * vh
 
 
 def infinite_places(ext: QuadExt) -> tuple[PlaceQ, ...]:
@@ -446,63 +354,41 @@ def _finite_support(polys: list[Poly]) -> list[Poly]:
 class DegreeTwoPoint(NamedTuple):
     ext: QuadExt
     coords: tuple[QuadElem, ...]  # polynomial parts, canonical
-    orbit_key: tuple
+    orbit_key: ratpoints.ProjPointFqt  # the orbit's point of Sym^2 P^2
 
 
-def _orbit_key(ext: QuadExt, y: tuple[QuadElem, ...]) -> tuple:
-    """Conjugation- and presentation-invariant key: the values x_i conj(x_i)
-    and x_i conj(x_j) + x_j conj(x_i) of the pivot-normalized coordinates.
-    These live in F_q(t) and do not depend on which sqrt(D) presentation of
-    the residue field was used."""
-    d = RatFunc(ext.d)
-    parts = []
+def _orbit_key(y: tuple[QuadElem, ...]) -> ratpoints.ProjPointFqt:
+    """The orbit's point of Sym^2 P^2 in P^5(F_q(t)): the products
+    x_i conj(x_i), then x_i conj(x_j) + x_j conj(x_i) for i < j.  They lie
+    in F_q(t) and do not depend on which sqrt(D) presentation of the residue
+    field was used; conjugation fixes them and scaling x by c multiplies them
+    all by N(c)."""
     n = len(y)
-    for i in range(n):
-        parts.append((y[i].a * y[i].a - d * (y[i].b * y[i].b)).serialize())
-    for i in range(n):
-        for j in range(i + 1, n):
-            tij = (y[i].a * y[j].a - d * (y[i].b * y[j].b))
-            parts.append((tij + tij).serialize())
-    return tuple(parts)
+    cross = [(y[i] * y[j].conj()).trace() for i in range(n) for j in range(i + 1, n)]
+    return ratpoints.canonicalize([c.norm() for c in y] + cross)
 
 
 def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
-    """Scale by the inverse of the first nonzero coordinate, clear
-    denominators, remove polynomial content, and normalize the leading unit.
-    Raises WrongDegreeError when the point is actually rational."""
+    """Scale by the conjugate of the first nonzero coordinate, which makes
+    that coordinate its norm in F_q[t], remove the polynomial content of the
+    parts, and make the first nonzero leading coefficient 1.  Raises
+    WrongDegreeError when the point is actually rational."""
     coords = tuple(coords)
-    nonzero = [c for c in coords if not c.is_zero]
-    if not nonzero:
+    pivot = next((c for c in coords if not c.is_zero), None)
+    if pivot is None:
         raise ValueError("all coordinates are zero")
-    pivot = next(c for c in coords if not c.is_zero)
-    y = tuple(c / pivot for c in coords)
+    conj = pivot.conj()
+    y = [c * conj for c in coords]
     if all(c.b.is_zero for c in y):
         raise WrongDegreeError("point is rational (degree 1), not degree 2")
-    key = _orbit_key(ext, y)
-    field = ext.field
-    h = Poly.one(field)
-    for c in y:
-        h = poly_lcm(h, c.a.den)
-        h = poly_lcm(h, c.b.den)
-    apols = [c.a.num * (h // c.a.den) for c in y]
-    bpols = [c.b.num * (h // c.b.den) for c in y]
-    g = poly_gcd_all(apols + bpols)
+    parts = [f for c in y for f in (c.a, c.b)]
+    g = poly_gcd_all(parts)
     if g.degree > 0:
-        apols = [f // g for f in apols]
-        bpols = [f // g for f in bpols]
-    lead = None
-    for ai, bi in zip(apols, bpols):
-        if not ai.is_zero:
-            lead = ai.lead
-            break
-        if not bi.is_zero:
-            lead = bi.lead
-            break
-    c = field.inv(lead)
-    apols = [f.scale(c) for f in apols]
-    bpols = [f.scale(c) for f in bpols]
-    out = tuple(ext.element(a, b) for a, b in zip(apols, bpols))
-    return DegreeTwoPoint(ext, out, key)
+        parts = [f // g for f in parts]
+    u = ext.field.inv(next(f for f in parts if not f.is_zero).lead)
+    parts = [f.scale(u) for f in parts]
+    out = tuple(QuadElem(ext, a, b) for a, b in zip(parts[::2], parts[1::2]))
+    return DegreeTwoPoint(ext, out, _orbit_key(out))
 
 
 def height_degree2(P: DegreeTwoPoint) -> Fraction:
@@ -513,8 +399,7 @@ def height_degree2(P: DegreeTwoPoint) -> Fraction:
     for w in infinite_places(ext):
         m = min(valuation(c, w) for c in nonzero)
         total -= w.degree * m
-    norms = [c.norm().num for c in nonzero]  # denominators are 1
-    for p in _finite_support(norms):
+    for p in _finite_support([c.norm() for c in nonzero]):
         for w in splitting_type(p, ext):
             m = min(valuation(c, w) for c in nonzero)
             total -= w.degree * m
@@ -527,12 +412,9 @@ def product_formula_defect(z: QuadElem) -> int:
     """sum_w w(z) deg(w) over all places where z can have nonzero valuation;
     zero iff the normalization is consistent."""
     ext = z.ext
-    support: dict = {}
-    norm = z.norm()
-    for f in (norm.num, norm.den, ext.d):
-        if f.degree > 0:
-            for p, _ in trial_factor(f):
-                support[p] = True
+    support = dict.fromkeys(
+        p for f in (z.norm(), ext.d) if f.degree > 0 for p, _ in trial_factor(f)
+    )
     total = 0
     for w in infinite_places(ext):
         total += valuation(z, w) * w.degree

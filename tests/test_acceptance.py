@@ -35,6 +35,7 @@ from hilbcount.peyre import (
     zeta3_damped_poly,
 )
 from hilbcount.quadfield import (
+    QuadElem,
     QuadExt,
     canonicalize_quadratic,
     enumerate_degree2,
@@ -144,7 +145,7 @@ def test_criterion_7_quadratic_heights():
                     ext = QuadExt(field, d)
                     pt = canonicalize_quadratic(
                         ext,
-                        (ext.element(zero, one), ext.element(one, zero), ext.element(zero, zero)),
+                        (QuadElem(ext, zero, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero)),
                     )
                     assert height_degree2(pt) == Fraction(d.degree, 2)
         # invariance under scaling and conjugation for 100 random points
@@ -155,7 +156,7 @@ def test_criterion_7_quadratic_heights():
         while checked < 100:
             ext = QuadExt(F3, rng.choice(ds))
             coords = tuple(
-                ext.element(rng.choice(polys), rng.choice(polys)) for _ in range(3)
+                QuadElem(ext, rng.choice(polys), rng.choice(polys)) for _ in range(3)
             )
             if all(c.a.is_zero and c.b.is_zero for c in coords):
                 continue
@@ -168,7 +169,7 @@ def test_criterion_7_quadratic_heights():
             h = height_degree2(pt)
             conj = canonicalize_quadratic(ext, tuple(c.conj() for c in coords))
             assert height_degree2(conj) == h
-            s = ext.element(rng.choice(polys), rng.choice(polys))
+            s = QuadElem(ext, rng.choice(polys), rng.choice(polys))
             if s.a.is_zero and s.b.is_zero:
                 continue
             scaled = canonicalize_quadratic(ext, tuple(c * s for c in coords))
@@ -183,7 +184,7 @@ def test_criterion_7_quadratic_heights():
             a, b = rng.choice(polys), rng.choice(polys)
             if a.is_zero and b.is_zero:
                 continue
-            assert product_formula_defect(ext.element(a, b)) == 0
+            assert product_formula_defect(QuadElem(ext, a, b)) == 0
             checked += 1
 
 

@@ -10,7 +10,6 @@ from hilbcount.fqarith import (
     FqField,
     Poly,
     all_polys,
-    count_points_pn,
     field_from_order,
     irreducible_count,
     irreducibles_of_degree,
@@ -21,7 +20,6 @@ from hilbcount.fqarith import (
     multiplicity,
     poly_gcd,
     poly_gcd_all,
-    poly_lcm,
     poly_xgcd,
     quadratic_character,
     squarefree_decompose,
@@ -215,10 +213,6 @@ def test_gcd_xgcd(a, b):
     g2, s, u = poly_xgcd(pa, pb)
     assert g2 == g
     assert s * pa + u * pb == g
-    lcm = poly_lcm(pa, pb)
-    if not (pa.is_zero or pb.is_zero):
-        assert (lcm % pa).is_zero and (lcm % pb).is_zero
-        assert lcm.degree == pa.degree + pb.degree - g.degree
 
 
 @given(cs=st.lists(codes, min_size=1, max_size=4))
@@ -323,12 +317,6 @@ def test_quadratic_character_even_q_rejected():
     t = Poly.t(F2)
     with pytest.raises(CharacteristicError):
         quadratic_character(Poly.one(F2), t, F2)
-
-
-def test_count_points_pn():
-    assert count_points_pn(2, F2) == 7
-    assert count_points_pn(2, F3) == 13
-    assert count_points_pn(2, F2, k=2) == 21  # P^2(F_4)
 
 
 def test_enumeration_guard():

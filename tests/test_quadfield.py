@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import re
@@ -18,14 +19,16 @@ from hilbcount.fqarith import (
     is_squarefree,
     multiplicity,
     poly_gcd,
+    poly_gcd_all,
     poly_xgcd,
     squarefree_decompose,
 )
-from hilbcount import quadfield, ratpoints
+from hilbcount import fqarith, quadfield, ratpoints
 from hilbcount.quadfield import (
     FORM_GUARD,
     INFINITE_PLACE,
     PlaceQ,
+    QuadElem,
     QuadExt,
     QuadraticCount,
     _form_exponent,
@@ -62,7 +65,7 @@ def rand_elem(rng, ext, max_deg=3):
     while True:
         a, b = rng.choice(polys), rng.choice(polys)
         if not (a.is_zero and b.is_zero):
-            return ext.element(a, b)
+            return QuadElem(ext, a, b)
 
 
 def test_quadext_validation():
@@ -111,7 +114,6 @@ def test_element_arithmetic():
         z = rand_elem(rng, ext, 2)
         w = rand_elem(rng, ext, 2)
         assert z.norm() * w.norm() == (z * w).norm()
-        assert (z * w) / w == z
         # trace and norm against explicit conjugate products
         s = z + z.conj()
         assert s.b.is_zero and s.a == z.trace()
@@ -150,16 +152,16 @@ def test_valuation_examples():
     t = Poly.t(F3)
     one = Poly.one(F3)
     zero = Poly.zero(F3)
-    sqrt_t = ext.element(zero, one)
+    sqrt_t = QuadElem(ext, zero, one)
     w_t = splitting_type(t, ext)[0]
     assert valuation(sqrt_t, w_t) == 1
     w_inf = splitting_type(INFINITE_PLACE, ext)[0]
     assert valuation(sqrt_t, w_inf) == -1
-    z = ext.element(one, one)  # 1 + sqrt(t)
+    z = QuadElem(ext, one, one)  # 1 + sqrt(t)
     branches = splitting_type(t + one + one, ext)
     assert sorted(valuation(z, w) for w in branches) == [0, 1]
     with pytest.raises(ZeroDivisionError):
-        valuation(ext.element(zero, zero), w_t)
+        valuation(QuadElem(ext, zero, zero), w_t)
 
 
 def test_valuation_extension_rule():
@@ -174,12 +176,12 @@ def test_valuation_extension_rule():
         for w in splitting_type(p, ext):
             for _ in range(10):
                 x = rng.choice(polys)
-                z = ext.element(x, Poly.zero(F3))
+                z = QuadElem(ext, x, Poly.zero(F3))
                 assert valuation(z, w) == e * multiplicity(x, p)
     for w in infinite_places(ext):
         for _ in range(10):
             x = rng.choice(polys)
-            z = ext.element(x, Poly.zero(F3))
+            z = QuadElem(ext, x, Poly.zero(F3))
             assert valuation(z, w) == w.e * (-x.degree)
 
 
@@ -196,9 +198,7 @@ def test_split_branch_consistency(dcoeffs):
             continue
         for _ in range(8):
             z = rand_elem(rng, ext)
-            norm = z.norm()
-            vn = multiplicity(norm.num, p) - multiplicity(norm.den, p)
-            assert sum(valuation(z, w) for w in above) == vn
+            assert sum(valuation(z, w) for w in above) == multiplicity(z.norm(), p)
 
 
 def _hensel_sqrt(d, p, seed, prec):
@@ -261,7 +261,7 @@ def test_split_valuation_matches_hensel_oracle(q, monkeypatch):
                     continue
                 for depth, common, _ in itertools.product((1, 2, 3), (0, 1), range(2)):
                     A, B = _cancelling_pair(rng, d, p, w.seed, depth, common)
-                    cases.append((ext.element(A, B), w, depth + common))
+                    cases.append((QuadElem(ext, A, B), w, depth + common))
     square = field.mul(q - 1, q - 1)
     for d in (t * t + one, (t * t * t + one).scale(square) * t + one):
         ext = QuadExt(field, d)
@@ -277,7 +277,7 @@ def test_split_valuation_matches_hensel_oracle(q, monkeypatch):
                 m = max(P1.degree, P2.degree + dpr)
                 A = Poly(field, tuple(reversed(P1.coeffs))).shift(m - P1.degree)
                 B = Poly(field, tuple(reversed(P2.coeffs))).shift(m - dpr - P2.degree)
-                cases.append((ext.element(A, B), w, depth + common - m))
+                cases.append((QuadElem(ext, A, B), w, depth + common - m))
     assert len(cases) >= 150
     assert any(w.base is INFINITE_PLACE for _, w, _ in cases)
     new = [valuation(z, w) for z, w, _ in cases]
@@ -297,7 +297,7 @@ def test_height_family_sqrt_d(field):
                 continue
             ext = QuadExt(field, d)
             pt = canonicalize_quadratic(
-                ext, (ext.element(zero, one), ext.element(one, zero), ext.element(zero, zero))
+                ext, (QuadElem(ext, zero, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
             )
             assert height_degree2(pt) == Fraction(d.degree, 2)
 
@@ -306,7 +306,7 @@ def test_height_spec_spots():
     ext = ext_t()
     zero, one = Poly.zero(F3), Poly.one(F3)
     pt = canonicalize_quadratic(
-        ext, (ext.element(one, one), ext.element(one, zero), ext.element(zero, zero))
+        ext, (QuadElem(ext, one, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
     )
     assert height_degree2(pt) == Fraction(1, 2)  # [1+sqrt(t) : 1 : 0]
 
@@ -316,11 +316,11 @@ def test_rational_point_rejected():
     one, zero = Poly.one(F3), Poly.zero(F3)
     with pytest.raises(WrongDegreeError):
         canonicalize_quadratic(
-            ext, (ext.element(one, zero), ext.element(zero, zero), ext.element(one, zero))
+            ext, (QuadElem(ext, one, zero), QuadElem(ext, zero, zero), QuadElem(ext, one, zero))
         )
     with pytest.raises(ValueError):
         canonicalize_quadratic(
-            ext, (ext.element(zero, zero),) * 3
+            ext, (QuadElem(ext, zero, zero),) * 3
         )
 
 
@@ -345,6 +345,62 @@ def test_conjugation_and_scaling_invariance():
         scaled = canonicalize_quadratic(ext, tuple(c * s for c in coords))
         assert scaled == pt
         checked += 1
+
+
+def _random_integral_point(rng, ext, common):
+    """Three coordinates a + b sqrt(D) with parts of degree <= 2, not all
+    zero, each multiplied by the common factor."""
+    polys = all_polys(ext.field, 2)
+    while True:
+        coords = tuple(QuadElem(ext, rng.choice(polys), rng.choice(polys)) for _ in range(3))
+        if any(not c.is_zero for c in coords):
+            return tuple(c * common for c in coords)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_canonical_form_without_division(q):
+    """On random integral inputs with a common factor: the pivot coordinate
+    is its norm in F_q[t], the point is unchanged, the six parts are
+    primitive with first nonzero leading coefficient 1, and the orbit key
+    ignores conjugation and scaling."""
+    field = field_from_order(q)
+    rng = random.Random(100 + q)
+    t, one = Poly.t(field), Poly.one(field)
+    ds = (t, t * t + t + Poly.constant(field, 2), t * t * t + t + one)
+    exts = [QuadExt(field, d) for d in ds if is_squarefree(d)]
+    nonzero = [f for f in all_polys(field, 2) if not f.is_zero]
+    checked = 0
+    while checked < 60:
+        ext = rng.choice(exts)
+        common = QuadElem(ext, rng.choice(nonzero), Poly.zero(field))
+        if rng.randrange(2):
+            common = common * rand_elem(rng, ext, 1)
+        x = _random_integral_point(rng, ext, common)
+        try:
+            pt = canonicalize_quadratic(ext, x)
+        except WrongDegreeError:
+            continue
+        y = pt.coords
+        pivot = next(i for i, c in enumerate(y) if not c.is_zero)
+        assert y[pivot].b.is_zero
+        assert all(y[i] * x[j] == y[j] * x[i] for i in range(3) for j in range(3))
+        parts = [f for c in y for f in (c.a, c.b)]
+        assert poly_gcd_all(parts) == one
+        assert next(f for f in parts if not f.is_zero).lead == 1
+        c = rand_elem(rng, ext, 2)
+        for other in (tuple(z.conj() for z in x), tuple(z * c for z in x)):
+            assert canonicalize_quadratic(ext, other).orbit_key == pt.orbit_key
+        checked += 1
+    # a rational point scaled by an irrational factor is still rational
+    zero = Poly.zero(field)
+    for _ in range(20):
+        ext = rng.choice(exts)
+        s = QuadElem(ext, rng.choice(nonzero), rng.choice(nonzero))
+        rational = [QuadElem(ext, f, zero) for f in (zero, rng.choice(nonzero), rng.choice(nonzero))]
+        with pytest.raises(WrongDegreeError):
+            canonicalize_quadratic(ext, [z * s for z in rational])
+    with pytest.raises(ValueError):
+        canonicalize_quadratic(ext, (QuadElem(ext, zero, zero),) * 3)
 
 
 def test_product_formula():
@@ -431,7 +487,7 @@ def test_form_stream_reads_primitivity_from_masks(monkeypatch):
     def no_gcd(*args):
         raise AssertionError("the form stream called poly_gcd")
 
-    monkeypatch.setattr(quadfield, "poly_gcd", no_gcd)
+    monkeypatch.setattr(fqarith, "poly_gcd", no_gcd)
     assert sum(1 for _ in _form_stream(F3, 2)) == 7479
 
 
@@ -707,7 +763,7 @@ def degree2_orbits(field: FqField, M: int):
             two_a = A + A
             coords = []
             for Pi, Qi in zip(P, Q):
-                coords.append(ext.element(-(B * Pi) + two_a * Qi, h * Pi))
+                coords.append(QuadElem(ext, -(B * Pi) + two_a * Qi, h * Pi))
             yield canonicalize_quadratic(ext, coords)
 
 
@@ -729,11 +785,26 @@ def test_enumerate_degree2_cross_validation(orbits_f3_m1):
         assert height_degree2(o) == Fraction(1, 2)
 
 
+# SHA-256 of the sorted lines "D;a0:b0/a1:b1/a2:b2" of the canonical
+# coordinates of degree2_orbits(F3, 1), pinned while points were still
+# canonicalized by division in F_q(t)(sqrt D).
+ORBITS_F3_M1_SHA256 = "5cf943b6c89e1e85688fb9582008332bc28ad454289154aa86c7d82f8d7fc24f"
+
+
+def test_orbit_coordinates_match_pinned_digest(orbits_f3_m1):
+    lines = sorted(
+        o.ext.d.serialize() + ";" + "/".join(f"{c.a.serialize()}:{c.b.serialize()}" for c in o.coords)
+        for o in orbits_f3_m1
+    )
+    assert len(lines) == 2808
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORBITS_F3_M1_SHA256
+
+
 def test_enumerate_degree2_contains_sqrt_t_orbit(orbits_f3_m1):
     ext = ext_t()
     zero, one = Poly.zero(F3), Poly.one(F3)
     target = canonicalize_quadratic(
-        ext, (ext.element(zero, one), ext.element(one, zero), ext.element(zero, zero))
+        ext, (QuadElem(ext, zero, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
     )
     keys = {o.orbit_key for o in orbits_f3_m1}
     assert target.orbit_key in keys

@@ -115,6 +115,27 @@ def test_every_class_is_used():
     assert [entry for entry in classes if entry.split(":")[1] not in used] == []
 
 
+def test_every_import_is_used():
+    """Every name a package module imports at top level, other than a
+    `__future__` feature, is read somewhere in that module, so an import
+    whose last reader is gone does not linger."""
+    imported, unused = [], []
+    for module, tree in sorted(_parse(SRC).items()):
+        names = [
+            alias.asname or alias.name.split(".")[0]
+            for top in tree.body
+            if isinstance(top, ast.Import) or (isinstance(top, ast.ImportFrom) and top.module != "__future__")
+            for alias in top.names
+        ]
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        imported += names
+        unused += [f"{module}:{name}" for name in names if name not in read]
+    assert imported
+    assert unused == []
+
+
 def test_every_flag_is_used_by_a_command():
     """Every `cli._FLAGS` entry is a common flag or a flag of some command in
     `cli._COMMANDS`, so a flag that no command parses cannot linger."""
