@@ -165,16 +165,15 @@ def _run_peyre(args):
     from . import peyre
 
     field = _field(args)
-    params = peyre.GlobalFieldParams(field)
     dps = max(args.digits + 10, 50)
     if args.subcommand == "pn":
-        res = peyre.peyre_constant_pn(args.n, params, dps=dps)
+        res = peyre.peyre_constant_pn(args.n, field, dps=dps)
     elif args.subcommand == "hilb2":
-        res = peyre.peyre_constant_hilb2(params, dps=dps)
+        res = peyre.peyre_constant_hilb2(field, dps=dps)
     elif args.subcommand == "hilbm":
-        res = peyre.peyre_constant_hilbm(args.m, params, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
+        res = peyre.peyre_constant_hilbm(args.m, field, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
     else:
-        res = peyre.cm_constant(args.m, params, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
+        res = peyre.cm_constant(args.m, field, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
     cols = ["value", "residual_bound", "exact_prefactor"]
     return cols, [[res.value, res.residual_bound, res.exact_prefactor]]
 

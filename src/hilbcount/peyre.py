@@ -1,6 +1,9 @@
-"""Peyre-constant machinery over F_q(t): zeta closed forms, Euler products
-of local densities of the punctual Hilbert schemes of the plane, and the
-leading constants they assemble into.
+"""Peyre-constant machinery over K = F_q(t): the zeta function of F_q(t) at
+integers, Euler products of local densities of the punctual Hilbert schemes
+of the plane, and the leading constants they assemble into.  The paper
+states the constants for any global field of positive characteristic; at
+F_q(t) its genus is 0 and its class number 1, so each prefactor is a
+rational function of q and zeta(3).
 
 Local densities are polynomials in x = 1/q_v held as integer coefficient
 lists, constant term first, so the m = 2 telescoping identity is a list
@@ -23,70 +26,13 @@ from .ratpoints import schanuel_constant
 DEFAULT_DPS = 50
 
 
-class GlobalFieldParams:
-    """Arithmetic invariants of the global field.  Defaults describe F_q(t);
-    other fields are supported by the closed-form constants only.  Immutable,
-    and equal to any params with the same fields."""
-
-    __slots__ = ("field", "genus", "class_number", "l_poly")
-
-    def __init__(
-        self, field: FqField, genus: int = 0, class_number: int = 1, l_poly: tuple[int, ...] = (1,)
-    ):
-        if genus == 0 and (class_number != 1 or tuple(l_poly) != (1,)):
-            raise ValueError("genus 0 forces class number 1 and trivial L-polynomial")
-        init = object.__setattr__
-        init(self, "field", field)
-        init(self, "genus", genus)
-        init(self, "class_number", class_number)
-        init(self, "l_poly", l_poly)
-
-    def _key(self) -> tuple:
-        return (self.field, self.genus, self.class_number, self.l_poly)
-
-    def __eq__(self, other):
-        if type(other) is not GlobalFieldParams:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"GlobalFieldParams(field={self.field!r}, genus={self.genus!r}, "
-            f"class_number={self.class_number!r}, l_poly={self.l_poly!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GlobalFieldParams is immutable; cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GlobalFieldParams is immutable; cannot delete {name!r}")
-
-
-def zeta_fqt(s, field: FqField):
-    """zeta of F_q(t): 1/((1 - q^(1-s))(1 - q^(-s))).  Exact for integer s;
-    otherwise a Decimal to DEFAULT_DPS digits."""
+def zeta_fqt(s: int, field: FqField) -> Fraction:
+    """zeta of F_q(t) at an integer s > 1, exact:
+    1/((1 - q^(1-s))(1 - q^(-s)))."""
+    if s <= 1:
+        raise ValueError("s > 1 required")
     q = field.q
-    if isinstance(s, int):
-        if s <= 1:
-            raise ValueError("s > 1 required")
-        return 1 / ((1 - Fraction(1, q ** (s - 1))) * (1 - Fraction(1, q**s)))
-    with localcontext() as ctx:
-        ctx.prec = DEFAULT_DPS
-        s = Decimal(s)
-        if s <= 1:
-            raise ValueError("s > 1 required")
-        q = Decimal(q)
-        return 1 / ((1 - q ** (1 - s)) * (1 - q**-s))
-
-
-def zeta_k(s: int, params: GlobalFieldParams):
-    """zeta_K(s) = L(q^-s) * zeta_{F_q(t)}(s) for integer s > 1, exact."""
-    q = params.field.q
-    lval = sum(Fraction(c, q ** (s * i)) for i, c in enumerate(params.l_poly))
-    return lval * zeta_fqt(s, params.field)
+    return 1 / ((1 - Fraction(1, q ** (s - 1))) * (1 - Fraction(1, q**s)))
 
 
 def local_density_poly(m: int) -> list[int]:
@@ -231,34 +177,22 @@ def alpha_star_hilbm(mu) -> Fraction:
     return _positive_mu(mu) / 9
 
 
-def peyre_constant_pn(n: int, params: GlobalFieldParams, dps: int = DEFAULT_DPS):
-    """Leading constant for P^n: S_K(n+1, 1) / ((n+1) log q)."""
+def peyre_constant_pn(n: int, field: FqField, dps: int = DEFAULT_DPS):
+    """Leading constant for P^n over F_q(t): S(n+1, 1) / ((n+1) log q)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    q = params.field.q
-    if params.genus == 0:
-        S = schanuel_constant(n, params.field)
-    else:
-        S = schanuel_constant(
-            n,
-            params.field,
-            g=params.genus,
-            class_number=params.class_number,
-            zeta_value=zeta_k(n + 1, params),
-        )
+    S = schanuel_constant(n, field)
     with localcontext() as ctx:
         ctx.prec = dps
-        value = Decimal(S.numerator) / S.denominator / ((n + 1) * Decimal(q).ln())
+        value = Decimal(S.numerator) / S.denominator / ((n + 1) * Decimal(field.q).ln())
         return PeyreResult(value, Decimal(0), S)
 
 
-def peyre_constant_hilb2(params: GlobalFieldParams, dps: int = DEFAULT_DPS):
-    """Leading constant for Hilb^2 of the plane:
-    J^2 / (9 (q-1)^2 q^(6(g-1)) (log q)^2 zeta_K(3)^2)."""
-    q = params.field.q
-    g, J = params.genus, params.class_number
-    rational = Fraction(J * J, 9 * (q - 1) ** 2) * Fraction(q) ** (-6 * (g - 1))
-    rational /= zeta_k(3, params) ** 2
+def peyre_constant_hilb2(field: FqField, dps: int = DEFAULT_DPS):
+    """Leading constant for Hilb^2 of the plane over F_q(t):
+    q^6 / (9 (q-1)^2 (log q)^2 zeta(3)^2)."""
+    q = field.q
+    rational = Fraction(q**6, 9 * (q - 1) ** 2) / zeta_fqt(3, field) ** 2
     with localcontext() as ctx:
         ctx.prec = dps
         value = Decimal(rational.numerator) / rational.denominator / Decimal(q).ln() ** 2
@@ -267,22 +201,19 @@ def peyre_constant_hilb2(params: GlobalFieldParams, dps: int = DEFAULT_DPS):
 
 def peyre_constant_hilbm(
     m: int,
-    params: GlobalFieldParams,
+    field: FqField,
     mu=None,
     deg_cut: int = 8,
     dps: int = DEFAULT_DPS,
 ):
-    """Leading constant for Hilb^m of the plane by the general product
-    formula; the Euler product is enumerable over F_q(t) only."""
+    """Leading constant for Hilb^m of the plane over F_q(t) by the general
+    product formula: alpha^* q^(2(m+1)) / ((q-1)^2 (log q)^2) times the Euler
+    product of damped local densities."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    if params.genus != 0:
-        raise ValueError("Euler product enumeration implemented for genus 0 only")
-    q = params.field.q
-    mu = mu_slope(m, mu)
-    prefactor = mu * Fraction(params.class_number**2, 9 * (q - 1) ** 2)
-    prefactor *= Fraction(q) ** (-2 * (m + 1) * (params.genus - 1))
-    product, residual = euler_product_density(params.field, m, deg_cut, dps)
+    q = field.q
+    prefactor = alpha_star_hilbm(mu_slope(m, mu)) * Fraction(q ** (2 * (m + 1)), (q - 1) ** 2)
+    product, residual = euler_product_density(field, m, deg_cut, dps)
     with localcontext() as ctx:
         ctx.prec = dps
         scale = Decimal(prefactor.numerator) / prefactor.denominator / Decimal(q).ln() ** 2
@@ -291,40 +222,32 @@ def peyre_constant_hilbm(
 
 def cm_constant(
     m: int,
-    params: GlobalFieldParams,
+    field: FqField,
     mu=None,
     deg_cut: int = 8,
     dps: int = DEFAULT_DPS,
 ):
     """The positive constant c_m relating the prime-orbit main term to the
-    total Sym^m main term.  Exactly 2/3 for m = 2; for m >= 3 the displayed
-    product formula, implemented for genus 0."""
+    total Sym^m main term over F_q(t).  Exactly 2/3 for m = 2; for m >= 3 the
+    displayed product formula."""
     if m < 2:
         raise ValueError("m >= 2 required")
     if m == 2:
         with localcontext() as ctx:
             ctx.prec = dps
             return PeyreResult(Decimal(2) / 3, Decimal(0), Fraction(2, 3))
-    if params.genus != 0:
-        raise ValueError("c_m implemented for genus 0 only")
     mu = mu_slope(m, mu)
-    S = schanuel_constant(2, params.field)
+    S = schanuel_constant(2, field)
     prefactor = (
         mu
         * Fraction(3) ** (m - 2)
-        * zeta_k(3, params) ** 2
+        * zeta_fqt(3, field) ** 2
         * math.factorial(m)
         * math.factorial(m - 1)
         / S ** (m - 2)
     )
-    product, residual = euler_product_density(params.field, m, deg_cut, dps)
+    product, residual = euler_product_density(field, m, deg_cut, dps)
     with localcontext() as ctx:
         ctx.prec = dps
         scale = Decimal(prefactor.numerator) / prefactor.denominator
         return PeyreResult(scale * product, scale * residual, prefactor)
-
-
-def zeta3_damped_poly() -> list[int]:
-    """(1 - x^3)^2: the per-place factor of zeta_K(3)^-2.  For m = 2 this
-    equals the damped density identically (telescoping identity)."""
-    return [1, 0, 0, -2, 0, 0, 1]

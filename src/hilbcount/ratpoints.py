@@ -180,31 +180,16 @@ def count_exact_height(n: int, field: FqField, M: int) -> int:
     return total
 
 
-def schanuel_constant(
-    n: int,
-    field: FqField,
-    g: int = 0,
-    class_number: int = 1,
-    zeta_value: Fraction | None = None,
-) -> Fraction:
-    """Leading constant S_K(n+1, 1) in the exact-height point count.
-
-    For K = F_q(t) this is q^(n+1)(1 - q^-n)(1 - q^-(n+1))/(q - 1), an exact
-    rational.  For other (g, class number) the caller must supply the value
-    of zeta_K at n+1."""
+def schanuel_constant(n: int, field: FqField) -> Fraction:
+    """Leading constant S(n+1, 1) in the exact-height point count of
+    P^n(F_q(t)): q^(n+1)(1 - q^-n)(1 - q^-(n+1))/(q - 1), an exact rational."""
     from fractions import Fraction
 
     q = field.q
-    if g == 0 and class_number == 1 and zeta_value is None:
-        return (
-            Fraction(q ** (n + 1), q - 1)
-            * (1 - Fraction(1, q**n))
-            * (1 - Fraction(1, q ** (n + 1)))
-        )
-    if zeta_value is None:
-        raise ValueError("zeta_K(n+1) required when (g, J) != (0, 1)")
-    return Fraction(class_number) * Fraction(q) ** ((1 - g) * (n + 1)) / (
-        (q - 1) * zeta_value
+    return (
+        Fraction(q ** (n + 1), q - 1)
+        * (1 - Fraction(1, q**n))
+        * (1 - Fraction(1, q ** (n + 1)))
     )
 
 

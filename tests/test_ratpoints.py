@@ -86,9 +86,6 @@ def test_schanuel_constants():
     assert schanuel_constant(2, F2) == Fraction(21, 4)
     assert schanuel_constant(1, F2) == Fraction(3, 2)
     assert schanuel_constant(2, F3) == Fraction(104, 9)
-    # general-genus path at (g, J) = (0, 1) agrees with the closed form
-    zeta3 = 1 / ((1 - Fraction(1, 9)) * (1 - Fraction(1, 27)))
-    assert schanuel_constant(2, F3, zeta_value=zeta3) == Fraction(104, 9)
 
 
 @pytest.mark.parametrize(
