@@ -231,9 +231,6 @@ class FqField:
                 return r
         raise ValueError("element is not a square")
 
-    def elements(self):
-        return range(self.q)
-
 
 class Poly:
     """Dense polynomial over an FqField.  deg(0) is reported as -1; callers

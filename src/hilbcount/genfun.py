@@ -148,57 +148,26 @@ def closed_point_counts(F, m_max: int) -> list[int]:
     return out
 
 
-class Chen8Result(NamedTuple):
-    value: Fraction  # the formula value, exact (integral for prime powers)
-    recursion: int  # the Mobius-recursion ground truth
-    valid: bool
-
-
-def chen8_closed(F, m: int) -> Chen8Result:
-    """The closed even/odd formula for degree-m closed points, evaluated
-    verbatim and compared against the Mobius recursion.  The formula is
-    exact for prime-power m; for other m the divergence is reported, never
-    repaired."""
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    q = _field_size(F)
-    return _chen8(q, m, closed_point_counts(q, m)[m - 1])
-
-
-def _chen8(q: int, m: int, recursion: int) -> Chen8Result:
-    """chen8_closed given the recursion's count of degree-m closed points."""
+def _chen8(q: int, m: int) -> Fraction:
+    """The closed even/odd formula for the degree-m closed points (m >= 2),
+    evaluated verbatim.  It is exact for prime-power m; for other m the
+    caller reports the divergence from the Mobius recursion, never repairs
+    it."""
     if m % 2 == 0:
-        value = Fraction(q ** (2 * m) - q ** (m // 2), m)
-    else:
-        j = next(d for d in range(2, m + 1) if m % d == 0)
-        value = Fraction(q ** (2 * m) + q**m - q ** (2 * m // j) - q ** (m // j), m)
-    return Chen8Result(value, recursion, value == recursion)
+        return Fraction(q ** (2 * m) - q ** (m // 2), m)
+    j = next(d for d in range(2, m + 1) if m % d == 0)
+    return Fraction(q ** (2 * m) + q**m - q ** (2 * m // j) - q ** (m // j), m)
 
 
-class Chen1Result(NamedTuple):
-    ratio: Fraction
-    main_term: Fraction  # (1/m)(1 - 1/q - 1/q^2 + 1/q^3)
-    normalized_error: Fraction  # |m*ratio - m*main| * q^m
-
-
-def chen1_ratio(F, m: int) -> Chen1Result:
-    """Proportion of degree-m 0-cycles that are prime, with the normalized
-    error against the (1/m)(1 - 1/q - 1/q^2 + 1/q^3) main term."""
-    if m < 1:
-        raise ValueError("m >= 1 required")
-    q = _field_size(F)
-    return _chen1(q, m, closed_point_counts(q, m)[m - 1], sym_counts(q, m)[m])
-
-
-def _chen1(q: int, m: int, primes: int, sym: int) -> Chen1Result:
-    """chen1_ratio given the counts of degree-m closed points and of
-    degree-m 0-cycles."""
+def _chen1(q: int, m: int, primes: int, sym: int) -> Fraction:
+    """|m r - m main| q^m for the proportion r = primes / sym of degree-m
+    0-cycles that are prime, against the main term
+    (1/m)(1 - 1/q - 1/q^2 + 1/q^3)."""
     ratio = Fraction(primes, sym)
     main = Fraction(1, m) * (
         1 - Fraction(1, q) - Fraction(1, q * q) + Fraction(1, q**3)
     )
-    err = abs(m * ratio - m * main) * q**m
-    return Chen1Result(ratio, main, err)
+    return abs(m * ratio - m * main) * q**m
 
 
 class CycleRow(NamedTuple):
@@ -223,12 +192,7 @@ def cycle_table(F, m_max: int) -> list[CycleRow]:
     primes = closed_point_counts(q, m_max)
     rows = []
     for m in range(1, m_max + 1):
-        c8 = (
-            _chen8(q, m, primes[m - 1])
-            if m >= 2
-            else Chen8Result(Fraction(primes[0]), primes[0], True)
-        )
-        c1 = _chen1(q, m, primes[m - 1], sym[m])
+        chen8 = _chen8(q, m) if m >= 2 else Fraction(primes[0])
         rows.append(
             CycleRow(
                 m=m,
@@ -236,9 +200,9 @@ def cycle_table(F, m_max: int) -> list[CycleRow]:
                 hilb=hilb[m],
                 primes=primes[m - 1],
                 chen7=chen7_closed(q, m),
-                chen8=c8.value,
-                chen8_valid=c8.valid,
-                ratio_error=c1.normalized_error,
+                chen8=chen8,
+                chen8_valid=chen8 == primes[m - 1],
+                ratio_error=_chen1(q, m, primes[m - 1], sym[m]),
             )
         )
     return rows

@@ -1,5 +1,5 @@
 """Places, valuations, and heights in quadratic extensions L = F_q(t)(sqrt(D))
-with q odd, plus enumeration of the degree-2 points of the projective plane
+with q odd, plus the count of the degree-2 points of the projective plane
 of a given exact height.
 
 Height normalization: |x|_w = q^(-w(x) deg(w)) with w the normalized
@@ -19,7 +19,7 @@ scale.  A Galois orbit {x, conj x} is a point of Sym^2 P^2, the point
 coefficients of the product of the two conjugate linear forms; it is
 unchanged by conjugation and by scaling, and it is the orbit's key.
 
-Enumeration strategy: every degree-2 point of the plane lies on a unique
+Counting strategy: every degree-2 point of the plane lies on a unique
 rational line, and on that line corresponds to a unique irreducible binary
 quadratic form over F_q[t] (primitive, leading coefficient monic).  Writing
 the line's module of sections in a reduced basis (P, Q) with degrees
@@ -44,14 +44,35 @@ the polygon is one segment, and both conjugate roots have valuation W / 2
 with W = alpha - gamma at every place above infinity.  Since sum e f = 2
 there, the product over w | infty then has the exponent
 max(2 d_P - W, 2 d_Q) - max(-W, 0) whether infinity splits, is inert or
-ramifies.  So a form's class is its degree profile, and the type at
-infinity never enters the count.
+ramifies.  So a form's class is its key: (alpha, beta, gamma) if
+2 beta > alpha + gamma, else (alpha, -1, gamma), which holds W and
+max(alpha, beta, gamma) = max(alpha, gamma).  The type at infinity never
+enters the count.
+
+Forms per key, by Moebius inversion over the monic gcd g of (A, B, C):
+sum_{deg g = k} mu(g) is 1, -q and 0 for k = 0, k = 1 and k >= 2, and a
+multiple of g of exact degree d >= deg g has q^(d - deg g) choices if
+monic, (q - 1) q^(d - deg g) if not.  So the primitive forms of profile
+(alpha, beta, gamma) with A monic and C != 0 number f(0) - q f(1), f(k)
+the product of those choice counts for deg g = k (1 for B = 0).  The
+reducible ones among them are, by Gauss's lemma, the products
+(a s + b u)(c s + d u) of two points (a : b), (c : d) of P^1 with a, c
+monic and b, d != 0, so unordered pairs of such points, repeats allowed.
+N_1(i, j) points have deg a = i and deg b = j, by the same count.  A pair
+has alpha = i_1 + i_2, gamma = j_1 + j_2 and deg B = max(i_1 + j_2,
+j_1 + i_2) when the two differ, two slopes; when they are equal it has
+one segment, whatever cancels in B.  Taking half of the ordered pairs plus
+the repeated ones gives the unordered pairs per key, and the primitive
+forms less these are the irreducible ones.  The tests hold this count
+equal, key by key, to a scan over every coefficient triple that keeps the
+primitive forms whose discriminant is not a square; that scan is the
+oracle.
 
 The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
-H^2 >= q^(deg F + 2 d_P), so the search is complete.  The tests check both
-inequalities on _form_exponent for every degree profile and line class of
-degree up to 8, so no form matches a line class with d_Q > M // 2 and no
-form of degree above M matches at all.
+H^2 >= q^(deg F + 2 d_P), so the count reads only those classes and forms.
+The tests check both inequalities on _form_exponent for every degree
+profile and line class of degree up to 8, so no form matches a line class
+with d_Q > M // 2 and no form of degree above M matches at all.
 
 Lines per class: a line is the kernel E = O(-d_P) + O(-d_Q) of a primitive
 dual vector O^3 -> O(d_P + d_Q) on P^1 (its Grothendieck splitting; d_P is
@@ -93,8 +114,8 @@ INF = math.inf
 
 # residue fields larger than this fall back from exhaustive square roots
 SQRT_SEARCH_GUARD = 2 * 10**6
-# max coefficient triples scanned per form enumeration pass
-FORM_GUARD = 2 * 10**7
+# max height exponent M of a degree-2 count, whose class sum is O(M^5)
+M_GUARD = 30
 
 
 class _Infinity:
@@ -461,41 +482,54 @@ def _form_exponent(alpha: int, beta: int, gamma: int, dP: int, dQ: int) -> int:
     return max(alpha, beta, gamma) + g
 
 
-def _form_stream(field: FqField, fmax: int):
-    """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
-    discriminant, and coefficient degrees <= fmax.  The form is primitive
-    iff the AND of the divisor masks of A, B and C is 0.  disc = B^2 - 4AC
-    has degree <= 2 fmax, so it is a square, zero included, iff it is the
-    square of a polynomial of degree <= fmax: one of the B^2."""
-    ncodes = field.q ** (fmax + 1)
-    triples = (ncodes - 1) // (field.q - 1) * ncodes * ncodes  # monic A, any B, C
-    if triples > FORM_GUARD:
-        raise SizeError(
-            f"form enumeration of {triples} coefficient triples exceeds guard {FORM_GUARD}"
-        )
-    polys, mask, monic_codes = ratpoints.divisor_masks(field, fmax)
-    bsq = [f * f for f in polys]
-    squares = {f.coeffs for f in bsq}
-    four = field.add(field.add(1, 1), field.add(1, 1))
-    for ai in monic_codes:
-        A = polys[ai]
-        for ci in range(1, ncodes):
-            C = polys[ci]
-            ac4 = (A * C).scale(four)
-            mAC = mask[ai] & mask[ci]
-            for bi in range(ncodes):
-                if mAC & mask[bi]:
-                    continue
-                disc = bsq[bi] - ac4
-                if disc.coeffs in squares:
-                    continue
-                yield A, polys[bi], C, disc
+def _form_key(alpha: int, beta: int, gamma: int) -> tuple[int, int, int]:
+    """The class of a form of coefficient degrees (alpha, beta, gamma): the
+    profile itself if its Newton polygon has two slopes, else
+    (alpha, -1, gamma), which has the same _form_exponent."""
+    return (alpha, beta, gamma) if 2 * beta > alpha + gamma else (alpha, -1, gamma)
 
 
-def _form_classes(field: FqField, fmax: int) -> Counter:
-    """Counter {(deg A, deg B, deg C): number of forms} over the form stream,
-    deg B = -1 for B = 0."""
-    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(field, fmax))
+def _coprime_count(q: int, degs) -> int:
+    """Coprime tuples of polynomials of the given exact degrees (-1 for the
+    zero polynomial), the first monic and the others nonzero: f(0) - q f(1),
+    with f(k) the product of the numbers of multiples of a monic g of
+    degree k."""
+
+    def f(k):
+        n = 1
+        for i, d in enumerate(degs):
+            if d < 0:
+                continue
+            if d < k:
+                return 0
+            n *= q ** (d - k) * (1 if i == 0 else q - 1)
+        return n
+
+    return f(0) - q * f(1)
+
+
+def _form_counts(q: int, fmax: int) -> Counter:
+    """Counter {_form_key: number of forms} over the primitive irreducible
+    forms with monic A, C != 0 and coefficient degrees <= fmax: primitive
+    forms less the unordered pairs of points of P^1; see the module
+    docstring."""
+    degs = range(fmax + 1)
+    counts = Counter()
+    for alpha in degs:
+        for gamma in degs:
+            for beta in range(-1, fmax + 1):
+                counts[_form_key(alpha, beta, gamma)] += _coprime_count(q, (alpha, beta, gamma))
+    points = [(i, j, _coprime_count(q, (i, j))) for i in degs for j in degs]
+    pairs = Counter()  # ordered pairs, plus each repeated pair once more
+    for i1, j1, n1 in points:
+        pairs[_form_key(2 * i1, -1, 2 * j1)] += n1
+        for i2, j2, n2 in points:
+            pairs[_form_key(i1 + i2, max(i1 + j2, j1 + i2), j1 + j2)] += n1 * n2
+    for key, n in pairs.items():
+        if max(key) <= fmax:
+            assert n % 2 == 0
+            counts[key] -= n // 2
+    return counts
 
 
 class QuadraticCount(NamedTuple):
@@ -511,17 +545,20 @@ def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
 
     Each line class with d_Q <= M // 2 contributes T(d_P, d_Q) lines times
     the forms of coefficient degree <= M that reach exponent M on it, which
-    is complete by the height inequalities in the module docstring."""
+    is complete by the height inequalities in the module docstring.  Refuses
+    M > M_GUARD before any work."""
     _require_odd(field)
     if M < 1:
         raise ValueError("M >= 1 required")
-    forms = _form_classes(field, M)
+    if M > M_GUARD:
+        raise SizeError(f"form count at M = {M} exceeds guard M <= {M_GUARD}")
+    forms = _form_counts(field.q, M)
     count = sum(
         _line_count(field.q, dP, dQ) * n
         for dQ in range(M // 2 + 1)
         for dP in range(dQ + 1)
-        for profile, n in forms.items()
-        if _form_exponent(*profile, dP, dQ) == M
+        for key, n in forms.items()
+        if _form_exponent(*key, dP, dQ) == M
     )
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, main, Fraction(count) / main)

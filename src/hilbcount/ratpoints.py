@@ -61,15 +61,6 @@ def canonicalize(coords) -> ProjPointFqt:
     return ProjPointFqt(coords)
 
 
-def height_exponent(P: ProjPointFqt) -> int:
-    """Exponent M with H(P) = q^M; this is the max coordinate degree."""
-    return max(c.degree for c in P.coords if not c.is_zero)
-
-
-def height_rational(P: ProjPointFqt) -> int:
-    return P.field.q ** height_exponent(P)
-
-
 def _guard_tuples(n: int, field: FqField, M: int):
     """Refuse a scan of P^n at height q^M past TUPLE_GUARD tuples."""
     if n < 1 or M < 0:

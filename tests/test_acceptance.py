@@ -15,15 +15,12 @@ from hilbcount.ratpoints import (
     canonicalize,
     count_reducible_pairs,
     enumerate_exact_height,
-    height_exponent,
-    height_rational,
     point_count_exact_height,
 )
 from hilbcount.genfun import (
-    chen1_ratio,
     chen7_closed,
-    chen8_closed,
     closed_point_counts,
+    cycle_table,
     hilb_counts,
     sym_counts,
 )
@@ -100,17 +97,18 @@ def test_criterion_4_closed_points_and_chen8():
             for m in range(1, 13):
                 total = sum(d * primes[d - 1] for d in range(1, m + 1) if m % d == 0)
                 assert total == q ** (2 * m) + q**m + 1
+        rows = cycle_table(2, 16)
         for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-            assert chen8_closed(2, m).valid
+            assert rows[m - 1].chen8_valid
         for m in (6, 10, 12, 15):
-            assert not chen8_closed(2, m).valid
+            assert not rows[m - 1].chen8_valid
 
 
 def test_criterion_5_chen1_error_bound():
     with budget(2):
         for q in (2, 3, 5):
-            for m in range(2, 13):
-                assert chen1_ratio(q, m).normalized_error <= 4
+            for r in cycle_table(q, 12)[1:]:
+                assert r.ratio_error <= 4
 
 
 def test_criterion_6_peyre():

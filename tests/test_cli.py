@@ -247,16 +247,21 @@ def test_size_guard_exit_3(capsys):
     "argv, message",
     [
         (["count", "rational", "--q", "3", "--n", "1", "--M", "7", "--M-max", "9"], "3^20 coordinate tuples"),
-        (["count", "quadratic", "--q", "5", "--M", "2", "--M-max", "3"], f"{156 * 625 * 625} coefficient triples"),
+        (
+            ["count", "quadratic", "--q", "5", "--M", "2", "--M-max", str(quadfield.M_GUARD + 1)],
+            f"form count at M = {quadfield.M_GUARD + 1}",
+        ),
     ],
 )
 def test_range_guard_fails_before_any_row(argv, message, monkeypatch, capsys):
     """The guard of the range's largest M fires before a smaller M's row is
-    computed: both scans build their divisor masks only past their guard."""
+    computed: the rational scan builds its divisor masks, and the degree-2
+    count its form counts, only past their guard."""
     def no_row(*args):
         raise AssertionError("a row was computed before the guard")
 
     monkeypatch.setattr(ratpoints, "divisor_masks", no_row)
+    monkeypatch.setattr(quadfield, "_form_counts", no_row)
     start = time.monotonic()
     code, out = run(argv)
     assert time.monotonic() - start < 1
@@ -376,11 +381,12 @@ def test_count_quadratic_q5_exits_0():
     assert out.splitlines()[1] == "5,1,93000,true,1107072/5,625/1488"
 
 
-def test_form_guard_exit_3(capsys):
-    code, out = run(["count", "quadratic", "--q", "5", "--M", "3"])
+def test_m_guard_exit_3(capsys):
+    M = quadfield.M_GUARD + 1
+    code, out = run(["count", "quadratic", "--q", "5", "--M", str(M)])
     assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert f"{156 * 625 * 625} coefficient triples exceeds guard {quadfield.FORM_GUARD}" in err
+    assert f"form count at M = {M} exceeds guard M <= {quadfield.M_GUARD}" in err
 
 
 def test_allow_unstable_is_gone(tmp_path, capsys):

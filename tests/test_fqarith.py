@@ -83,7 +83,7 @@ def test_extension_add_sub_neg_match_digitwise_oracle(q):
 
 @pytest.mark.parametrize("field", [F2, F3, F5, F9])
 def test_field_axioms(field):
-    elems = list(field.elements())
+    elems = list(range(field.q))
     assert len(elems) == field.q
     for a in elems:
         assert field.add(a, field.neg(a)) == 0

@@ -9,10 +9,7 @@ from hilbcount.fqarith import FqField
 from hilbcount.genfun import (
     SERIES_ORDER_GUARD,
     SERIES_Q_GUARD,
-    Chen8Result,
-    chen1_ratio,
     chen7_closed,
-    chen8_closed,
     closed_point_counts,
     cycle_table,
     hilb_count_poly,
@@ -280,24 +277,22 @@ def test_closed_points_newton_identity(q):
 
 
 def test_chen8_flags():
-    prime_powers = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
-    for m in prime_powers:
-        res = chen8_closed(2, m)
-        assert res.valid and res.value == res.recursion
+    rows = cycle_table(2, 16)
+    for m in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        r = rows[m - 1]
+        assert r.chen8_valid and r.chen8 == r.primes, m
     for m in (6, 10, 12, 15):
-        res = chen8_closed(2, m)
-        assert not res.valid
+        assert not rows[m - 1].chen8_valid, m
     # the documented m=6 discrepancy at q=2: formula gives a non-integer
-    res = chen8_closed(2, 6)
-    assert res.value == Fraction(2044, 3)
-    assert res.recursion == 679
+    r = rows[5]
+    assert r.chen8 == Fraction(2044, 3)
+    assert r.primes == 679
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_chen1_normalized_error(q):
-    for m in range(2, 13):
-        res = chen1_ratio(q, m)
-        assert res.normalized_error <= 4, (q, m, res)
+    for r in cycle_table(q, 12)[1:]:
+        assert r.ratio_error <= 4, (q, r)
 
 
 def test_cycle_table_rows():
@@ -313,17 +308,15 @@ def test_cycle_table_rows():
 def test_cycle_table_matches_per_m_checks(q):
     rows = cycle_table(FqField(q), 12)
     assert [r.m for r in rows] == list(range(1, 13))
+    main = 1 - Fraction(1, q) - Fraction(1, q * q) + Fraction(1, q**3)
     for r in rows:
-        assert r.ratio_error == chen1_ratio(q, r.m).normalized_error, (q, r.m)
-        if r.m >= 2:
-            c8 = chen8_closed(q, r.m)
-            assert (r.chen8, r.chen8_valid) == (c8.value, c8.valid), (q, r.m)
-        else:
-            assert (r.chen8, r.chen8_valid) == (r.primes, True)
+        assert r.ratio_error == abs(Fraction(r.m * r.primes, r.sym) - main) * q**r.m, (q, r.m)
+        assert r.chen8_valid == (r.chen8 == r.primes), (q, r.m)
+    assert (rows[0].chen8, rows[0].chen8_valid) == (rows[0].primes, True)
 
 
 def test_series_guards():
-    for counts in (sym_counts, hilb_counts):
+    for counts in (sym_counts, hilb_counts, cycle_table):
         with pytest.raises(SizeError):
             counts(FqField(17), 4)
         with pytest.raises(SizeError):

@@ -25,14 +25,15 @@ from hilbcount.fqarith import (
 )
 from hilbcount import fqarith, quadfield, ratpoints
 from hilbcount.quadfield import (
-    FORM_GUARD,
     INFINITE_PLACE,
+    M_GUARD,
     PlaceQ,
     QuadElem,
     QuadExt,
     QuadraticCount,
+    _form_counts,
     _form_exponent,
-    _form_stream,
+    _form_key,
     _line_count,
     _require_odd,
     canonicalize_quadratic,
@@ -458,6 +459,62 @@ def _is_square_by_sqrt(f):
     return f.degree == 0 or _poly_sqrt_by_coefficients(f) is not None
 
 
+def _form_stream(field: FqField, fmax: int):
+    """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
+    discriminant, and coefficient degrees <= fmax.  The form is primitive
+    iff the AND of the divisor masks of A, B and C is 0.  disc = B^2 - 4AC
+    has degree <= 2 fmax, so it is a square, zero included, iff it is the
+    square of a polynomial of degree <= fmax: one of the B^2.  The scan over
+    every coefficient triple is the oracle for quadfield._form_counts."""
+    ncodes = field.q ** (fmax + 1)
+    polys, mask, monic_codes = ratpoints.divisor_masks(field, fmax)
+    bsq = [f * f for f in polys]
+    squares = {f.coeffs for f in bsq}
+    four = field.add(field.add(1, 1), field.add(1, 1))
+    for ai in monic_codes:
+        A = polys[ai]
+        for ci in range(1, ncodes):
+            C = polys[ci]
+            ac4 = (A * C).scale(four)
+            mAC = mask[ai] & mask[ci]
+            for bi in range(ncodes):
+                if mAC & mask[bi]:
+                    continue
+                disc = bsq[bi] - ac4
+                if disc.coeffs in squares:
+                    continue
+                yield A, polys[bi], C, disc
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_forms(field: FqField, fmax: int) -> Counter:
+    """Counter {(deg A, deg B, deg C): number of forms} over the stream,
+    deg B = -1 for B = 0; built once per (field, fmax)."""
+    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(field, fmax))
+
+
+@pytest.mark.parametrize(
+    "q, fmax", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (9, 1)]
+)
+def test_form_counts_match_stream(q, fmax):
+    """The closed form equals the scan over every coefficient triple, key by
+    key; every key of the closed form has forms."""
+    keyed = Counter()
+    for profile, n in _stream_forms(field_from_order(q), fmax).items():
+        keyed[_form_key(*profile)] += n
+    counts = _form_counts(q, fmax)
+    assert all(n > 0 for n in counts.values())
+    assert dict(counts) == dict(keyed)
+
+
+def test_enumerate_degree2_builds_no_poly(monkeypatch):
+    def no_poly(*args):
+        raise AssertionError("the degree-2 count built a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", no_poly)
+    assert enumerate_degree2(F3, 3).count == 6225336
+
+
 def _form_stream_by_sqrt(field, fmax):
     """The form stream with the square filter that solved for a square root
     of each discriminant; the oracle for the set lookup of squares."""
@@ -583,17 +640,11 @@ def test_enumerate_degree2_m1():
     assert res.main_term == kt_main_term(F3, 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _stream_forms(fmax):
-    """Counter {(deg A, deg B, deg C): number of forms} over the F_3 stream."""
-    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(F3, fmax))
-
-
 def _brute_matches(fmax, classes, M, min_deg=0):
     """Forms of the F_3 stream with max degree >= min_deg reaching exponent
     M, per line class."""
     counts = {cls: 0 for cls in classes}
-    for profile, n in _stream_forms(fmax).items():
+    for profile, n in _stream_forms(F3, fmax).items():
         if max(profile) < min_deg:
             continue
         for cls in classes:
@@ -727,11 +778,16 @@ def test_profile_exponent_matches_infinity_type_oracle():
                 assert _form_exponent(*profile, *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
 
 
-def test_form_guard_message_states_size_and_limit():
-    with pytest.raises(SizeError) as exc:
-        next(_form_stream(F5, 3))
-    # 156 monic A and 625 choices each of B and C at degree <= 3 over F_5
-    assert [int(n) for n in re.findall(r"\d+", str(exc.value))] == [156 * 625 * 625, FORM_GUARD]
+def test_m_guard_message_states_size_and_limit(monkeypatch):
+    """The guard refuses M past M_GUARD before any work, whatever q is."""
+    def no_count(*args):
+        raise AssertionError("forms were counted before the guard")
+
+    monkeypatch.setattr(quadfield, "_form_counts", no_count)
+    for field in (F3, F5):
+        with pytest.raises(SizeError) as exc:
+            enumerate_degree2(field, M_GUARD + 1)
+        assert [int(n) for n in re.findall(r"\d+", str(exc.value))] == [M_GUARD + 1, M_GUARD]
 
 
 @pytest.mark.parametrize(
@@ -742,10 +798,13 @@ def test_form_guard_message_states_size_and_limit():
         (F3, 3, 6225336),
         (F3, 2, 173004),
         (F9, 1, 5307120),
+        (FqField(7), 2, 780376968),
+        (F3, 4, 254964996),
     ],
 )
 def test_enumerate_degree2_reach(field, M, count):
-    """Pinned counts; F_9 takes the prime-power arithmetic path."""
+    """Pinned counts; F_9 takes the prime-power arithmetic path.  (7,2) and
+    (3,4) were reached by the form scan in about 40 s each."""
     assert enumerate_degree2(field, M).count == count
 
 

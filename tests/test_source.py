@@ -100,19 +100,15 @@ def test_every_public_callable_is_used():
 TEST_ONLY_EXPORTS = [
     "asympt.py:manin_main_term",
     "asympt.py:symm_main_terms",
-    "fqarith.py:FqField.elements",
     "fqarith.py:Poly.serialize",
     "fqarith.py:poly_xgcd",
     "fqarith.py:squarefree_decompose",
-    "genfun.py:chen1_ratio",
-    "genfun.py:chen8_closed",
     "quadfield.py:canonicalize_quadratic",  # oracle: the explicit-orbit route
     "quadfield.py:height_degree2",
     "quadfield.py:hilb2_split_counts",
     "quadfield.py:product_formula_defect",
     "ratpoints.py:ProjPointFqt.serialize",
     "ratpoints.py:enumerate_exact_height",  # oracle: the points count_exact_height counts
-    "ratpoints.py:height_rational",
 ]
 
 
