@@ -4,8 +4,11 @@ caching, and CSV/JSON table emission.
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
 them.  The cache module and json load only when a run uses them, and no run
-loads hashlib: the cache hashes with the builtin SHA-256.  The parser holds
-the flags of the named command only.
+loads hashlib: the cache hashes with the builtin SHA-256.  A well-formed
+call (a command path, then that command's flags spelled in full, each with
+a value) is read from the flag and command tables and loads no argparse;
+anything else goes to argparse, which alone prints help, usage and errors,
+and builds the flags of the named command only.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
@@ -13,9 +16,9 @@ error, 3 guard violation (size error).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import CharacteristicError, SizeError
 
@@ -236,12 +239,14 @@ def _named_command(argv):
     return None
 
 
-def build_parser(argv=()) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and, by _COMMANDS key, the leaf parser of each command it
-    builds.  When argv starts with a command path, only that command's leaf
-    is built; otherwise (help, an unknown or incomplete command) every leaf
-    is.  Every top-level command is registered either way, so usage lines
-    and errors read the same."""
+def build_parser(argv=()) -> tuple:
+    """The argparse parser and, by _COMMANDS key, the leaf parser of each
+    command it builds.  When argv starts with a command path, only that
+    command's leaf is built; otherwise (help, an unknown or incomplete
+    command) every leaf is.  Every top-level command is registered either
+    way, so usage lines and errors read the same."""
+    import argparse
+
     named = _named_command(argv)
     parser = argparse.ArgumentParser(prog="hilbcount")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -263,6 +268,76 @@ def build_parser(argv=()) -> tuple[argparse.ArgumentParser, dict]:
         leaf.set_defaults(**defaults)
         leaves[key] = leaf
     return parser, leaves
+
+
+def _parse_plain(argv, config=None):
+    """The namespace argparse makes of argv, read from _COMMANDS and _FLAGS
+    alone, or None if argv is not of the one plain form: a command path,
+    then flags of that command spelled in full, each with its value in the
+    next token or after "=", and --plot with none.  An abbreviation, help,
+    "--", an unknown or extra token, and a value that is empty, starts with
+    "-" or is refused by its flag's type or choices all give None.  Values
+    come from the flag defaults, then the command's defaults, then the keys
+    of config (a parsed config file) the command has flags for, then the
+    flags."""
+    key = _named_command(argv)
+    if key is None:
+        return None
+    command, sub = key
+    own, defaults = _COMMANDS[key][1:3]
+    dests = _COMMON + own
+    values = {"command": command} if sub is None else {"command": command, "subcommand": sub}
+    for dest in dests:
+        spec = _FLAGS[dest]
+        values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    values.update(defaults)
+    values.update((k, v) for k, v in (config or {}).items() if k in dests)
+    spelled = {"--" + dest.replace("_", "-"): dest for dest in dests}
+    tokens = iter(argv[1 if sub is None else 2 :])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        dest = spelled.get(flag)
+        if dest is None:
+            return None
+        spec = _FLAGS[dest]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value[0] == "-":
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def _parse_args(argv):
+    """The namespace of argv, with --config's file read: from the tables
+    when argv is plain, else from argparse, which prints any help, usage or
+    error and raises SystemExit.  Flags win over the file, and the command
+    takes only the file's keys it has flags for, so a file shared between
+    commands adds nothing unread to a cache key."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return args if args.config is None else _parse_plain(argv, parse_config(args.config))
+    parser, leaves = build_parser(argv)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # every spelling argparse accepts names the file
+        key = (args.command, getattr(args, "subcommand", None))
+        flags = _COMMON + _COMMANDS[key][1]
+        config = parse_config(args.config)
+        leaves[key].set_defaults(**{k: v for k, v in config.items() if k in flags})
+        args = parser.parse_args(argv)
+    return args
 
 
 _PLOT_SCRIPT = """\
@@ -346,20 +421,11 @@ def dispatch(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = list(argv)
     try:
-        parser, leaves = build_parser(argv)
         try:
-            args = parser.parse_args(argv)
-            key = (args.command, getattr(args, "subcommand", None))
-            if args.config is not None:
-                # every spelling argparse accepts names the file; flags still win.
-                # The leaf takes only the keys it has flags for, so a file shared
-                # between commands adds nothing unread to a cache key.
-                flags = _COMMON + _COMMANDS[key][1]
-                config = parse_config(args.config)
-                leaves[key].set_defaults(**{k: v for k, v in config.items() if k in flags})
-                args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        key = (args.command, getattr(args, "subcommand", None))
         _check_output_args(args)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
         payload = None

@@ -7,9 +7,10 @@ is asserted rather than assumed.
 
 |Hilb^m P^2| comes by two routes that share no arithmetic.  The polynomial
 in the field size, `hilb_count_poly`, is Goettsche's product over Z[x]
-(integer shift-and-add); the numeric counts, `hilb_counts`, are the
-exponential formula as an integer recurrence with exact division.  The
-tests hold the two equal for every m up to the series guard.
+(shift-and-add on ints that pack the x-coefficients); the numeric counts,
+`hilb_counts`, are the exponential formula as an integer recurrence with
+exact division.  The tests hold the two equal for every m up to the series
+guard.
 """
 
 from __future__ import annotations
@@ -109,23 +110,33 @@ def hilb_count_poly(m: int) -> list[int]:
         Z(u) = 1 / ((1 - u)(1 - x u)(1 - x^2 u)).
 
     Each factor 1/(1 - x^s t^n), s in {n-1, n, n+1}, is applied in place by
-    series[i] += x^s * series[i-n] for i = n..m, on integer coefficient
-    lists.  Goettsche, Math. Ann. 286 (1990)."""
+    series[i] += x^s * series[i-n] for i = n..m.  Each t^i term is one int
+    holding its x-coefficients in fields of B bits, so x^s is a shift by sB
+    bits.  Every step adds, so no coefficient of the t^i term exceeds its
+    value at x = 1: the number of triples of partitions of total size i, at
+    most that of size m, which the same recurrence computes on ints.  B is
+    one bit more than that needs, so no field carries into the next.
+    Goettsche, Math. Ann. 286 (1990)."""
     if m < 0:
         raise ValueError("m >= 0 required")
     if m > SERIES_ORDER_GUARD:
         raise SizeError(f"series guard exceeded (m {m} > {SERIES_ORDER_GUARD})")
-    # series[i] holds the x-coefficients of the t^i term; x^s series[i-n]
-    # has degree at most s + 2(i-n) <= 2i, so 2i+1 slots suffice
-    series = [[0] * (2 * i + 1) for i in range(m + 1)]
-    series[0][0] = 1
+    at_one = [1] + [0] * m
+    for n in range(1, m + 1):
+        for _s in range(3):
+            for i in range(n, m + 1):
+                at_one[i] += at_one[i - n]
+    bits = at_one[m].bit_length() + 1
+    series = [1] + [0] * m
     for n in range(1, m + 1):
         for s in (n - 1, n, n + 1):
+            shift = s * bits
             for i in range(n, m + 1):
-                src, dst = series[i - n], series[i]
-                for j, c in enumerate(src, s):
-                    dst[j] += c
-    poly = series[m]
+                series[i] += series[i - n] << shift
+    mask = (1 << bits) - 1
+    packed = series[m]
+    poly = [(packed >> (j * bits)) & mask for j in range(2 * m + 1)]
+    assert packed >> ((2 * m + 1) * bits) == 0
     assert poly[2 * m] == 1
     if m >= 2:
         assert poly[2 * m - 1] == 2

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import logging
@@ -8,6 +9,7 @@ import sys
 import time
 
 from decimal import Decimal
+from unittest import mock
 
 import mpmath
 import pytest
@@ -292,44 +294,54 @@ def test_python_m_hilbcount():
 
 
 # Runs in a fresh interpreter: imports the CLI, then dispatches each named
-# argv in order and records the package modules, mpmath, logging,
-# dataclasses, fractions, decimal, hashlib and _hashlib (OpenSSL) loaded so
-# far.
+# argv in order and records its table, what it printed to sys.stdout and
+# sys.stderr (help, usage, errors), and the package modules, mpmath,
+# logging, dataclasses, fractions, decimal, hashlib, _hashlib (OpenSSL),
+# argparse, gettext and locale loaded so far.
 _IMPORT_PROBE = r"""
 import io, json, sys
 from hilbcount import cli
 
+WATCHED = (
+    "mpmath", "logging", "dataclasses", "hashlib", "_hashlib", "fractions", "decimal",
+    "argparse", "gettext", "locale",
+)
+
 def loaded():
-    return sorted(
-        m for m in sys.modules
-        if m in ("mpmath", "logging", "dataclasses", "hashlib", "_hashlib", "fractions", "decimal")
-        or m.startswith("hilbcount.")
-    )
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith("hilbcount."))
 
 steps = {"import": {"modules": loaded()}}
 for name, argv in json.loads(sys.argv[1]):
     out = io.StringIO()
-    code = cli.dispatch(argv, out=out)
-    steps[name] = {"code": code, "stdout": out.getvalue(), "modules": loaded()}
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = cli.dispatch(argv, out=out)
+    finally:
+        printed = [sys.stdout.getvalue(), sys.stderr.getvalue()]
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    steps[name] = {"code": code, "stdout": out.getvalue(), "printed": printed, "modules": loaded()}
 print(json.dumps(steps))
 """
 
 
-def _import_probe(plan) -> dict:
-    """The steps of _IMPORT_PROBE run over plan in a fresh interpreter."""
+def _import_probe(plan, codes=None) -> dict:
+    """The steps of _IMPORT_PROBE run over plan in a fresh interpreter; each
+    step exits 0 but those named in codes, which exit with the code given."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(plan)],
         capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout)
-    assert all(steps[name]["code"] == 0 for name, _argv in plan)
+    want = codes or {}
+    assert [steps[name]["code"] for name, _argv in plan] == [want.get(name, 0) for name, _argv in plan]
     # no command builds a dataclass, so none pays for dataclasses and inspect
     assert not any("dataclasses" in step["modules"] for step in steps.values())
     return steps
 
 
-def test_each_command_imports_only_its_modules(tmp_path):
+def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps alike here and in the probe
     hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
     code, cold = run(hit_argv)  # fills the cache in this process
     assert code == 0
@@ -339,10 +351,12 @@ def test_each_command_imports_only_its_modules(tmp_path):
     }
     # the cache hashes with the builtin SHA-256, so not even a hit loads OpenSSL
     openssl = {"hashlib", "_hashlib"}
+    # a well-formed call is read from the tables; only help and errors need argparse
+    parsing = {"argparse", "gettext", "locale"}
     steps = _import_probe([("hit", hit_argv)])
-    assert not (unused | openssl | {"hilbcount.cache"}) & set(steps["import"]["modules"])
+    assert not (unused | openssl | parsing | {"hilbcount.cache"}) & set(steps["import"]["modules"])
     assert steps["hit"]["stdout"] == cold
-    assert not (unused | openssl) & set(steps["hit"]["modules"])
+    assert not (unused | openssl | parsing) & set(steps["hit"]["modules"])
     assert "hilbcount.cache" in steps["hit"]["modules"]
 
     # without a cache dir: a second interpreter, which the hit has not touched
@@ -354,11 +368,20 @@ def test_each_command_imports_only_its_modules(tmp_path):
         ("pn", ["peyre", "pn", "--q", "3", "--n", "3"]),
         ("hilbm", ["peyre", "hilbm", "--q", "3", "--m", "3", "--mu", "1"]),
         ("lemmas", ["verify", "lemmas", "--q", "3"]),
+        ("help", ["count", "pairs", "--help"]),
+        ("unknown flag", ["count", "pairs", "--q", "2", "--M", "1", "--nope", "1"]),
     ]
-    steps = _import_probe(plan)
+    steps = _import_probe(plan, codes={"help": 0, "unknown flag": 2})
     # the steps share the interpreter, so each list holds what came before too
     assert not unused & set(steps["import"]["modules"])
-    assert not (openssl | {"hilbcount.cache"}) & set(steps["lemmas"]["modules"])
+    assert not (openssl | parsing | {"hilbcount.cache"}) & set(steps["lemmas"]["modules"])
+    # help and errors still come from argparse, printed as the full parser prints them
+    full = cli.build_parser()[0]
+    for name in ("help", "unknown flag"):
+        argv = dict(plan)[name]
+        code, out, err = _parse_outcome(full, argv, capsys)
+        assert (steps[name]["code"], steps[name]["printed"]) == (code, [out, err]), name
+        assert steps[name]["stdout"] == "" and parsing <= set(steps[name]["modules"])
     # no command loads mpmath: the constants and lemma checks are Decimals
     assert "mpmath" not in steps["lemmas"]["modules"]
     rational = set(steps["rational"]["modules"])
@@ -736,6 +759,113 @@ def test_named_parser_equals_full_parser(key, capsys):
 @pytest.mark.parametrize("argv", [[], ["--help"], ["count", "--help"], ["peyre"], ["nope", "--q", "3"], ["--q", "3", "cycles"]])
 def test_parser_without_command_path_is_full(argv):
     assert set(cli.build_parser(argv)[1]) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
+def test_plain_parse_reads_own_flags(key):
+    """Each command's own flags, with every value spaced or after "=", are
+    read from the tables, into the namespace argparse makes of them."""
+    command = [k for k in key if k]
+    spaced = command + ["--q", "3", "--plot", "--format", "json"]
+    joined = command + ["--q=3", "--plot", "--format=json"]
+    for name, value in _OWN_FLAGS[key].items():
+        flag = "--" + name.replace("_", "-")
+        spaced += [flag, value]
+        joined += [f"{flag}={value}"]
+    full = cli.build_parser()[0]
+    for argv in (spaced, joined):
+        plain = cli._parse_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(full.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "pairs", "--q", "3", "--he"],
+        ["count", "pairs", "--q", "3", "-h"],
+        ["cycles", "--q", "3", "--help"],
+        ["count", "pairs", "--conf", "x.cfg"],
+        ["count", "pairs", "--q", "3", "--", "--M", "1"],
+        ["count", "pairs", "--q", "-3"],
+        ["count", "pairs", "--q=-3"],
+        ["count", "pairs", "--mu", ""],
+        ["count", "pairs", "--q="],
+        ["count", "pairs", "--q", "x"],
+        ["count", "pairs", "--format", "xml"],
+        ["count", "pairs", "--format=xml"],
+        ["count", "pairs", "--plot=1"],
+        ["count", "pairs", "--q"],
+        ["count", "pairs", "--q", "3", "extra"],
+        ["count", "pairs", "--q", "3", "--n", "2"],
+        ["peyre", "hilb2", "--q", "3", "--m", "2"],
+        ["count", "--q", "3"],
+        ["--q", "3", "cycles"],
+    ],
+)
+def test_plain_parse_leaves_the_rest_to_argparse(argv):
+    """An argv not of the plain form is not read from the tables."""
+    assert cli._parse_plain(argv) is None
+
+
+_SPELLINGS = ["--" + dest.replace("_", "-") for dest in cli._FLAGS]
+_GOOD_VALUES = ["1", "2", "3", "12", "csv", "json", "1/2"]
+_BAD_VALUES = ["-1", "-3", "", "x", " 4", "xml", "--q"]
+_CONFIG_LINES = ["q = 5", "digits = 7", "format = json", "format = xml", "plot = yes", "plot = 0",
+                 "M = 2", "M_max = 4", "n = 3", "m_max = 5", "m = 4", "mu = 1/3", "deg_cut = 9",
+                 "digits = x", "zq = 1"]
+
+
+def _dispatch_namespace(argv):
+    """vars of the namespace dispatch reads argv into, with the config file
+    read, or "refused" for a config file it cannot open or refuses."""
+    try:
+        return vars(cli._parse_args(argv))
+    except (UsageError, OSError):
+        return "refused"
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "run.cfg"
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_plain_parse_agrees_with_argparse(config_path, data):
+    """Whenever the table parser reads argv, argparse reads it too, into the
+    same namespace, config file included; abbreviations, help, "--",
+    repeated flags, negative, empty, non-int and unlisted values, and other
+    commands' flags are all drawn."""
+    paths = [[k for k in key if k] for key in cli._COMMANDS] + [["count"], ["peyre", "nope"], ["nope"], []]
+    exact = st.sampled_from(_SPELLINGS)
+    abbreviated = exact.flatmap(lambda f: st.integers(3, len(f)).map(lambda n: f[:n]))
+    odd = st.sampled_from(["-h", "--help", "--", "-q", "--nope", "--plot=x", "--plot=", "extra"])
+    flag = st.one_of(exact, exact, abbreviated, odd)
+    value = st.sampled_from(_GOOD_VALUES + _BAD_VALUES)
+    item = st.one_of(
+        st.tuples(exact, st.sampled_from(_GOOD_VALUES)).map(list),
+        flag.map(lambda f: [f]),
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: ["=".join(fv)]),
+        st.sampled_from([["--config", str(config_path)], [f"--config={config_path}"]]),
+    )
+    argv = data.draw(st.sampled_from(paths)) + sum(data.draw(st.lists(item, max_size=6)), [])
+    config_path.write_text("\n".join(data.draw(st.lists(st.sampled_from(_CONFIG_LINES), max_size=4))) + "\n")
+
+    plain = cli._parse_plain(argv)
+    if plain is None:
+        return
+    read = _dispatch_namespace(argv)
+    with mock.patch.object(cli, "_parse_plain", return_value=None):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                argparsed = _dispatch_namespace(argv)
+            except SystemExit as exc:
+                argparsed = exc.code
+    assert read == argparsed, argv
+    if plain.config is None:
+        assert read == vars(plain)
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)

@@ -250,6 +250,29 @@ def test_hilb_count_poly_matches_hilb_counts_to_guard():
             assert horner(poly, q) == row[m], (m, q)
 
 
+def _hilb_count_series_by_lists(m):
+    """The t^0..t^m terms of Goettsche's product on x-coefficient lists, one
+    add per coefficient: the oracle for the packed ints of hilb_count_poly."""
+    # x^s series[i-n] has degree at most s + 2(i-n) <= 2i, so 2i+1 slots suffice
+    series = [[0] * (2 * i + 1) for i in range(m + 1)]
+    series[0][0] = 1
+    for n in range(1, m + 1):
+        for s in (n - 1, n, n + 1):
+            for i in range(n, m + 1):
+                src, dst = series[i - n], series[i]
+                for j, c in enumerate(src, s):
+                    dst[j] += c
+    return series
+
+
+def test_hilb_count_poly_matches_list_oracle():
+    # no factor past t^i touches the t^i term, so one run to the guard
+    # gives every smaller m too
+    series = _hilb_count_series_by_lists(SERIES_ORDER_GUARD)
+    for m in range(SERIES_ORDER_GUARD + 1):
+        assert hilb_count_poly(m) == series[m], m
+
+
 def test_hilb_count_poly_budget():
     start = time.perf_counter()
     poly = hilb_count_poly(SERIES_ORDER_GUARD)

@@ -486,11 +486,24 @@ def _form_stream(field: FqField, fmax: int):
                 yield A, polys[bi], C, disc
 
 
+# The streams the form oracles read form by form, held as lists (about 13 MB
+# together); the larger ones, up to 90 MB as lists, are only counted.
+_LISTED_STREAMS = ((F3, 2), (F5, 1), (F9, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _listed_stream(field: FqField, fmax: int) -> list:
+    """_form_stream(field, fmax) as a list, built once per (field, fmax)."""
+    return list(_form_stream(field, fmax))
+
+
 @functools.lru_cache(maxsize=None)
 def _stream_forms(field: FqField, fmax: int) -> Counter:
     """Counter {(deg A, deg B, deg C): number of forms} over the stream,
     deg B = -1 for B = 0; built once per (field, fmax)."""
-    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in _form_stream(field, fmax))
+    listed = (field, fmax) in _LISTED_STREAMS
+    forms = _listed_stream(field, fmax) if listed else _form_stream(field, fmax)
+    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in forms)
 
 
 @pytest.mark.parametrize(
@@ -534,8 +547,8 @@ def _form_stream_by_sqrt(field, fmax):
 
 
 def test_form_stream_square_lookup_matches_sqrt_oracle():
-    for field, fmax in ((F3, 2), (F5, 1), (F9, 1)):
-        got = [tuple(f.coeffs for f in form) for form in _form_stream(field, fmax)]
+    for field, fmax in _LISTED_STREAMS:
+        got = [tuple(f.coeffs for f in form) for form in _listed_stream(field, fmax)]
         want = [tuple(f.coeffs for f in form) for form in _form_stream_by_sqrt(field, fmax)]
         assert got and got == want
 
@@ -767,10 +780,10 @@ def test_profile_exponent_matches_infinity_type_oracle():
     exponent of the form's degree profile equals the exponent of its type
     at infinity; the stream reaches all four types."""
     classes = [(dP, dQ) for dQ in range(4) for dP in range(dQ + 1)]
-    for field, fmax in ((F3, 2), (F5, 1), (F9, 1)):
+    for field, fmax in _LISTED_STREAMS:
         pairs = Counter(
             ((A.degree, B.degree, C.degree), _classify_form(A, B, C, disc, field))
-            for A, B, C, disc in _form_stream(field, fmax)
+            for A, B, C, disc in _listed_stream(field, fmax)
         )
         assert {fd.inf_kind for _, fd in pairs} == {"split2", "split1", "inert", "ramified"}
         for profile, fd in pairs:
