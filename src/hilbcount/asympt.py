@@ -1,6 +1,5 @@
 """Numerical verification of the asymptotic lemmas: the fractional-power
-sums, the exact convolution ratios, and the Manin-type main-term evaluators
-used to compare exact counts with their predicted leading behavior.
+sums against their predicted main terms, and the exact convolution ratios.
 
 Ratios that can be exact are kept as Fractions; everything involving
 q^(i/t) or log q is a stdlib Decimal evaluated at a caller-chosen precision.
@@ -11,10 +10,8 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple
 
 from .fqarith import FqField
-from .ratpoints import schanuel_constant
 
 DEFAULT_DPS = 50
 
@@ -73,52 +70,3 @@ def product_main_term_check(rV: int, rW: int, M: int) -> Fraction:
         math.factorial(rV + rW - 1),
     )
     return Fraction(total) / main
-
-
-def manin_main_term(c, r: int, F: FqField, M: int, dps: int = DEFAULT_DPS):
-    """c * (log q)^r / (r-1)! * q^M * M^(r-1)."""
-    if r < 1:
-        raise ValueError("rank r >= 1 required")
-    with localcontext() as ctx:
-        ctx.prec = dps
-        c = Decimal(c.numerator) / c.denominator if isinstance(c, Fraction) else Decimal(c)
-        q = Decimal(F.q)
-        return c * q.ln() ** r / math.factorial(r - 1) * q**M * Decimal(M) ** (r - 1)
-
-
-class SymmMainTerms(NamedTuple):
-    """Leading coefficients of the Sym^m count at height exponent M (the
-    anticanonical-height scale).  Each entry multiplies q^M M^(power)."""
-
-    reducible_coeff: Fraction  # power m-1
-    total_coeff: Fraction  # power m-1
-    irreducible_coeff: Fraction | None  # m = 2 only; power 1
-    diagonal: Decimal | None  # coefficient at power m-3, m >= 3
-    j2_cycle: Decimal | None  # coefficient at power m-3, m >= 3
-
-
-def symm_main_terms(F: FqField, m: int, dps: int = DEFAULT_DPS) -> SymmMainTerms:
-    """Main-term bookkeeping for N_{Sym^m} of the plane."""
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    S = schanuel_constant(2, F)
-    reducible = S**m / (3**m * math.factorial(m) * math.factorial(m - 1))
-    if m == 2:
-        irreducible = S * S / 9
-        total = S * S / 6
-        assert total == irreducible + reducible
-        return SymmMainTerms(reducible, total, irreducible, None, None)
-    diag = Fraction(2) * S ** (m - 1) / (
-        3 ** (m - 1) * math.factorial(m) * math.factorial(m - 3)
-    )
-    j2 = Fraction(4) * S**m / (3**m * math.factorial(m) * math.factorial(m - 3))
-    with localcontext() as ctx:
-        ctx.prec = dps
-        logq2 = Decimal(F.q).ln() ** 2
-        return SymmMainTerms(
-            reducible,
-            reducible,
-            None,
-            Decimal(diag.numerator) / diag.denominator / logq2,
-            Decimal(j2.numerator) / j2.denominator / logq2,
-        )

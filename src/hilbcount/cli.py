@@ -114,6 +114,12 @@ def _field(args):
     return field_from_order(args.q)
 
 
+def _dps(args) -> int:
+    """Working decimal digits for a --digits table: ten guard digits, and
+    never fewer than 50."""
+    return max(args.digits + 10, 50)
+
+
 def _run_count_rational(args):
     from . import ratpoints
 
@@ -134,10 +140,10 @@ def _run_count_pairs(args):
     field = _field(args)
     cols = ["q", "M", "observed", "closed_form", "match"]
     rows = []
-    for M in _m_range(args):
+    for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
         pc = ratpoints.count_reducible_pairs(field, M)
         rows.append([args.q, M, pc.observed, pc.closed_form, pc.match])
-    return cols, rows
+    return cols, rows[::-1]
 
 
 def _run_count_quadratic(args):
@@ -168,7 +174,7 @@ def _run_peyre(args):
     from . import peyre
 
     field = _field(args)
-    dps = max(args.digits + 10, 50)
+    dps = _dps(args)
     if args.subcommand == "pn":
         res = peyre.peyre_constant_pn(args.n, field, dps=dps)
     elif args.subcommand == "hilb2":
@@ -187,10 +193,11 @@ def _run_verify_lemmas(args):
     from . import asympt
 
     field = _field(args)
+    dps = _dps(args)
     cols = ["lemma", "params", "M", "ratio_or_dev", "pass"]
     rows = []
     for M in (50, 100, 200, 400):
-        dev = asympt.technical_lemma_check(field, 2, 1, 5, M)
+        dev = asympt.technical_lemma_check(field, 2, 1, 5, M, dps=dps)
         rows.append(["technical", "t=2;j=1;m=5", M, dev, dev <= 10])
     for M in (10, 100, 1000):
         ratio = asympt.technical2_check(1, M)

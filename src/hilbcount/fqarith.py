@@ -2,14 +2,14 @@
 
 Field elements are encoded as plain integers in [0, q).  The base-p digits
 of the code are the coordinates in the polynomial basis 1, x, ..., x^(k-1)
-of F_{p^k} over F_p; for k = 1 the code is just the residue mod p.  The
-defining modulus is still the lexicographically least monic irreducible of
-degree k over F_p (by coefficient sequence, lowest degree first), so outputs
-are reproducible across runs.  It and the products in F_{p^k} are computed
-with `Poly` over F_p: the modulus is the first monic candidate that
-`is_irreducible` accepts, the search starting at constant term 1 since every
-candidate with constant term 0 is divisible by t, and a product is a `Poly`
-product reduced by it.
+of F_{p^k} over F_p; for k = 1 the code is just the residue mod p.  For
+k > 1 the defining modulus is the lexicographically least monic irreducible
+of degree k over F_p (by coefficient sequence, lowest degree first), so
+(p, k) alone fixes a field and outputs are reproducible across runs.  It
+and the products in F_{p^k} are computed with `Poly` over F_p: the modulus
+is the first monic candidate that `is_irreducible` accepts, the search
+starting at constant term 1 since every candidate with constant term 0 is
+divisible by t, and a product is a `Poly` product reduced by it.
 
 Polynomials over F_q are immutable dense coefficient tuples (lowest degree
 first, no trailing zeros).  All counts use Python's arbitrary-precision
@@ -86,7 +86,7 @@ def irreducible_count(d: int, q: int) -> int:
 class FqField:
     """The finite field F_{p^k} with integer-coded elements."""
 
-    def __init__(self, p: int, k: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:
@@ -94,30 +94,16 @@ class FqField:
         self.p = p
         self.k = k
         self.q = p**k
-        if k == 1:
-            # F_p has one coding, so a modulus would only split equal fields
-            if modulus is not None:
-                raise ValueError("F_p takes no modulus")
-            # t itself; never used in arithmetic but kept for the record
-            self.modulus = (0, 1)
-        else:
+        if k > 1:
+            if self.q > ENUM_GUARD:
+                raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
             base = FqField(p)
-            if modulus is None:
-                if self.q > ENUM_GUARD:
-                    raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
-                # the first hit in product order is the least irreducible; a
-                # zero constant term makes t a factor, so the tails skip it
-                for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
-                    mod_poly = Poly(base, tail + (1,))
-                    if is_irreducible(mod_poly):
-                        break
-            else:
-                modulus = tuple(c % p for c in modulus)
-                if len(modulus) != k + 1 or modulus[-1] != 1:
-                    raise ValueError("modulus must be monic of degree k")
-                mod_poly = Poly(base, modulus)
-                if not is_irreducible(mod_poly):
-                    raise ValueError("modulus is reducible over F_p")
+            # the first hit in product order is the least irreducible; a
+            # zero constant term makes t a factor, so the tails skip it
+            for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+                mod_poly = Poly(base, tail + (1,))
+                if is_irreducible(mod_poly):
+                    break
             self._mod_poly = mod_poly
             self.modulus = mod_poly.coeffs
             self._add_cache: dict[tuple[int, int], int] = {}
@@ -131,13 +117,10 @@ class FqField:
         return f"FqField({self.p}, {self.k})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FqField)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
+        return isinstance(other, FqField) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
     # --- element codecs ---
 
@@ -502,7 +485,7 @@ def irreducibles_of_degree(d: int, field: FqField) -> list[Poly]:
     q = field.q
     if q**d > ENUM_GUARD:
         raise SizeError(f"irreducible scan q^d = {q}^{d} exceeds guard {ENUM_GUARD}")
-    key = (field.p, field.k, field.modulus, d)
+    key = (field.p, field.k, d)
     cached = _IRRED_CACHE.get(key)
     if cached is not None:
         return list(cached)

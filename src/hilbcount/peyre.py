@@ -24,6 +24,9 @@ from .genfun import hilb_count_poly
 from .ratpoints import schanuel_constant
 
 DEFAULT_DPS = 50
+# Max bit length of q^deg_cut, the norm of the last places an Euler product
+# takes in; its exact factors and working digits grow with it.
+EULER_BITS_GUARD = 512
 
 
 def zeta_fqt(s: int, field: FqField) -> Fraction:
@@ -63,12 +66,20 @@ def damped_density_poly(m: int) -> list[int]:
 
 def places_by_degree(field: FqField, deg_cut: int) -> list[tuple[int, int]]:
     """(degree, number of places of that degree) for the projective line,
-    including the infinite place in the degree-1 bucket."""
+    including the infinite place in the degree-1 bucket.  Refuses a cut
+    with q^deg_cut past EULER_BITS_GUARD bits before any work."""
     if deg_cut < 1:
         raise ValueError("deg_cut >= 1 required")
+    q = field.q
+    # q >= 2, so q^deg_cut has more than deg_cut bits and is built only below the guard
+    if deg_cut >= EULER_BITS_GUARD or (q**deg_cut).bit_length() > EULER_BITS_GUARD:
+        raise SizeError(
+            f"Euler product to deg_cut {deg_cut}: q^deg_cut = {q}^{deg_cut} "
+            f"exceeds guard of {EULER_BITS_GUARD} bits"
+        )
     out = []
     for d in range(1, deg_cut + 1):
-        count = irreducible_count(d, field.q) + (1 if d == 1 else 0)
+        count = irreducible_count(d, q) + (1 if d == 1 else 0)
         out.append((d, count))
     return out
 

@@ -562,27 +562,3 @@ def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
     )
     main = kt_main_term(field, M)
     return QuadraticCount(field.q, M, count, main, Fraction(count) / main)
-
-
-class Hilb2Splits(NamedTuple):
-    irreducible_main: Fraction  # S^2 q^(3M) M
-    reducible: ratpoints.PairCount  # exact
-    total_main: Fraction  # (3/2) S^2 q^(3M) M
-    sym_coeff: Fraction  # S^2/6, the smoothed Sym^2 coefficient
-
-
-def hilb2_split_counts(field: FqField, M: int) -> Hilb2Splits:
-    """The two displayed main terms for Hilb^2 of the plane at H = q^M,
-    the exact reducible count, and the reindexing identity against the
-    Sym^2 coefficient S^2/6: heights of split points are supported on
-    exponents divisible by 3, so the on-support constant is 3 times the
-    smoothed one, total_main = 3 * (S^2/6) * q^(3M) * (3M)."""
-    if M < 1:
-        raise ValueError("M >= 1 required")
-    S = ratpoints.schanuel_constant(2, field)
-    q3m = Fraction(field.q) ** (3 * M)
-    irreducible = S * S * q3m * M
-    reducible = ratpoints.count_reducible_pairs(field, M)
-    total = Fraction(3, 2) * S * S * q3m * M
-    sym_coeff = S * S / 6
-    return Hilb2Splits(irreducible, reducible, total, sym_coeff)

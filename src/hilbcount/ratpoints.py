@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 # Max number of coordinate tuples scanned by enumerate_exact_height and
 # count_exact_height.
 TUPLE_GUARD = 10**9
+# Max bit length of q^(3M) in count_reducible_pairs, whose M + 1 products
+# are about that long.
+PAIR_BITS_GUARD = 2**15
 
 
 class ProjPointFqt(NamedTuple):
@@ -214,10 +217,16 @@ def count_reducible_pairs(field: FqField, M: int) -> PairCount:
         S^2 q^(3M) (M/2 + (q^2 + 1)/(2(q^2 - 1)))
           = (q+1)(q^3-1)^2 (M(q^2-1) + q^2 + 1) q^(3M) / (2(q-1)q^4),
 
-    S = schanuel_constant(2) = (q^2 - 1)(q^3 - 1)/((q - 1) q^2)."""
+    S = schanuel_constant(2) = (q^2 - 1)(q^3 - 1)/((q - 1) q^2).  Refuses
+    q^(3M) past PAIR_BITS_GUARD bits before any work."""
     if M < 1:
         raise ValueError("M >= 1 required")
     q = field.q
+    # q >= 2, so q^(3M) has more than 3M bits and is built only below the guard
+    if 3 * M >= PAIR_BITS_GUARD or (q ** (3 * M)).bit_length() > PAIR_BITS_GUARD:
+        raise SizeError(
+            f"pair count at M = {M}: q^(3M) = {q}^{3 * M} exceeds guard of {PAIR_BITS_GUARD} bits"
+        )
     A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
     observed, odd = divmod(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
     assert odd == 0

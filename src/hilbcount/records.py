@@ -16,7 +16,7 @@ def fmt_value(v, digits: int = 12) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return _fmt_int(v)
     if isinstance(v, str):
         return v
     from decimal import Decimal
@@ -24,11 +24,23 @@ def fmt_value(v, digits: int = 12) -> str:
 
     if isinstance(v, Fraction):
         if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+            return _fmt_int(v.numerator)
+        return f"{_fmt_int(v.numerator)}/{_fmt_int(v.denominator)}"
     if isinstance(v, (Decimal, float)):
         return _fmt_real(Decimal(v), digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")
+
+
+def _fmt_int(n: int) -> str:
+    """All the digits of n.  Past the interpreter's limit on int-to-str
+    conversion (4300 digits by default) str() refuses, so those go through
+    Decimal, which has no such limit; the limit itself is left alone."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
 
 
 def _fmt_real(v: Decimal, digits: int) -> str:
@@ -36,16 +48,17 @@ def _fmt_real(v: Decimal, digits: int) -> str:
     mpmath.nstr lays out a number: fixed notation for decimal exponents in
     (min(-(digits // 3), -5), digits), scientific (`1.5e+44`, `2.0e-7`)
     otherwise, trailing zeros stripped down to one after the point."""
+    from decimal import ROUND_HALF_UP, localcontext
+
     if not v:
         return "0.0"
+    # rounding in decimal, not through int(), has no limit on digits
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, ROUND_HALF_UP
+        v = +v
     sign, coeff, _ = v.as_tuple()
     coeff = "".join(map(str, coeff))
     lead = v.adjusted()  # decimal exponent of the first digit
-    if len(coeff) > digits:
-        coeff = str(int(coeff[:digits]) + (coeff[digits] >= "5"))
-        if len(coeff) > digits:  # 99..9 rounded up to 100..0
-            coeff = coeff[:digits]
-            lead += 1
     if min(-(digits // 3), -5) < lead < digits:
         if lead < 0:
             whole, frac = "0", "0" * (-lead - 1) + coeff

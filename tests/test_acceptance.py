@@ -16,6 +16,7 @@ from hilbcount.ratpoints import (
     count_reducible_pairs,
     enumerate_exact_height,
     point_count_exact_height,
+    schanuel_constant,
 )
 from hilbcount.genfun import (
     chen7_closed,
@@ -35,12 +36,11 @@ from hilbcount.quadfield import (
     canonicalize_quadratic,
     enumerate_degree2,
     height_degree2,
+    kt_main_term,
     product_formula_defect,
 )
 from hilbcount.asympt import (
-    manin_main_term,
     product_main_term_check,
-    symm_main_terms,
     technical_lemma_check,
     technical2_check,
 )
@@ -213,16 +213,16 @@ def test_criterion_9_technical_lemmas():
 
 def test_criterion_10_main_term_identities():
     with budget(1):
-        assert Fraction(1, 9) + Fraction(1, 18) == Fraction(1, 6)
-        S = Fraction(104, 9)
-        res = symm_main_terms(F3, 2)
-        assert res.irreducible_coeff == S * S / 9
-        assert res.reducible_coeff == S * S / 18
-        assert res.total_coeff == S * S / 6
-        # reindexing M' = 3M with the support factor 3: the ln^2 q in the
-        # smoothed coefficient cancels and the identity is exact over Q
+        # the two exact convolution ratios behind the product main term
+        for M in (10, 100):
+            assert product_main_term_check(1, 1, M) == Fraction(M + 1, M)
+            assert product_main_term_check(2, 2, M) == Fraction(M * M - 1, M * M)
+        # S = S(3, 1) at q = 3 carries the degree-2 and reducible-pair main
+        # terms: 2 S^2 q^(3M) M, and S^2 q^(3M) (M/2 + (q^2+1)/(2(q^2-1)))
+        S = schanuel_constant(2, F3)
+        assert S == Fraction(104, 9)
         for M in (1, 2, 5):
-            assert 3 * Fraction(1, 9) * Fraction(3) ** (3 * M) * (3 * M) == Fraction(3) ** (3 * M) * M
-        with mpmath.workdps(50):
-            v = manin_main_term(Fraction(2), 1, F3, 4)
-            assert abs(mpmath.mpf(str(v)) - 2 * mpmath.log(3) * 81) < mpmath.mpf(10) ** -40
+            assert kt_main_term(F3, M) == 2 * S * S * 27**M * M
+            pairs = count_reducible_pairs(F3, M)
+            assert pairs.match
+            assert pairs.closed_form == S * S * 27**M * (Fraction(M, 2) + Fraction(10, 16))

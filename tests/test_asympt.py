@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -7,9 +6,7 @@ import pytest
 
 from hilbcount.fqarith import FqField
 from hilbcount.asympt import (
-    manin_main_term,
     product_main_term_check,
-    symm_main_terms,
     technical2_check,
     technical_lemma_check,
     technical_main_term,
@@ -81,47 +78,6 @@ def test_product_main_term_check():
     assert product_main_term_check(2, 2, 100) == Fraction(9999, 10000)
     with pytest.raises(ValueError):
         product_main_term_check(1, 2, 10)
-
-
-def test_manin_main_term():
-    # r = 1: c log q q^M
-    v = manin_main_term(Fraction(2), 1, F3, 4)
-    with mpmath.workdps(50):
-        assert abs(mpf(v) - 2 * mpmath.log(3) * 81) < mpmath.mpf(10) ** -40
-    # the Sym^2 reindexing: with c = S^2/(9 ln^2 q) at M' = 3M, the support
-    # factor 3 gives exactly S^2 q^(3M) M; ln^2 q cancels so the identity is
-    # rational: 3 * (1/9) * q^(3M) * (3M) = q^(3M) M
-    S = Fraction(104, 9)
-    for M in (1, 2, 5):
-        assert 3 * Fraction(1, 9) * Fraction(3) ** (3 * M) * (3 * M) == Fraction(3) ** (3 * M) * M
-        with mpmath.workdps(50):
-            c = mpmath.mpf(S.numerator) / S.denominator
-            c = c * c / 9 / mpmath.log(3) ** 2
-            lhs = 3 * mpf(manin_main_term(Decimal(str(c)), 2, F3, 3 * M))
-            target = S * S * Fraction(3) ** (3 * M) * M
-            rhs = mpmath.mpf(target.numerator) / mpmath.mpf(target.denominator)
-            assert abs(lhs / rhs - 1) < mpmath.mpf(10) ** -30
-    with pytest.raises(ValueError):
-        manin_main_term(1, 0, F3, 2)
-
-
-def test_symm_main_terms_m2():
-    res = symm_main_terms(F3, 2)
-    S = Fraction(104, 9)
-    assert res.irreducible_coeff == S * S / 9
-    assert res.reducible_coeff == S * S / 18
-    assert res.total_coeff == S * S / 6
-    assert res.irreducible_coeff + res.reducible_coeff == res.total_coeff
-    assert Fraction(1, 9) + Fraction(1, 18) == Fraction(1, 6)
-
-
-def test_symm_main_terms_m3():
-    res = symm_main_terms(F3, 3)
-    S = Fraction(104, 9)
-    # total main-term coefficient S^3/(3^3 3! 2!)
-    assert res.total_coeff == S**3 / (27 * math.factorial(3) * math.factorial(2))
-    assert res.total_coeff == res.reducible_coeff
-    assert res.diagonal > 0 and res.j2_cycle > 0
 
 
 def binomial_cancellation(k):

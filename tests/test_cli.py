@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import mpmath
@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hilbcount
 from hilbcount import cache, cli, genfun, peyre, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
+from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField
 from hilbcount.records import fmt_value
 
@@ -161,6 +162,17 @@ def test_fmt_value_layout(v, digits, want):
         assert mpmath.nstr(mpmath.mpf(v if isinstance(v, float) else str(v)), digits) == want
 
 
+def test_fmt_value_past_the_int_str_limit():
+    """Real cells of more than 4300 digits, past what int() reads from a
+    string by default, are rounded and laid out as short ones are."""
+    assert fmt_value(Decimal("0." + "6" * 5010), 5000) == "0." + "6" * 4999 + "7"
+    assert fmt_value(Decimal("9" * 5010), 5000) == "1.0e+5010"
+    with localcontext() as ctx:
+        ctx.prec = 5010
+        v = Decimal(-2) / 21  # -0.095238 095238 ...
+    assert fmt_value(v, 4500) == "-0.0" + "952380" * 749 + "952381"
+
+
 def test_verify_lemmas_all_pass():
     code, out = run(["verify", "lemmas", "--q", "3"])
     assert code == 0
@@ -168,6 +180,23 @@ def test_verify_lemmas_all_pass():
     assert lines[0] == "lemma,params,M,ratio_or_dev,pass"
     assert len(lines) > 5
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_verify_lemmas_digits_past_fifty():
+    """--digits sets the working precision of the technical rows as it does
+    for peyre: at 60 digits each deviation is mpmath's at 100, rounded."""
+    code, out = run(["verify", "lemmas", "--q", "5", "--digits", "60"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("technical,")]
+    assert [int(row[2]) for row in rows] == [50, 100, 200, 400]
+    with mpmath.workdps(100):
+        q = mpmath.mpf(5)
+        for _lemma, _params, M, cell, _ok in rows:
+            M = int(M)
+            # t = 2, j = 1, m = 5: sum_i q^(i/2) i^3 against (2/log q + 1/2) q^(M/2) M^3
+            total = mpmath.fsum(q ** (mpmath.mpf(i) / 2) * i**3 for i in range(M + 1))
+            main = (2 / mpmath.log(q) + mpmath.mpf(1) / 2) * q ** (mpmath.mpf(M) / 2) * M**3
+            assert cell == mpmath.nstr(abs(total / main - 1) * M, 60)
 
 
 def test_usage_errors_exit_2():
@@ -269,6 +298,70 @@ def test_range_guard_fails_before_any_row(argv, message, monkeypatch, capsys):
     assert time.monotonic() - start < 1
     assert code == 3 and out == ""
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["count", "pairs", "--q", "3", "--M", "20000"],
+            "pair count at M = 20000: q^(3M) = 3^60000 exceeds guard of 32768 bits",
+        ),
+        (["count", "pairs", "--q", "16", "--M", "1", "--M-max", "2731"], "M = 2731: q^(3M) = 16^8193 exceeds"),
+        (
+            ["peyre", "hilbm", "--q", "3", "--deg-cut", "1000000"],
+            "Euler product to deg_cut 1000000: q^deg_cut = 3^1000000 exceeds guard of 512 bits",
+        ),
+        (["peyre", "cm", "--q", "16", "--m", "3", "--deg-cut", "128"], "deg_cut 128: q^deg_cut = 16^128 exceeds"),
+    ],
+)
+def test_bit_guards_refuse_before_any_work(argv, message, monkeypatch, capsys):
+    """The pair count and the Euler product refuse on the bit length of the
+    power of q their cost grows with, before a point count or a place count
+    is made, so neither a large q nor a large M or cut slips past."""
+    def no_work(*args):
+        raise AssertionError("work was done before the guard")
+
+    monkeypatch.setattr(ratpoints, "point_count_exact_height", no_work)
+    monkeypatch.setattr(peyre, "irreducible_count", no_work)
+    start = time.monotonic()
+    code, out = run(argv)
+    assert time.monotonic() - start < 1
+    assert code == 3 and out == ""
+    assert message in capsys.readouterr().err
+
+
+def test_bit_guards_admit_their_limit():
+    """The largest M and cut at q = 16 run; one more is refused."""
+    F16 = FqField(2, 4)
+    assert ratpoints.count_reducible_pairs(F16, 2730).match
+    assert len(peyre.places_by_degree(F16, 127)) == 127
+    assert len(peyre.places_by_degree(FqField(3), 323)) == 323
+    for call in (
+        lambda: ratpoints.count_reducible_pairs(F16, 2731),
+        lambda: peyre.places_by_degree(F16, 128),
+        lambda: peyre.places_by_degree(FqField(3), 324),
+    ):
+        with pytest.raises(SizeError):
+            call()
+
+
+def test_cells_past_the_int_str_limit():
+    """Exact cells of more than 4300 digits, which str() refuses by
+    default, are printed in full."""
+    code, out = run(["count", "pairs", "--q", "16", "--M", "1200"])
+    assert code == 0
+    _q, _M, observed, closed_form, match = out.splitlines()[1].split(",")
+    pc = ratpoints.count_reducible_pairs(FqField(2, 4), 1200)
+    assert len(observed) > 4300 and match == "true"
+    assert (Decimal(observed), Decimal(closed_form)) == (pc.observed, pc.closed_form)
+
+    code, out = run(["peyre", "pn", "--q", "3", "--n", "5000"])
+    assert code == 0
+    numerator, denominator = out.splitlines()[1].split(",")[2].split("/")
+    S = ratpoints.schanuel_constant(5000, FqField(3))
+    assert len(numerator) > 4300
+    assert (Decimal(numerator), Decimal(denominator)) == (S.numerator, S.denominator)
 
 
 def _src_env():

@@ -159,22 +159,6 @@ def test_modulus_search_budget():
     assert F.modulus == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
 
-def test_user_modulus_checked():
-    F = FqField(3, 2, modulus=(2, 1, 1))
-    assert F.modulus == (2, 1, 1)
-    assert F.mul(3, 3) == F.encode((1, 2))  # x^2 = -2 - x = 1 + 2x
-    assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, 9))
-    for bad in [(1, 1), (1, 0, 1, 0), (1, 0, 2), (2, 1, 2)]:
-        with pytest.raises(ValueError, match="monic of degree k"):
-            FqField(3, 2, modulus=bad)
-    with pytest.raises(ValueError, match="reducible"):
-        FqField(3, 2, modulus=(2, 0, 1))  # x^2 - 1
-    # F_p has one coding, so no modulus may make a second, unequal F_p
-    for bad in [(7, 7, 7), (1, 1), (0, 1)]:
-        with pytest.raises(ValueError, match="no modulus"):
-            FqField(3, 1, modulus=bad)
-
-
 def test_extension_field_builds_no_per_element_table():
     """Negation is computed per element on demand, so building a field of
     2^19 elements allocates no table of q entries."""

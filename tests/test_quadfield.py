@@ -39,7 +39,6 @@ from hilbcount.quadfield import (
     canonicalize_quadratic,
     enumerate_degree2,
     height_degree2,
-    hilb2_split_counts,
     infinite_places,
     kt_main_term,
     product_formula_defect,
@@ -417,19 +416,6 @@ def test_kt_main_term():
     assert kt_main_term(F3, 1) == 2 * Fraction(104, 9) ** 2 * 27
     assert kt_main_term(F3, 1) == Fraction(21632, 3)
     assert kt_main_term(F3, 0) == 0
-
-
-def test_hilb2_split_counts():
-    res = hilb2_split_counts(F2, 2)
-    assert res.reducible.observed == 3234 and res.reducible.match
-    res3 = hilb2_split_counts(F3, 1)
-    assert res3.irreducible_main == Fraction(104, 9) ** 2 * 27
-    assert res3.total_main == Fraction(3, 2) * res3.irreducible_main
-    assert res3.sym_coeff == Fraction(104, 9) ** 2 / 6
-    # split points sit on heights divisible by 3: 3 * smoothed coefficient at 3M
-    for M in (1, 2, 5):
-        res = hilb2_split_counts(F3, M)
-        assert res.total_main == 3 * res.sym_coeff * Fraction(3) ** (3 * M) * (3 * M)
 
 
 def _poly_sqrt_by_coefficients(f):

@@ -94,22 +94,24 @@ def test_every_public_callable_is_used():
 
 
 
-# Public callables that only the tests read: the debt left to pay by giving
-# each a reader in the package, moving it into the test that reads it, or
-# deleting it.  Shorten this list as each goes; never lengthen it.
-TEST_ONLY_EXPORTS = [
-    "asympt.py:manin_main_term",
-    "asympt.py:symm_main_terms",
-    "fqarith.py:Poly.serialize",
-    "fqarith.py:poly_xgcd",
-    "fqarith.py:squarefree_decompose",
-    "quadfield.py:canonicalize_quadratic",  # oracle: the explicit-orbit route
-    "quadfield.py:height_degree2",
-    "quadfield.py:hilb2_split_counts",
-    "quadfield.py:product_formula_defect",
-    "ratpoints.py:ProjPointFqt.serialize",
-    "ratpoints.py:enumerate_exact_height",  # oracle: the points count_exact_height counts
-]
+# Public callables that only the tests read, each with the oracle or pinned
+# test it serves.  Anything else with no reader in the package is deleted or
+# moved into the test that reads it, so never add an entry without a reason.
+TEST_ONLY_EXPORTS = {
+    "fqarith.py:Poly.serialize": "the SHA-256 pin of the (3,1) orbit coordinates",
+    "fqarith.py:poly_xgcd": "the _line_basis and _hensel_sqrt oracles of the line and residue routes",
+    "fqarith.py:squarefree_decompose": "degree2_orbits, the explicit-orbit route to the degree-2 count",
+    "quadfield.py:canonicalize_quadratic": "degree2_orbits, the explicit-orbit route to the degree-2 count",
+    "quadfield.py:height_degree2": "the valuation height, the check on each explicit orbit's height",
+    "quadfield.py:product_formula_defect": "the product formula, the check on the valuations behind height_degree2",
+    "ratpoints.py:ProjPointFqt.serialize": "the point-order oracle of enumerate_exact_height",
+    "ratpoints.py:enumerate_exact_height": "the points count_exact_height counts, the second route to it",
+}
+
+
+def test_test_only_exports_have_reasons():
+    assert len(TEST_ONLY_EXPORTS) == 8
+    assert all(reason.strip() for reason in TEST_ONLY_EXPORTS.values())
 
 
 def test_test_only_exports_are_listed():
@@ -125,7 +127,81 @@ def test_test_only_exports_are_listed():
         for label, name in _public_callables(tree)
         if name not in used
     ]
-    assert sorted(test_only) == TEST_ONLY_EXPORTS
+    assert sorted(test_only) == sorted(TEST_ONLY_EXPORTS)
+
+
+# Defaulted parameters that no call in the package passes, each with the
+# reason it stays.  Any other such parameter is an option that only the
+# tests set: delete it, or give it a caller in the package.
+UNPASSED_DEFAULTS = {
+    "cli.py:dispatch(out)": "tests substitute a StringIO for sys.stdout to read a table",
+}
+
+
+def _defaulted_params(tree):
+    """(label, callee, index, name) of each defaulted parameter of a
+    top-level function or of a method of a top-level class: the name a call
+    spells (the class's, for __init__) and the parameter's positional index
+    at such a call, self or cls left out (None for keyword-only)."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for top in tree.body:
+        if isinstance(top, funcs):
+            defs = [(top.name, top.name, top, 0)]
+        elif isinstance(top, ast.ClassDef):
+            defs = [
+                (
+                    f"{top.name}.{item.name}",
+                    top.name if item.name == "__init__" else item.name,
+                    item,
+                    0 if any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list) else 1,
+                )
+                for item in top.body
+                if isinstance(item, funcs)
+            ]
+        else:
+            continue
+        for label, callee, func, bound in defs:
+            args = func.args
+            positional = args.posonlyargs + args.args
+            for index in range(len(positional) - len(args.defaults), len(positional)):
+                yield label, callee, index - bound, positional[index].arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield label, callee, None, arg.arg
+
+
+def _passes(call, index, name) -> bool:
+    """Whether call passes the parameter at positional index (None for
+    keyword-only) named name, by position, keyword, *args or **kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, of a package function or method, is
+    passed at some call in the package, calls matched by the name they
+    spell, so an option that only the tests set does not linger."""
+    package = _parse(SRC)
+    calls = {}
+    for tree in package.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = [
+        (f"{module}:{label}({name})", callee, index, name)
+        for module, tree in sorted(package.items())
+        for label, callee, index, name in _defaulted_params(tree)
+    ]
+    assert params
+    unpassed = [
+        entry
+        for entry, callee, index, name in params
+        if not any(_passes(call, index, name) for call in calls.get(callee, ()))
+    ]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
+    assert all(reason.strip() for reason in UNPASSED_DEFAULTS.values())
 
 
 def test_every_class_is_used():
