@@ -13,10 +13,8 @@ from fractions import Fraction
 
 from .fqarith import FqField
 
-DEFAULT_DPS = 50
 
-
-def technical_sum(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT_DPS):
+def technical_sum(F: FqField, t: int, j: int, m: int, M: int, dps: int):
     """sum_{i=0}^{M} q^((t-j)i/t) * i^(m-t), high precision."""
     if not (0 < j < t < m):
         raise ValueError("need 0 < j < t < m")
@@ -27,7 +25,7 @@ def technical_sum(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT
         return sum(root**i * i ** (m - t) for i in range(M + 1))
 
 
-def technical_main_term(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT_DPS):
+def technical_main_term(F: FqField, t: int, j: int, m: int, M: int, dps: int):
     """Predicted leading term (1/(((t-j)/t) log q) + 1/2) q^((t-j)M/t) M^(m-t)."""
     with localcontext() as ctx:
         ctx.prec = dps
@@ -37,7 +35,7 @@ def technical_main_term(F: FqField, t: int, j: int, m: int, M: int, dps: int = D
         return lead * q ** (alpha * M) * Decimal(M) ** (m - t)
 
 
-def technical_lemma_check(F: FqField, t: int, j: int, m: int, M: int, dps: int = DEFAULT_DPS):
+def technical_lemma_check(F: FqField, t: int, j: int, m: int, M: int, dps: int):
     """Normalized deviation dev(M) = |sum/main - 1| * M; bounded in M when
     the lemma's main term is right."""
     s = technical_sum(F, t, j, m, M, dps)

@@ -7,8 +7,7 @@ them.  The cache module and json load only when a run uses them, and no run
 loads hashlib: the cache hashes with the builtin SHA-256.  A well-formed
 call (a command path, then that command's flags spelled in full, each with
 a value) is read from the flag and command tables and loads no argparse;
-anything else goes to argparse, which alone prints help, usage and errors,
-and builds the flags of the named command only.
+anything else goes to argparse, which alone prints help, usage and errors.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
@@ -150,22 +149,22 @@ def _run_count_quadratic(args):
     from . import quadfield
 
     field = _field(args)
+    ms = _m_range(args)
     cols = ["q", "M", "count", "stable", "main_term", "ratio"]
-    rows = []
-    for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
-        qc = quadfield.enumerate_degree2(field, M)
-        # stable is constant true: the bounds are proven; pinned outputs keep it
-        rows.append([qc.q, qc.M, qc.count, True, qc.main_term, qc.ratio])
-    return cols, rows[::-1]
+    # stable is constant true: the bounds are proven; pinned outputs keep it
+    rows = [
+        [qc.q, qc.M, qc.count, True, qc.main_term, qc.ratio]
+        for qc in quadfield.enumerate_degree2(field, ms.start, ms.stop - 1)
+    ]
+    return cols, rows
 
 
 def _run_cycles(args):
     from . import genfun
 
-    field = _field(args)
     cols = ["m", "sym", "hilb", "primes", "chen7", "chen8", "chen8_valid", "ratio_error"]
     rows = []
-    for r in genfun.cycle_table(field, args.m_max):
+    for r in genfun.cycle_table(_field(args).q, args.m_max):
         rows.append([r.m, r.sym, r.hilb, r.primes, r.chen7, r.chen8, r.chen8_valid, r.ratio_error])
     return cols, rows
 
@@ -246,15 +245,11 @@ def _named_command(argv):
     return None
 
 
-def build_parser(argv=()) -> tuple:
+def build_parser() -> tuple:
     """The argparse parser and, by _COMMANDS key, the leaf parser of each
-    command it builds.  When argv starts with a command path, only that
-    command's leaf is built; otherwise (help, an unknown or incomplete
-    command) every leaf is.  Every top-level command is registered either
-    way, so usage lines and errors read the same."""
+    command."""
     import argparse
 
-    named = _named_command(argv)
     parser = argparse.ArgumentParser(prog="hilbcount")
     subs = parser.add_subparsers(dest="command", required=True)
     tops, groups, leaves = {}, {}, {}
@@ -262,8 +257,6 @@ def build_parser(argv=()) -> tuple:
         command, sub = key
         if command not in tops:
             tops[command] = subs.add_parser(command, help=_HELP[command])
-        if named not in (None, key):
-            continue
         if sub is None:
             leaf = tops[command]
         else:
@@ -335,7 +328,7 @@ def _parse_args(argv):
     args = _parse_plain(argv)
     if args is not None:
         return args if args.config is None else _parse_plain(argv, parse_config(args.config))
-    parser, leaves = build_parser(argv)
+    parser, leaves = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
         # every spelling argparse accepts names the file

@@ -207,13 +207,6 @@ class FqField:
             raise CharacteristicError("squareness of units needs odd q")
         return self.pow(a, (self.q - 1) // 2) == 1
 
-    def sqrt_unit(self, a: int) -> int:
-        """A square root of a nonzero square in F_q^* (exhaustive; q is small)."""
-        for r in range(1, self.q):
-            if self.mul(r, r) == a:
-                return r
-        raise ValueError("element is not a square")
-
 
 class Poly:
     """Dense polynomial over an FqField.  deg(0) is reported as -1; callers
@@ -239,10 +232,6 @@ class Poly:
     @classmethod
     def constant(cls, field, c):
         return cls(field, (c % field.q if field.k == 1 else c,))
-
-    @classmethod
-    def t(cls, field):
-        return cls(field, (0, 1))
 
     @property
     def degree(self) -> int:
@@ -315,12 +304,6 @@ class Poly:
         F = self.field
         return Poly(F, (F.mul(c, x) for x in self.coeffs))
 
-    def shift(self, n: int):
-        """Multiply by t^n."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (0,) * n + self.coeffs)
-
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -369,16 +352,6 @@ class Poly:
             # i * c_i; the prime-field scalar i mod p has element code i mod p
             out.append(F.mul(i % F.p, self.coeffs[i]))
         return Poly(F, out)
-
-    def pow_mod(self, e: int, m: "Poly") -> "Poly":
-        result = Poly.one(self.field) % m
-        base = self % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return result
 
     def serialize(self) -> str:
         if self.is_zero:
@@ -435,19 +408,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         return r0, s0, u0
     c = F.inv(r0.lead)
     return r0.scale(c), s0.scale(c), u0.scale(c)
-
-
-def multiplicity(f: Poly, p: Poly) -> int:
-    """Largest e with p^e | f; f must be nonzero."""
-    if f.is_zero:
-        raise ValueError("multiplicity of zero polynomial")
-    e = 0
-    while True:
-        q, r = divmod(f, p)
-        if not r.is_zero:
-            return e
-        f = q
-        e += 1
 
 
 def is_squarefree(f: Poly) -> bool:
@@ -514,7 +474,7 @@ def is_irreducible(f: Poly) -> bool:
 
 def trial_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor a nonzero polynomial into monic irreducibles by trial division.
-    Only intended for the small degrees that appear in height computations."""
+    Only intended for small degrees."""
     if f.is_zero:
         raise ValueError("cannot factor zero")
     factors = []
@@ -547,17 +507,3 @@ def squarefree_decompose(f: Poly) -> tuple[Poly, Poly]:
         h = h * p ** (e // 2)
     assert d * h * h == f
     return d, h
-
-
-def quadratic_character(a: Poly, p: Poly, field: FqField) -> int:
-    """Legendre-style character of a modulo the monic irreducible p."""
-    if field.q % 2 == 0:
-        raise CharacteristicError("quadratic character needs odd q")
-    r = a % p
-    if r.is_zero:
-        return 0
-    s = r.pow_mod((field.q ** p.degree - 1) // 2, p)
-    if s == Poly.one(field):
-        return 1
-    assert s == Poly.constant(field, field.neg(1)), "character power must be +-1"
-    return -1

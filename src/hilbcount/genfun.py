@@ -19,17 +19,15 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SizeError
-from .fqarith import FqField, mobius
+from .fqarith import mobius
 
 SERIES_ORDER_GUARD = 64
 SERIES_Q_GUARD = 16
 
 
-def _field_size(F) -> int:
-    q = F.q if isinstance(F, FqField) else int(F)
+def _check_field_size(q: int):
     if q < 2:
         raise ValueError("field size must be >= 2")
-    return q
 
 
 def _check_series_guard(q: int, order: int):
@@ -40,11 +38,11 @@ def _check_series_guard(q: int, order: int):
         )
 
 
-def sym_counts(F, m_max: int) -> list[int]:
+def sym_counts(q: int, m_max: int) -> list[int]:
     """|Sym^m P^2(F_q)| for m = 0..m_max: the coefficients of the zeta
     series 1/((1-t)(1-qt)(1-q^2 t)), each geometric factor 1/(1 - a t)
     applied in place by series[i] += a * series[i-1]."""
-    q = _field_size(F)
+    _check_field_size(q)
     _check_series_guard(q, m_max)
     series = [1] + [0] * m_max
     for a in (1, q, q * q):
@@ -53,7 +51,7 @@ def sym_counts(F, m_max: int) -> list[int]:
     return series
 
 
-def chen7_closed(F, m: int) -> int:
+def chen7_closed(q: int, m: int) -> int:
     """Closed even/odd formula for |Sym^m P^2(F_q)|:
 
         (1 + 1/q) sum_{i<m//2} (i+1)(q^(2(m-i)) + q^(2i+1))
@@ -64,7 +62,7 @@ def chen7_closed(F, m: int) -> int:
     (q+1) sum / q in integers; each division is asserted exact."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    q = _field_size(F)
+    _check_field_size(q)
     total = sum((i + 1) * (q ** (2 * (m - i)) + q ** (2 * i + 1)) for i in range(m // 2))
     total, rem = divmod((q + 1) * total, q)
     assert rem == 0
@@ -78,14 +76,14 @@ def chen7_closed(F, m: int) -> int:
     return total
 
 
-def hilb_counts(F, m_max: int) -> list[int]:
+def hilb_counts(q: int, m_max: int) -> list[int]:
     """|Hilb^m P^2(F_q)| for m = 0..m_max via the exponential formula.
 
     The counts are the coefficients h_n of exp(sum_k (t^k / k) N_k /
     (1 - q^k t^k)), N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of
     the plane.  With b_n = n * [t^n] of the argument, an integer, they obey
     n h_n = sum_{k=1}^{n} b_k h_{n-k}; the division by n must be exact."""
-    q = _field_size(F)
+    _check_field_size(q)
     _check_series_guard(q, m_max)
     # b_n = sum over k | n of (n/k) N_k q^(n-k)
     b = [0] * (m_max + 1)
@@ -143,10 +141,10 @@ def hilb_count_poly(m: int) -> list[int]:
     return poly
 
 
-def closed_point_counts(F, m_max: int) -> list[int]:
+def closed_point_counts(q: int, m_max: int) -> list[int]:
     """Number of closed points of degree m on P^2 over F_q (prime 0-cycles),
     for m = 1..m_max, via Mobius inversion of the Newton identity."""
-    q = _field_size(F)
+    _check_field_size(q)
     out = []
     for m in range(1, m_max + 1):
         total = 0
@@ -192,12 +190,11 @@ class CycleRow(NamedTuple):
     ratio_error: Fraction
 
 
-def cycle_table(F, m_max: int) -> list[CycleRow]:
+def cycle_table(q: int, m_max: int) -> list[CycleRow]:
     """One row per m = 1..m_max with every 0-cycle count and its
     closed-form checks."""
     if m_max < 1:
         raise ValueError("m_max >= 1 required")
-    q = _field_size(F)
     sym = sym_counts(q, m_max)
     hilb = hilb_counts(q, m_max)
     primes = closed_point_counts(q, m_max)

@@ -23,7 +23,6 @@ from .fqarith import FqField, irreducible_count
 from .genfun import hilb_count_poly
 from .ratpoints import schanuel_constant
 
-DEFAULT_DPS = 50
 # Max bit length of q^deg_cut, the norm of the last places an Euler product
 # takes in; its exact factors and working digits grow with it.
 EULER_BITS_GUARD = 512
@@ -130,7 +129,7 @@ def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
     return 4 * C * r ** (deg_cut + 1) / (1 - r)
 
 
-def euler_product_density(field: FqField, m: int, deg_cut: int, dps: int = DEFAULT_DPS):
+def euler_product_density(field: FqField, m: int, deg_cut: int, dps: int):
     """Truncated product of (1 - q_v^-1)^2 omega_v over all places of degree
     <= deg_cut, with an explicit bound on the log of the omitted tail."""
     poly = damped_density_poly(m)
@@ -188,7 +187,7 @@ def alpha_star_hilbm(mu) -> Fraction:
     return _positive_mu(mu) / 9
 
 
-def peyre_constant_pn(n: int, field: FqField, dps: int = DEFAULT_DPS):
+def peyre_constant_pn(n: int, field: FqField, dps: int):
     """Leading constant for P^n over F_q(t): S(n+1, 1) / ((n+1) log q)."""
     if n < 1:
         raise ValueError("n >= 1 required")
@@ -199,7 +198,7 @@ def peyre_constant_pn(n: int, field: FqField, dps: int = DEFAULT_DPS):
         return PeyreResult(value, Decimal(0), S)
 
 
-def peyre_constant_hilb2(field: FqField, dps: int = DEFAULT_DPS):
+def peyre_constant_hilb2(field: FqField, dps: int):
     """Leading constant for Hilb^2 of the plane over F_q(t):
     q^6 / (9 (q-1)^2 (log q)^2 zeta(3)^2)."""
     q = field.q
@@ -214,8 +213,9 @@ def peyre_constant_hilbm(
     m: int,
     field: FqField,
     mu=None,
-    deg_cut: int = 8,
-    dps: int = DEFAULT_DPS,
+    *,
+    deg_cut: int,
+    dps: int,
 ):
     """Leading constant for Hilb^m of the plane over F_q(t) by the general
     product formula: alpha^* q^(2(m+1)) / ((q-1)^2 (log q)^2) times the Euler
@@ -235,8 +235,9 @@ def cm_constant(
     m: int,
     field: FqField,
     mu=None,
-    deg_cut: int = 8,
-    dps: int = DEFAULT_DPS,
+    *,
+    deg_cut: int,
+    dps: int,
 ):
     """The positive constant c_m relating the prime-orbit main term to the
     total Sym^m main term over F_q(t).  Exactly 2/3 for m = 2; for m >= 3 the

@@ -1,12 +1,6 @@
-"""Places, valuations, and heights in quadratic extensions L = F_q(t)(sqrt(D))
-with q odd, plus the count of the degree-2 points of the projective plane
-of a given exact height.
-
-Height normalization: |x|_w = q^(-w(x) deg(w)) with w the normalized
-(surjective onto Z) valuation, deg(w) = f_w * deg(base place), and the
-infinite base place of F_q(t) given degree 1.  This is the unique choice
-satisfying the product formula in L, and H(x) = (prod_w max_i |x_i|_w)^(1/2)
-is then Galois- and scaling-invariant.
+"""Degree-2 points of the projective plane over F_q(t), q odd: their
+canonical coordinates in L = F_q(t)(sqrt(D)), their heights, and the count
+of those of a given exact height.
 
 Coordinates: an element a + b sqrt(D) holds polynomial parts a, b in
 F_q[t], and nothing here divides in L.  Every point of P^2(L) has such
@@ -18,6 +12,20 @@ scale.  A Galois orbit {x, conj x} is a point of Sym^2 P^2, the point
 (x_i conj(x_i), x_i conj(x_j) + x_j conj(x_i)) of P^5(F_q(t)), the
 coefficients of the product of the two conjugate linear forms; it is
 unchanged by conjugation and by scaling, and it is the orbit's key.
+
+Height: H(x) = (prod_w max_i |x_i|_w)^(1/2) over the places w of L, with
+|z|_w = q^(-w(z) deg(w)), w the valuation onto Z, deg(w) = f_w times the
+degree of the place below and the infinite place of F_q(t) of degree 1, so
+that the product formula holds in L and H is Galois- and
+scaling-invariant.  Every place is non-archimedean, so by Gauss's lemma
+the max of |.|_w over the coefficients is multiplicative on a product of
+polynomials.  The key is the coefficient vector of l_x l_conj(x), with
+l_x = sum x_i X_i, so max |key|_w = max_i |x_i|_w max_i |conj(x_i)|_w, and
+the product over w gives H(x)^4 = prod_w max |key|_w = H(key)^2, where
+H(key) is the height of the key in P^5(F_q(t)) (each place of F_q(t) has
+sum e f = 2 above it).  The canonical key has coprime polynomial
+coordinates, so H(key) = q^(max deg) and H(x)^2 = q^(max deg of the key):
+a height needs no place, valuation or factorization.
 
 Counting strategy: every degree-2 point of the plane lies on a unique
 rational line, and on that line corresponds to a unique irreducible binary
@@ -93,37 +101,16 @@ T(d_P, d_Q) lines, which the tests check against a walk over dual vectors:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import ratpoints
 from .errors import CharacteristicError, SizeError, WrongDegreeError
-from .fqarith import (
-    FqField,
-    Poly,
-    is_squarefree,
-    multiplicity,
-    poly_gcd_all,
-    quadratic_character,
-    trial_factor,
-)
+from .fqarith import FqField, Poly, is_squarefree, poly_gcd_all
 
-INF = math.inf
-
-# residue fields larger than this fall back from exhaustive square roots
-SQRT_SEARCH_GUARD = 2 * 10**6
 # max height exponent M of a degree-2 count, whose class sum is O(M^5)
 M_GUARD = 30
-
-
-class _Infinity:
-    def __repr__(self):
-        return "INFINITE_PLACE"
-
-
-INFINITE_PLACE = _Infinity()
 
 
 def _require_odd(field: FqField):
@@ -145,20 +132,12 @@ class QuadExt:
             raise ValueError("D must be squarefree")
         self.field = field
         self.d = d
-        self.deg_d = d.degree
 
     def __eq__(self, other):
         return isinstance(other, QuadExt) and self.field == other.field and self.d == other.d
 
     def __hash__(self):
         return hash((self.field, self.d))
-
-    def infinite_type(self) -> str:
-        """How the infinite place of F_q(t) behaves in L: ramified for odd
-        deg D, split for a square leading coefficient, otherwise inert."""
-        if self.deg_d % 2 == 1:
-            return "ramified"
-        return "split" if self.field.is_square_unit(self.d.lead) else "inert"
 
     def __repr__(self):
         return f"QuadExt(q={self.field.q}, D={self.d!r})"
@@ -209,169 +188,6 @@ class QuadElem:
         return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
 
 
-class PlaceQ:
-    """A place of L above a place of F_q(t); seed fixes the split branch.
-    Immutable, and equal only to itself: the two split places above one base
-    place are distinct places even where their seeds compare equal."""
-
-    __slots__ = ("ext", "base", "kind", "e", "f", "seed")
-
-    def __init__(self, ext: QuadExt, base, kind: str, e: int, f: int, seed=None):
-        init = object.__setattr__
-        init(self, "ext", ext)
-        init(self, "base", base)  # monic irreducible Poly, or INFINITE_PLACE
-        init(self, "kind", kind)  # split | inert | ramified
-        init(self, "e", e)
-        init(self, "f", f)
-        init(self, "seed", seed)  # split: residue sqrt of D (Poly) / field code at infinity
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PlaceQ is immutable; cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PlaceQ is immutable; cannot delete {name!r}")
-
-    @property
-    def base_degree(self) -> int:
-        return 1 if self.base is INFINITE_PLACE else self.base.degree
-
-    @property
-    def degree(self) -> int:
-        return self.f * self.base_degree
-
-    def __repr__(self):
-        return f"PlaceQ({self.base!r}, {self.kind})"
-
-
-def _sqrt_mod(c: Poly, p: Poly, field: FqField) -> Poly:
-    """A square root of the nonzero residue c in F_q[t]/(p), by power trick
-    when the residue field has Q = 3 mod 4, else exhaustive search."""
-    Q = field.q**p.degree
-    c = c % p
-    assert not c.is_zero
-    if Q % 4 == 3:
-        r = c.pow_mod((Q + 1) // 4, p)
-        assert ((r * r - c) % p).is_zero, "residue is not a square"
-        return r
-    if Q > SQRT_SEARCH_GUARD:
-        raise SizeError(f"residue field of size {Q} exceeds sqrt search guard")
-    q = field.q
-    for code in range(1, Q):
-        digits = []
-        x = code
-        for _ in range(p.degree):
-            digits.append(x % q)
-            x //= q
-        r = Poly(field, digits)
-        if ((r * r - c) % p).is_zero:
-            return r
-    raise ValueError("residue is not a square")
-
-
-def splitting_type(v, ext: QuadExt) -> tuple[PlaceQ, ...]:
-    """The places of L above the place v of F_q(t) (v = monic irreducible
-    or INFINITE_PLACE), with (e, f) and split-branch seeds."""
-    field = ext.field
-    if v is INFINITE_PLACE:
-        kind = ext.infinite_type()
-        if kind == "ramified":
-            return (PlaceQ(ext, v, "ramified", 2, 1),)
-        if kind == "inert":
-            return (PlaceQ(ext, v, "inert", 1, 2),)
-        r = field.sqrt_unit(ext.d.lead)
-        return (
-            PlaceQ(ext, v, "split", 1, 1, seed=r),
-            PlaceQ(ext, v, "split", 1, 1, seed=field.neg(r)),
-        )
-    chi = quadratic_character(ext.d, v, field)
-    if chi == 0:
-        assert multiplicity(ext.d, v) == 1  # squarefree
-        return (PlaceQ(ext, v, "ramified", 2, 1),)
-    if chi == -1:
-        return (PlaceQ(ext, v, "inert", 1, 2),)
-    r = _sqrt_mod(ext.d, v, field)
-    return (
-        PlaceQ(ext, v, "split", 1, 1, seed=r),
-        PlaceQ(ext, v, "split", 1, 1, seed=(-r) % v),
-    )
-
-
-def _split_finite_valuation(A: Poly, B: Poly, d: Poly, p: Poly, seed: Poly) -> int:
-    """w(A + B sqrt(d)) at a finite split place with branch seed, for A and B
-    not both zero.
-
-    Write A + B sqrt(d) = p^c z with z = A' + B' sqrt(d) and p not dividing
-    both A' and B', and let e = v_p(A'^2 - d B'^2).  The two places above p
-    are w and the place w' with w'(z) = w(conj z), so w(z) + w'(z) = e, the
-    valuation of the norm.  Both cannot be positive: z and conj z would then
-    vanish at w, so p would divide 2A' and 2B' seed, hence A' and B' (q is
-    odd and seed is a unit).  So w(z) = e if z vanishes at w, that is if
-    A' + B' seed = 0 mod p, and w(z) = 0 otherwise."""
-    c = min(multiplicity(f, p) for f in (A, B) if not f.is_zero)
-    pc = p**c
-    A, B = A // pc, B // pc
-    e = multiplicity(A * A - d * B * B, p)
-    return c + e if ((A + B * seed) % p).is_zero else c
-
-
-def _reverse(f: Poly) -> Poly:
-    return Poly(f.field, tuple(reversed(f.coeffs)))
-
-
-def valuation(z: QuadElem, w: PlaceQ) -> int:
-    """Normalized valuation of z = A + B sqrt(D) at w (surjective onto Z)."""
-    if z.is_zero:
-        raise ZeroDivisionError("valuation of zero")
-    A, B = z.a, z.b
-    ext = w.ext
-    d = ext.d
-    if w.base is INFINITE_PLACE:
-        if w.kind == "ramified":
-            va = INF if A.is_zero else -2 * A.degree
-            vb = INF if B.is_zero else -2 * B.degree - d.degree
-            return min(va, vb)
-        if w.kind == "inert":
-            v = -z.norm().degree
-            assert v % 2 == 0, "inert valuation numerator must be even"
-            return v // 2
-        # split at infinity: move to u = 1/t coordinates and reuse the
-        # finite-split routine at the place u
-        field = ext.field
-        if B.is_zero:
-            return -A.degree
-        dpr = ext.deg_d // 2
-        if A.is_zero:
-            return -B.degree - dpr
-        m = max(A.degree, B.degree + dpr)
-        P1 = _reverse(A).shift(m - A.degree)
-        P2 = _reverse(B).shift(m - B.degree - dpr)
-        dt = _reverse(d)  # deg d = 2 dpr exactly, so this is u^(2dpr) d(1/u)
-        u = Poly.t(field)
-        return _split_finite_valuation(P1, P2, dt, u, Poly.constant(field, w.seed)) - m
-    p = w.base
-    if w.kind == "ramified":
-        va = INF if A.is_zero else 2 * multiplicity(A, p)
-        vb = INF if B.is_zero else 2 * multiplicity(B, p) + 1
-        return min(va, vb)
-    if w.kind == "inert":
-        v = multiplicity(z.norm(), p)
-        assert v % 2 == 0, "inert valuation numerator must be even"
-        return v // 2
-    return _split_finite_valuation(A, B, d, p, w.seed)
-
-
-def infinite_places(ext: QuadExt) -> tuple[PlaceQ, ...]:
-    return splitting_type(INFINITE_PLACE, ext)
-
-
-def _finite_support(polys: list[Poly]) -> list[Poly]:
-    """Monic irreducible factors of the gcd of the given nonzero polynomials."""
-    g = poly_gcd_all(polys)
-    if g.degree == 0:
-        return []
-    return [p for p, _ in trial_factor(g)]
-
-
 class DegreeTwoPoint(NamedTuple):
     ext: QuadExt
     coords: tuple[QuadElem, ...]  # polynomial parts, canonical
@@ -413,36 +229,9 @@ def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
 
 
 def height_degree2(P: DegreeTwoPoint) -> Fraction:
-    """Exponent h with H(P) = q^h (h a half-integer >= 0)."""
-    ext = P.ext
-    nonzero = [c for c in P.coords if not c.is_zero]
-    total = 0
-    for w in infinite_places(ext):
-        m = min(valuation(c, w) for c in nonzero)
-        total -= w.degree * m
-    for p in _finite_support([c.norm() for c in nonzero]):
-        for w in splitting_type(p, ext):
-            m = min(valuation(c, w) for c in nonzero)
-            total -= w.degree * m
-    h = Fraction(total, 2)
-    assert h >= 0
-    return h
-
-
-def product_formula_defect(z: QuadElem) -> int:
-    """sum_w w(z) deg(w) over all places where z can have nonzero valuation;
-    zero iff the normalization is consistent."""
-    ext = z.ext
-    support = dict.fromkeys(
-        p for f in (z.norm(), ext.d) if f.degree > 0 for p, _ in trial_factor(f)
-    )
-    total = 0
-    for w in infinite_places(ext):
-        total += valuation(z, w) * w.degree
-    for p in support:
-        for w in splitting_type(p, ext):
-            total += valuation(z, w) * w.degree
-    return total
+    """Exponent h with H(P) = q^h: half the max degree of the orbit key; see
+    the module docstring."""
+    return Fraction(max(c.degree for c in P.orbit_key.coords), 2)
 
 
 # --- enumeration of degree-2 points of the plane ---
@@ -540,25 +329,33 @@ class QuadraticCount(NamedTuple):
     ratio: Fraction  # count / main_term; tends to 1/2 (orbits vs points)
 
 
-def enumerate_degree2(field: FqField, M: int) -> QuadraticCount:
-    """Count Galois orbits of degree-2 points of the plane with H^2 = q^M.
+def enumerate_degree2(field: FqField, M: int, M_max: int) -> list[QuadraticCount]:
+    """Count Galois orbits of degree-2 points of the plane with H^2 = q^m,
+    one row for each m from M to M_max, in one sweep.
 
-    Each line class with d_Q <= M // 2 contributes T(d_P, d_Q) lines times
-    the forms of coefficient degree <= M that reach exponent M on it, which
-    is complete by the height inequalities in the module docstring.  Refuses
-    M > M_GUARD before any work."""
+    Each line class with d_Q <= M_max // 2 and each form key of coefficient
+    degree <= M_max add T(d_P, d_Q) times the forms of the key to the count
+    of their exponent, if that is <= M_max.  By the height inequalities in
+    the module docstring a class and form reaching exponent M have
+    2 d_Q <= M and deg F <= M, so every count is complete.  Refuses
+    M_max > M_GUARD before any work."""
     _require_odd(field)
+    if M_max > M_GUARD:
+        raise SizeError(f"form count at M = {M_max} exceeds guard M <= {M_GUARD}")
     if M < 1:
         raise ValueError("M >= 1 required")
-    if M > M_GUARD:
-        raise SizeError(f"form count at M = {M} exceeds guard M <= {M_GUARD}")
-    forms = _form_counts(field.q, M)
-    count = sum(
-        _line_count(field.q, dP, dQ) * n
-        for dQ in range(M // 2 + 1)
-        for dP in range(dQ + 1)
-        for key, n in forms.items()
-        if _form_exponent(*key, dP, dQ) == M
-    )
-    main = kt_main_term(field, M)
-    return QuadraticCount(field.q, M, count, main, Fraction(count) / main)
+    q = field.q
+    forms = _form_counts(q, M_max).items()
+    counts = [0] * (M_max + 1)
+    for dQ in range(M_max // 2 + 1):
+        for dP in range(dQ + 1):
+            lines = _line_count(q, dP, dQ)
+            for key, n in forms:
+                e = _form_exponent(*key, dP, dQ)
+                if e <= M_max:
+                    counts[e] += lines * n
+    rows = []
+    for m in range(M, M_max + 1):
+        main = kt_main_term(field, m)
+        rows.append(QuadraticCount(q, m, counts[m], main, Fraction(counts[m]) / main))
+    return rows

@@ -25,15 +25,15 @@ def mpf(v):
 
 def test_technical_sum_small():
     # q=3, t=2, j=1, m=3, M=2: 0 + 3^(1/2)*1 + 3^1*2
-    val = technical_sum(F3, 2, 1, 3, 2)
+    val = technical_sum(F3, 2, 1, 3, 2, 50)
     with mpmath.workdps(50):
         assert abs(mpf(val) - (mpmath.sqrt(3) + 6)) < mpmath.mpf(10) ** -40
     # M=0: only the i=0 term, which vanishes for m > t
-    assert technical_sum(F3, 2, 1, 3, 0) == 0
+    assert technical_sum(F3, 2, 1, 3, 0, 50) == 0
     with pytest.raises(ValueError):
-        technical_sum(F3, 2, 2, 3, 5)
+        technical_sum(F3, 2, 2, 3, 5, 50)
     with pytest.raises(ValueError):
-        technical_sum(F3, 3, 1, 3, 5)
+        technical_sum(F3, 3, 1, 3, 5, 50)
 
 
 def test_technical_sum_precision_agreement():
@@ -44,15 +44,15 @@ def test_technical_sum_precision_agreement():
 
 
 def test_technical_sum_monotone_in_M():
-    vals = [technical_sum(F3, 2, 1, 5, M) for M in (10, 20, 40, 80)]
+    vals = [technical_sum(F3, 2, 1, 5, M, 50) for M in (10, 20, 40, 80)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("field,t,j,m", [(F3, 2, 1, 5), (F2, 2, 1, 4), (F3, 3, 2, 5)])
 def test_technical_lemma_deviation_bounded(field, t, j, m):
-    devs = [technical_lemma_check(field, t, j, m, M) for M in (50, 100, 200, 400)]
+    devs = [technical_lemma_check(field, t, j, m, M, 50) for M in (50, 100, 200, 400)]
     assert all(d < 10 for d in devs)
-    assert all(technical_main_term(field, t, j, m, M) > 0 for M in (50, 400))
+    assert all(technical_main_term(field, t, j, m, M, 50) > 0 for M in (50, 400))
 
 
 def test_technical2_exact():

@@ -820,38 +820,40 @@ def _key_id(key):
     return "-".join(k for k in key if k)
 
 
-@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
-def test_named_parser_equals_full_parser(key, capsys):
-    """The parser built for the command argv names holds only its leaf, and
-    parses, helps and fails byte for byte as the full tree does."""
-    command = [k for k in key if k]
-    flagged = command + ["--q", "3"]
-    for name, value in _OWN_FLAGS[key].items():
-        flagged += ["--" + name.replace("_", "-"), value]
-    assert set(cli.build_parser(flagged)[1]) == {key}
-    full = cli.build_parser()[0]
-    cases = {
-        "flags": flagged,
-        "help": command + ["--help"],
-        "unknown flag": flagged + ["--nope", "1"],
-        "missing value": flagged[:-1],
-        "extra positional": flagged + ["extra"],
-    }
-    for case, argv in cases.items():
-        named = _parse_outcome(cli.build_parser(argv)[0], argv, capsys)
-        assert named == _parse_outcome(full, argv, capsys), case
-        result, out, err = named
-        if case == "flags":
-            assert result.q == 3 and (result.command, getattr(result, "subcommand", None)) == key
-        elif case == "help":
-            assert (result, err) == (0, "") and out.startswith(f"usage: hilbcount {' '.join(command)} ")
-        else:
-            assert (result, out) == (2, "") and "error:" in err, case
+# SHA-256 of the JSON list of [argv, exit code, stdout, stderr] of dispatch
+# over _help_and_error_argv() at COLUMNS=80, pinned while argparse built only
+# the leaf of the command that argv names.
+HELP_AND_ERRORS_SHA256 = "cd4c4726a7a6d92e5bd2ee7ab77207a06b2c1c36867fcf193f4be67e696a681a"
 
 
-@pytest.mark.parametrize("argv", [[], ["--help"], ["count", "--help"], ["peyre"], ["nope", "--q", "3"], ["--q", "3", "cycles"]])
-def test_parser_without_command_path_is_full(argv):
-    assert set(cli.build_parser(argv)[1]) == set(cli._COMMANDS)
+def _help_and_error_argv():
+    """Help, an unknown flag, a missing value and an extra positional for
+    every command, and argv that names no command."""
+    argvs = [[], ["--help"], ["count", "--help"], ["peyre"], ["nope", "--q", "3"], ["--q", "3", "cycles"]]
+    for key, own in _OWN_FLAGS.items():
+        command = [k for k in key if k]
+        flagged = command + ["--q", "3"]
+        for name, value in own.items():
+            flagged += ["--" + name.replace("_", "-"), value]
+        argvs += [command + ["--help"], flagged + ["--nope", "1"], flagged[:-1], flagged + ["extra"]]
+    return argvs
+
+
+def test_help_and_errors_are_pinned(monkeypatch):
+    """argparse prints help, usage and errors byte for byte as it did when
+    it built only the named command's leaf."""
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for argv in _help_and_error_argv():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.dispatch(argv)
+        assert code == (0 if "--help" in argv else 2), argv
+        outcomes.append([argv, code, out.getvalue(), err.getvalue()])
+    assert len(outcomes) == 42
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == HELP_AND_ERRORS_SHA256
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)

@@ -129,15 +129,15 @@ def test_tail_bound_is_honest_for_m2():
         field = FqField(q)
         exact = 1 / zeta_fqt(3, field) ** 2
         for deg_cut in (4, 6, 8):
-            value, residual = euler_product_density(field, 2, deg_cut)
+            value, residual = euler_product_density(field, 2, deg_cut, 50)
             with mpmath.workdps(50):
                 err = abs(mpf(value) - mpmath.mpf(exact.numerator) / mpmath.mpf(exact.denominator))
                 assert err <= mpf(residual)
 
 
 def test_peyre_constant_pn():
-    res = peyre_constant_pn(2, F3)
-    res1 = peyre_constant_pn(1, F2)
+    res = peyre_constant_pn(2, F3, 50)
+    res1 = peyre_constant_pn(1, F2, 50)
     assert res.exact_prefactor == Fraction(104, 9)
     with mpmath.workdps(50):
         assert abs(mpf(res.value) - 3.50617) < 1e-4
@@ -147,7 +147,7 @@ def test_peyre_constant_pn():
 
 
 def test_peyre_constant_hilb2():
-    res = peyre_constant_hilb2(F3)
+    res = peyre_constant_hilb2(F3, 50)
     with mpmath.workdps(50):
         target = (
             mpmath.mpf(10816) / 81 / 9 / mpmath.log(3) ** 2
@@ -159,8 +159,8 @@ def test_peyre_constant_hilb2():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_hilbm_matches_hilb2(q):
     field = FqField(q)
-    general = peyre_constant_hilbm(2, field, deg_cut=12)
-    special = peyre_constant_hilb2(field)
+    general = peyre_constant_hilbm(2, field, deg_cut=12, dps=50)
+    special = peyre_constant_hilb2(field, 50)
     assert abs(general.value - special.value) < 1e-9
     assert general.residual_bound < 1e-9
 
@@ -182,17 +182,17 @@ def test_mu_slope_and_alpha_star():
 
 
 def test_cm_constant():
-    assert cm_constant(2, F3).exact_prefactor == Fraction(2, 3)
-    res = cm_constant(3, F3, deg_cut=8)
+    assert cm_constant(2, F3, deg_cut=8, dps=50).exact_prefactor == Fraction(2, 3)
+    res = cm_constant(3, F3, deg_cut=8, dps=50)
     assert res.value > 0
     assert res.residual_bound > 0
     with pytest.raises(ValueError):
-        cm_constant(1, F3)
+        cm_constant(1, F3, deg_cut=8, dps=50)
 
 
 def test_all_constants_positive():
     for m in (2, 3, 4):
-        assert peyre_constant_hilbm(m, F3, mu=1, deg_cut=6).value > 0
+        assert peyre_constant_hilbm(m, F3, mu=1, deg_cut=6, dps=50).value > 0
 
 
 # (constant, n or m, q, exact_prefactor, value to 20 significant digits):
@@ -260,12 +260,12 @@ PINNED = [
 def test_constants_pinned_across_q(kind, arg, q, prefactor, value):
     field = field_from_order(q)
     if kind == "pn":
-        res = peyre_constant_pn(arg, field)
+        res = peyre_constant_pn(arg, field, 50)
     elif kind == "hilb2":
-        res = peyre_constant_hilb2(field)
+        res = peyre_constant_hilb2(field, 50)
     elif kind == "hilbm":
-        res = peyre_constant_hilbm(arg, field, deg_cut=9)
+        res = peyre_constant_hilbm(arg, field, deg_cut=9, dps=50)
     else:
-        res = cm_constant(arg, field, deg_cut=9)
+        res = cm_constant(arg, field, deg_cut=9, dps=50)
     assert res.exact_prefactor == prefactor
     assert f"{res.value:.19e}" == value

@@ -99,18 +99,17 @@ def test_every_public_callable_is_used():
 # moved into the test that reads it, so never add an entry without a reason.
 TEST_ONLY_EXPORTS = {
     "fqarith.py:Poly.serialize": "the SHA-256 pin of the (3,1) orbit coordinates",
-    "fqarith.py:poly_xgcd": "the _line_basis and _hensel_sqrt oracles of the line and residue routes",
+    "fqarith.py:poly_xgcd": "the _line_basis oracle of the line walk behind T(d_P, d_Q)",
     "fqarith.py:squarefree_decompose": "degree2_orbits, the explicit-orbit route to the degree-2 count",
     "quadfield.py:canonicalize_quadratic": "degree2_orbits, the explicit-orbit route to the degree-2 count",
-    "quadfield.py:height_degree2": "the valuation height, the check on each explicit orbit's height",
-    "quadfield.py:product_formula_defect": "the product formula, the check on the valuations behind height_degree2",
+    "quadfield.py:height_degree2": "the key height, the check on each explicit orbit's height",
     "ratpoints.py:ProjPointFqt.serialize": "the point-order oracle of enumerate_exact_height",
     "ratpoints.py:enumerate_exact_height": "the points count_exact_height counts, the second route to it",
 }
 
 
 def test_test_only_exports_have_reasons():
-    assert len(TEST_ONLY_EXPORTS) == 8
+    assert len(TEST_ONLY_EXPORTS) == 7
     assert all(reason.strip() for reason in TEST_ONLY_EXPORTS.values())
 
 
