@@ -1,5 +1,5 @@
 """Exact arithmetic over F_q and F_q[t], point counting in P^n(F_q(t)),
-degree-2 point heights and counts, 0-cycle generating functions, Peyre
+degree-2 point counts by height, 0-cycle generating functions, Peyre
 constants, and asymptotic lemma checks, with a CSV/JSON command-line front
 end (`hilbcount`)."""
 

@@ -23,6 +23,9 @@ from .errors import CharacteristicError, SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
 _FORMATS = ("csv", "json")
+# Max --digits: the working precision of every real cell, whose cost grows
+# faster than linearly with it.
+DIGITS_GUARD = 1000
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -84,11 +87,14 @@ def parse_config(path: str) -> dict:
 
 def _check_output_args(args):
     """Reject a format that came from a config file (argparse applies choices
-    to flags only) and digits below 1 from either."""
+    to flags only) and digits below 1 from either; refuse digits past
+    DIGITS_GUARD as a size error."""
     if args.format not in _FORMATS:
         raise UsageError(f"format must be one of {', '.join(_FORMATS)}, not {args.format!r}")
     if args.digits < 1:
         raise UsageError(f"digits must be >= 1, not {args.digits}")
+    if args.digits > DIGITS_GUARD:
+        raise SizeError(f"digits = {args.digits} exceeds guard digits <= {DIGITS_GUARD}")
 
 
 def _require(args, *names):

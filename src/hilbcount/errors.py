@@ -7,7 +7,3 @@ class SizeError(Exception):
 
 class CharacteristicError(Exception):
     """Operation requires odd characteristic."""
-
-
-class WrongDegreeError(Exception):
-    """Point does not have the algebraic degree the operation expects."""

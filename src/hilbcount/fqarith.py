@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import CharacteristicError, SizeError
+from .errors import SizeError
 
 # Max number of monic polynomials scanned when listing irreducibles.
 ENUM_GUARD = 10**7
@@ -199,14 +199,6 @@ class FqField:
             e >>= 1
         return result
 
-    def is_square_unit(self, a: int) -> bool:
-        """Whether a nonzero element is a square in F_q^* (q odd)."""
-        if a == 0:
-            raise ValueError("zero is not a unit")
-        if self.q % 2 == 0:
-            raise CharacteristicError("squareness of units needs odd q")
-        return self.pow(a, (self.q - 1) // 2) == 1
-
 
 class Poly:
     """Dense polynomial over an FqField.  deg(0) is reported as -1; callers
@@ -228,10 +220,6 @@ class Poly:
     @classmethod
     def one(cls, field):
         return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c % field.q if field.k == 1 else c,))
 
     @property
     def degree(self) -> int:
@@ -300,10 +288,6 @@ class Poly:
                         out[i + j] = F.add(out[i + j], F.mul(x, y))
         return Poly(F, out)
 
-    def scale(self, c: int):
-        F = self.field
-        return Poly(F, (F.mul(c, x) for x in self.coeffs))
-
     def __divmod__(self, other):
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
@@ -338,26 +322,6 @@ class Poly:
             e >>= 1
         return result
 
-    def monic(self):
-        if self.is_zero:
-            return self
-        if self.is_monic:
-            return self
-        return self.scale(self.field.inv(self.lead))
-
-    def derivative(self):
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            # i * c_i; the prime-field scalar i mod p has element code i mod p
-            out.append(F.mul(i % F.p, self.coeffs[i]))
-        return Poly(F, out)
-
-    def serialize(self) -> str:
-        if self.is_zero:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"
@@ -373,51 +337,6 @@ class Poly:
             else:
                 terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_gcd_all(polys) -> Poly:
-    """Monic gcd of a nonempty list of polynomials, stopping once it is 1;
-    the gcd of all-zero polynomials is 0."""
-    g = Poly.zero(polys[0].field)
-    for f in polys:
-        g = poly_gcd(g, f)
-        if g.degree == 0:
-            break
-    return g
-
-
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, u) with g monic and s*a + u*b = g."""
-    F = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    u0, u1 = Poly.zero(F), Poly.one(F)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        u0, u1 = u1, u0 - q * u1
-    if r0.is_zero:
-        return r0, s0, u0
-    c = F.inv(r0.lead)
-    return r0.scale(c), s0.scale(c), u0.scale(c)
-
-
-def is_squarefree(f: Poly) -> bool:
-    if f.is_zero:
-        return False
-    if f.degree == 0:
-        return True
-    # any repeated factor divides gcd(f, f'); this covers char p since a
-    # square factor g^2 | f forces g | f' as well
-    return poly_gcd(f, f.derivative()).degree == 0
 
 
 def all_polys(field: FqField, max_deg: int) -> list[Poly]:
@@ -470,40 +389,3 @@ def is_irreducible(f: Poly) -> bool:
             if (f % g).is_zero:
                 return False
     return True
-
-
-def trial_factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor a nonzero polynomial into monic irreducibles by trial division.
-    Only intended for small degrees."""
-    if f.is_zero:
-        raise ValueError("cannot factor zero")
-    factors = []
-    g = f.monic()
-    d = 1
-    while g.degree >= 1:
-        if d > g.degree // 2:
-            factors.append((g, 1))
-            break
-        for p in irreducibles_of_degree(d, f.field):
-            if (g % p).is_zero:
-                e = 0
-                while (g % p).is_zero:
-                    g = g // p
-                    e += 1
-                factors.append((p, e))
-        d += 1
-    return factors
-
-
-def squarefree_decompose(f: Poly) -> tuple[Poly, Poly]:
-    """Write f = d * h^2 with d squarefree.  The unit of f stays on d."""
-    F = f.field
-    unit = f.lead
-    d = Poly.constant(F, unit)
-    h = Poly.one(F)
-    for p, e in trial_factor(f):
-        if e % 2:
-            d = d * p
-        h = h * p ** (e // 2)
-    assert d * h * h == f
-    return d, h

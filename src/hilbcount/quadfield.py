@@ -1,17 +1,19 @@
-"""Degree-2 points of the projective plane over F_q(t), q odd: their
-canonical coordinates in L = F_q(t)(sqrt(D)), their heights, and the count
-of those of a given exact height.
+"""The count of the degree-2 points of the projective plane over F_q(t), q
+odd, of a given exact height, and the geometry it rests on.
 
-Coordinates: an element a + b sqrt(D) holds polynomial parts a, b in
-F_q[t], and nothing here divides in L.  Every point of P^2(L) has such
-coordinates, and canonicalize_quadratic picks one: multiplying by the
-conjugate of the first nonzero coordinate x_0 turns it into N(x_0) in
+Coordinates: an element a + b sqrt(D) of L = F_q(t)(sqrt(D)) holds
+polynomial parts a, b in F_q[t].  Every point of P^2(L) has such
+coordinates, and a canonical choice needs no division in L: multiplying by
+the conjugate of the first nonzero coordinate x_0 turns it into N(x_0) in
 F_q[t], which leaves only F_q(t)^* to scale by, and removing the content of
 the six parts and making the first nonzero leading coefficient 1 fixes that
 scale.  A Galois orbit {x, conj x} is a point of Sym^2 P^2, the point
 (x_i conj(x_i), x_i conj(x_j) + x_j conj(x_i)) of P^5(F_q(t)), the
 coefficients of the product of the two conjugate linear forms; it is
-unchanged by conjugation and by scaling, and it is the orbit's key.
+unchanged by conjugation and by scaling, and it is the orbit's key.  The
+count builds neither coordinates nor keys; the tests build both for every
+orbit it counts at q = 3, M = 1 (the explicit-orbit route of
+tests/oracles.py) and read each height off the key.
 
 Height: H(x) = (prod_w max_i |x_i|_w)^(1/2) over the places w of L, with
 |z|_w = q^(-w(z) deg(w)), w the valuation onto Z, deg(w) = f_w times the
@@ -102,12 +104,11 @@ T(d_P, d_Q) lines, which the tests check against a walk over dual vectors:
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
-from . import ratpoints
-from .errors import CharacteristicError, SizeError, WrongDegreeError
-from .fqarith import FqField, Poly, is_squarefree, poly_gcd_all
+from .errors import CharacteristicError, SizeError
+from .fqarith import FqField
+from .records import fmt_fraction
 
 # max height exponent M of a degree-2 count, whose class sum is O(M^5)
 M_GUARD = 30
@@ -116,131 +117,6 @@ M_GUARD = 30
 def _require_odd(field: FqField):
     if field.q % 2 == 0:
         raise CharacteristicError("quadratic extensions need odd q")
-
-
-class QuadExt:
-    """L = F_q(t)(sqrt(D)) for squarefree D (or a nonsquare constant)."""
-
-    def __init__(self, field: FqField, d: Poly):
-        _require_odd(field)
-        if d.is_zero:
-            raise ValueError("D must be nonzero")
-        if d.degree == 0:
-            if field.is_square_unit(d.lead):
-                raise ValueError("constant D must be a nonsquare unit")
-        elif not is_squarefree(d):
-            raise ValueError("D must be squarefree")
-        self.field = field
-        self.d = d
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and self.field == other.field and self.d == other.d
-
-    def __hash__(self):
-        return hash((self.field, self.d))
-
-    def __repr__(self):
-        return f"QuadExt(q={self.field.q}, D={self.d!r})"
-
-
-class QuadElem:
-    """a + b sqrt(D) with polynomial parts."""
-
-    __slots__ = ("ext", "a", "b")
-
-    def __init__(self, ext: QuadExt, a: Poly, b: Poly):
-        self.ext = ext
-        self.a = a
-        self.b = b
-
-    @property
-    def is_zero(self):
-        return self.a.is_zero and self.b.is_zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadElem)
-            and self.ext == other.ext
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __add__(self, other):
-        return QuadElem(self.ext, self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        return QuadElem(
-            self.ext,
-            self.a * other.a + self.ext.d * (self.b * other.b),
-            self.a * other.b + self.b * other.a,
-        )
-
-    def conj(self):
-        return QuadElem(self.ext, self.a, -self.b)
-
-    def norm(self) -> Poly:
-        return self.a * self.a - self.ext.d * (self.b * self.b)
-
-    def trace(self) -> Poly:
-        return self.a + self.a
-
-    def __repr__(self):
-        return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
-
-
-class DegreeTwoPoint(NamedTuple):
-    ext: QuadExt
-    coords: tuple[QuadElem, ...]  # polynomial parts, canonical
-    orbit_key: ratpoints.ProjPointFqt  # the orbit's point of Sym^2 P^2
-
-
-def _orbit_key(y: tuple[QuadElem, ...]) -> ratpoints.ProjPointFqt:
-    """The orbit's point of Sym^2 P^2 in P^5(F_q(t)): the products
-    x_i conj(x_i), then x_i conj(x_j) + x_j conj(x_i) for i < j.  They lie
-    in F_q(t) and do not depend on which sqrt(D) presentation of the residue
-    field was used; conjugation fixes them and scaling x by c multiplies them
-    all by N(c)."""
-    n = len(y)
-    cross = [(y[i] * y[j].conj()).trace() for i in range(n) for j in range(i + 1, n)]
-    return ratpoints.canonicalize([c.norm() for c in y] + cross)
-
-
-def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
-    """Scale by the conjugate of the first nonzero coordinate, which makes
-    that coordinate its norm in F_q[t], remove the polynomial content of the
-    parts, and make the first nonzero leading coefficient 1.  Raises
-    WrongDegreeError when the point is actually rational."""
-    coords = tuple(coords)
-    pivot = next((c for c in coords if not c.is_zero), None)
-    if pivot is None:
-        raise ValueError("all coordinates are zero")
-    conj = pivot.conj()
-    y = [c * conj for c in coords]
-    if all(c.b.is_zero for c in y):
-        raise WrongDegreeError("point is rational (degree 1), not degree 2")
-    parts = [f for c in y for f in (c.a, c.b)]
-    g = poly_gcd_all(parts)
-    if g.degree > 0:
-        parts = [f // g for f in parts]
-    u = ext.field.inv(next(f for f in parts if not f.is_zero).lead)
-    parts = [f.scale(u) for f in parts]
-    out = tuple(QuadElem(ext, a, b) for a, b in zip(parts[::2], parts[1::2]))
-    return DegreeTwoPoint(ext, out, _orbit_key(out))
-
-
-def height_degree2(P: DegreeTwoPoint) -> Fraction:
-    """Exponent h with H(P) = q^h: half the max degree of the orbit key; see
-    the module docstring."""
-    return Fraction(max(c.degree for c in P.orbit_key.coords), 2)
-
-
-# --- enumeration of degree-2 points of the plane ---
-
-
-def kt_main_term(field: FqField, M: int) -> Fraction:
-    """2 S^2 q^(3M) M, the conjectured point count (two points per orbit)."""
-    S = ratpoints.schanuel_constant(2, field)
-    return 2 * S * S * Fraction(field.q) ** (3 * M) * M
 
 
 def _line_count(q: int, dP: int, dQ: int) -> int:
@@ -321,12 +197,21 @@ def _form_counts(q: int, fmax: int) -> Counter:
     return counts
 
 
+def _main_term_cells(q: int, M: int, count: int) -> tuple[str, str]:
+    """The main_term and ratio cells of the row at M >= 1, computed in
+    integers: 2 S^2 q^(3M) M, the conjectured point count (two points per
+    orbit), with S = schanuel_constant(2) = (q + 1)(q^3 - 1) / q^2, and count
+    over it, each printed as fmt_value prints a Fraction."""
+    main = 2 * M * ((q + 1) * (q**3 - 1)) ** 2 * q ** (3 * M)  # q^4 times the main term
+    return fmt_fraction(main, q**4), fmt_fraction(count * q**4, main)
+
+
 class QuadraticCount(NamedTuple):
     q: int
     M: int
     count: int
-    main_term: Fraction  # kt_main_term
-    ratio: Fraction  # count / main_term; tends to 1/2 (orbits vs points)
+    main_term: str  # 2 S^2 q^(3M) M, exact, as fmt_fraction prints it
+    ratio: str  # count / main_term, likewise; tends to 1/2 (orbits vs points)
 
 
 def enumerate_degree2(field: FqField, M: int, M_max: int) -> list[QuadraticCount]:
@@ -354,8 +239,6 @@ def enumerate_degree2(field: FqField, M: int, M_max: int) -> list[QuadraticCount
                 e = _form_exponent(*key, dP, dQ)
                 if e <= M_max:
                     counts[e] += lines * n
-    rows = []
-    for m in range(M, M_max + 1):
-        main = kt_main_term(field, m)
-        rows.append(QuadraticCount(q, m, counts[m], main, Fraction(counts[m]) / main))
-    return rows
+    return [
+        QuadraticCount(q, m, counts[m], *_main_term_cells(q, m, counts[m])) for m in range(M, M_max + 1)
+    ]

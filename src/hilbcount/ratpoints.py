@@ -1,12 +1,12 @@
-"""Canonical points of P^n(F_q(t)), exact-height enumeration, and the
-closed-form counts they must reproduce.
+"""Exact-height point counts of P^n(F_q(t)), and the closed-form counts
+they must reproduce.
 
-A point is stored as a coprime tuple of polynomials whose first nonzero
-entry is monic; this is the unique representative of its F_q(t)^*-orbit,
-and its height is q to the maximum coordinate degree.  The points of one
-height are scanned on the integer codes of their coordinates, and their
-coprimality is read from a sieve of divisor masks; count_exact_height counts
-them without building them, as the observed side of the closed form.
+A point has a unique representative: a coprime tuple of polynomials whose
+first nonzero entry is monic, and its height is q to the maximum coordinate
+degree.  count_exact_height scans those tuples on the integer codes of their
+coordinates, reads their coprimality from a sieve of divisor masks and
+counts them without building them, as the observed side of the closed
+form.  The tests build the points themselves as the second route to it.
 
 Every count here is an integer and is computed in integers: the closed
 forms are products of integer factors, and each division in them is
@@ -21,47 +21,16 @@ import itertools
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
-from .fqarith import FqField, Poly, all_polys, poly_gcd_all
+from .fqarith import FqField, all_polys
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Max number of coordinate tuples scanned by enumerate_exact_height and
-# count_exact_height.
+# Max number of coordinate tuples a count_exact_height scan covers.
 TUPLE_GUARD = 10**9
 # Max bit length of q^(3M) in count_reducible_pairs, whose M + 1 products
 # are about that long.
 PAIR_BITS_GUARD = 2**15
-
-
-class ProjPointFqt(NamedTuple):
-    coords: tuple[Poly, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coords) - 1
-
-    @property
-    def field(self) -> FqField:
-        return self.coords[0].field
-
-    def serialize(self) -> str:
-        return "/".join(c.serialize() for c in self.coords)
-
-
-def canonicalize(coords) -> ProjPointFqt:
-    """Reduce a nonzero coordinate tuple to the canonical orbit representative."""
-    coords = tuple(coords)
-    if all(c.is_zero for c in coords):
-        raise ValueError("all coordinates are zero")
-    g = poly_gcd_all(coords)
-    if g.degree > 0:
-        coords = tuple(c // g for c in coords)
-    pivot = next(c for c in coords if not c.is_zero)
-    if not pivot.is_monic:
-        u = pivot.field.inv(pivot.lead)
-        coords = tuple(c.scale(u) for c in coords)
-    return ProjPointFqt(coords)
 
 
 def _guard_tuples(n: int, field: FqField, M: int):
@@ -105,41 +74,15 @@ def divisor_masks(field: FqField, M: int):
     return polys, mask, monics
 
 
-def enumerate_exact_height(n: int, field: FqField, M: int):
-    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
+def count_exact_height(n: int, field: FqField, M: int) -> int:
+    """Number of canonical points of P^n(F_q(t)) of height exactly q^M,
+    counted without building them.
 
     Every coordinate has degree <= M, so each is handled as its code in
-    range(q^(M+1)).  Points come in itertools.product order over the codes:
-    by pivot position from the last to the first, then by monic pivot, then
-    by free tail.  Coprimality is the running AND of the coordinates'
-    divisor masks (see divisor_masks), stopped at 0.
-    """
-    _guard_tuples(n, field, M)
-    polys, mask, monics = divisor_masks(field, M)
-    top = field.q**M  # the codes of degree exactly M are those >= top
-    codes = range(len(polys))
-    for pos in range(n, -1, -1):
-        k = n - pos
-        for pivot in monics:
-            head = (polys[0],) * pos + (polys[pivot],)
-            reaches_M = pivot >= top
-            for tail in itertools.product(codes, repeat=k):
-                if not reaches_M and max(tail, default=0) < top:
-                    continue
-                g = mask[pivot]
-                for c in tail:
-                    if not g:
-                        break
-                    g &= mask[c]
-                if not g:
-                    yield ProjPointFqt(head + tuple(map(polys.__getitem__, tail)))
-
-
-def count_exact_height(n: int, field: FqField, M: int) -> int:
-    """Number of points enumerate_exact_height(n, field, M) yields, counted
-    without building them.
-
-    The scan is the enumeration's over every coordinate but the last.  For a
+    range(q^(M+1)).  The scan runs over the pivot position, from the last
+    to the first, then over the monic pivot, then over every coordinate of
+    the free tail but the last; coprimality is the running AND of the
+    coordinates' divisor masks (see divisor_masks), stopped at 0.  For a
     prefix whose masks AND to g, the last coordinate is counted over the
     codes c with g & mask[c] == 0: all of them if the prefix reaches degree
     M, else those of degree M.  The two numbers are memoised per distinct g

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -23,12 +24,21 @@ def fmt_value(v, digits: int = 12) -> str:
     from fractions import Fraction
 
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return _fmt_int(v.numerator)
-        return f"{_fmt_int(v.numerator)}/{_fmt_int(v.denominator)}"
+        return fmt_fraction(v.numerator, v.denominator)
     if isinstance(v, (Decimal, float)):
         return _fmt_real(Decimal(v), digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")
+
+
+def fmt_fraction(num: int, den: int) -> str:
+    """num/den for den > 0 in lowest terms, "n/d", or "n" when d is 1, with
+    every digit; it imports neither `fractions` nor `decimal` below the
+    int-to-str limit, so exact cells computed in integers load neither."""
+    g = gcd(num, den)
+    num, num_rem = divmod(num, g)
+    den, den_rem = divmod(den, g)
+    assert num_rem == den_rem == 0
+    return _fmt_int(num) if den == 1 else f"{_fmt_int(num)}/{_fmt_int(den)}"
 
 
 def _fmt_int(n: int) -> str:

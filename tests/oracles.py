@@ -1,0 +1,345 @@
+"""Second routes that no command runs, kept with the tests that compare the
+package against them.
+
+- F_q[t]: gcd, extended gcd, squarefree test, trial factoring and the
+  squarefree decomposition f = d h^2, with the `Poly` and `FqField`
+  operations only they read (`scale`, `monic`, `derivative`, `constant`,
+  `serialize`, `is_square_unit`) as plain functions.
+- P^n(F_q(t)): `canonicalize`, which reduces a coordinate tuple to its
+  canonical point by a gcd, and `enumerate_exact_height`, which builds every
+  point that `ratpoints.count_exact_height` counts.
+- Degree-2 points of the plane: the quadratic extensions L =
+  F_q(t)(sqrt(D)), the canonical coordinates of a point of P^2(L) and its
+  orbit key in Sym^2 P^2 (see the `quadfield` docstring), the height read
+  off that key, and `kt_main_term`, the `Fraction` the integer
+  main_term and ratio cells of `count quadratic` are checked against.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import NamedTuple
+
+from hilbcount.errors import CharacteristicError
+from hilbcount.fqarith import FqField, Poly, irreducibles_of_degree
+from hilbcount.quadfield import _require_odd
+from hilbcount.ratpoints import _guard_tuples, divisor_masks, schanuel_constant
+
+
+class WrongDegreeError(Exception):
+    """Point does not have the algebraic degree the operation expects."""
+
+
+# --- F_q and F_q[t] ---
+
+
+def is_square_unit(field: FqField, a: int) -> bool:
+    """Whether a nonzero element is a square in F_q^* (q odd)."""
+    if a == 0:
+        raise ValueError("zero is not a unit")
+    if field.q % 2 == 0:
+        raise CharacteristicError("squareness of units needs odd q")
+    return field.pow(a, (field.q - 1) // 2) == 1
+
+
+def constant(field: FqField, c: int) -> Poly:
+    return Poly(field, (c % field.q if field.k == 1 else c,))
+
+
+def scale(f: Poly, c: int) -> Poly:
+    F = f.field
+    return Poly(F, (F.mul(c, x) for x in f.coeffs))
+
+
+def monic(f: Poly) -> Poly:
+    if f.is_zero:
+        return f
+    if f.is_monic:
+        return f
+    return scale(f, f.field.inv(f.lead))
+
+
+def derivative(f: Poly) -> Poly:
+    F = f.field
+    out = []
+    for i in range(1, len(f.coeffs)):
+        # i * c_i; the prime-field scalar i mod p has element code i mod p
+        out.append(F.mul(i % F.p, f.coeffs[i]))
+    return Poly(F, out)
+
+
+def serialize(f: Poly) -> str:
+    if f.is_zero:
+        return "0"
+    return ",".join(str(c) for c in f.coeffs)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd; gcd(0, 0) = 0."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return monic(a)
+
+
+def poly_gcd_all(polys) -> Poly:
+    """Monic gcd of a nonempty list of polynomials, stopping once it is 1;
+    the gcd of all-zero polynomials is 0."""
+    g = Poly.zero(polys[0].field)
+    for f in polys:
+        g = poly_gcd(g, f)
+        if g.degree == 0:
+            break
+    return g
+
+
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended Euclid: returns (g, s, u) with g monic and s*a + u*b = g."""
+    F = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(F), Poly.zero(F)
+    u0, u1 = Poly.zero(F), Poly.one(F)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    if r0.is_zero:
+        return r0, s0, u0
+    c = F.inv(r0.lead)
+    return scale(r0, c), scale(s0, c), scale(u0, c)
+
+
+def is_squarefree(f: Poly) -> bool:
+    if f.is_zero:
+        return False
+    if f.degree == 0:
+        return True
+    # any repeated factor divides gcd(f, f'); this covers char p since a
+    # square factor g^2 | f forces g | f' as well
+    return poly_gcd(f, derivative(f)).degree == 0
+
+
+def trial_factor(f: Poly) -> list[tuple[Poly, int]]:
+    """Factor a nonzero polynomial into monic irreducibles by trial division.
+    Only intended for small degrees."""
+    if f.is_zero:
+        raise ValueError("cannot factor zero")
+    factors = []
+    g = monic(f)
+    d = 1
+    while g.degree >= 1:
+        if d > g.degree // 2:
+            factors.append((g, 1))
+            break
+        for p in irreducibles_of_degree(d, f.field):
+            if (g % p).is_zero:
+                e = 0
+                while (g % p).is_zero:
+                    g = g // p
+                    e += 1
+                factors.append((p, e))
+        d += 1
+    return factors
+
+
+def squarefree_decompose(f: Poly) -> tuple[Poly, Poly]:
+    """Write f = d * h^2 with d squarefree.  The unit of f stays on d."""
+    F = f.field
+    unit = f.lead
+    d = constant(F, unit)
+    h = Poly.one(F)
+    for p, e in trial_factor(f):
+        if e % 2:
+            d = d * p
+        h = h * p ** (e // 2)
+    assert d * h * h == f
+    return d, h
+
+
+# --- points of P^n(F_q(t)) ---
+
+
+class ProjPointFqt(NamedTuple):
+    coords: tuple[Poly, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.coords) - 1
+
+    @property
+    def field(self) -> FqField:
+        return self.coords[0].field
+
+    def serialize(self) -> str:
+        return "/".join(serialize(c) for c in self.coords)
+
+
+def canonicalize(coords) -> ProjPointFqt:
+    """Reduce a nonzero coordinate tuple to the canonical orbit representative."""
+    coords = tuple(coords)
+    if all(c.is_zero for c in coords):
+        raise ValueError("all coordinates are zero")
+    g = poly_gcd_all(coords)
+    if g.degree > 0:
+        coords = tuple(c // g for c in coords)
+    pivot = next(c for c in coords if not c.is_zero)
+    if not pivot.is_monic:
+        u = pivot.field.inv(pivot.lead)
+        coords = tuple(scale(c, u) for c in coords)
+    return ProjPointFqt(coords)
+
+
+def enumerate_exact_height(n: int, field: FqField, M: int):
+    """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
+
+    Every coordinate has degree <= M, so each is handled as its code in
+    range(q^(M+1)).  Points come in itertools.product order over the codes:
+    by pivot position from the last to the first, then by monic pivot, then
+    by free tail.  Coprimality is the running AND of the coordinates'
+    divisor masks (see ratpoints.divisor_masks), stopped at 0.
+    """
+    _guard_tuples(n, field, M)
+    polys, mask, monics = divisor_masks(field, M)
+    top = field.q**M  # the codes of degree exactly M are those >= top
+    codes = range(len(polys))
+    for pos in range(n, -1, -1):
+        k = n - pos
+        for pivot in monics:
+            head = (polys[0],) * pos + (polys[pivot],)
+            reaches_M = pivot >= top
+            for tail in itertools.product(codes, repeat=k):
+                if not reaches_M and max(tail, default=0) < top:
+                    continue
+                g = mask[pivot]
+                for c in tail:
+                    if not g:
+                        break
+                    g &= mask[c]
+                if not g:
+                    yield ProjPointFqt(head + tuple(map(polys.__getitem__, tail)))
+
+
+# --- degree-2 points of the plane ---
+
+
+class QuadExt:
+    """L = F_q(t)(sqrt(D)) for squarefree D (or a nonsquare constant)."""
+
+    def __init__(self, field: FqField, d: Poly):
+        _require_odd(field)
+        if d.is_zero:
+            raise ValueError("D must be nonzero")
+        if d.degree == 0:
+            if is_square_unit(field, d.lead):
+                raise ValueError("constant D must be a nonsquare unit")
+        elif not is_squarefree(d):
+            raise ValueError("D must be squarefree")
+        self.field = field
+        self.d = d
+
+    def __eq__(self, other):
+        return isinstance(other, QuadExt) and self.field == other.field and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.field, self.d))
+
+    def __repr__(self):
+        return f"QuadExt(q={self.field.q}, D={self.d!r})"
+
+
+class QuadElem:
+    """a + b sqrt(D) with polynomial parts."""
+
+    __slots__ = ("ext", "a", "b")
+
+    def __init__(self, ext: QuadExt, a: Poly, b: Poly):
+        self.ext = ext
+        self.a = a
+        self.b = b
+
+    @property
+    def is_zero(self):
+        return self.a.is_zero and self.b.is_zero
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, QuadElem)
+            and self.ext == other.ext
+            and self.a == other.a
+            and self.b == other.b
+        )
+
+    def __add__(self, other):
+        return QuadElem(self.ext, self.a + other.a, self.b + other.b)
+
+    def __mul__(self, other):
+        return QuadElem(
+            self.ext,
+            self.a * other.a + self.ext.d * (self.b * other.b),
+            self.a * other.b + self.b * other.a,
+        )
+
+    def conj(self):
+        return QuadElem(self.ext, self.a, -self.b)
+
+    def norm(self) -> Poly:
+        return self.a * self.a - self.ext.d * (self.b * self.b)
+
+    def trace(self) -> Poly:
+        return self.a + self.a
+
+    def __repr__(self):
+        return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
+
+
+class DegreeTwoPoint(NamedTuple):
+    ext: QuadExt
+    coords: tuple[QuadElem, ...]  # polynomial parts, canonical
+    orbit_key: ProjPointFqt  # the orbit's point of Sym^2 P^2
+
+
+def _orbit_key(y: tuple[QuadElem, ...]) -> ProjPointFqt:
+    """The orbit's point of Sym^2 P^2 in P^5(F_q(t)): the products
+    x_i conj(x_i), then x_i conj(x_j) + x_j conj(x_i) for i < j.  They lie
+    in F_q(t) and do not depend on which sqrt(D) presentation of the residue
+    field was used; conjugation fixes them and scaling x by c multiplies them
+    all by N(c)."""
+    n = len(y)
+    cross = [(y[i] * y[j].conj()).trace() for i in range(n) for j in range(i + 1, n)]
+    return canonicalize([c.norm() for c in y] + cross)
+
+
+def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
+    """Scale by the conjugate of the first nonzero coordinate, which makes
+    that coordinate its norm in F_q[t], remove the polynomial content of the
+    parts, and make the first nonzero leading coefficient 1.  Raises
+    WrongDegreeError when the point is actually rational."""
+    coords = tuple(coords)
+    pivot = next((c for c in coords if not c.is_zero), None)
+    if pivot is None:
+        raise ValueError("all coordinates are zero")
+    conj = pivot.conj()
+    y = [c * conj for c in coords]
+    if all(c.b.is_zero for c in y):
+        raise WrongDegreeError("point is rational (degree 1), not degree 2")
+    parts = [f for c in y for f in (c.a, c.b)]
+    g = poly_gcd_all(parts)
+    if g.degree > 0:
+        parts = [f // g for f in parts]
+    u = ext.field.inv(next(f for f in parts if not f.is_zero).lead)
+    parts = [scale(f, u) for f in parts]
+    out = tuple(QuadElem(ext, a, b) for a, b in zip(parts[::2], parts[1::2]))
+    return DegreeTwoPoint(ext, out, _orbit_key(out))
+
+
+def height_degree2(P: DegreeTwoPoint) -> Fraction:
+    """Exponent h with H(P) = q^h: half the max degree of the orbit key; see
+    the quadfield docstring."""
+    return Fraction(max(c.degree for c in P.orbit_key.coords), 2)
+
+
+def kt_main_term(field: FqField, M: int) -> Fraction:
+    """2 S^2 q^(3M) M, the conjectured point count (two points per orbit)."""
+    S = schanuel_constant(2, field)
+    return 2 * S * S * Fraction(field.q) ** (3 * M) * M

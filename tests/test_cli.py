@@ -457,7 +457,6 @@ def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
         ("rational", ["count", "rational", "--q", "2", "--n", "1", "--M", "1"]),
         ("pairs", ["count", "pairs", "--q", "2", "--M", "1"]),
         ("cycles", ["cycles", "--q", "2", "--m-max", "3"]),
-        ("quadratic", ["count", "quadratic", "--q", "3", "--M", "1"]),
         ("pn", ["peyre", "pn", "--q", "3", "--n", "3"]),
         ("hilbm", ["peyre", "hilbm", "--q", "3", "--m", "3", "--mu", "1"]),
         ("lemmas", ["verify", "lemmas", "--q", "3"]),
@@ -486,9 +485,15 @@ def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
         assert not {"fractions", "decimal"} & set(steps[name]["modules"]), name
     assert "fractions" in steps["cycles"]["modules"]
     assert "hilbcount.genfun" in steps["cycles"]["modules"]
-    assert "hilbcount.quadfield" in steps["quadratic"]["modules"]
     assert "hilbcount.peyre" in steps["pn"]["modules"]
     assert "hilbcount.asympt" in steps["lemmas"]["modules"]
+
+    # count quadratic, in an interpreter of its own, before anything has
+    # loaded fractions: its main_term and ratio cells are computed in integers
+    steps = _import_probe([("quadratic", ["count", "quadratic", "--q", "3", "--M", "1"])])
+    quadratic = set(steps["quadratic"]["modules"])
+    assert "hilbcount.quadfield" in quadratic
+    assert not {"fractions", "decimal", "hilbcount.ratpoints"} & quadratic
 
 
 def test_count_quadratic_q5_exits_0():
@@ -544,6 +549,31 @@ def test_digits_below_1_exit_2(tmp_path, capsys):
     code, out = run(["peyre", "hilb2", "--q", "3", "--digits", "1"])
     assert code == 0
     assert out.splitlines()[1] == "1.0e+1,0.0,10816/729"
+
+
+def test_digits_guard_refuses_before_any_work(tmp_path, monkeypatch, capsys):
+    """--digits past DIGITS_GUARD, from a flag or a config file, exits 3 with
+    one stderr line naming the request and the limit, before a cache lookup
+    or any work; the limit itself runs."""
+    limit = cli.DIGITS_GUARD
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"digits = {limit + 1}\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work was done before the guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(peyre, "peyre_constant_hilb2", no_work)
+        patch.setattr(cache, "load", no_work)
+        for flags in (["--digits", str(limit + 1)], ["--config", str(cfg)]):
+            argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path / "cache"), *flags]
+            assert run(argv) == (3, "")
+            err = capsys.readouterr().err
+            assert err == f"size guard: digits = {limit + 1} exceeds guard digits <= {limit}\n"
+    code, out = run(["peyre", "hilb2", "--q", "3", "--digits", str(limit)])
+    assert code == 0
+    value = peyre.peyre_constant_hilb2(FqField(3), dps=limit + 10).value
+    assert out.splitlines()[1].split(",")[0] == fmt_value(value, limit)
 
 
 def test_config_plot_is_checked(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField, field_from_order
 from hilbcount.genfun import hilb_counts
+from hilbcount.ratpoints import schanuel_constant
 from hilbcount.peyre import (
     _tail_log_bound,
     alpha_star_hilbm,
@@ -269,3 +270,11 @@ def test_constants_pinned_across_q(kind, arg, q, prefactor, value):
         res = cm_constant(arg, field, deg_cut=9, dps=50)
     assert res.exact_prefactor == prefactor
     assert f"{res.value:.19e}" == value
+
+
+@pytest.mark.parametrize("q", sorted({q for _kind, _arg, q, _prefactor, _value in PINNED}))
+def test_hilb2_prefactor_is_schanuel_squared_over_nine(q):
+    """q^6 / (9 (q-1)^2 zeta(3)^2) = S^2 / 9 exactly, S = schanuel_constant(2)
+    = q^2 (1 - q^-3)(1 + q^-1), at each q the constants are pinned at."""
+    field = field_from_order(q)
+    assert peyre_constant_hilb2(field, 50).exact_prefactor == schanuel_constant(2, field) ** 2 / 9

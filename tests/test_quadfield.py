@@ -9,34 +9,38 @@ from typing import NamedTuple
 
 import pytest
 
-from hilbcount.errors import CharacteristicError, SizeError, WrongDegreeError
-from hilbcount.fqarith import (
-    FqField,
-    Poly,
-    all_polys,
-    field_from_order,
-    is_irreducible,
-    is_squarefree,
-    poly_gcd,
-    poly_gcd_all,
-    poly_xgcd,
-    squarefree_decompose,
-)
-from hilbcount import fqarith, quadfield, ratpoints
+import oracles
+from hilbcount.errors import CharacteristicError, SizeError
+from hilbcount.fqarith import FqField, Poly, all_polys, field_from_order, is_irreducible
+from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
     M_GUARD,
-    QuadElem,
-    QuadExt,
     QuadraticCount,
     _form_counts,
     _form_exponent,
     _form_key,
     _line_count,
+    _main_term_cells,
     _require_odd,
-    canonicalize_quadratic,
     enumerate_degree2,
+)
+from oracles import (
+    QuadElem,
+    QuadExt,
+    WrongDegreeError,
+    canonicalize_quadratic,
+    constant,
+    enumerate_exact_height,
     height_degree2,
+    is_square_unit,
+    is_squarefree,
     kt_main_term,
+    poly_gcd,
+    poly_gcd_all,
+    poly_xgcd,
+    scale,
+    serialize,
+    squarefree_decompose,
 )
 
 F2 = FqField(2)
@@ -77,11 +81,11 @@ def test_quadext_validation():
     with pytest.raises(ValueError):
         QuadExt(F3, t * t)  # not squarefree
     # a nonsquare constant is allowed
-    assert QuadExt(F3, Poly.constant(F3, 2)).d == Poly.constant(F3, 2)
+    assert QuadExt(F3, constant(F3, 2)).d == constant(F3, 2)
 
 
 def test_records_are_immutable():
-    qc = QuadraticCount(3, 1, 0, Fraction(1), Fraction(0))
+    qc = QuadraticCount(3, 1, 0, "1", "0")
     for name in ("count", "ratio"):
         with pytest.raises(AttributeError):
             setattr(qc, name, 0)
@@ -197,7 +201,7 @@ def test_canonical_form_without_division(q):
     field = field_from_order(q)
     rng = random.Random(100 + q)
     t, one = t_poly(field), Poly.one(field)
-    ds = (t, t * t + t + Poly.constant(field, 2), t * t * t + t + one)
+    ds = (t, t * t + t + constant(field, 2), t * t * t + t + one)
     exts = [QuadExt(field, d) for d in ds if is_squarefree(d)]
     nonzero = [f for f in all_polys(field, 2) if not f.is_zero]
     checked = 0
@@ -240,6 +244,21 @@ def test_kt_main_term():
     assert kt_main_term(F3, 0) == 0
 
 
+@pytest.mark.parametrize("field", [F3, F5])
+def test_main_term_cells_match_fraction_oracle(field):
+    """The main_term and ratio cells, computed in integers, print as the
+    Fraction oracle kt_main_term and count / kt_main_term print: on the rows
+    of a sweep to M = 8, and at every M <= M_GUARD for a spread of counts."""
+    q = field.q
+    for row in enumerate_degree2(field, 1, 8):
+        main = kt_main_term(field, row.M)
+        assert (row.main_term, row.ratio) == (str(main), str(row.count / main)), row
+    for M in range(1, M_GUARD + 1):
+        main = kt_main_term(field, M)
+        for count in (0, 1, q**4, 2 * M * q ** (3 * M), main.numerator, 3**M * 5**M + 7):
+            assert _main_term_cells(q, M, count) == (str(main), str(count / main)), (M, count)
+
+
 def _poly_sqrt_by_coefficients(f):
     """The polynomial square root of f, or None, by solving for the
     coefficients from the top down (f nonzero, even degree, square leading
@@ -262,7 +281,7 @@ def _poly_sqrt_by_coefficients(f):
 def _is_square_by_sqrt(f):
     if f.is_zero:
         return True
-    if f.degree % 2 == 1 or not f.field.is_square_unit(f.lead):
+    if f.degree % 2 == 1 or not is_square_unit(f.field, f.lead):
         return False
     return f.degree == 0 or _poly_sqrt_by_coefficients(f) is not None
 
@@ -283,7 +302,7 @@ def _form_stream(field: FqField, fmax: int):
         A = polys[ai]
         for ci in range(1, ncodes):
             C = polys[ci]
-            ac4 = (A * C).scale(four)
+            ac4 = scale(A * C, four)
             mAC = mask[ai] & mask[ci]
             for bi in range(ncodes):
                 if mAC & mask[bi]:
@@ -343,7 +362,7 @@ def _form_stream_by_sqrt(field, fmax):
     four = field.add(field.add(1, 1), field.add(1, 1))
     for A in (f for f in polys if f.is_monic):
         for C in polys[1:]:
-            ac4 = (A * C).scale(four)
+            ac4 = scale(A * C, four)
             gAC = poly_gcd(A, C)
             for B in polys:
                 disc = B * B - ac4
@@ -365,7 +384,7 @@ def test_form_stream_reads_primitivity_from_masks(monkeypatch):
     def no_gcd(*args):
         raise AssertionError("the form stream called poly_gcd")
 
-    monkeypatch.setattr(fqarith, "poly_gcd", no_gcd)
+    monkeypatch.setattr(oracles, "poly_gcd", no_gcd)
     assert sum(1 for _ in _form_stream(F3, 2)) == 7479
 
 
@@ -421,7 +440,7 @@ def _lines(field: FqField, dq_cap: int):
     """Yield ((P, d_P), (Q, d_Q)), the reduced basis of each rational line
     with d_Q <= dq_cap (dual height d_P + d_Q <= 2 dq_cap)."""
     for N in range(0, 2 * dq_cap + 1):
-        for pt in ratpoints.enumerate_exact_height(2, field, N):
+        for pt in enumerate_exact_height(2, field, N):
             (P, dP), (Q, dQ) = _reduce_basis(*_line_basis(pt.coords))
             assert dP + dQ == N, "reduced basis degrees must sum to dual height"
             if dQ <= dq_cap:
@@ -458,8 +477,8 @@ def test_line_count_sums_to_plane_points(q):
 def test_enumerate_degree2_m1():
     [res] = enumerate_degree2(F3, 1, 1)
     assert res.count == 2808
-    assert res.ratio == Fraction(81, 208)
-    assert res.main_term == kt_main_term(F3, 1)
+    assert res.ratio == str(Fraction(81, 208))
+    assert res.main_term == str(kt_main_term(F3, 1))
 
 
 def _brute_matches(fmax, classes, M, min_deg=0):
@@ -550,7 +569,7 @@ def _infinite_kind(field: FqField, f: Poly) -> str:
     coefficient, otherwise inert."""
     if f.degree % 2 == 1:
         return "ramified"
-    return "split" if field.is_square_unit(f.lead) else "inert"
+    return "split" if is_square_unit(field, f.lead) else "inert"
 
 
 def _kind_exponent(fd: FormData, dP: int, dQ: int) -> int:
@@ -688,7 +707,7 @@ ORBITS_F3_M1_SHA256 = "5cf943b6c89e1e85688fb9582008332bc28ad454289154aa86c7d82f8
 
 def test_orbit_coordinates_match_pinned_digest(orbits_f3_m1):
     lines = sorted(
-        o.ext.d.serialize() + ";" + "/".join(f"{c.a.serialize()}:{c.b.serialize()}" for c in o.coords)
+        serialize(o.ext.d) + ";" + "/".join(f"{serialize(c.a)}:{serialize(c.b)}" for c in o.coords)
         for o in orbits_f3_m1
     )
     assert len(lines) == 2808

@@ -12,17 +12,14 @@ from hilbcount.fqarith import (
     all_polys,
     field_from_order,
     irreducibles_of_degree,
-    poly_gcd,
 )
 from hilbcount.ratpoints import (
-    ProjPointFqt,
-    canonicalize,
     count_exact_height,
     count_reducible_pairs,
-    enumerate_exact_height,
     point_count_exact_height,
     schanuel_constant,
 )
+from oracles import ProjPointFqt, canonicalize, enumerate_exact_height, poly_gcd
 
 F2 = FqField(2)
 F3 = FqField(3)

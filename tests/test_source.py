@@ -15,118 +15,149 @@ def _parse(directory):
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in directory.glob("*.py")}
 
 
-def _names_used(top):
-    """Names a top-level statement reads, as a variable, an attribute or an
-    import, leaving out a function's or a class's references to itself."""
-    own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
-    for node in ast.walk(top):
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
-        else:
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# where the walk over the package starts, besides the runners in cli._COMMANDS
+ROOTS = ("dispatch", "main", "parse_config")
+
+
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(trees):
+    """(by_name, by_attr, labels) of the modules in trees: by_name maps a name
+    to the top-level functions, classes and assignments that bind it,
+    by_attr to those and to the named (non-dunder) methods of the top-level
+    classes, and labels maps each function, class and named method to
+    "module:name" or "module:Class.name"."""
+    by_name, by_attr, labels = {}, {}, {}
+    for module, tree in sorted(trees.items()):
+        for top in tree.body:
+            if isinstance(top, (*FUNCS, ast.ClassDef)):
+                by_name.setdefault(top.name, []).append(top)
+                labels[top] = f"{module}:{top.name}"
+                for item in top.body if isinstance(top, ast.ClassDef) else ():
+                    if isinstance(item, FUNCS) and not _is_dunder(item.name):
+                        by_attr.setdefault(item.name, []).append(item)
+                        labels[item] = f"{module}:{top.name}.{item.name}"
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name):
+                            by_name.setdefault(node.id, []).append(top)
+    for name, tops in by_name.items():
+        by_attr.setdefault(name, []).extend(tops)
+    return by_name, by_attr, labels
+
+
+def _reads(node):
+    """(is_attribute, name) for each name node reads: False for a variable
+    or an imported name, True for an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield False, sub.id
+        elif isinstance(sub, ast.alias):
+            yield False, sub.name
+        elif isinstance(sub, ast.Attribute):
+            yield True, sub.attr
+
+
+def _parts(node):
+    """What a reached definition reads: all of a function or an assignment;
+    of a class its bases, decorators, fields and dunder methods, which come
+    with the class, but not its named methods, each reached on its own."""
+    if not isinstance(node, ast.ClassDef):
+        yield node
+        return
+    yield from node.bases
+    yield from node.keywords
+    yield from node.decorator_list
+    for item in node.body:
+        if not isinstance(item, FUNCS) or _is_dunder(item.name):
+            yield item
+
+
+def _walk(trees, roots):
+    """(reached, defined): the labels (see _definitions) of the functions,
+    classes and named methods of trees that a walk over name references
+    reaches from the names roots, and of all of them.  A name is read as
+    every definition that spells it: a variable or an import reaches the
+    top-level definitions of that name, an attribute those and the named
+    methods of that name too."""
+    by_name, by_attr, labels = _definitions(trees)
+    todo = [top for name in roots for top in by_name.get(name, ())]
+    seen = set()
+    while todo:
+        node = todo.pop()
+        if node in seen:
             continue
-        if name != own:
-            yield name
+        seen.add(node)
+        for part in _parts(node):
+            for attr, name in _reads(part):
+                todo += (by_attr if attr else by_name).get(name, ())
+    return {labels[node] for node in seen if node in labels}, set(labels.values())
 
 
-def test_every_private_helper_is_used():
-    """Every top-level `def _name` in the package is used somewhere else in
-    the package, so helpers that nothing calls do not pile up."""
-    trees = _parse(SRC)
-    used = {name for tree in trees.values() for top in tree.body for name in _names_used(top)}
-    private = [
-        f"{module}:{top.name}"
-        for module, tree in sorted(trees.items())
-        for top in tree.body
-        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and top.name.startswith("_")
-        and not top.name.startswith("__")
-    ]
-    assert private
-    assert [entry for entry in private if entry.split(":")[1] not in used] == []
+def _read_by_tests():
+    """Every name the test modules read, as a variable, an import or an
+    attribute."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("test_*.py")]
+    return {name for tree in trees for _attr, name in _reads(tree)}
 
 
-def _statements(tree):
-    """Top-level statements, with each class body opened up so that every
-    method counts as a statement of its own."""
-    for top in tree.body:
-        if isinstance(top, ast.ClassDef):
-            yield from top.body
-        else:
-            yield top
-
-
-def _public_callables(tree):
-    """(label, name) of each public top-level function and each non-dunder
-    method of a top-level class."""
-    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    for top in tree.body:
-        if isinstance(top, funcs) and not top.name.startswith("_"):
-            yield top.name, top.name
-        elif isinstance(top, ast.ClassDef):
-            for item in top.body:
-                if isinstance(item, funcs) and not item.name.startswith("__"):
-                    yield f"{top.name}.{item.name}", item.name
-
-
-def test_every_public_callable_is_used():
-    """Every public top-level function and non-dunder method in the package
-    is referenced somewhere in the package or the tests, other than by
-    itself, so public code that nothing calls does not pile up either."""
-    package = _parse(SRC)
-    tests = list(_parse(TESTS).values())
-    used = {
-        name
-        for tree in [*package.values(), *tests]
-        for top in _statements(tree)
-        for name in _names_used(top)
-    }
-    callables = [
-        (f"{module}:{label}", name)
-        for module, tree in sorted(package.items())
-        for label, name in _public_callables(tree)
-    ]
-    assert callables
-    assert [entry for entry, name in callables if name not in used] == []
-
-
-
-# Public callables that only the tests read, each with the oracle or pinned
-# test it serves.  Anything else with no reader in the package is deleted or
-# moved into the test that reads it, so never add an entry without a reason.
-TEST_ONLY_EXPORTS = {
-    "fqarith.py:Poly.serialize": "the SHA-256 pin of the (3,1) orbit coordinates",
-    "fqarith.py:poly_xgcd": "the _line_basis oracle of the line walk behind T(d_P, d_Q)",
-    "fqarith.py:squarefree_decompose": "degree2_orbits, the explicit-orbit route to the degree-2 count",
-    "quadfield.py:canonicalize_quadratic": "degree2_orbits, the explicit-orbit route to the degree-2 count",
-    "quadfield.py:height_degree2": "the key height, the check on each explicit orbit's height",
-    "ratpoints.py:ProjPointFqt.serialize": "the point-order oracle of enumerate_exact_height",
-    "ratpoints.py:enumerate_exact_height": "the points count_exact_height counts, the second route to it",
-}
+# Functions, classes and methods of the package that only the tests read,
+# each with the oracle or pinned test it serves.  Anything else the CLI
+# never reaches is deleted or moved into tests/oracles.py, so never add an
+# entry without a reason.
+TEST_ONLY_EXPORTS = {}
 
 
 def test_test_only_exports_have_reasons():
-    assert len(TEST_ONLY_EXPORTS) == 7
+    assert len(TEST_ONLY_EXPORTS) <= 3
     assert all(reason.strip() for reason in TEST_ONLY_EXPORTS.values())
 
 
 def test_test_only_exports_are_listed():
-    """The public callables with no reader in the package, other than
-    themselves, are exactly TEST_ONLY_EXPORTS, so a new export that only the
-    tests call fails here, and so does a listed one that gains a reader or
-    goes without its entry going too."""
-    package = _parse(SRC)
-    used = {name for tree in package.values() for top in _statements(tree) for name in _names_used(top)}
-    test_only = [
-        f"{module}:{label}"
-        for module, tree in sorted(package.items())
-        for label, name in _public_callables(tree)
-        if name not in used
+    """Every function, class and named method of the package is reached by
+    a walk over its name references from the command runners, dispatch, main
+    and parse_config, or is listed in TEST_ONLY_EXPORTS and read by a test;
+    so code that only the tests or other unreached code read fails here,
+    and so does a listed entry that gains a reader or loses its last one."""
+    roots = ROOTS + tuple(command[0].__name__ for command in cli._COMMANDS.values())
+    reached, defined = _walk(_parse(SRC), roots)
+    assert reached
+    assert sorted(defined - reached) == sorted(TEST_ONLY_EXPORTS)
+    read = _read_by_tests()
+    assert [label for label in TEST_ONLY_EXPORTS if label.split(":")[1].split(".")[-1] not in read] == []
+
+
+def test_every_oracle_is_read_by_a_test():
+    """Every top-level function and class of tests/oracles.py is reached by
+    the same walk from the names the test modules read, so code moved out of
+    the package does not turn into dead test code."""
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    reached, _defined = _walk({"oracles.py": tree}, _read_by_tests())
+    tops = [f"oracles.py:{top.name}" for top in tree.body if isinstance(top, (*FUNCS, ast.ClassDef))]
+    assert tops
+    assert [label for label in tops if label not in reached] == []
+
+
+def test_no_package_module_imports_from_the_tests():
+    """The package runs without the tests: no module of it imports tests or
+    one of the modules in it, oracles included."""
+    test_side = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    imported = [
+        f"{module}:{name}"
+        for module, tree in sorted(_parse(SRC).items())
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+        )
+        if name.split(".")[0] in test_side
     ]
-    assert sorted(test_only) == sorted(TEST_ONLY_EXPORTS)
+    assert imported == []
 
 
 # Defaulted parameters that no call in the package passes, each with the
@@ -201,28 +232,6 @@ def test_every_defaulted_parameter_is_passed():
     ]
     assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS)
     assert all(reason.strip() for reason in UNPASSED_DEFAULTS.values())
-
-
-def test_every_class_is_used():
-    """Every top-level class in the package is referenced somewhere in the
-    package or the tests outside its own definition, so a record whose last
-    reader is gone does not linger."""
-    package = _parse(SRC)
-    tests = list(_parse(TESTS).values())
-    used = {
-        name
-        for tree in [*package.values(), *tests]
-        for top in tree.body
-        for name in _names_used(top)
-    }
-    classes = [
-        f"{module}:{top.name}"
-        for module, tree in sorted(package.items())
-        for top in tree.body
-        if isinstance(top, ast.ClassDef)
-    ]
-    assert classes
-    assert [entry for entry in classes if entry.split(":")[1] not in used] == []
 
 
 def test_every_import_is_used():
