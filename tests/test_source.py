@@ -131,6 +131,87 @@ def test_test_only_exports_are_listed():
     assert [label for label in TEST_ONLY_EXPORTS if label.split(":")[1].split(".")[-1] not in read] == []
 
 
+def _names_used(top):
+    """Names a top-level statement reads, as a variable, an attribute or an
+    import, leaving out a function's or a class's references to itself."""
+    own = top.name if isinstance(top, (*FUNCS, ast.ClassDef)) else None
+    return (name for _attr, name in _reads(top) if name != own)
+
+
+def _statements(tree):
+    """Top-level statements, with each class body opened up so that every
+    method counts as a statement of its own."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from top.body
+        else:
+            yield top
+
+
+def test_every_private_helper_is_used():
+    """Every top-level `def _name` in the package is used somewhere else in
+    the package, so helpers that nothing calls do not pile up."""
+    trees = _parse(SRC)
+    used = {name for tree in trees.values() for top in tree.body for name in _names_used(top)}
+    private = [
+        f"{module}:{top.name}"
+        for module, tree in sorted(trees.items())
+        for top in tree.body
+        if isinstance(top, FUNCS) and top.name.startswith("_") and not top.name.startswith("__")
+    ]
+    assert private
+    assert [entry for entry in private if entry.split(":")[1] not in used] == []
+
+
+def test_every_public_callable_is_used():
+    """Every public top-level function and non-dunder method in the package
+    is referenced somewhere in the package or the tests, other than by
+    itself, so public code that nothing calls does not pile up either."""
+    package = _parse(SRC)
+    used = {
+        name
+        for tree in [*package.values(), *_parse(TESTS).values()]
+        for top in _statements(tree)
+        for name in _names_used(top)
+    }
+    callables = [
+        (f"{module}:{top.name}", top.name)
+        for module, tree in sorted(package.items())
+        for top in tree.body
+        if isinstance(top, FUNCS) and not top.name.startswith("_")
+    ] + [
+        (f"{module}:{top.name}.{item.name}", item.name)
+        for module, tree in sorted(package.items())
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for item in top.body
+        if isinstance(item, FUNCS) and not item.name.startswith("__")
+    ]
+    assert callables
+    assert [entry for entry, name in callables if name not in used] == []
+
+
+def test_every_class_is_used():
+    """Every top-level class in the package is referenced somewhere in the
+    package or the tests outside its own definition, so a record whose last
+    reader is gone does not linger."""
+    package = _parse(SRC)
+    used = {
+        name
+        for tree in [*package.values(), *_parse(TESTS).values()]
+        for top in tree.body
+        for name in _names_used(top)
+    }
+    classes = [
+        f"{module}:{top.name}"
+        for module, tree in sorted(package.items())
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+    ]
+    assert classes
+    assert [entry for entry in classes if entry.split(":")[1] not in used] == []
+
+
 def test_every_oracle_is_read_by_a_test():
     """Every top-level function and class of tests/oracles.py is reached by
     the same walk from the names the test modules read, so code moved out of
