@@ -35,9 +35,7 @@ def fmt_fraction(num: int, den: int) -> str:
     every digit; it imports neither `fractions` nor `decimal` below the
     int-to-str limit, so exact cells computed in integers load neither."""
     g = gcd(num, den)
-    num, num_rem = divmod(num, g)
-    den, den_rem = divmod(den, g)
-    assert num_rem == den_rem == 0
+    num, den = num // g, den // g
     return _fmt_int(num) if den == 1 else f"{_fmt_int(num)}/{_fmt_int(den)}"
 
 

@@ -494,6 +494,8 @@ def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
     quadratic = set(steps["quadratic"]["modules"])
     assert "hilbcount.quadfield" in quadratic
     assert not {"fractions", "decimal", "hilbcount.ratpoints"} & quadratic
+    # nor, like every step of the shared plan, the parser, OpenSSL, the cache or mpmath
+    assert not (openssl | parsing | {"hilbcount.cache", "mpmath"}) & quadratic
 
 
 def test_count_quadratic_q5_exits_0():
