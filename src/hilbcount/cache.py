@@ -2,7 +2,9 @@
 atomically (temp file then rename).  The payload is a table: a dict whose
 "columns" is a list of strings and whose "rows" is a list of lists of
 strings.  Corrupted files, malformed tables included, are quarantined with a
-warning and treated as misses; a schema version bump invalidates everything.
+warning and treated as misses.  The CLI keys each entry by a digest of the
+package source too, so an edit to any byte of it, the version and this
+entry format included, makes every old entry a miss.
 
 This is the one module that hashes.  SHA-256 comes from the interpreter's
 builtin module, so a cached run never loads `hashlib` and with it OpenSSL's
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 
 try:
     from _sha2 import sha256  # Python >= 3.12
@@ -23,8 +24,6 @@ except ImportError:
         from _sha256 import sha256  # Python <= 3.11
     except ImportError:
         from hashlib import sha256  # an interpreter built without them
-
-SCHEMA_VERSION = 1
 
 
 def fingerprint(config: dict) -> str:
@@ -54,12 +53,7 @@ def store(cache_dir: str, config: dict, payload) -> str:
     path."""
     os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
-    entry = {
-        "schema_version": SCHEMA_VERSION,
-        "fingerprint": fp,
-        "payload": payload,
-        "created": time.time(),
-    }
+    entry = {"fingerprint": fp, "payload": payload}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -99,8 +93,6 @@ def load(cache_dir: str, config: dict):
         if entry.get("fingerprint") != fp:
             raise ValueError("fingerprint mismatch")
         payload = entry["payload"]
-        if entry["schema_version"] != SCHEMA_VERSION:
-            return None
         if not _is_table(payload):
             raise ValueError("payload is not a table of string columns and rows")
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

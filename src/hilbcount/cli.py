@@ -369,16 +369,14 @@ print("wrote", {out!r})
 
 
 def _fingerprint_config(args, key) -> dict:
-    """The run configuration a cache entry is keyed by, including the package
-    version and a digest of the package source, so rows computed by other
-    code are never served."""
-    from . import __version__  # the package attribute as it is now, not at import
+    """The run configuration a cache entry is keyed by, including a digest
+    of the package source, so rows computed by other code are never
+    served."""
     from . import cache
 
     skip = {"cache_dir", "format", "plot", "config"}
     cfg = {
         "command": list(k for k in key if k),
-        "version": __version__,
         "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),
     }
     for name, value in sorted(vars(args).items()):

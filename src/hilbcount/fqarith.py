@@ -24,6 +24,9 @@ from .errors import SizeError
 
 # Max number of monic polynomials scanned when listing irreducibles.
 ENUM_GUARD = 10**7
+# Max bit length of a field size q; field_from_order trial-divides up to
+# sqrt(q), so each two more bits double its time.
+Q_BITS_GUARD = 40
 
 
 def is_prime(n: int) -> bool:
@@ -38,9 +41,12 @@ def is_prime(n: int) -> bool:
 
 
 def field_from_order(q: int) -> "FqField":
-    """F_q for a prime power q = p^k."""
+    """F_q for a prime power q = p^k.  Refuses q past Q_BITS_GUARD bits
+    before any trial division."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
+    if q.bit_length() > Q_BITS_GUARD:
+        raise SizeError(f"field size q = {q} exceeds guard of {Q_BITS_GUARD} bits")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1

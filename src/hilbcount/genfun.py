@@ -31,11 +31,10 @@ def _check_field_size(q: int):
 
 
 def _check_series_guard(q: int, order: int):
-    if order > SERIES_ORDER_GUARD or q > SERIES_Q_GUARD:
-        raise SizeError(
-            f"series guard exceeded (order {order} > {SERIES_ORDER_GUARD} "
-            f"or q {q} > {SERIES_Q_GUARD})"
-        )
+    if order > SERIES_ORDER_GUARD:
+        raise SizeError(f"series order {order} exceeds guard order <= {SERIES_ORDER_GUARD}")
+    if q > SERIES_Q_GUARD:
+        raise SizeError(f"series at q = {q} exceeds guard q <= {SERIES_Q_GUARD}")
 
 
 def sym_counts(q: int, m_max: int) -> list[int]:

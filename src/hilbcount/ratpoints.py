@@ -3,10 +3,11 @@ they must reproduce.
 
 A point has a unique representative: a coprime tuple of polynomials whose
 first nonzero entry is monic, and its height is q to the maximum coordinate
-degree.  count_exact_height scans those tuples on the integer codes of their
-coordinates, reads their coprimality from a sieve of divisor masks and
-counts them without building them, as the observed side of the closed
-form.  The tests build the points themselves as the second route to it.
+degree.  count_exact_height counts coprime tuples on the integer codes of
+their coordinates, reading coprimality from a sieve of divisor masks, and
+divides out the q - 1 units; it builds no point and is the observed side of
+the closed form.  The tests build the points themselves as the second route
+to it.
 
 Every count here is an integer and is computed in integers: the closed
 forms are products of integer factors, and each division in them is
@@ -17,7 +18,7 @@ called, so the counts load neither `fractions` nor `decimal`.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
@@ -74,47 +75,42 @@ def divisor_masks(field: FqField, M: int):
     return polys, mask, monics
 
 
+def _coprime_tuples(masks, k: int) -> int:
+    """Number of k-tuples of entries of masks whose masks AND to 0.
+
+    The running ANDs of the first j coordinates are kept as a dict from AND
+    to number of j-tuples, starting from the empty tuple's -1 and folded
+    with the histogram of distinct masks k - 1 times.  The last coordinate
+    is counted without recording its ANDs: a running AND g takes every mask
+    m with g & m == 0.
+    """
+    hist = Counter(masks)
+    running = {-1: 1}
+    for _ in range(k - 1):
+        folded = Counter()
+        for g, a in running.items():
+            for m, b in hist.items():
+                folded[g & m] += a * b
+        running = folded
+    return sum(a * sum(b for m, b in hist.items() if not g & m) for g, a in running.items())
+
+
 def count_exact_height(n: int, field: FqField, M: int) -> int:
     """Number of canonical points of P^n(F_q(t)) of height exactly q^M,
     counted without building them.
 
     Every coordinate has degree <= M, so each is handled as its code in
-    range(q^(M+1)).  The scan runs over the pivot position, from the last
-    to the first, then over the monic pivot, then over every coordinate of
-    the free tail but the last; coprimality is the running AND of the
-    coordinates' divisor masks (see divisor_masks), stopped at 0.  For a
-    prefix whose masks AND to g, the last coordinate is counted over the
-    codes c with g & mask[c] == 0: all of them if the prefix reaches degree
-    M, else those of degree M.  The two numbers are memoised per distinct g
-    for the call.
+    range(q^(M+1)), and codes below q^M are those of degree < M.  A point of
+    height q^M is q - 1 coprime (n+1)-tuples of codes, one per unit, each
+    with a coordinate of degree M; mask[0] = -1 keeps the all-zero tuple
+    out of the coprime ones.
     """
     _guard_tuples(n, field, M)
-    _polys, mask, monics = divisor_masks(field, M)
-    top = field.q**M
-    low, high = mask[:top], mask[top:]
-    codes = range(len(mask))
-    memo = {}
-    total = 0
-    for pos in range(n, -1, -1):
-        k = n - pos
-        for pivot in monics:
-            reaches_M = pivot >= top
-            if not k:
-                if reaches_M and not mask[pivot]:
-                    total += 1
-                continue
-            for prefix in itertools.product(codes, repeat=k - 1):
-                g = mask[pivot]
-                for c in prefix:
-                    if not g:
-                        break
-                    g &= mask[c]
-                counts = memo.get(g)
-                if counts is None:
-                    n_high = sum(1 for m in high if not g & m)
-                    counts = memo[g] = (n_high + sum(1 for m in low if not g & m), n_high)
-                total += counts[0] if reaches_M or max(prefix, default=0) >= top else counts[1]
-    return total
+    _polys, mask, _monics = divisor_masks(field, M)
+    tuples = _coprime_tuples(mask, n + 1) - _coprime_tuples(mask[: field.q**M], n + 1)
+    points, rem = divmod(tuples, field.q - 1)
+    assert rem == 0
+    return points
 
 
 def schanuel_constant(n: int, field: FqField) -> Fraction:

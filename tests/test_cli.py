@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hilbcount
-from hilbcount import cache, cli, genfun, peyre, quadfield, ratpoints
+from hilbcount import cache, cli, fqarith, genfun, peyre, quadfield, ratpoints
 from hilbcount.cli import UsageError, dispatch, parse_config
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField
@@ -272,6 +272,37 @@ def test_size_guard_exit_3(capsys):
     assert code == 3 and out == ""
     err = capsys.readouterr().err
     assert f"= 97^60 coordinate tuples exceeds guard {ratpoints.TUPLE_GUARD}" in err
+
+
+def test_largest_guarded_field_size_runs():
+    # 2^40 - 87, the largest 40-bit prime, is validated by trial division
+    code, out = run(["peyre", "pn", "--q", "1099511627689"])
+    assert code == 0 and out.startswith("value,residual_bound,exact_prefactor\n")
+
+
+def test_field_size_guard_before_trial_division(monkeypatch, capsys):
+    def no_trial_division(n):
+        raise AssertionError("is_prime ran before the guard")
+
+    monkeypatch.setattr(fqarith, "is_prime", no_trial_division)
+    q = 2**40 + 15  # prime, 41 bits
+    code, out = run(["peyre", "pn", "--q", str(q)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"size guard: field size q = {q} exceeds guard of {fqarith.Q_BITS_GUARD} bits\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "17", "--m-max", "2"], "series at q = 17 exceeds guard q <= 16"),
+        (["--q", "5", "--m-max", "65"], "series order 65 exceeds guard order <= 64"),
+    ],
+)
+def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
+    code, out = run(["cycles", *argv])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"size guard: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -652,9 +683,9 @@ def test_cache_warm_equals_cold(tmp_path):
     assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
 
 
-def _assert_changed_code_recomputes(tmp_path, monkeypatch, change):
-    """A cold run, then `change()` to how the code identifies itself, then a
-    miss that recomputes the same stdout and is then a hit."""
+def test_cache_source_change_recomputes(tmp_path, monkeypatch):
+    """A cold run, then a change to the source digest, then a miss that
+    recomputes the same stdout and is then a hit."""
     calls = []
     real = ratpoints.count_reducible_pairs
 
@@ -666,7 +697,7 @@ def _assert_changed_code_recomputes(tmp_path, monkeypatch, change):
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
     code, cold = run(argv)
     assert code == 0 and len(calls) == 1
-    change()
+    monkeypatch.setattr(cache, "source_digest", lambda pkg_dir: "0" * 64)
     code, out = run(argv)
     assert code == 0 and out == cold
     assert len(calls) == 2  # a miss: the entry of the other code is not served
@@ -675,29 +706,21 @@ def _assert_changed_code_recomputes(tmp_path, monkeypatch, change):
     assert code == 0 and out == cold and len(calls) == 2  # same code: a hit
 
 
-def test_cache_version_bump_recomputes(tmp_path, monkeypatch):
-    _assert_changed_code_recomputes(
-        tmp_path, monkeypatch,
-        lambda: monkeypatch.setattr(hilbcount, "__version__", hilbcount.__version__ + ".dev1"),
-    )
-
-
-def test_cache_source_change_recomputes(tmp_path, monkeypatch):
-    _assert_changed_code_recomputes(
-        tmp_path, monkeypatch, lambda: monkeypatch.setattr(cache, "source_digest", lambda pkg_dir: "0" * 64)
-    )
-
-
 def test_source_digest_reads_every_byte(tmp_path, monkeypatch):
     pkg = os.path.dirname(os.path.abspath(cache.__file__))
     copy = tmp_path / "hilbcount"
     shutil.copytree(pkg, copy, ignore=shutil.ignore_patterns("__pycache__"))
     assert cache.source_digest(str(copy)) == cache.source_digest(pkg)
-    path = copy / "genfun.py"
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 1
-    path.write_bytes(bytes(data))
-    assert cache.source_digest(str(copy)) != cache.source_digest(pkg)
+    # __init__.py holds __version__ and cache.py the entry format, so the
+    # digest alone tells their edits apart
+    for name in ("genfun.py", "__init__.py", "cache.py"):
+        path = copy / name
+        data = path.read_bytes()
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 1
+        path.write_bytes(bytes(flipped))
+        assert cache.source_digest(str(copy)) != cache.source_digest(pkg), name
+        path.write_bytes(data)
 
     def unread(pkg_dir):
         raise AssertionError("the source was read without a cache dir")
@@ -731,8 +754,8 @@ def test_digests_are_hashlib_sha256():
 
 
 def test_version_has_one_copy():
-    """pyproject.toml reads the version from the package, so the cache key's
-    version is the one the distribution is built with."""
+    """pyproject.toml reads the version from the package's __init__.py, so
+    the distribution is built with the version the package reports."""
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
@@ -789,13 +812,6 @@ def test_cache_malformed_payload_recomputed(tmp_path, payload):
     assert os.path.exists(path + ".corrupt")
     # the recomputed table is stored again
     assert os.path.exists(path)
-
-
-def test_cache_schema_version_bump(tmp_path, monkeypatch):
-    config = {"a": 2}
-    cache.store(str(tmp_path), config, {"rows": [["x"]]})
-    monkeypatch.setattr(cache, "SCHEMA_VERSION", cache.SCHEMA_VERSION + 1)
-    assert cache.load(str(tmp_path), config) is None
 
 
 def cache_roundtrip(cache_dir, config, payload):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hilbcount.fqarith import (
     irreducibles_of_degree,
 )
 from hilbcount.ratpoints import (
+    _coprime_tuples,
     count_exact_height,
     count_reducible_pairs,
     point_count_exact_height,
@@ -178,10 +181,25 @@ def test_enumeration_matches_brute_force_in_order(n, q, Ms):
 
 def test_count_matches_closed_form_beyond_enumeration():
     start = time.monotonic()
-    for n, q, M in [(1, 3, 6), (2, 3, 4), (3, 3, 3), (2, 9, 2), (2, 31, 1), (5, 2, 2)]:
+    cases = [(1, 3, 6), (2, 3, 4), (3, 3, 3), (2, 9, 2), (2, 31, 1), (5, 2, 2)]
+    cases += [(4, 2, 3), (6, 2, 2), (3, 4, 2), (2, 3, 5), (1, 2, 0), (2, 9, 0)]
+    for n, q, M in cases:
         field = field_from_order(q)
         assert count_exact_height(n, field, M) == point_count_exact_height(n, field, M), (n, q, M)
     assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_coprime_tuples_matches_brute_force(k):
+    # at k = 1 the fold runs no step and only the mask-0 entries count
+    rng = random.Random(k)
+    for _ in range(20):
+        masks = [-1, 0] + [rng.choice([-1, 0, 1, 2, 3, 4, 5, 6, 12]) for _ in range(rng.randrange(5))]
+        rng.shuffle(masks)
+        want = sum(
+            1 for t in itertools.product(masks, repeat=k) if functools.reduce(operator.and_, t) == 0
+        )
+        assert _coprime_tuples(masks, k) == want, (masks, k)
 
 
 def _count_calls(monkeypatch, name):
