@@ -11,35 +11,32 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .fqarith import FqField
 
-
-def technical_sum(F: FqField, t: int, j: int, m: int, M: int, dps: int):
+def technical_sum(q: int, t: int, j: int, m: int, M: int, dps: int):
     """sum_{i=0}^{M} q^((t-j)i/t) * i^(m-t), high precision."""
     if not (0 < j < t < m):
         raise ValueError("need 0 < j < t < m")
     with localcontext() as ctx:
         ctx.prec = dps
         # one fractional power, then integer powers of it: q^((t-j)i/t) = root^i
-        root = Decimal(F.q) ** (Decimal(t - j) / t)
+        root = Decimal(q) ** (Decimal(t - j) / t)
         return sum(root**i * i ** (m - t) for i in range(M + 1))
 
 
-def technical_main_term(F: FqField, t: int, j: int, m: int, M: int, dps: int):
+def technical_main_term(q: int, t: int, j: int, m: int, M: int, dps: int):
     """Predicted leading term (1/(((t-j)/t) log q) + 1/2) q^((t-j)M/t) M^(m-t)."""
     with localcontext() as ctx:
         ctx.prec = dps
         alpha = Decimal(t - j) / t
-        q = Decimal(F.q)
-        lead = 1 / (alpha * q.ln()) + Decimal(1) / 2
-        return lead * q ** (alpha * M) * Decimal(M) ** (m - t)
+        lead = 1 / (alpha * Decimal(q).ln()) + Decimal(1) / 2
+        return lead * Decimal(q) ** (alpha * M) * Decimal(M) ** (m - t)
 
 
-def technical_lemma_check(F: FqField, t: int, j: int, m: int, M: int, dps: int):
+def technical_lemma_check(q: int, t: int, j: int, m: int, M: int, dps: int):
     """Normalized deviation dev(M) = |sum/main - 1| * M; bounded in M when
     the lemma's main term is right."""
-    s = technical_sum(F, t, j, m, M, dps)
-    main = technical_main_term(F, t, j, m, M, dps)
+    s = technical_sum(q, t, j, m, M, dps)
+    main = technical_main_term(q, t, j, m, M, dps)
     with localcontext() as ctx:
         ctx.prec = dps
         return abs(s / main - 1) * M

@@ -8,12 +8,12 @@ entry format included, makes every old entry a miss.
 
 This is the one module that hashes.  SHA-256 comes from the interpreter's
 builtin module, so a cached run never loads `hashlib` and with it OpenSSL's
-libcrypto; the digests are the same bytes either way.
+libcrypto; the digests are the same bytes either way.  `json` is imported by
+the functions that use it, so importing this module loads none.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
@@ -28,6 +28,8 @@ except ImportError:
 
 def fingerprint(config: dict) -> str:
     """sha256 of the canonical JSON serialization of the run configuration."""
+    import json
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return sha256(blob.encode("utf-8")).hexdigest()
 
@@ -51,6 +53,8 @@ def _path(cache_dir: str, fp: str) -> str:
 def store(cache_dir: str, config: dict, payload) -> str:
     """Write the payload table under the config's fingerprint; returns the
     path."""
+    import json
+
     os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
     entry = {"fingerprint": fp, "payload": payload}
@@ -81,6 +85,8 @@ def _is_table(payload) -> bool:
 def load(cache_dir: str, config: dict):
     """Return the cached payload for this config, or None on miss.  A file
     that fails to parse or violates its invariants is renamed aside."""
+    import json
+
     fp = fingerprint(config)
     path = _path(cache_dir, fp)
     if not os.path.exists(path):

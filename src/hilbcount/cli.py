@@ -111,14 +111,6 @@ def _m_range(args):
     return range(args.M, m_max + 1)
 
 
-def _field(args):
-    """F_q for the required --q."""
-    from .fqarith import field_from_order
-
-    _require(args, "q")
-    return field_from_order(args.q)
-
-
 def _dps(args) -> int:
     """Working decimal digits for a --digits table: ten guard digits, and
     never fewer than 50."""
@@ -127,26 +119,28 @@ def _dps(args) -> int:
 
 def _run_count_rational(args):
     from . import ratpoints
+    from .fqarith import field_from_order
 
-    field = _field(args)
     _require(args, "n")
+    ms = _m_range(args)
+    ratpoints.guard_count(args.n, args.q, ms[-1])  # the largest M's guard, before F_q or any row
+    field = field_from_order(args.q)
     cols = ["q", "n", "M", "observed", "predicted", "match"]
     rows = []
-    for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
+    for M in ms:
         observed = ratpoints.count_exact_height(args.n, field, M)
-        predicted = ratpoints.point_count_exact_height(args.n, field, M)
+        predicted = ratpoints.point_count_exact_height(args.n, args.q, M)
         rows.append([args.q, args.n, M, observed, predicted, observed == predicted])
-    return cols, rows[::-1]
+    return cols, rows
 
 
 def _run_count_pairs(args):
     from . import ratpoints
 
-    field = _field(args)
     cols = ["q", "M", "observed", "closed_form", "match"]
     rows = []
     for M in reversed(_m_range(args)):  # the largest M's guard fails before any row
-        pc = ratpoints.count_reducible_pairs(field, M)
+        pc = ratpoints.count_reducible_pairs(args.q, M)
         rows.append([args.q, M, pc.observed, pc.closed_form, pc.match])
     return cols, rows[::-1]
 
@@ -154,13 +148,12 @@ def _run_count_pairs(args):
 def _run_count_quadratic(args):
     from . import quadfield
 
-    field = _field(args)
     ms = _m_range(args)
     cols = ["q", "M", "count", "stable", "main_term", "ratio"]
     # stable is constant true: the bounds are proven; pinned outputs keep it
     rows = [
         [qc.q, qc.M, qc.count, True, qc.main_term, qc.ratio]
-        for qc in quadfield.enumerate_degree2(field, ms.start, ms.stop - 1)
+        for qc in quadfield.enumerate_degree2(args.q, ms.start, ms.stop - 1)
     ]
     return cols, rows
 
@@ -170,7 +163,7 @@ def _run_cycles(args):
 
     cols = ["m", "sym", "hilb", "primes", "chen7", "chen8", "chen8_valid", "ratio_error"]
     rows = []
-    for r in genfun.cycle_table(_field(args).q, args.m_max):
+    for r in genfun.cycle_table(args.q, args.m_max):
         rows.append([r.m, r.sym, r.hilb, r.primes, r.chen7, r.chen8, r.chen8_valid, r.ratio_error])
     return cols, rows
 
@@ -178,16 +171,15 @@ def _run_cycles(args):
 def _run_peyre(args):
     from . import peyre
 
-    field = _field(args)
     dps = _dps(args)
     if args.subcommand == "pn":
-        res = peyre.peyre_constant_pn(args.n, field, dps=dps)
+        res = peyre.peyre_constant_pn(args.n, args.q, dps=dps)
     elif args.subcommand == "hilb2":
-        res = peyre.peyre_constant_hilb2(field, dps=dps)
+        res = peyre.peyre_constant_hilb2(args.q, dps=dps)
     elif args.subcommand == "hilbm":
-        res = peyre.peyre_constant_hilbm(args.m, field, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
+        res = peyre.peyre_constant_hilbm(args.m, args.q, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
     else:
-        res = peyre.cm_constant(args.m, field, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
+        res = peyre.cm_constant(args.m, args.q, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
     cols = ["value", "residual_bound", "exact_prefactor"]
     return cols, [[res.value, res.residual_bound, res.exact_prefactor]]
 
@@ -197,12 +189,11 @@ def _run_verify_lemmas(args):
 
     from . import asympt
 
-    field = _field(args)
     dps = _dps(args)
     cols = ["lemma", "params", "M", "ratio_or_dev", "pass"]
     rows = []
     for M in (50, 100, 200, 400):
-        dev = asympt.technical_lemma_check(field, 2, 1, 5, M, dps=dps)
+        dev = asympt.technical_lemma_check(args.q, 2, 1, 5, M, dps=dps)
         rows.append(["technical", "t=2;j=1;m=5", M, dev, dev <= 10])
     for M in (10, 100, 1000):
         ratio = asympt.technical2_check(1, M)
@@ -439,8 +430,11 @@ def dispatch(argv, out=None) -> int:
             fp_config = _fingerprint_config(args, key)
             payload = cache.load(cache_dir, fp_config)
         if payload is None:
+            from .fqarith import prime_power
             from .records import fmt_value
 
+            _require(args, "q")
+            prime_power(args.q)  # every runner reads a checked q
             columns, raw_rows = _COMMANDS[key][0](args)
             rows = [[fmt_value(v, args.digits) for v in row] for row in raw_rows]
             if cache_dir:

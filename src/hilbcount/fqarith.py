@@ -24,7 +24,7 @@ from .errors import SizeError
 
 # Max number of monic polynomials scanned when listing irreducibles.
 ENUM_GUARD = 10**7
-# Max bit length of a field size q; field_from_order trial-divides up to
+# Max bit length of a field size q; prime_power trial-divides up to
 # sqrt(q), so each two more bits double its time.
 Q_BITS_GUARD = 40
 
@@ -40,9 +40,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def field_from_order(q: int) -> "FqField":
-    """F_q for a prime power q = p^k.  Refuses q past Q_BITS_GUARD bits
-    before any trial division."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k.  Refuses q past Q_BITS_GUARD bits before any
+    trial division."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
     if q.bit_length() > Q_BITS_GUARD:
@@ -59,7 +59,12 @@ def field_from_order(q: int) -> "FqField":
         k += 1
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
-    return FqField(p, k)
+    return p, k
+
+
+def field_from_order(q: int) -> "FqField":
+    """F_q for a prime power q = p^k."""
+    return FqField(*prime_power(q))
 
 
 def mobius(n: int) -> int:
@@ -102,7 +107,7 @@ class FqField:
         self.q = p**k
         if k > 1:
             if self.q > ENUM_GUARD:
-                raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard")
+                raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard {ENUM_GUARD}")
             base = FqField(p)
             # the first hit in product order is the least irreducible; a
             # zero constant term makes t a factor, so the tails skip it

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SizeError
-from .fqarith import FqField, irreducible_count
+from .fqarith import irreducible_count
 from .genfun import hilb_count_poly
 from .ratpoints import schanuel_constant
 
@@ -28,12 +28,11 @@ from .ratpoints import schanuel_constant
 EULER_BITS_GUARD = 512
 
 
-def zeta_fqt(s: int, field: FqField) -> Fraction:
+def zeta_fqt(s: int, q: int) -> Fraction:
     """zeta of F_q(t) at an integer s > 1, exact:
     1/((1 - q^(1-s))(1 - q^(-s)))."""
     if s <= 1:
         raise ValueError("s > 1 required")
-    q = field.q
     return 1 / ((1 - Fraction(1, q ** (s - 1))) * (1 - Fraction(1, q**s)))
 
 
@@ -63,13 +62,12 @@ def damped_density_poly(m: int) -> list[int]:
     return out
 
 
-def places_by_degree(field: FqField, deg_cut: int) -> list[tuple[int, int]]:
+def places_by_degree(q: int, deg_cut: int) -> list[tuple[int, int]]:
     """(degree, number of places of that degree) for the projective line,
     including the infinite place in the degree-1 bucket.  Refuses a cut
     with q^deg_cut past EULER_BITS_GUARD bits before any work."""
     if deg_cut < 1:
         raise ValueError("deg_cut >= 1 required")
-    q = field.q
     # q >= 2, so q^deg_cut has more than deg_cut bits and is built only below the guard
     if deg_cut >= EULER_BITS_GUARD or (q**deg_cut).bit_length() > EULER_BITS_GUARD:
         raise SizeError(
@@ -83,14 +81,14 @@ def places_by_degree(field: FqField, deg_cut: int) -> list[tuple[int, int]]:
     return out
 
 
-def euler_product_factors(field: FqField, poly: list[int], deg_cut: int):
+def euler_product_factors(q: int, poly: list[int], deg_cut: int):
     """Exact per-degree factors (degree, count, base value at x = q^-d).
 
     With Q = q^d, poly(1/Q) = (sum_i c_i Q^(n-i)) / Q^n, n = len(poly) - 1,
     whose numerator is an integer Horner pass at Q."""
     out = []
-    for d, count in places_by_degree(field, deg_cut):
-        Q = field.q**d
+    for d, count in places_by_degree(q, deg_cut):
+        Q = q**d
         num = 0
         for c in poly:
             num = num * Q + c
@@ -98,7 +96,7 @@ def euler_product_factors(field: FqField, poly: list[int], deg_cut: int):
     return out
 
 
-def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
+def _tail_log_bound(q: int, poly: list[int], deg_cut: int) -> Fraction:
     """Bound on |log of the omitted factors| for degrees > deg_cut.
 
     Uses |poly(x) - 1| <= C x^k0 for x <= 1, with k0 the first nonzero power
@@ -111,7 +109,6 @@ def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
     k0 = next(i for i, c in enumerate(poly[1:], 1) if c != 0)
     assert k0 >= 2
     C = sum(abs(c) for c in poly[1:])
-    q = field.q
     # sum_{d > cut} 2 q^d * 2C q^(-k0 d) = 4C r^(cut+1) / (1 - r)
     r = Fraction(1, q ** (k0 - 1))
 
@@ -129,12 +126,12 @@ def _tail_log_bound(field: FqField, poly: list[int], deg_cut: int) -> Fraction:
     return 4 * C * r ** (deg_cut + 1) / (1 - r)
 
 
-def euler_product_density(field: FqField, m: int, deg_cut: int, dps: int):
+def euler_product_density(q: int, m: int, deg_cut: int, dps: int):
     """Truncated product of (1 - q_v^-1)^2 omega_v over all places of degree
     <= deg_cut, with an explicit bound on the log of the omitted tail."""
     poly = damped_density_poly(m)
-    factors = euler_product_factors(field, poly, deg_cut)
-    tb = _tail_log_bound(field, poly, deg_cut)
+    factors = euler_product_factors(q, poly, deg_cut)
+    tb = _tail_log_bound(q, poly, deg_cut)
     with localcontext() as ctx:
         # a base rounded to prec digits and raised to the power count is off
         # by about count units in its last place, so carry that many more
@@ -187,58 +184,42 @@ def alpha_star_hilbm(mu) -> Fraction:
     return _positive_mu(mu) / 9
 
 
-def peyre_constant_pn(n: int, field: FqField, dps: int):
+def peyre_constant_pn(n: int, q: int, dps: int):
     """Leading constant for P^n over F_q(t): S(n+1, 1) / ((n+1) log q)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    S = schanuel_constant(n, field)
+    S = schanuel_constant(n, q)
     with localcontext() as ctx:
         ctx.prec = dps
-        value = Decimal(S.numerator) / S.denominator / ((n + 1) * Decimal(field.q).ln())
+        value = Decimal(S.numerator) / S.denominator / ((n + 1) * Decimal(q).ln())
         return PeyreResult(value, Decimal(0), S)
 
 
-def peyre_constant_hilb2(field: FqField, dps: int):
+def peyre_constant_hilb2(q: int, dps: int):
     """Leading constant for Hilb^2 of the plane over F_q(t):
     q^6 / (9 (q-1)^2 (log q)^2 zeta(3)^2)."""
-    q = field.q
-    rational = Fraction(q**6, 9 * (q - 1) ** 2) / zeta_fqt(3, field) ** 2
+    rational = Fraction(q**6, 9 * (q - 1) ** 2) / zeta_fqt(3, q) ** 2
     with localcontext() as ctx:
         ctx.prec = dps
         value = Decimal(rational.numerator) / rational.denominator / Decimal(q).ln() ** 2
         return PeyreResult(value, Decimal(0), rational)
 
 
-def peyre_constant_hilbm(
-    m: int,
-    field: FqField,
-    mu=None,
-    *,
-    deg_cut: int,
-    dps: int,
-):
+def peyre_constant_hilbm(m: int, q: int, mu=None, *, deg_cut: int, dps: int):
     """Leading constant for Hilb^m of the plane over F_q(t) by the general
     product formula: alpha^* q^(2(m+1)) / ((q-1)^2 (log q)^2) times the Euler
     product of damped local densities."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    q = field.q
     prefactor = alpha_star_hilbm(mu_slope(m, mu)) * Fraction(q ** (2 * (m + 1)), (q - 1) ** 2)
-    product, residual = euler_product_density(field, m, deg_cut, dps)
+    product, residual = euler_product_density(q, m, deg_cut, dps)
     with localcontext() as ctx:
         ctx.prec = dps
         scale = Decimal(prefactor.numerator) / prefactor.denominator / Decimal(q).ln() ** 2
         return PeyreResult(scale * product, scale * residual, prefactor)
 
 
-def cm_constant(
-    m: int,
-    field: FqField,
-    mu=None,
-    *,
-    deg_cut: int,
-    dps: int,
-):
+def cm_constant(m: int, q: int, mu=None, *, deg_cut: int, dps: int):
     """The positive constant c_m relating the prime-orbit main term to the
     total Sym^m main term over F_q(t).  Exactly 2/3 for m = 2; for m >= 3 the
     displayed product formula."""
@@ -249,16 +230,16 @@ def cm_constant(
             ctx.prec = dps
             return PeyreResult(Decimal(2) / 3, Decimal(0), Fraction(2, 3))
     mu = mu_slope(m, mu)
-    S = schanuel_constant(2, field)
+    S = schanuel_constant(2, q)
     prefactor = (
         mu
         * Fraction(3) ** (m - 2)
-        * zeta_fqt(3, field) ** 2
+        * zeta_fqt(3, q) ** 2
         * math.factorial(m)
         * math.factorial(m - 1)
         / S ** (m - 2)
     )
-    product, residual = euler_product_density(field, m, deg_cut, dps)
+    product, residual = euler_product_density(q, m, deg_cut, dps)
     with localcontext() as ctx:
         ctx.prec = dps
         scale = Decimal(prefactor.numerator) / prefactor.denominator

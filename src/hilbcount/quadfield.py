@@ -107,15 +107,14 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import CharacteristicError, SizeError
-from .fqarith import FqField
 from .records import fmt_fraction
 
 # max height exponent M of a degree-2 count, whose class sum is O(M^5)
 M_GUARD = 30
 
 
-def _require_odd(field: FqField):
-    if field.q % 2 == 0:
+def _require_odd(q: int):
+    if q % 2 == 0:
         raise CharacteristicError("quadratic extensions need odd q")
 
 
@@ -214,7 +213,7 @@ class QuadraticCount(NamedTuple):
     ratio: str  # count / main_term, likewise; tends to 1/2 (orbits vs points)
 
 
-def enumerate_degree2(field: FqField, M: int, M_max: int) -> list[QuadraticCount]:
+def enumerate_degree2(q: int, M: int, M_max: int) -> list[QuadraticCount]:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^m,
     one row for each m from M to M_max, in one sweep.
 
@@ -224,12 +223,11 @@ def enumerate_degree2(field: FqField, M: int, M_max: int) -> list[QuadraticCount
     the module docstring a class and form reaching exponent M have
     2 d_Q <= M and deg F <= M, so every count is complete.  Refuses
     M_max > M_GUARD before any work."""
-    _require_odd(field)
+    _require_odd(q)
     if M_max > M_GUARD:
         raise SizeError(f"form count at M = {M_max} exceeds guard M <= {M_GUARD}")
     if M < 1:
         raise ValueError("M >= 1 required")
-    q = field.q
     forms = _form_counts(q, M_max).items()
     counts = [0] * (M_max + 1)
     for dQ in range(M_max // 2 + 1):

@@ -27,21 +27,32 @@ from .fqarith import FqField, all_polys
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Max number of coordinate tuples a count_exact_height scan covers.
-TUPLE_GUARD = 10**9
+# Max sieve codes and fold steps of count_exact_height; see guard_count.
+SIEVE_GUARD = 2 * 10**5
+FOLD_GUARD = 12 * 10**6
 # Max bit length of q^(3M) in count_reducible_pairs, whose M + 1 products
 # are about that long.
 PAIR_BITS_GUARD = 2**15
 
 
-def _guard_tuples(n: int, field: FqField, M: int):
-    """Refuse a scan of P^n at height q^M past TUPLE_GUARD tuples."""
+def guard_count(n: int, q: int, M: int):
+    """Refuse count_exact_height(n, F_q, M) from (n, q, M) alone, before F_q
+    is built: past SIEVE_GUARD codes q^(M+1), or past FOLD_GUARD steps of n
+    passes over pairs of the R <= q^M + 2 distinct masks (of the monic
+    squarefree radicals of degree <= M, and of 0), a step counting once more
+    per 2048 bits of b = (n+1)(M+1) bit_length(q), which bounds its counts."""
     if n < 1 or M < 0:
         raise ValueError("need n >= 1 and M >= 0")
-    if field.q ** ((n + 1) * (M + 1)) > TUPLE_GUARD:
+    # q >= 2, so q^(M+1) has more than M + 1 bits and is built only below the guard
+    if M >= SIEVE_GUARD.bit_length() or q ** (M + 1) > SIEVE_GUARD:
         raise SizeError(
-            f"enumeration of q^((n+1)(M+1)) = {field.q}^{(n + 1) * (M + 1)} "
-            f"coordinate tuples exceeds guard {TUPLE_GUARD}"
+            f"count of P^{n} at M = {M}: sieve of q^(M+1) = {q}^{M + 1} codes exceeds guard {SIEVE_GUARD}"
+        )
+    b = (n + 1) * (M + 1) * q.bit_length()
+    steps = n * (q**M + 2) ** 2 * (2048 + b) // 2048
+    if steps > FOLD_GUARD:
+        raise SizeError(
+            f"count of P^{n} at M = {M}: fold of about {steps} steps exceeds guard {FOLD_GUARD}"
         )
 
 
@@ -105,7 +116,7 @@ def count_exact_height(n: int, field: FqField, M: int) -> int:
     with a coordinate of degree M; mask[0] = -1 keeps the all-zero tuple
     out of the coprime ones.
     """
-    _guard_tuples(n, field, M)
+    guard_count(n, field.q, M)
     _polys, mask, _monics = divisor_masks(field, M)
     tuples = _coprime_tuples(mask, n + 1) - _coprime_tuples(mask[: field.q**M], n + 1)
     points, rem = divmod(tuples, field.q - 1)
@@ -113,12 +124,11 @@ def count_exact_height(n: int, field: FqField, M: int) -> int:
     return points
 
 
-def schanuel_constant(n: int, field: FqField) -> Fraction:
+def schanuel_constant(n: int, q: int) -> Fraction:
     """Leading constant S(n+1, 1) in the exact-height point count of
     P^n(F_q(t)): q^(n+1)(1 - q^-n)(1 - q^-(n+1))/(q - 1), an exact rational."""
     from fractions import Fraction
 
-    q = field.q
     return (
         Fraction(q ** (n + 1), q - 1)
         * (1 - Fraction(1, q**n))
@@ -126,13 +136,12 @@ def schanuel_constant(n: int, field: FqField) -> Fraction:
     )
 
 
-def point_count_exact_height(n: int, field: FqField, M: int) -> int:
+def point_count_exact_height(n: int, q: int, M: int) -> int:
     """Closed-form count of P^n(F_q(t)) points of height exactly q^M.
 
     For M >= 1 this is schanuel_constant(n) q^((n+1)M), with the constant's
     denominator (q - 1) q^n cancelled: (q^n - 1)/(q - 1) (q^(n+1) - 1)
     q^((n+1)M - n)."""
-    q = field.q
     if M == 0:
         return (q ** (n + 1) - 1) // (q - 1)
     lines, rem = divmod(q**n - 1, q - 1)
@@ -149,7 +158,7 @@ class PairCount(NamedTuple):
         return self.observed == self.closed_form
 
 
-def count_reducible_pairs(field: FqField, M: int) -> PairCount:
+def count_reducible_pairs(q: int, M: int) -> PairCount:
     """Halved convolution (1/2) sum_N A(N) A(M-N) over P^2 heights, with the
     exact closed form it must equal for M >= 1:
 
@@ -160,13 +169,12 @@ def count_reducible_pairs(field: FqField, M: int) -> PairCount:
     q^(3M) past PAIR_BITS_GUARD bits before any work."""
     if M < 1:
         raise ValueError("M >= 1 required")
-    q = field.q
     # q >= 2, so q^(3M) has more than 3M bits and is built only below the guard
     if 3 * M >= PAIR_BITS_GUARD or (q ** (3 * M)).bit_length() > PAIR_BITS_GUARD:
         raise SizeError(
             f"pair count at M = {M}: q^(3M) = {q}^{3 * M} exceeds guard of {PAIR_BITS_GUARD} bits"
         )
-    A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
+    A = [point_count_exact_height(2, q, N) for N in range(M + 1)]
     observed, odd = divmod(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
     assert odd == 0
     closed, rem = divmod(

@@ -21,10 +21,13 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from hilbcount.errors import CharacteristicError
+from hilbcount.errors import CharacteristicError, SizeError
 from hilbcount.fqarith import FqField, Poly, irreducibles_of_degree
 from hilbcount.quadfield import _require_odd
-from hilbcount.ratpoints import _guard_tuples, divisor_masks, schanuel_constant
+from hilbcount.ratpoints import divisor_masks, schanuel_constant
+
+# Max number of coordinate tuples an enumerate_exact_height scan covers.
+TUPLE_GUARD = 10**9
 
 
 class WrongDegreeError(Exception):
@@ -190,6 +193,17 @@ def canonicalize(coords) -> ProjPointFqt:
     return ProjPointFqt(coords)
 
 
+def _guard_tuples(n: int, field: FqField, M: int):
+    """Refuse a scan of P^n at height q^M past TUPLE_GUARD tuples."""
+    if n < 1 or M < 0:
+        raise ValueError("need n >= 1 and M >= 0")
+    if field.q ** ((n + 1) * (M + 1)) > TUPLE_GUARD:
+        raise SizeError(
+            f"enumeration of q^((n+1)(M+1)) = {field.q}^{(n + 1) * (M + 1)} "
+            f"coordinate tuples exceeds guard {TUPLE_GUARD}"
+        )
+
+
 def enumerate_exact_height(n: int, field: FqField, M: int):
     """Yield every canonical point of P^n(F_q(t)) of height exactly q^M.
 
@@ -227,7 +241,7 @@ class QuadExt:
     """L = F_q(t)(sqrt(D)) for squarefree D (or a nonsquare constant)."""
 
     def __init__(self, field: FqField, d: Poly):
-        _require_odd(field)
+        _require_odd(field.q)
         if d.is_zero:
             raise ValueError("D must be nonzero")
         if d.degree == 0:
@@ -341,5 +355,5 @@ def height_degree2(P: DegreeTwoPoint) -> Fraction:
 
 def kt_main_term(field: FqField, M: int) -> Fraction:
     """2 S^2 q^(3M) M, the conjectured point count (two points per orbit)."""
-    S = schanuel_constant(2, field)
+    S = schanuel_constant(2, field.q)
     return 2 * S * S * Fraction(field.q) ** (3 * M) * M

@@ -44,7 +44,6 @@ from oracles import (
     kt_main_term,
 )
 
-F2 = FqField(2)
 F3 = FqField(3)
 F5 = FqField(5)
 
@@ -64,18 +63,17 @@ def test_criterion_1_rational_counts():
             field = FqField(q)
             for M in Ms:
                 observed = sum(1 for _ in enumerate_exact_height(n, field, M))
-                assert observed == point_count_exact_height(n, field, M)
-        assert point_count_exact_height(2, F2, 1) == 42
-        assert point_count_exact_height(1, F2, 1) == 6
+                assert observed == point_count_exact_height(n, q, M)
+        assert point_count_exact_height(2, 2, 1) == 42
+        assert point_count_exact_height(1, 2, 1) == 6
 
 
 def test_criterion_2_reducible_pairs():
     with budget(5):
         for q in (2, 3):
-            field = FqField(q)
             for M in (1, 2, 3):
-                assert count_reducible_pairs(field, M).match
-        assert count_reducible_pairs(F2, 2).observed == 3234
+                assert count_reducible_pairs(q, M).match
+        assert count_reducible_pairs(2, 2).observed == 3234
 
 
 def test_criterion_3_generating_functions():
@@ -118,12 +116,11 @@ def test_criterion_6_peyre():
         zeta3_damped = [1, 0, 0, -2, 0, 0, 1]
         assert damped_density_poly(2) == zeta3_damped
         for q in (3, 5):
-            field = FqField(q)
             for deg_cut in (4, 10):
-                lhs = euler_product_factors(field, damped_density_poly(2), deg_cut)
-                rhs = euler_product_factors(field, zeta3_damped, deg_cut)
+                lhs = euler_product_factors(q, damped_density_poly(2), deg_cut)
+                rhs = euler_product_factors(q, zeta3_damped, deg_cut)
                 assert lhs == rhs
-        res = peyre_constant_hilb2(F3, 50)
+        res = peyre_constant_hilb2(3, 50)
         with mpmath.workdps(50):
             target = mpmath.mpf(10816) / 81 / 9 / mpmath.log(3) ** 2
             assert abs(mpmath.mpf(str(res.value)) - target) < 1e-9
@@ -175,7 +172,7 @@ def test_criterion_7_quadratic_heights():
 
 def test_criterion_8_degree2_counts():
     with budget(60):
-        results = enumerate_degree2(F3, 1, 2)
+        results = enumerate_degree2(3, 1, 2)
         for res in results:
             assert res.count > 0
             assert Fraction(res.ratio) > 0
@@ -187,14 +184,14 @@ def test_criterion_8_degree2_counts():
 def test_degree2_count_reads_line_classes_in_closed_form():
     # catches a return to walking the rational lines, over 60 s on 2 cores
     with budget(20):
-        assert enumerate_degree2(F5, 2, 2)[0].count == 27767940
+        assert enumerate_degree2(5, 2, 2)[0].count == 27767940
 
 
 def test_criterion_9_technical_lemmas():
     with budget(10):
         for M in (10, 100, 1000):
             assert technical2_check(1, M) == Fraction(M * M - 1, M * M)
-        devs = [technical_lemma_check(F3, 2, 1, 5, M, 50) for M in (50, 100, 200, 400)]
+        devs = [technical_lemma_check(3, 2, 1, 5, M, 50) for M in (50, 100, 200, 400)]
         assert all(d < 10 for d in devs)
         assert product_main_term_check(2, 2, 100) == Fraction(9999, 10000)
 
@@ -207,10 +204,10 @@ def test_criterion_10_main_term_identities():
             assert product_main_term_check(2, 2, M) == Fraction(M * M - 1, M * M)
         # S = S(3, 1) at q = 3 carries the degree-2 and reducible-pair main
         # terms: 2 S^2 q^(3M) M, and S^2 q^(3M) (M/2 + (q^2+1)/(2(q^2-1)))
-        S = schanuel_constant(2, F3)
+        S = schanuel_constant(2, 3)
         assert S == Fraction(104, 9)
         for M in (1, 2, 5):
             assert kt_main_term(F3, M) == 2 * S * S * 27**M * M
-            pairs = count_reducible_pairs(F3, M)
+            pairs = count_reducible_pairs(3, M)
             assert pairs.match
             assert pairs.closed_form == S * S * 27**M * (Fraction(M, 2) + Fraction(10, 16))

@@ -13,9 +13,6 @@ from hilbcount.asympt import (
     technical_sum,
 )
 
-F2 = FqField(2)
-F3 = FqField(3)
-
 
 def mpf(v):
     """A Decimal result as an mpmath number, for comparison with an mpmath
@@ -25,34 +22,36 @@ def mpf(v):
 
 def test_technical_sum_small():
     # q=3, t=2, j=1, m=3, M=2: 0 + 3^(1/2)*1 + 3^1*2
-    val = technical_sum(F3, 2, 1, 3, 2, 50)
+    val = technical_sum(3, 2, 1, 3, 2, 50)
     with mpmath.workdps(50):
         assert abs(mpf(val) - (mpmath.sqrt(3) + 6)) < mpmath.mpf(10) ** -40
     # M=0: only the i=0 term, which vanishes for m > t
-    assert technical_sum(F3, 2, 1, 3, 0, 50) == 0
+    assert technical_sum(3, 2, 1, 3, 0, 50) == 0
     with pytest.raises(ValueError):
-        technical_sum(F3, 2, 2, 3, 5, 50)
+        technical_sum(3, 2, 2, 3, 5, 50)
     with pytest.raises(ValueError):
-        technical_sum(F3, 3, 1, 3, 5, 50)
+        technical_sum(3, 3, 1, 3, 5, 50)
 
 
 def test_technical_sum_precision_agreement():
-    a = technical_sum(F2, 2, 1, 4, 10, dps=50)
-    b = technical_sum(F2, 2, 1, 4, 10, dps=80)
+    a = technical_sum(2, 2, 1, 4, 10, dps=50)
+    b = technical_sum(2, 2, 1, 4, 10, dps=80)
     with mpmath.workdps(50):
         assert abs(mpf(a) - mpf(b)) / abs(mpf(b)) < mpmath.mpf(10) ** -40
 
 
 def test_technical_sum_monotone_in_M():
-    vals = [technical_sum(F3, 2, 1, 5, M, 50) for M in (10, 20, 40, 80)]
+    vals = [technical_sum(3, 2, 1, 5, M, 50) for M in (10, 20, 40, 80)]
     assert all(x < y for x, y in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("field,t,j,m", [(F3, 2, 1, 5), (F2, 2, 1, 4), (F3, 3, 2, 5)])
+@pytest.mark.parametrize(
+    "field,t,j,m", [(FqField(3), 2, 1, 5), (FqField(2), 2, 1, 4), (FqField(3), 3, 2, 5)]
+)
 def test_technical_lemma_deviation_bounded(field, t, j, m):
-    devs = [technical_lemma_check(field, t, j, m, M, 50) for M in (50, 100, 200, 400)]
+    devs = [technical_lemma_check(field.q, t, j, m, M, 50) for M in (50, 100, 200, 400)]
     assert all(d < 10 for d in devs)
-    assert all(technical_main_term(field, t, j, m, M, 50) > 0 for M in (50, 400))
+    assert all(technical_main_term(field.q, t, j, m, M, 50) > 0 for M in (50, 400))
 
 
 def test_technical2_exact():

@@ -113,12 +113,12 @@ def test_peyre_digits_past_a_double():
     code, out = run(["peyre", "hilbm", "--q", "5", "--m", "6", "--deg-cut", "10", "--digits", "15"])
     assert code == 0
     assert out.splitlines()[1] == "81596787.0211267,426.132173254495,6103515625/72"
-    field, poly = FqField(5), peyre.damped_density_poly(6)
-    tail = peyre._tail_log_bound(field, poly, 10)
+    poly = peyre.damped_density_poly(6)
+    tail = peyre._tail_log_bound(5, poly, 10)
     with mpmath.workdps(60):
         product = mpmath.fprod(
             mpmath.mpf(base.numerator) ** count / mpmath.mpf(base.denominator) ** count
-            for _, count, base in peyre.euler_product_factors(field, poly, 10)
+            for _, count, base in peyre.euler_product_factors(5, poly, 10)
         )
         scale = mpmath.mpf(6103515625) / 72 / mpmath.log(5) ** 2
         residual = scale * product * mpmath.expm1(mpmath.mpf(tail.numerator) / tail.denominator)
@@ -253,7 +253,7 @@ def test_tail_bound_guard_states_cut_and_limit(capsys):
 
 
 def test_internal_error_exit_1(capsys, monkeypatch, caplog):
-    def boom(field, m_max):
+    def boom(q, m_max):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(genfun, "cycle_table", boom)
@@ -271,7 +271,50 @@ def test_size_guard_exit_3(capsys):
     code, out = run(["count", "rational", "--q", "97", "--n", "5", "--M", "9"])
     assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert f"= 97^60 coordinate tuples exceeds guard {ratpoints.TUPLE_GUARD}" in err
+    assert f"sieve of q^(M+1) = 97^10 codes exceeds guard {ratpoints.SIEVE_GUARD}" in err
+
+
+Q_ONLY = [
+    ["peyre", "hilb2"],
+    ["peyre", "pn"],
+    ["peyre", "hilbm"],
+    ["peyre", "cm", "--m", "3"],
+    ["verify", "lemmas"],
+    ["count", "pairs", "--M", "1", "--M-max", "2"],
+]
+
+
+@pytest.mark.parametrize("q", [2**24, 3**15])
+def test_q_only_commands_build_no_field(q, monkeypatch, capsys):
+    """Past the modulus search guard, every command that reads q alone
+    runs: none builds F_q.  count quadratic needs odd q."""
+    def no_field(*args):
+        raise AssertionError("F_q was built")
+
+    monkeypatch.setattr(FqField, "__init__", no_field)
+    for argv in Q_ONLY:
+        code, out = run(argv + ["--q", str(q)])
+        assert code == 0 and len(out.splitlines()) > 1, (argv, capsys.readouterr().err)
+    code, out = run(["count", "quadratic", "--q", str(q), "--M", "1"])
+    if q % 2:
+        assert code == 0 and out.splitlines()[1].startswith(f"{q},1,")
+    else:
+        assert code == 2 and capsys.readouterr().err == "error: quadratic extensions need odd q\n"
+    code, out = run(["count", "rational", "--q", str(q), "--n", "1", "--M", "0"])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == (
+        f"size guard: count of P^1 at M = 0: sieve of q^(M+1) = {q}^1 codes "
+        f"exceeds guard {ratpoints.SIEVE_GUARD}\n"
+    )
+
+
+@pytest.mark.parametrize("n", [9, 20])
+def test_count_guard_admits_many_coordinates(n):
+    """The count's guard reads its work, not the q^((n+1)(M+1)) tuples it
+    ranges over, so P^9 and P^20 at q = 2, M = 2 are counted."""
+    code, out = run(["count", "rational", "--q", "2", "--n", str(n), "--M", "2"])
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"2,{n},2,") and out.endswith(",true\n")
 
 
 def test_largest_guarded_field_size_runs():
@@ -308,7 +351,7 @@ def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["count", "rational", "--q", "3", "--n", "1", "--M", "7", "--M-max", "9"], "3^20 coordinate tuples"),
+        (["count", "rational", "--q", "3", "--n", "1", "--M", "7", "--M-max", "9"], "M = 9: fold of about"),
         (
             ["count", "quadratic", "--q", "5", "--M", "2", "--M-max", str(quadfield.M_GUARD + 1)],
             f"form count at M = {quadfield.M_GUARD + 1}",
@@ -364,14 +407,13 @@ def test_bit_guards_refuse_before_any_work(argv, message, monkeypatch, capsys):
 
 def test_bit_guards_admit_their_limit():
     """The largest M and cut at q = 16 run; one more is refused."""
-    F16 = FqField(2, 4)
-    assert ratpoints.count_reducible_pairs(F16, 2730).match
-    assert len(peyre.places_by_degree(F16, 127)) == 127
-    assert len(peyre.places_by_degree(FqField(3), 323)) == 323
+    assert ratpoints.count_reducible_pairs(16, 2730).match
+    assert len(peyre.places_by_degree(16, 127)) == 127
+    assert len(peyre.places_by_degree(3, 323)) == 323
     for call in (
-        lambda: ratpoints.count_reducible_pairs(F16, 2731),
-        lambda: peyre.places_by_degree(F16, 128),
-        lambda: peyre.places_by_degree(FqField(3), 324),
+        lambda: ratpoints.count_reducible_pairs(16, 2731),
+        lambda: peyre.places_by_degree(16, 128),
+        lambda: peyre.places_by_degree(3, 324),
     ):
         with pytest.raises(SizeError):
             call()
@@ -383,14 +425,14 @@ def test_cells_past_the_int_str_limit():
     code, out = run(["count", "pairs", "--q", "16", "--M", "1200"])
     assert code == 0
     _q, _M, observed, closed_form, match = out.splitlines()[1].split(",")
-    pc = ratpoints.count_reducible_pairs(FqField(2, 4), 1200)
+    pc = ratpoints.count_reducible_pairs(16, 1200)
     assert len(observed) > 4300 and match == "true"
     assert (Decimal(observed), Decimal(closed_form)) == (pc.observed, pc.closed_form)
 
     code, out = run(["peyre", "pn", "--q", "3", "--n", "5000"])
     assert code == 0
     numerator, denominator = out.splitlines()[1].split(",")[2].split("/")
-    S = ratpoints.schanuel_constant(5000, FqField(3))
+    S = ratpoints.schanuel_constant(5000, 3)
     assert len(numerator) > 4300
     assert (Decimal(numerator), Decimal(denominator)) == (S.numerator, S.denominator)
 
@@ -466,6 +508,13 @@ def _import_probe(plan, codes=None) -> dict:
 
 def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps alike here and in the probe
+    # the probe loads json itself, so this interpreter checks that importing
+    # the CLI and the cache does not: the cache's functions import it
+    no_json = "import sys; from hilbcount import cache, cli; assert 'json' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", no_json], capture_output=True, text=True, env=_src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
     hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
     code, cold = run(hit_argv)  # fills the cache in this process
     assert code == 0
@@ -605,7 +654,7 @@ def test_digits_guard_refuses_before_any_work(tmp_path, monkeypatch, capsys):
             assert err == f"size guard: digits = {limit + 1} exceeds guard digits <= {limit}\n"
     code, out = run(["peyre", "hilb2", "--q", "3", "--digits", str(limit)])
     assert code == 0
-    value = peyre.peyre_constant_hilb2(FqField(3), dps=limit + 10).value
+    value = peyre.peyre_constant_hilb2(3, dps=limit + 10).value
     assert out.splitlines()[1].split(",")[0] == fmt_value(value, limit)
 
 
@@ -689,9 +738,9 @@ def test_cache_source_change_recomputes(tmp_path, monkeypatch):
     calls = []
     real = ratpoints.count_reducible_pairs
 
-    def counting(field, M):
+    def counting(q, M):
         calls.append(M)
-        return real(field, M)
+        return real(q, M)
 
     monkeypatch.setattr(ratpoints, "count_reducible_pairs", counting)
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]

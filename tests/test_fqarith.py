@@ -16,6 +16,7 @@ from hilbcount.fqarith import (
     is_irreducible,
     is_prime,
     mobius,
+    prime_power,
 )
 from oracles import (
     constant,
@@ -60,6 +61,19 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(ValueError):
         field_from_order(1)
+
+
+def test_prime_power_builds_no_field():
+    assert [prime_power(q) for q in (2, 7, 9, 2**24, 3**15)] == [
+        (2, 1), (7, 1), (3, 2), (2, 24), (3, 15)
+    ]
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        prime_power(6)
+    with pytest.raises(ValueError):
+        prime_power(1)
+    # F_q itself is refused past its modulus search, and says where the limit is
+    with pytest.raises(SizeError, match=r"^modulus search over 2\^24 candidates exceeds guard 10000000$"):
+        field_from_order(2**24)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])

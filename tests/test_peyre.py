@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import FqField, field_from_order
 from hilbcount.genfun import hilb_counts
 from hilbcount.ratpoints import schanuel_constant
 from hilbcount.peyre import (
@@ -23,10 +22,6 @@ from hilbcount.peyre import (
     zeta_fqt,
 )
 
-F2 = FqField(2)
-F3 = FqField(3)
-F5 = FqField(5)
-
 # (1 - x^3)^2, the per-place factor of zeta(3)^-2: for m = 2 it equals the
 # damped density identically (the telescoping identity)
 ZETA3_DAMPED = [1, 0, 0, -2, 0, 0, 1]
@@ -39,10 +34,10 @@ def mpf(v):
 
 
 def test_zeta_fqt():
-    assert zeta_fqt(3, F3) == Fraction(243, 208)
-    assert zeta_fqt(3, F2) == Fraction(32, 21)
+    assert zeta_fqt(3, 3) == Fraction(243, 208)
+    assert zeta_fqt(3, 2) == Fraction(32, 21)
     with pytest.raises(ValueError):
-        zeta_fqt(1, F2)
+        zeta_fqt(1, 2)
 
 
 def horner(coeffs, x):
@@ -82,9 +77,8 @@ def test_m2_truncated_product_equals_zeta3_product(q, deg_cut):
     # per-degree rational factor is exact equality of the truncated products
     # (comparing the assembled products themselves would need million-digit
     # rationals at deg_cut 10)
-    field = FqField(q)
-    lhs = euler_product_factors(field, damped_density_poly(2), deg_cut)
-    rhs = euler_product_factors(field, ZETA3_DAMPED, deg_cut)
+    lhs = euler_product_factors(q, damped_density_poly(2), deg_cut)
+    rhs = euler_product_factors(q, ZETA3_DAMPED, deg_cut)
     assert lhs == rhs
     # and assemble the full exact rational product where it stays small
     if deg_cut <= 4:
@@ -98,47 +92,45 @@ def test_m2_truncated_product_equals_zeta3_product(q, deg_cut):
 
 @pytest.mark.parametrize("q, m, need", [(2, 6, 9), (3, 45, 18)])
 def test_tail_bound_guard_names_smallest_cut(q, m, need):
-    field, poly = FqField(q), damped_density_poly(m)
+    poly = damped_density_poly(m)
     message = rf"^deg_cut {need - 1} too small for the tail bound to apply \(needs deg_cut >= {need}\)$"
     with pytest.raises(SizeError, match=message):
-        _tail_log_bound(field, poly, need - 1)
-    assert 0 < _tail_log_bound(field, poly, need) <= Fraction(1, 2)
+        _tail_log_bound(q, poly, need - 1)
+    assert 0 < _tail_log_bound(q, poly, need) <= Fraction(1, 2)
 
 
 def test_places_by_degree():
-    assert places_by_degree(F2, 3) == [(1, 3), (2, 1), (3, 2)]
-    assert places_by_degree(F3, 2) == [(1, 4), (2, 3)]
+    assert places_by_degree(2, 3) == [(1, 3), (2, 1), (3, 2)]
+    assert places_by_degree(3, 2) == [(1, 4), (2, 3)]
 
 
 def test_zeta_euler_product_converges():
     # truncated product of (1 - q_v^-3)^-1 approaches zeta(3)
     for q in (2, 3):
-        field = FqField(q)
         with mpmath.workdps(50):
             product = mpmath.mpf(1)
-            for d, count in places_by_degree(field, 12):
+            for d, count in places_by_degree(q, 12):
                 product *= (1 / (1 - mpmath.mpf(q) ** (-3 * d))) ** count
             # the zeta function here includes only finite places plus
             # infinity, which is exactly what places_by_degree covers
-            assert abs(product / float(zeta_fqt(3, field)) - 1) < 1e-6
+            assert abs(product / float(zeta_fqt(3, q)) - 1) < 1e-6
 
 
 def test_tail_bound_is_honest_for_m2():
     # |truncated - exact| <= reported residual, checked against the exact
     # closed form zeta_K(3)^-2 which the m=2 product converges to
     for q in (3, 5):
-        field = FqField(q)
-        exact = 1 / zeta_fqt(3, field) ** 2
+        exact = 1 / zeta_fqt(3, q) ** 2
         for deg_cut in (4, 6, 8):
-            value, residual = euler_product_density(field, 2, deg_cut, 50)
+            value, residual = euler_product_density(q, 2, deg_cut, 50)
             with mpmath.workdps(50):
                 err = abs(mpf(value) - mpmath.mpf(exact.numerator) / mpmath.mpf(exact.denominator))
                 assert err <= mpf(residual)
 
 
 def test_peyre_constant_pn():
-    res = peyre_constant_pn(2, F3, 50)
-    res1 = peyre_constant_pn(1, F2, 50)
+    res = peyre_constant_pn(2, 3, 50)
+    res1 = peyre_constant_pn(1, 2, 50)
     assert res.exact_prefactor == Fraction(104, 9)
     with mpmath.workdps(50):
         assert abs(mpf(res.value) - 3.50617) < 1e-4
@@ -148,7 +140,7 @@ def test_peyre_constant_pn():
 
 
 def test_peyre_constant_hilb2():
-    res = peyre_constant_hilb2(F3, 50)
+    res = peyre_constant_hilb2(3, 50)
     with mpmath.workdps(50):
         target = (
             mpmath.mpf(10816) / 81 / 9 / mpmath.log(3) ** 2
@@ -159,9 +151,8 @@ def test_peyre_constant_hilb2():
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_hilbm_matches_hilb2(q):
-    field = FqField(q)
-    general = peyre_constant_hilbm(2, field, deg_cut=12, dps=50)
-    special = peyre_constant_hilb2(field, 50)
+    general = peyre_constant_hilbm(2, q, deg_cut=12, dps=50)
+    special = peyre_constant_hilb2(q, 50)
     assert abs(general.value - special.value) < 1e-9
     assert general.residual_bound < 1e-9
 
@@ -183,17 +174,17 @@ def test_mu_slope_and_alpha_star():
 
 
 def test_cm_constant():
-    assert cm_constant(2, F3, deg_cut=8, dps=50).exact_prefactor == Fraction(2, 3)
-    res = cm_constant(3, F3, deg_cut=8, dps=50)
+    assert cm_constant(2, 3, deg_cut=8, dps=50).exact_prefactor == Fraction(2, 3)
+    res = cm_constant(3, 3, deg_cut=8, dps=50)
     assert res.value > 0
     assert res.residual_bound > 0
     with pytest.raises(ValueError):
-        cm_constant(1, F3, deg_cut=8, dps=50)
+        cm_constant(1, 3, deg_cut=8, dps=50)
 
 
 def test_all_constants_positive():
     for m in (2, 3, 4):
-        assert peyre_constant_hilbm(m, F3, mu=1, deg_cut=6, dps=50).value > 0
+        assert peyre_constant_hilbm(m, 3, mu=1, deg_cut=6, dps=50).value > 0
 
 
 # (constant, n or m, q, exact_prefactor, value to 20 significant digits):
@@ -259,22 +250,21 @@ PINNED = [
 
 @pytest.mark.parametrize("kind, arg, q, prefactor, value", PINNED)
 def test_constants_pinned_across_q(kind, arg, q, prefactor, value):
-    field = field_from_order(q)
     if kind == "pn":
-        res = peyre_constant_pn(arg, field, 50)
+        res = peyre_constant_pn(arg, q, 50)
     elif kind == "hilb2":
-        res = peyre_constant_hilb2(field, 50)
+        res = peyre_constant_hilb2(q, 50)
     elif kind == "hilbm":
-        res = peyre_constant_hilbm(arg, field, deg_cut=9, dps=50)
+        res = peyre_constant_hilbm(arg, q, deg_cut=9, dps=50)
     else:
-        res = cm_constant(arg, field, deg_cut=9, dps=50)
+        res = cm_constant(arg, q, deg_cut=9, dps=50)
     assert res.exact_prefactor == prefactor
     assert f"{res.value:.19e}" == value
 
 
-@pytest.mark.parametrize("q", sorted({q for _kind, _arg, q, _prefactor, _value in PINNED}))
+@pytest.mark.parametrize("q", sorted({q for _kind, _arg, q, _prefactor, _value in PINNED} | {2**24}))
 def test_hilb2_prefactor_is_schanuel_squared_over_nine(q):
     """q^6 / (9 (q-1)^2 zeta(3)^2) = S^2 / 9 exactly, S = schanuel_constant(2)
-    = q^2 (1 - q^-3)(1 + q^-1), at each q the constants are pinned at."""
-    field = field_from_order(q)
-    assert peyre_constant_hilb2(field, 50).exact_prefactor == schanuel_constant(2, field) ** 2 / 9
+    = q^2 (1 - q^-3)(1 + q^-1), at each q the constants are pinned at and at
+    2^24, past the F_{p^k} modulus search guard, which q alone never meets."""
+    assert peyre_constant_hilb2(q, 50).exact_prefactor == schanuel_constant(2, q) ** 2 / 9

@@ -250,7 +250,7 @@ def test_main_term_cells_match_fraction_oracle(field):
     Fraction oracle kt_main_term and count / kt_main_term print: on the rows
     of a sweep to M = 8, and at every M <= M_GUARD for a spread of counts."""
     q = field.q
-    for row in enumerate_degree2(field, 1, 8):
+    for row in enumerate_degree2(q, 1, 8):
         main = kt_main_term(field, row.M)
         assert (row.main_term, row.ratio) == (str(main), str(row.count / main)), row
     for M in range(1, M_GUARD + 1):
@@ -352,7 +352,7 @@ def test_enumerate_degree2_builds_no_poly(monkeypatch):
         raise AssertionError("the degree-2 count built a Poly")
 
     monkeypatch.setattr(Poly, "__init__", no_poly)
-    assert enumerate_degree2(F3, 3, 3)[0].count == 6225336
+    assert enumerate_degree2(3, 3, 3)[0].count == 6225336
 
 
 def _form_stream_by_sqrt(field, fmax):
@@ -465,17 +465,16 @@ def test_line_count_sums_to_plane_points(q):
     """The classes of dual height N are all the lines of dual height N, one
     per point of the dual plane of height q^N; those through a constant
     point are class (0, N), s for each point of P^1 of height q^N."""
-    field = field_from_order(q)
     s = q * q + q + 1
     for N in range(13):
         lines = sum(_line_count(q, dP, N - dP) for dP in range(N // 2 + 1))
-        assert lines == ratpoints.point_count_exact_height(2, field, N)
+        assert lines == ratpoints.point_count_exact_height(2, q, N)
         if N >= 1:
-            assert _line_count(q, 0, N) == s * ratpoints.point_count_exact_height(1, field, N)
+            assert _line_count(q, 0, N) == s * ratpoints.point_count_exact_height(1, q, N)
 
 
 def test_enumerate_degree2_m1():
-    [res] = enumerate_degree2(F3, 1, 1)
+    [res] = enumerate_degree2(3, 1, 1)
     assert res.count == 2808
     assert res.ratio == str(Fraction(81, 208))
     assert res.main_term == str(kt_main_term(F3, 1))
@@ -524,7 +523,7 @@ def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
     catches a search that stops short."""
     assert _brute_degree2(M, bound) == (count, stable, extra)
     if bound is None:
-        assert enumerate_degree2(F3, M, M)[0].count == count
+        assert enumerate_degree2(3, M, M)[0].count == count
 
 
 def test_form_exponent_proven_bounds():
@@ -625,9 +624,9 @@ def test_m_guard_message_states_size_and_limit(monkeypatch):
         raise AssertionError("forms were counted before the guard")
 
     monkeypatch.setattr(quadfield, "_form_counts", no_count)
-    for field in (F3, F5):
+    for q in (3, 5):
         with pytest.raises(SizeError) as exc:
-            enumerate_degree2(field, 1, M_GUARD + 1)
+            enumerate_degree2(q, 1, M_GUARD + 1)
         assert [int(n) for n in re.findall(r"\d+", str(exc.value))] == [M_GUARD + 1, M_GUARD]
 
 
@@ -644,9 +643,9 @@ def test_m_guard_message_states_size_and_limit(monkeypatch):
     ],
 )
 def test_enumerate_degree2_reach(field, M, count):
-    """Pinned counts; F_9 takes the prime-power arithmetic path.  (7,2) and
-    (3,4) were reached by the form scan in about 40 s each."""
-    assert enumerate_degree2(field, M, M)[0].count == count
+    """Pinned counts.  (7,2) and (3,4) were reached by the form scan in
+    about 40 s each."""
+    assert enumerate_degree2(field.q, M, M)[0].count == count
 
 
 @pytest.mark.parametrize("field, M_max", [(F3, 4), (F5, 2), (F7, 2)])
@@ -658,17 +657,17 @@ def test_sweep_rows_equal_single_counts(field, M_max, monkeypatch):
     form_counts = quadfield._form_counts
     with monkeypatch.context() as patch:
         patch.setattr(quadfield, "_form_counts", lambda q, fmax: calls.append(fmax) or form_counts(q, fmax))
-        rows = enumerate_degree2(field, 1, M_max)
+        rows = enumerate_degree2(field.q, 1, M_max)
     assert calls == [M_max]
     assert [r.M for r in rows] == list(range(1, M_max + 1))
-    assert rows == [enumerate_degree2(field, M, M)[0] for M in range(1, M_max + 1)]
-    assert enumerate_degree2(field, 2, M_max) == rows[1:]
+    assert rows == [enumerate_degree2(field.q, M, M)[0] for M in range(1, M_max + 1)]
+    assert enumerate_degree2(field.q, 2, M_max) == rows[1:]
 
 
 def degree2_orbits(field: FqField, M: int):
     """Construct each counted orbit explicitly (slow; for cross-validation).
     Yields DegreeTwoPoint values, one per orbit."""
-    _require_odd(field)
+    _require_odd(field.q)
     forms = list(_form_stream(field, M))
     for (P, dP), (Q, dQ) in _lines(field, M // 2):
         for A, B, C, disc in forms:
@@ -726,8 +725,8 @@ def test_enumerate_degree2_contains_sqrt_t_orbit(orbits_f3_m1):
 
 def test_enumerate_degree2_errors():
     with pytest.raises(CharacteristicError):
-        enumerate_degree2(F2, 1, 1)
+        enumerate_degree2(2, 1, 1)
     with pytest.raises(ValueError):
-        enumerate_degree2(F3, 0, 1)
+        enumerate_degree2(3, 0, 1)
     with pytest.raises(SizeError):  # the top M's guard comes first
-        enumerate_degree2(F3, 0, M_GUARD + 1)
+        enumerate_degree2(3, 0, M_GUARD + 1)

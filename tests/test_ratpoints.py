@@ -19,6 +19,7 @@ from hilbcount.ratpoints import (
     _coprime_tuples,
     count_exact_height,
     count_reducible_pairs,
+    guard_count,
     point_count_exact_height,
     schanuel_constant,
 )
@@ -96,9 +97,9 @@ def test_serialization_example():
 
 
 def test_schanuel_constants():
-    assert schanuel_constant(2, F2) == Fraction(21, 4)
-    assert schanuel_constant(1, F2) == Fraction(3, 2)
-    assert schanuel_constant(2, F3) == Fraction(104, 9)
+    assert schanuel_constant(2, 2) == Fraction(21, 4)
+    assert schanuel_constant(1, 2) == Fraction(3, 2)
+    assert schanuel_constant(2, 3) == Fraction(104, 9)
 
 
 @pytest.mark.parametrize(
@@ -113,12 +114,12 @@ def test_enumeration_matches_closed_form_and_is_duplicate_free(n, q, Ms):
         for p in pts:
             assert height_exponent(p) == M
             assert canonicalize(p.coords) == p
-        assert len(pts) == point_count_exact_height(n, field, M)
+        assert len(pts) == point_count_exact_height(n, q, M)
 
 
 def test_m0_counts():
-    assert point_count_exact_height(2, F2, 0) == 7
-    assert point_count_exact_height(2, F3, 0) == 13
+    assert point_count_exact_height(2, 2, 0) == 7
+    assert point_count_exact_height(2, 3, 0) == 13
 
 
 def _brute_exact_height(n, field, M):
@@ -183,9 +184,10 @@ def test_count_matches_closed_form_beyond_enumeration():
     start = time.monotonic()
     cases = [(1, 3, 6), (2, 3, 4), (3, 3, 3), (2, 9, 2), (2, 31, 1), (5, 2, 2)]
     cases += [(4, 2, 3), (6, 2, 2), (3, 4, 2), (2, 3, 5), (1, 2, 0), (2, 9, 0)]
+    cases += [(9, 2, 2), (20, 2, 2)]
     for n, q, M in cases:
         field = field_from_order(q)
-        assert count_exact_height(n, field, M) == point_count_exact_height(n, field, M), (n, q, M)
+        assert count_exact_height(n, field, M) == point_count_exact_height(n, q, M), (n, q, M)
     assert time.monotonic() - start < 5
 
 
@@ -220,18 +222,50 @@ def test_scans_make_no_division(monkeypatch):
     calls = _count_calls(monkeypatch, "__divmod__")
     for n in (1, 2):
         pts = list(enumerate_exact_height(n, F3, 2))
-        assert count_exact_height(n, F3, 2) == len(pts) == point_count_exact_height(n, F3, 2)
+        assert count_exact_height(n, F3, 2) == len(pts) == point_count_exact_height(n, 3, 2)
     assert calls == []
 
 
 def test_enumeration_guard(monkeypatch):
     calls = _count_calls(monkeypatch, "__mul__")
-    for scan in (lambda *a: list(enumerate_exact_height(*a)), count_exact_height):
-        with pytest.raises(
-            SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"
-        ):
-            scan(5, FqField(97), 9)
+    with pytest.raises(SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"):
+        list(enumerate_exact_height(5, FqField(97), 9))
+    with pytest.raises(SizeError, match=r"= 97\^10 codes exceeds guard 200000$"):
+        count_exact_height(5, FqField(97), 9)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "n, q, M, message",
+    [
+        (1, 2**24, 0, r"^count of P\^1 at M = 0: sieve of q\^\(M\+1\) = 16777216\^1 codes exceeds guard 200000$"),
+        (1, 2, 10**9, r"^count of P\^1 at M = 1000000000: sieve of q\^\(M\+1\) = 2\^1000000001 codes"),
+        (1, 3, 8, r"^count of P\^1 at M = 8: fold of about 43830111 steps exceeds guard 12000000$"),
+        (1, 2, 13, r"^count of P\^1 at M = 13: fold of about 68977540 steps exceeds guard 12000000$"),
+        # 200 (2^8 + 2)^2 = 13312800 steps alone would pass, but each adds
+        # counts of up to 201 * 9 bits; with the guard lifted it takes about 10 s
+        (200, 2, 8, r"^count of P\^200 at M = 8: fold of about 36831213 steps exceeds guard 12000000$"),
+    ],
+    ids=["sieve", "sieve-past-2^M", "fold-1-3-8", "fold-1-2-13", "fold-bits-200-2-8"],
+)
+def test_count_guard_states_size_and_limit(n, q, M, message):
+    with pytest.raises(SizeError, match=message):
+        guard_count(n, q, M)
+
+
+def test_count_guard_admits_its_limit():
+    """The guard reads (n, q, M) alone.  It admits (9,2,2) and (20,2,2),
+    whose q^((n+1)(M+1)) tuples are many but whose fold is short, and the
+    sizes just under its limits, and refuses one more."""
+    for n, q, M in [(9, 2, 2), (20, 2, 2), (2, 3, 7), (43, 443, 1), (1, 447, 1), (1, 199999, 0)]:
+        guard_count(n, q, M)
+    for n, q, M in [(3, 3, 7), (44, 443, 1), (1, 449, 1), (1, 200003, 0)]:
+        with pytest.raises(SizeError):
+            guard_count(n, q, M)
+    with pytest.raises(ValueError):
+        guard_count(0, 2, 1)
+    with pytest.raises(ValueError):
+        guard_count(1, 2, -1)
 
 
 def test_product_formula_rational_points():
@@ -258,31 +292,29 @@ def test_product_formula_rational_points():
 
 
 def test_reducible_pairs():
-    assert count_reducible_pairs(F2, 1).observed == 294
-    assert count_reducible_pairs(F2, 2).observed == 3234
+    assert count_reducible_pairs(2, 1).observed == 294
+    assert count_reducible_pairs(2, 2).observed == 3234
     for q in (2, 3):
-        field = FqField(q)
         for M in (1, 2, 3):
-            pc = count_reducible_pairs(field, M)
+            pc = count_reducible_pairs(q, M)
             assert pc.match, (q, M, pc)
     with pytest.raises(ValueError):
-        count_reducible_pairs(F2, 0)
+        count_reducible_pairs(2, 0)
 
 
-def _point_count_by_fraction(n, field, M):
+def _point_count_by_fraction(n, q, M):
     """The Fraction form of point_count_exact_height for M >= 1: the Schanuel
     constant times q^((n+1)M), asserted integral."""
-    value = schanuel_constant(n, field) * field.q ** ((n + 1) * M)
+    value = schanuel_constant(n, q) * q ** ((n + 1) * M)
     assert value.denominator == 1
     return int(value)
 
 
-def _reducible_pairs_by_fraction(field, M):
+def _reducible_pairs_by_fraction(q, M):
     """The Fraction forms of count_reducible_pairs: (observed, closed_form)."""
-    q = field.q
-    A = [point_count_exact_height(2, field, N) for N in range(M + 1)]
+    A = [point_count_exact_height(2, q, N) for N in range(M + 1)]
     observed = Fraction(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
-    S = schanuel_constant(2, field)
+    S = schanuel_constant(2, q)
     closed = (
         Fraction(S * S, 2) * q ** (3 * M) * M
         + Fraction(q * q + 1, 2 * (q * q - 1)) * S * S * q ** (3 * M)
@@ -292,25 +324,23 @@ def _reducible_pairs_by_fraction(field, M):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 97])
 def test_point_count_integer_form_matches_fraction_oracle(q):
-    field = field_from_order(q)
     for n in range(1, 6):
         for M in range(1, 12):
-            count = point_count_exact_height(n, field, M)
+            count = point_count_exact_height(n, q, M)
             assert type(count) is int
-            assert count == _point_count_by_fraction(n, field, M), (n, M)
+            assert count == _point_count_by_fraction(n, q, M), (n, M)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_reducible_pairs_integer_form_matches_fraction_oracle(q):
-    field = field_from_order(q)
     for M in range(1, 41):
-        pc = count_reducible_pairs(field, M)
+        pc = count_reducible_pairs(q, M)
         assert type(pc.observed) is int and type(pc.closed_form) is int
-        assert (pc.observed, pc.closed_form) == _reducible_pairs_by_fraction(field, M), M
+        assert (pc.observed, pc.closed_form) == _reducible_pairs_by_fraction(q, M), M
         assert pc.match
 
 
-def count_pairs_closed_subset(field, M):
+def count_pairs_closed_subset(q, M):
     """Halved convolution of P^1 x P^2 exact-height counts; the majorant for
     pairs with a rational component on a line."""
     if M < 1:
@@ -318,8 +348,8 @@ def count_pairs_closed_subset(field, M):
     total = Fraction(0)
     for N in range(M + 1):
         total += Fraction(
-            point_count_exact_height(1, field, N)
-            * point_count_exact_height(2, field, M - N),
+            point_count_exact_height(1, q, N)
+            * point_count_exact_height(2, q, M - N),
             2,
         )
     return total
@@ -327,11 +357,11 @@ def count_pairs_closed_subset(field, M):
 
 def test_pairs_closed_subset():
     # (1/2)(3*42 + 6*7) with A1 = (3, 6, 24, 96, ...), A2 = (7, 42, 336, ...)
-    assert count_pairs_closed_subset(F2, 1) == 84
+    assert count_pairs_closed_subset(2, 1) == 84
     # A1(2) = S(2,1) q^4 = 24, so M=2 gives (1/2)(3*336 + 6*42 + 24*7) = 714
-    assert count_pairs_closed_subset(F2, 2) == 714
+    assert count_pairs_closed_subset(2, 2) == 714
     # the majorant stays O(q^{3M}): the ratio increases toward a constant
     # (about 11.8 at q=2) and stays bounded over the feasible range
-    ratios = [count_pairs_closed_subset(F2, M) / Fraction(2**(3 * M)) for M in range(1, 8)]
+    ratios = [count_pairs_closed_subset(2, M) / Fraction(2**(3 * M)) for M in range(1, 8)]
     assert ratios == sorted(ratios)
     assert max(ratios) < 12

@@ -341,3 +341,24 @@ def test_every_flag_is_used_by_a_command():
     `cli._COMMANDS`, so a flag that no command parses cannot linger."""
     used = set(cli._COMMON).union(*(flags for _run, flags, _defaults, _plot in cli._COMMANDS.values()))
     assert sorted(set(cli._FLAGS) - used) == []
+
+
+# The only code outside fqarith that names F_q itself: the count that does
+# arithmetic in F_q[t], and the runner that builds its field past the count's
+# guard.  Everything else reads q alone and takes it as an int.
+FIELD_USERS = ("cli.py:_run_count_rational", "ratpoints.py:count_exact_height", "ratpoints.py:divisor_masks")
+
+
+def test_only_the_rational_count_names_a_field():
+    """Outside fqarith, only FIELD_USERS name FqField or field_from_order,
+    imports aside (test_every_import_is_used keeps each import read), so a
+    function that reads only q does not take a field again."""
+    naming = [
+        f"{module}:{getattr(top, 'name', top.lineno)}"
+        for module, tree in sorted(_parse(SRC).items())
+        if module != "fqarith.py"
+        for top in tree.body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        and {"FqField", "field_from_order"} & {name for _attr, name in _reads(top)}
+    ]
+    assert sorted(naming) == sorted(FIELD_USERS)
