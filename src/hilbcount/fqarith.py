@@ -211,6 +211,20 @@ class FqField:
         return result
 
 
+def convolve(field: FqField, a, b) -> list[int]:
+    """The coefficients of the product of two polynomials over field, given
+    by their coefficients lowest degree first; empty if either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
 class Poly:
     """Dense polynomial over an FqField.  deg(0) is reported as -1; callers
     that need the -infinity convention must special-case is_zero."""
@@ -223,10 +237,6 @@ class Poly:
             c.pop()
         self.field = field
         self.coeffs = tuple(c)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
 
     @classmethod
     def one(cls, field):
@@ -245,10 +255,6 @@ class Poly:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -288,16 +294,7 @@ class Poly:
         return Poly(F, (F.neg(c) for c in self.coeffs))
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero or other.is_zero:
-            return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        return Poly(self.field, convolve(self.field, self.coeffs, other.coeffs))
 
     def __divmod__(self, other):
         if other.is_zero:
@@ -348,20 +345,6 @@ class Poly:
             else:
                 terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
         return "Poly(" + " + ".join(terms) + ")"
-
-
-def all_polys(field: FqField, max_deg: int) -> list[Poly]:
-    """Every polynomial of degree <= max_deg, indexed by its base-q code."""
-    q = field.q
-    out = []
-    for code in range(q ** (max_deg + 1)):
-        digits = []
-        c = code
-        for _ in range(max_deg + 1):
-            digits.append(c % q)
-            c //= q
-        out.append(Poly(field, digits))
-    return out
 
 
 _IRRED_CACHE: dict[tuple, tuple[Poly, ...]] = {}

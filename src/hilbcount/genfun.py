@@ -30,9 +30,13 @@ def _check_field_size(q: int):
         raise ValueError("field size must be >= 2")
 
 
-def _check_series_guard(q: int, order: int):
+def _check_series_order(order: int):
     if order > SERIES_ORDER_GUARD:
         raise SizeError(f"series order {order} exceeds guard order <= {SERIES_ORDER_GUARD}")
+
+
+def _check_series_guard(q: int, order: int):
+    _check_series_order(order)
     if q > SERIES_Q_GUARD:
         raise SizeError(f"series at q = {q} exceeds guard q <= {SERIES_Q_GUARD}")
 
@@ -116,8 +120,7 @@ def hilb_count_poly(m: int) -> list[int]:
     Goettsche, Math. Ann. 286 (1990)."""
     if m < 0:
         raise ValueError("m >= 0 required")
-    if m > SERIES_ORDER_GUARD:
-        raise SizeError(f"series guard exceeded (m {m} > {SERIES_ORDER_GUARD})")
+    _check_series_order(m)
     at_one = [1] + [0] * m
     for n in range(1, m + 1):
         for _s in range(3):

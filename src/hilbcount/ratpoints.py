@@ -7,7 +7,9 @@ degree.  count_exact_height counts coprime tuples on the integer codes of
 their coordinates, reading coprimality from a sieve of divisor masks, and
 divides out the q - 1 units; it builds no point and is the observed side of
 the closed form.  The tests build the points themselves as the second route
-to it.
+to it.  count_exact_height and count_reducible_pairs take q and a range
+M..M_max, check the guard of M_max before any work, and return the rows in
+ascending M.
 
 Every count here is an integer and is computed in integers: the closed
 forms are products of integer factors, and each division in them is
@@ -22,7 +24,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
-from .fqarith import FqField, all_polys
+from .fqarith import FqField, convolve, field_from_order
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -36,7 +38,7 @@ PAIR_BITS_GUARD = 2**15
 
 
 def guard_count(n: int, q: int, M: int):
-    """Refuse count_exact_height(n, F_q, M) from (n, q, M) alone, before F_q
+    """Refuse count_exact_height(n, q, _, M) from (n, q, M) alone, before F_q
     is built: past SIEVE_GUARD codes q^(M+1), or past FOLD_GUARD steps of n
     passes over pairs of the R <= q^M + 2 distinct masks (of the monic
     squarefree radicals of degree <= M, and of 0), a step counting once more
@@ -56,34 +58,37 @@ def guard_count(n: int, q: int, M: int):
         )
 
 
-def divisor_masks(field: FqField, M: int):
+def divisor_masks(field: FqField, M: int) -> list[int]:
     """The divisor-mask sieve over the polynomials of degree <= M.
 
-    Returns (polys, mask, monics): every polynomial of degree <= M by its
-    code in range(q^(M+1)), whose base-q digits are its coefficients; for
-    each code a mask with one bit per monic irreducible that divides it; and
-    the monic codes in ascending order.  mask[0] is -1, since 0 is divisible
+    Returns, for each code in range(q^(M+1)), whose base-q digits are the
+    coefficients of its polynomial, a mask with one bit per monic
+    irreducible that divides it.  mask[0] is -1, since 0 is divisible
     by everything, and units have mask 0, so a tuple is coprime iff the AND
     of its masks is 0.  Ascending code is non-decreasing degree, so a monic
     code of degree >= 1 still at mask 0 when the walk reaches it has no
     irreducible divisor of lower degree: it is irreducible, and its new bit
-    goes to every nonzero multiple of degree <= M.
+    goes to its products with the nonzero codes below q^(M-d+1), d its
+    degree.  The monic codes of degree d are range(q^d, 2 q^d), and the
+    masks below q^(m+1) are those of the sieve over degree <= m.
     """
     q = field.q
-    polys = all_polys(field, M)
-    code_of = {f.coeffs: code for code, f in enumerate(polys)}
-    monics = [code for code, f in enumerate(polys) if f.is_monic]
-    mask = [0] * len(polys)
+    coeffs = [()]
+    for code in range(1, 2 * q**M):
+        coeffs.append((code % q, *coeffs[code // q]))
+    mask = [0] * q ** (M + 1)
     mask[0] = -1
     bit = 1
-    for d in monics:
-        f = polys[d]
-        if f.degree < 1 or mask[d]:
-            continue
-        for h in polys[1 : q ** (M - f.degree + 1)]:
-            mask[code_of[(f * h).coeffs]] |= bit
-        bit <<= 1
-    return polys, mask, monics
+    for d in range(1, M + 1):
+        for f in range(q**d, 2 * q**d):
+            if not mask[f]:
+                for h in coeffs[1 : q ** (M - d + 1)]:
+                    code = 0
+                    for c in reversed(convolve(field, coeffs[f], h)):
+                        code = code * q + c
+                    mask[code] |= bit
+                bit <<= 1
+    return mask
 
 
 def _coprime_tuples(masks, k: int) -> int:
@@ -106,22 +111,24 @@ def _coprime_tuples(masks, k: int) -> int:
     return sum(a * sum(b for m, b in hist.items() if not g & m) for g, a in running.items())
 
 
-def count_exact_height(n: int, field: FqField, M: int) -> int:
+def count_exact_height(n: int, q: int, M: int, M_max: int) -> list[int]:
     """Number of canonical points of P^n(F_q(t)) of height exactly q^M,
-    counted without building them.
+    counted without building them, for each M up to M_max.
 
     Every coordinate has degree <= M, so each is handled as its code in
     range(q^(M+1)), and codes below q^M are those of degree < M.  A point of
     height q^M is q - 1 coprime (n+1)-tuples of codes, one per unit, each
     with a coordinate of degree M; mask[0] = -1 keeps the all-zero tuple
-    out of the coprime ones.
+    out of the coprime ones.  One sieve at M_max, built past its guard,
+    serves every M: its prefix mask[:q^m] is folded once for m = M..M_max+1.
     """
-    guard_count(n, field.q, M)
-    _polys, mask, _monics = divisor_masks(field, M)
-    tuples = _coprime_tuples(mask, n + 1) - _coprime_tuples(mask[: field.q**M], n + 1)
-    points, rem = divmod(tuples, field.q - 1)
-    assert rem == 0
-    return points
+    guard_count(n, q, M_max)
+    if M < 0:
+        raise ValueError("need n >= 1 and M >= 0")
+    mask = divisor_masks(field_from_order(q), M_max)
+    tuples = [_coprime_tuples(mask[: q**m], n + 1) for m in range(M, M_max + 2)]
+    assert all((b - a) % (q - 1) == 0 for a, b in zip(tuples, tuples[1:]))
+    return [(b - a) // (q - 1) for a, b in zip(tuples, tuples[1:])]
 
 
 def schanuel_constant(n: int, q: int) -> Fraction:
@@ -158,28 +165,33 @@ class PairCount(NamedTuple):
         return self.observed == self.closed_form
 
 
-def count_reducible_pairs(q: int, M: int) -> PairCount:
-    """Halved convolution (1/2) sum_N A(N) A(M-N) over P^2 heights, with the
-    exact closed form it must equal for M >= 1:
+def count_reducible_pairs(q: int, M: int, M_max: int) -> list[PairCount]:
+    """For each M up to M_max, the halved convolution (1/2) sum_N A(N) A(M-N)
+    over P^2 heights, with the exact closed form it must equal for M >= 1:
 
         S^2 q^(3M) (M/2 + (q^2 + 1)/(2(q^2 - 1)))
           = (q+1)(q^3-1)^2 (M(q^2-1) + q^2 + 1) q^(3M) / (2(q-1)q^4),
 
     S = schanuel_constant(2) = (q^2 - 1)(q^3 - 1)/((q - 1) q^2).  Refuses
-    q^(3M) past PAIR_BITS_GUARD bits before any work."""
-    if M < 1:
+    q^(3 M_max) past PAIR_BITS_GUARD bits before any work, and makes each
+    A(N) once."""
+    if M_max < 1:
         raise ValueError("M >= 1 required")
     # q >= 2, so q^(3M) has more than 3M bits and is built only below the guard
-    if 3 * M >= PAIR_BITS_GUARD or (q ** (3 * M)).bit_length() > PAIR_BITS_GUARD:
+    if 3 * M_max >= PAIR_BITS_GUARD or (q ** (3 * M_max)).bit_length() > PAIR_BITS_GUARD:
         raise SizeError(
-            f"pair count at M = {M}: q^(3M) = {q}^{3 * M} exceeds guard of {PAIR_BITS_GUARD} bits"
+            f"pair count at M = {M_max}: q^(3M) = {q}^{3 * M_max} exceeds guard of {PAIR_BITS_GUARD} bits"
         )
-    A = [point_count_exact_height(2, q, N) for N in range(M + 1)]
-    observed, odd = divmod(sum(A[N] * A[M - N] for N in range(M + 1)), 2)
-    assert odd == 0
-    closed, rem = divmod(
-        (q + 1) * (q**3 - 1) ** 2 * (M * (q * q - 1) + q * q + 1) * q ** (3 * M),
-        2 * (q - 1) * q**4,
-    )
-    assert rem == 0
-    return PairCount(observed, closed)
+    if M < 1:
+        raise ValueError("M >= 1 required")
+    A = [point_count_exact_height(2, q, N) for N in range(M_max + 1)]
+    rows = []
+    for m in range(M, M_max + 1):
+        observed, odd = divmod(sum(A[N] * A[m - N] for N in range(m + 1)), 2)
+        closed, rem = divmod(
+            (q + 1) * (q**3 - 1) ** 2 * (m * (q * q - 1) + q * q + 1) * q ** (3 * m),
+            2 * (q - 1) * q**4,
+        )
+        assert odd == rem == 0
+        rows.append(PairCount(observed, closed))
+    return rows

@@ -3,11 +3,15 @@ package against them.
 
 - F_q[t]: gcd, extended gcd, squarefree test, trial factoring and the
   squarefree decomposition f = d h^2, with the `Poly` and `FqField`
-  operations only they read (`scale`, `monic`, `derivative`, `constant`,
-  `serialize`, `is_square_unit`) as plain functions.
+  operations only they read (`scale`, `is_monic`, `monic`, `derivative`,
+  `constant`, `serialize`, `is_square_unit`) as plain functions.
+- F_q[t] by code: `all_polys`, every polynomial of degree <= M as a `Poly`
+  indexed by its base-q code, and `divisor_masks_by_poly`, the divisor-mask
+  sieve on those `Poly` objects that `ratpoints.divisor_masks` is held
+  equal to.
 - P^n(F_q(t)): `canonicalize`, which reduces a coordinate tuple to its
   canonical point by a gcd, and `enumerate_exact_height`, which builds every
-  point that `ratpoints.count_exact_height` counts.
+  point that `ratpoints.count_exact_height` counts from the `Poly` sieve.
 - Degree-2 points of the plane: the quadratic extensions L =
   F_q(t)(sqrt(D)), the canonical coordinates of a point of P^2(L) and its
   orbit key in Sym^2 P^2 (see the `quadfield` docstring), the height read
@@ -24,7 +28,7 @@ from typing import NamedTuple
 from hilbcount.errors import CharacteristicError, SizeError
 from hilbcount.fqarith import FqField, Poly, irreducibles_of_degree
 from hilbcount.quadfield import _require_odd
-from hilbcount.ratpoints import divisor_masks, schanuel_constant
+from hilbcount.ratpoints import schanuel_constant
 
 # Max number of coordinate tuples an enumerate_exact_height scan covers.
 TUPLE_GUARD = 10**9
@@ -55,10 +59,14 @@ def scale(f: Poly, c: int) -> Poly:
     return Poly(F, (F.mul(c, x) for x in f.coeffs))
 
 
+def is_monic(f: Poly) -> bool:
+    return bool(f.coeffs) and f.coeffs[-1] == 1
+
+
 def monic(f: Poly) -> Poly:
     if f.is_zero:
         return f
-    if f.is_monic:
+    if is_monic(f):
         return f
     return scale(f, f.field.inv(f.lead))
 
@@ -88,7 +96,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_gcd_all(polys) -> Poly:
     """Monic gcd of a nonempty list of polynomials, stopping once it is 1;
     the gcd of all-zero polynomials is 0."""
-    g = Poly.zero(polys[0].field)
+    g = Poly(polys[0].field, ())
     for f in polys:
         g = poly_gcd(g, f)
         if g.degree == 0:
@@ -100,8 +108,8 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, u) with g monic and s*a + u*b = g."""
     F = a.field
     r0, r1 = a, b
-    s0, s1 = Poly.one(F), Poly.zero(F)
-    u0, u1 = Poly.zero(F), Poly.one(F)
+    s0, s1 = Poly.one(F), Poly(F, ())
+    u0, u1 = Poly(F, ()), Poly.one(F)
     while not r1.is_zero:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
@@ -160,6 +168,49 @@ def squarefree_decompose(f: Poly) -> tuple[Poly, Poly]:
     return d, h
 
 
+def all_polys(field: FqField, max_deg: int) -> list[Poly]:
+    """Every polynomial of degree <= max_deg, indexed by its base-q code."""
+    q = field.q
+    out = []
+    for code in range(q ** (max_deg + 1)):
+        digits = []
+        c = code
+        for _ in range(max_deg + 1):
+            digits.append(c % q)
+            c //= q
+        out.append(Poly(field, digits))
+    return out
+
+
+def divisor_masks_by_poly(field: FqField, M: int):
+    """The divisor-mask sieve over the polynomials of degree <= M, built on
+    `Poly` objects.
+
+    Returns (polys, mask, monics): every polynomial of degree <= M by its
+    code (see all_polys); for each code a mask with one bit per monic
+    irreducible that divides it, mask[0] = -1; and the monic codes in
+    ascending order.  Ascending code is non-decreasing degree, so a monic
+    code of degree >= 1 still at mask 0 when the walk reaches it is
+    irreducible, and its new bit goes to every nonzero multiple of degree
+    <= M, found by looking each `Poly` product up by its coefficients.
+    """
+    q = field.q
+    polys = all_polys(field, M)
+    code_of = {f.coeffs: code for code, f in enumerate(polys)}
+    monics = [code for code, f in enumerate(polys) if is_monic(f)]
+    mask = [0] * len(polys)
+    mask[0] = -1
+    bit = 1
+    for d in monics:
+        f = polys[d]
+        if f.degree < 1 or mask[d]:
+            continue
+        for h in polys[1 : q ** (M - f.degree + 1)]:
+            mask[code_of[(f * h).coeffs]] |= bit
+        bit <<= 1
+    return polys, mask, monics
+
+
 # --- points of P^n(F_q(t)) ---
 
 
@@ -187,7 +238,7 @@ def canonicalize(coords) -> ProjPointFqt:
     if g.degree > 0:
         coords = tuple(c // g for c in coords)
     pivot = next(c for c in coords if not c.is_zero)
-    if not pivot.is_monic:
+    if not is_monic(pivot):
         u = pivot.field.inv(pivot.lead)
         coords = tuple(scale(c, u) for c in coords)
     return ProjPointFqt(coords)
@@ -211,10 +262,10 @@ def enumerate_exact_height(n: int, field: FqField, M: int):
     range(q^(M+1)).  Points come in itertools.product order over the codes:
     by pivot position from the last to the first, then by monic pivot, then
     by free tail.  Coprimality is the running AND of the coordinates'
-    divisor masks (see ratpoints.divisor_masks), stopped at 0.
+    divisor masks (see divisor_masks_by_poly), stopped at 0.
     """
     _guard_tuples(n, field, M)
-    polys, mask, monics = divisor_masks(field, M)
+    polys, mask, monics = divisor_masks_by_poly(field, M)
     top = field.q**M  # the codes of degree exactly M are those >= top
     codes = range(len(polys))
     for pos in range(n, -1, -1):

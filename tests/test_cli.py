@@ -338,12 +338,15 @@ def test_field_size_guard_before_trial_division(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--q", "17", "--m-max", "2"], "series at q = 17 exceeds guard q <= 16"),
-        (["--q", "5", "--m-max", "65"], "series order 65 exceeds guard order <= 64"),
+        (["cycles", "--q", "17", "--m-max", "2"], "series at q = 17 exceeds guard q <= 16"),
+        (["cycles", "--q", "5", "--m-max", "65"], "series order 65 exceeds guard order <= 64"),
+        (["peyre", "hilbm", "--q", "3", "--m", "65", "--mu", "1"], "series order 65 exceeds guard order <= 64"),
     ],
 )
 def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
-    code, out = run(["cycles", *argv])
+    """The series guards state the bound exceeded, in one wording for
+    `cycles` and for the Hilb^m polynomial of `peyre hilbm`."""
+    code, out = run(argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err == f"size guard: {message}\n"
 
@@ -356,22 +359,58 @@ def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
             ["count", "quadratic", "--q", "5", "--M", "2", "--M-max", str(quadfield.M_GUARD + 1)],
             f"form count at M = {quadfield.M_GUARD + 1}",
         ),
+        (["count", "rational", "--q", "3", "--n", "1", "--M", "0", "--M-max", "9"], "M = 9: fold of about"),
+        (["count", "pairs", "--q", "16", "--M", "1", "--M-max", "2731"], "M = 2731: q^(3M) = 16^8193 exceeds"),
     ],
 )
 def test_range_guard_fails_before_any_row(argv, message, monkeypatch, capsys):
     """The guard of the range's largest M fires before a smaller M's row is
-    computed: the rational scan builds its divisor masks, and the degree-2
-    count its form counts, only past their guard."""
+    computed: the rational count builds F_q, its divisor masks and its
+    folds, the pair count its point counts, and the degree-2 count its form
+    counts, only past their guard."""
     def no_row(*args):
         raise AssertionError("a row was computed before the guard")
 
-    monkeypatch.setattr(ratpoints, "divisor_masks", no_row)
+    monkeypatch.setattr(FqField, "__init__", no_row)
+    for name in ("divisor_masks", "_coprime_tuples", "point_count_exact_height"):
+        monkeypatch.setattr(ratpoints, name, no_row)
     monkeypatch.setattr(quadfield, "_form_counts", no_row)
     start = time.monotonic()
     code, out = run(argv)
     assert time.monotonic() - start < 1
     assert code == 3 and out == ""
     assert message in capsys.readouterr().err
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name for the rest of the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_count_rational_range_sieves_once(monkeypatch):
+    """A range of M sieves once, at its largest M, and folds each of the
+    M_max - M + 2 prefixes of codes once."""
+    sieves = _counting(monkeypatch, ratpoints, "divisor_masks")
+    folds = _counting(monkeypatch, ratpoints, "_coprime_tuples")
+    code, out = run(["count", "rational", "--q", "3", "--n", "2", "--M", "0", "--M-max", "3"])
+    assert code == 0 and len(out.splitlines()) == 5 and out.endswith(",true\n")
+    assert (len(sieves), len(folds)) == (1, 5)
+
+
+def test_count_pairs_range_counts_each_height_once(monkeypatch):
+    """A range of M makes each A(N), N <= M_max, once, not once per row."""
+    points = _counting(monkeypatch, ratpoints, "point_count_exact_height")
+    code, out = run(["count", "pairs", "--q", "16", "--M", "1", "--M-max", "40"])
+    assert code == 0 and len(out.splitlines()) == 41
+    assert len(points) == 41
 
 
 @pytest.mark.parametrize(
@@ -407,11 +446,11 @@ def test_bit_guards_refuse_before_any_work(argv, message, monkeypatch, capsys):
 
 def test_bit_guards_admit_their_limit():
     """The largest M and cut at q = 16 run; one more is refused."""
-    assert ratpoints.count_reducible_pairs(16, 2730).match
+    assert ratpoints.count_reducible_pairs(16, 2730, 2730)[0].match
     assert len(peyre.places_by_degree(16, 127)) == 127
     assert len(peyre.places_by_degree(3, 323)) == 323
     for call in (
-        lambda: ratpoints.count_reducible_pairs(16, 2731),
+        lambda: ratpoints.count_reducible_pairs(16, 2731, 2731),
         lambda: peyre.places_by_degree(16, 128),
         lambda: peyre.places_by_degree(3, 324),
     ):
@@ -425,7 +464,7 @@ def test_cells_past_the_int_str_limit():
     code, out = run(["count", "pairs", "--q", "16", "--M", "1200"])
     assert code == 0
     _q, _M, observed, closed_form, match = out.splitlines()[1].split(",")
-    pc = ratpoints.count_reducible_pairs(16, 1200)
+    (pc,) = ratpoints.count_reducible_pairs(16, 1200, 1200)
     assert len(observed) > 4300 and match == "true"
     assert (Decimal(observed), Decimal(closed_form)) == (pc.observed, pc.closed_form)
 
@@ -735,14 +774,7 @@ def test_cache_warm_equals_cold(tmp_path):
 def test_cache_source_change_recomputes(tmp_path, monkeypatch):
     """A cold run, then a change to the source digest, then a miss that
     recomputes the same stdout and is then a hit."""
-    calls = []
-    real = ratpoints.count_reducible_pairs
-
-    def counting(q, M):
-        calls.append(M)
-        return real(q, M)
-
-    monkeypatch.setattr(ratpoints, "count_reducible_pairs", counting)
+    calls = _counting(monkeypatch, ratpoints, "count_reducible_pairs")
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
     code, cold = run(argv)
     assert code == 0 and len(calls) == 1

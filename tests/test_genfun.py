@@ -286,7 +286,7 @@ def test_hilb_count_poly_shape():
         assert len(p) == 2 * m + 1
         assert p[2 * m] == 1
         assert p[2 * m - 1] == 2
-    with pytest.raises(SizeError, match=r"^series guard exceeded \(m 65 > 64\)$"):
+    with pytest.raises(SizeError, match=r"^series order 65 exceeds guard order <= 64$"):
         hilb_count_poly(65)
 
 

@@ -11,19 +11,28 @@ from hilbcount.errors import SizeError
 from hilbcount.fqarith import (
     FqField,
     Poly,
-    all_polys,
     field_from_order,
     irreducibles_of_degree,
 )
 from hilbcount.ratpoints import (
+    PAIR_BITS_GUARD,
     _coprime_tuples,
     count_exact_height,
     count_reducible_pairs,
+    divisor_masks,
     guard_count,
     point_count_exact_height,
     schanuel_constant,
 )
-from oracles import ProjPointFqt, canonicalize, enumerate_exact_height, poly_gcd
+from oracles import (
+    ProjPointFqt,
+    all_polys,
+    canonicalize,
+    divisor_masks_by_poly,
+    enumerate_exact_height,
+    is_monic,
+    poly_gcd,
+)
 
 F2 = FqField(2)
 F3 = FqField(3)
@@ -140,9 +149,9 @@ def _brute_exact_height(n, field, M):
         if max(polys[c].degree for c in tup) != M:
             continue
         pivot = next(c for c in tup if c)
-        if not polys[pivot].is_monic:
+        if not is_monic(polys[pivot]):
             continue
-        g = Poly.zero(field)
+        g = Poly(field, ())
         for c in tup:
             g = poly_gcd(g, polys[c])
             if g.degree == 0:
@@ -173,11 +182,13 @@ def _brute_exact_height(n, field, M):
 )
 def test_enumeration_matches_brute_force_in_order(n, q, Ms):
     field = field_from_order(q)
+    counts = []
     for M in Ms:
         got = [p.serialize() for p in enumerate_exact_height(n, field, M)]
         want = [p.serialize() for p in _brute_exact_height(n, field, M)]
         assert got == want, (n, q, M)
-        assert count_exact_height(n, field, M) == len(want), (n, q, M)
+        counts.append(len(want))
+    assert count_exact_height(n, q, Ms.start, Ms.stop - 1) == counts, (n, q)
 
 
 def test_count_matches_closed_form_beyond_enumeration():
@@ -186,9 +197,38 @@ def test_count_matches_closed_form_beyond_enumeration():
     cases += [(4, 2, 3), (6, 2, 2), (3, 4, 2), (2, 3, 5), (1, 2, 0), (2, 9, 0)]
     cases += [(9, 2, 2), (20, 2, 2)]
     for n, q, M in cases:
-        field = field_from_order(q)
-        assert count_exact_height(n, field, M) == point_count_exact_height(n, q, M), (n, q, M)
+        want = [point_count_exact_height(n, q, m) for m in range(M + 1)]
+        assert count_exact_height(n, q, 0, M) == want, (n, q, M)
+        assert count_exact_height(n, q, M, M) == want[-1:], (n, q, M)
     assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_code_sieve_matches_poly_sieve(q):
+    """The sieve on integer codes gives the masks of the one on Poly
+    objects, mask for mask, and its masks below q^(m+1) are those of the
+    sieve over degree <= m, so one sieve serves every row of a range."""
+    field = field_from_order(q)
+    M_top = max(M for M in range(8) if q ** (M + 1) <= 3**7)
+    top = divisor_masks(field, M_top)
+    for M in range(M_top + 1):
+        _polys, want, _monics = divisor_masks_by_poly(field, M)
+        assert divisor_masks(field, M) == want == top[: q ** (M + 1)], M
+
+
+def test_count_builds_no_poly(monkeypatch):
+    """At prime q the count multiplies coefficient lists of codes and
+    builds no Poly."""
+    def no_poly(*args):
+        raise AssertionError("the count built a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", no_poly)
+    assert count_exact_height(2, 3, 0, 3) == [point_count_exact_height(2, 3, M) for M in range(4)]
+
+
+def test_count_range_checks_its_smallest_M():
+    with pytest.raises(ValueError, match=r"^need n >= 1 and M >= 0$"):
+        count_exact_height(1, 3, -1, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -222,7 +262,7 @@ def test_scans_make_no_division(monkeypatch):
     calls = _count_calls(monkeypatch, "__divmod__")
     for n in (1, 2):
         pts = list(enumerate_exact_height(n, F3, 2))
-        assert count_exact_height(n, F3, 2) == len(pts) == point_count_exact_height(n, 3, 2)
+        assert count_exact_height(n, 3, 2, 2) == [len(pts)] == [point_count_exact_height(n, 3, 2)]
     assert calls == []
 
 
@@ -231,7 +271,7 @@ def test_enumeration_guard(monkeypatch):
     with pytest.raises(SizeError, match=r"= 97\^60 coordinate tuples exceeds guard 1000000000$"):
         list(enumerate_exact_height(5, FqField(97), 9))
     with pytest.raises(SizeError, match=r"= 97\^10 codes exceeds guard 200000$"):
-        count_exact_height(5, FqField(97), 9)
+        count_exact_height(5, 97, 9, 9)
     assert calls == []
 
 
@@ -292,14 +332,17 @@ def test_product_formula_rational_points():
 
 
 def test_reducible_pairs():
-    assert count_reducible_pairs(2, 1).observed == 294
-    assert count_reducible_pairs(2, 2).observed == 3234
+    assert [pc.observed for pc in count_reducible_pairs(2, 1, 2)] == [294, 3234]
     for q in (2, 3):
-        for M in (1, 2, 3):
-            pc = count_reducible_pairs(q, M)
-            assert pc.match, (q, M, pc)
-    with pytest.raises(ValueError):
-        count_reducible_pairs(2, 0)
+        pcs = count_reducible_pairs(q, 1, 3)
+        assert pcs[1:] == count_reducible_pairs(q, 2, 3)
+        assert all(pc.match for pc in pcs), (q, pcs)
+    for M, M_max in [(0, 0), (0, 3), (-2, -1)]:
+        with pytest.raises(ValueError, match=r"^M >= 1 required$"):
+            count_reducible_pairs(2, M, M_max)
+    # the largest M's guard comes before the smallest M's check
+    with pytest.raises(SizeError):
+        count_reducible_pairs(2, 0, PAIR_BITS_GUARD)
 
 
 def _point_count_by_fraction(n, q, M):
@@ -333,8 +376,7 @@ def test_point_count_integer_form_matches_fraction_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27])
 def test_reducible_pairs_integer_form_matches_fraction_oracle(q):
-    for M in range(1, 41):
-        pc = count_reducible_pairs(q, M)
+    for M, pc in zip(range(1, 41), count_reducible_pairs(q, 1, 40)):
         assert type(pc.observed) is int and type(pc.closed_form) is int
         assert (pc.observed, pc.closed_form) == _reducible_pairs_by_fraction(q, M), M
         assert pc.match

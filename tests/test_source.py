@@ -344,9 +344,10 @@ def test_every_flag_is_used_by_a_command():
 
 
 # The only code outside fqarith that names F_q itself: the count that does
-# arithmetic in F_q[t], and the runner that builds its field past the count's
-# guard.  Everything else reads q alone and takes it as an int.
-FIELD_USERS = ("cli.py:_run_count_rational", "ratpoints.py:count_exact_height", "ratpoints.py:divisor_masks")
+# arithmetic in F_q[t] and builds its field past its own guard, and the
+# sieve it passes that field to.  Everything else reads q alone and takes it
+# as an int.
+FIELD_USERS = ("ratpoints.py:count_exact_height", "ratpoints.py:divisor_masks")
 
 
 def test_only_the_rational_count_names_a_field():
@@ -362,3 +363,16 @@ def test_only_the_rational_count_names_a_field():
         and {"FqField", "field_from_order"} & {name for _attr, name in _reads(top)}
     ]
     assert sorted(naming) == sorted(FIELD_USERS)
+
+
+def test_the_count_builds_no_poly():
+    """No ratpoints function names Poly or all_polys: the divisor sieve
+    multiplies the coefficient lists of integer codes, and only the tests
+    build a Poly per code."""
+    tree = _parse(SRC)["ratpoints.py"]
+    functions = [top for top in tree.body if isinstance(top, FUNCS)]
+    assert functions
+    naming = [
+        top.name for top in functions if {"Poly", "all_polys"} & {name for _attr, name in _reads(top)}
+    ]
+    assert naming == []
