@@ -35,6 +35,9 @@ FOLD_GUARD = 12 * 10**6
 # Max bit length of q^(3M) in count_reducible_pairs, whose M + 1 products
 # are about that long.
 PAIR_BITS_GUARD = 2**15
+# Max total of 3M bit_length(q) over the rows M of one count_reducible_pairs
+# range, about the bits of its q^(3M) and of each of its two exact columns.
+PAIR_RANGE_GUARD = 2**22
 
 
 def guard_count(n: int, q: int, M: int):
@@ -173,8 +176,9 @@ def count_reducible_pairs(q: int, M: int, M_max: int) -> list[PairCount]:
           = (q+1)(q^3-1)^2 (M(q^2-1) + q^2 + 1) q^(3M) / (2(q-1)q^4),
 
     S = schanuel_constant(2) = (q^2 - 1)(q^3 - 1)/((q - 1) q^2).  Refuses
-    q^(3 M_max) past PAIR_BITS_GUARD bits before any work, and makes each
-    A(N) once."""
+    q^(3 M_max) past PAIR_BITS_GUARD bits, and a range whose sum of
+    3M bit_length(q) is past PAIR_RANGE_GUARD, before any work, and makes
+    each A(N) once."""
     if M_max < 1:
         raise ValueError("M >= 1 required")
     # q >= 2, so q^(3M) has more than 3M bits and is built only below the guard
@@ -184,6 +188,12 @@ def count_reducible_pairs(q: int, M: int, M_max: int) -> list[PairCount]:
         )
     if M < 1:
         raise ValueError("M >= 1 required")
+    total = 3 * q.bit_length() * (M_max * (M_max + 1) - M * (M - 1)) // 2
+    if total > PAIR_RANGE_GUARD:
+        raise SizeError(
+            f"pair count over M = {M}..{M_max}: sum of 3M bit_length(q) = {total} bits "
+            f"exceeds guard of {PAIR_RANGE_GUARD} bits"
+        )
     A = [point_count_exact_height(2, q, N) for N in range(M_max + 1)]
     rows = []
     for m in range(M, M_max + 1):

@@ -1,10 +1,16 @@
 """Second routes that no command runs, kept with the tests that compare the
 package against them.
 
-- F_q[t]: gcd, extended gcd, squarefree test, trial factoring and the
-  squarefree decomposition f = d h^2, with the `Poly` and `FqField`
-  operations only they read (`scale`, `is_monic`, `monic`, `derivative`,
-  `constant`, `serialize`, `is_square_unit`) as plain functions.
+- F_q: `field_inv`, `field_pow` and `is_square_unit` on the element codes
+  of `fqarith.FqField`.
+- F_q[t]: `Poly`, a polynomial type over an `FqField` built on
+  `fqarith.convolve`, whose remainder `fqarith.poly_rem` is held equal to;
+  the recursive, cached listing of monic irreducibles of each degree and
+  the irreducibility test on it, the reference for the modulus search of
+  `FqField`; gcd, extended gcd, squarefree test, trial factoring and the
+  squarefree decomposition f = d h^2, with the `Poly` operations only they
+  read (`scale`, `is_monic`, `monic`, `derivative`, `constant`,
+  `serialize`) as plain functions.
 - F_q[t] by code: `all_polys`, every polynomial of degree <= M as a `Poly`
   indexed by its base-q code, and `divisor_masks_by_poly`, the divisor-mask
   sieve on those `Poly` objects that `ratpoints.divisor_masks` is held
@@ -26,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from hilbcount.errors import CharacteristicError, SizeError
-from hilbcount.fqarith import FqField, Poly, irreducibles_of_degree
+from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, irreducible_count
 from hilbcount.quadfield import _require_odd
 from hilbcount.ratpoints import schanuel_constant
 
@@ -41,13 +47,200 @@ class WrongDegreeError(Exception):
 # --- F_q and F_q[t] ---
 
 
+_INV_CACHE: dict[tuple[int, int], int] = {}
+
+
+def field_inv(field: FqField, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero field element")
+    if field.k == 1:
+        return pow(a, field.p - 2, field.p)
+    key = (field.q, a)
+    cached = _INV_CACHE.get(key)
+    if cached is None:
+        cached = field_pow(field, a, field.q - 2)
+        _INV_CACHE[key] = cached
+    return cached
+
+
+def field_pow(field: FqField, a: int, e: int) -> int:
+    result = 1
+    base = a
+    while e:
+        if e & 1:
+            result = field.mul(result, base)
+        base = field.mul(base, base)
+        e >>= 1
+    return result
+
+
 def is_square_unit(field: FqField, a: int) -> bool:
     """Whether a nonzero element is a square in F_q^* (q odd)."""
     if a == 0:
         raise ValueError("zero is not a unit")
     if field.q % 2 == 0:
         raise CharacteristicError("squareness of units needs odd q")
-    return field.pow(a, (field.q - 1) // 2) == 1
+    return field_pow(field, a, (field.q - 1) // 2) == 1
+
+
+class Poly:
+    """Dense polynomial over an FqField.  deg(0) is reported as -1; callers
+    that need the -infinity convention must special-case is_zero."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FqField, coeffs):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self.field = field
+        self.coeffs = tuple(c)
+
+    @classmethod
+    def one(cls, field):
+        return cls(field, (1,))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lead(self) -> int:
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Poly)
+            and self.field == other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.field.q, self.coeffs))
+
+    def __add__(self, other):
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return Poly(F, out)
+
+    def __sub__(self, other):
+        F = self.field
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = []
+        for i in range(n):
+            x = self.coeffs[i] if i < len(self.coeffs) else 0
+            y = other.coeffs[i] if i < len(other.coeffs) else 0
+            out.append(F.sub(x, y))
+        return Poly(F, out)
+
+    def __neg__(self):
+        F = self.field
+        return Poly(F, (F.neg(c) for c in self.coeffs))
+
+    def __mul__(self, other):
+        return Poly(self.field, convolve(self.field, self.coeffs, other.coeffs))
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        F = self.field
+        rem = list(self.coeffs)
+        db = other.degree
+        quo = [0] * max(len(rem) - db, 0)
+        inv_lead = field_inv(F, other.lead)
+        while len(rem) - 1 >= db and rem:
+            c = F.mul(rem[-1], inv_lead)
+            shift = len(rem) - 1 - db
+            quo[shift] = c
+            for j, y in enumerate(other.coeffs):
+                rem[shift + j] = F.sub(rem[shift + j], F.mul(c, y))
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return Poly(F, quo), Poly(F, rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def __pow__(self, e: int):
+        result = Poly.one(self.field)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __repr__(self):
+        if self.is_zero:
+            return "Poly(0)"
+        terms = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif i == 1:
+                terms.append("t" if c == 1 else f"{c}*t")
+            else:
+                terms.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
+        return "Poly(" + " + ".join(terms) + ")"
+
+
+_IRRED_CACHE: dict[tuple, tuple[Poly, ...]] = {}
+
+
+def irreducibles_of_degree(d: int, field: FqField) -> list[Poly]:
+    """All monic irreducibles of degree d, sorted lexicographically by
+    coefficient sequence (lowest degree first)."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    q = field.q
+    if q**d > ENUM_GUARD:
+        raise SizeError(f"irreducible scan q^d = {q}^{d} exceeds guard {ENUM_GUARD}")
+    key = (field.p, field.k, d)
+    cached = _IRRED_CACHE.get(key)
+    if cached is not None:
+        return list(cached)
+    lower: list[Poly] = []
+    for e in range(1, d // 2 + 1):
+        lower.extend(irreducibles_of_degree(e, field))
+    found = []
+    for tail in itertools.product(range(q), repeat=d):
+        f = Poly(field, tuple(tail) + (1,))
+        if all((f % g).coeffs for g in lower if 2 * g.degree <= d):
+            found.append(f)
+    assert len(found) == irreducible_count(d, q)
+    _IRRED_CACHE[key] = tuple(found)
+    return found
+
+
+def is_irreducible(f: Poly) -> bool:
+    if f.degree < 1:
+        return False
+    for e in range(1, f.degree // 2 + 1):
+        for g in irreducibles_of_degree(e, f.field):
+            if (f % g).is_zero:
+                return False
+    return True
 
 
 def constant(field: FqField, c: int) -> Poly:
@@ -68,7 +261,7 @@ def monic(f: Poly) -> Poly:
         return f
     if is_monic(f):
         return f
-    return scale(f, f.field.inv(f.lead))
+    return scale(f, field_inv(f.field, f.lead))
 
 
 def derivative(f: Poly) -> Poly:
@@ -117,7 +310,7 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         u0, u1 = u1, u0 - q * u1
     if r0.is_zero:
         return r0, s0, u0
-    c = F.inv(r0.lead)
+    c = field_inv(F, r0.lead)
     return scale(r0, c), scale(s0, c), scale(u0, c)
 
 
@@ -239,7 +432,7 @@ def canonicalize(coords) -> ProjPointFqt:
         coords = tuple(c // g for c in coords)
     pivot = next(c for c in coords if not c.is_zero)
     if not is_monic(pivot):
-        u = pivot.field.inv(pivot.lead)
+        u = field_inv(pivot.field, pivot.lead)
         coords = tuple(scale(c, u) for c in coords)
     return ProjPointFqt(coords)
 
@@ -392,7 +585,7 @@ def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
     g = poly_gcd_all(parts)
     if g.degree > 0:
         parts = [f // g for f in parts]
-    u = ext.field.inv(next(f for f in parts if not f.is_zero).lead)
+    u = field_inv(ext.field, next(f for f in parts if not f.is_zero).lead)
     parts = [scale(f, u) for f in parts]
     out = tuple(QuadElem(ext, a, b) for a, b in zip(parts[::2], parts[1::2]))
     return DegreeTwoPoint(ext, out, _orbit_key(out))

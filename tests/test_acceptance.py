@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 
-from hilbcount.fqarith import FqField, Poly
+from hilbcount.fqarith import FqField
 from hilbcount.ratpoints import (
     count_reducible_pairs,
     point_count_exact_height,
@@ -35,6 +35,7 @@ from hilbcount.asympt import (
     technical2_check,
 )
 from oracles import (
+    Poly,
     QuadElem,
     QuadExt,
     all_polys,

@@ -361,6 +361,10 @@ def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
         ),
         (["count", "rational", "--q", "3", "--n", "1", "--M", "0", "--M-max", "9"], "M = 9: fold of about"),
         (["count", "pairs", "--q", "16", "--M", "1", "--M-max", "2731"], "M = 2731: q^(3M) = 16^8193 exceeds"),
+        (
+            ["count", "pairs", "--q", "16", "--M", "1", "--M-max", "2730"],
+            "pair count over M = 1..2730: sum of 3M bit_length(q) = 55917225 bits exceeds guard of 4194304 bits",
+        ),
     ],
 )
 def test_range_guard_fails_before_any_row(argv, message, monkeypatch, capsys):
@@ -456,6 +460,24 @@ def test_bit_guards_admit_their_limit():
     ):
         with pytest.raises(SizeError):
             call()
+
+
+def test_pair_range_guard_admits_its_limit(monkeypatch):
+    """At q = 16 the pair count's range guard admits 1..40, 1..600, the
+    largest single row and 1..747, and refuses 1..748; an admitted range
+    gets as far as its first point count."""
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(ratpoints, "point_count_exact_height", started)
+    for M, M_max in [(1, 40), (1, 600), (2730, 2730), (1, 747)]:
+        with pytest.raises(Started):
+            ratpoints.count_reducible_pairs(16, M, M_max)
+    with pytest.raises(SizeError, match=r"^pair count over M = 1\.\.748: .* = 4201890 bits exceeds guard of 4194304 bits$"):
+        ratpoints.count_reducible_pairs(16, 1, 748)
 
 
 def test_cells_past_the_int_str_limit():

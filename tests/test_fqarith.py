@@ -3,23 +3,25 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import (
     FqField,
-    Poly,
     field_from_order,
     irreducible_count,
-    irreducibles_of_degree,
-    is_irreducible,
     is_prime,
     mobius,
+    poly_rem,
     prime_power,
 )
 from oracles import (
+    Poly,
     all_polys,
     constant,
+    field_inv,
+    irreducibles_of_degree,
+    is_irreducible,
     is_monic,
     is_square_unit,
     is_squarefree,
@@ -33,6 +35,7 @@ from oracles import (
 
 F2 = FqField(2)
 F3 = FqField(3)
+F4 = FqField(2, 2)
 F5 = FqField(5)
 F9 = FqField(3, 2)
 
@@ -106,7 +109,7 @@ def test_field_axioms(field):
     for a in elems:
         assert field.add(a, field.neg(a)) == 0
         if a != 0:
-            assert field.mul(a, field.inv(a)) == 1
+            assert field.mul(a, field_inv(field, a)) == 1
     # squares: exactly (q-1)/2 nonzero squares for odd q
     if field.q % 2 == 1:
         squares = {field.mul(a, a) for a in elems if a != 0}
@@ -186,6 +189,39 @@ def test_extension_field_builds_no_per_element_table():
         tracemalloc.stop()
     assert peak < 256 * 1024
     assert F.sub(5, 3) == F.add(5, F.neg(3)) == 6
+
+
+@st.composite
+def rem_cases(draw):
+    """(field, a, g): a of degree <= 12 and a monic g of degree 1..4, as
+    coefficient lists over F_2, F_3, F_4 or F_9; a may be empty (0), shorter
+    than g, or end in zeros."""
+    field = draw(st.sampled_from([F2, F3, F4, F9]))
+    coeff = st.integers(min_value=0, max_value=field.q - 1)
+    g = draw(st.lists(coeff, min_size=1, max_size=4)) + [1]
+    return field, draw(st.lists(coeff, max_size=13)), g
+
+
+@given(case=rem_cases())
+@example(case=(F4, [], [1, 1]))
+@example(case=(F9, [5, 0, 7, 0], [1, 2, 0, 0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_poly_rem_matches_poly_mod(case):
+    field, a, g = case
+    assert poly_rem(field, a, g) == list((Poly(field, a) % Poly(field, g)).coeffs)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_extension_mul_matches_poly_product(q):
+    """Every product in F_{p^k} is the Poly product of the two digit
+    polynomials over F_p reduced by the modulus."""
+    field = field_from_order(q)
+    base = FqField(field.p)
+    modulus = Poly(base, field.modulus)
+    for a in range(q):
+        for b in range(q):
+            want = Poly(base, field.digits(a)) * Poly(base, field.digits(b)) % modulus
+            assert field.mul(a, b) == field.encode(want.coeffs), (a, b)
 
 
 @given(a=codes, b=codes)

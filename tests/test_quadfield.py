@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from hilbcount.errors import CharacteristicError, SizeError
-from hilbcount.fqarith import FqField, Poly, field_from_order, is_irreducible
+from hilbcount.fqarith import FqField, field_from_order
 from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
     M_GUARD,
@@ -25,6 +25,7 @@ from hilbcount.quadfield import (
     enumerate_degree2,
 )
 from oracles import (
+    Poly,
     QuadElem,
     QuadExt,
     WrongDegreeError,
@@ -33,7 +34,9 @@ from oracles import (
     constant,
     divisor_masks_by_poly,
     enumerate_exact_height,
+    field_inv,
     height_degree2,
+    is_irreducible,
     is_monic,
     is_square_unit,
     is_squarefree,
@@ -270,7 +273,7 @@ def _poly_sqrt_by_coefficients(f):
     n = f.degree // 2
     g = [0] * (n + 1)
     g[n] = next(r for r in range(1, field.q) if field.mul(r, r) == f.lead)
-    inv_top = field.inv(field.mul(field.add(1, 1), g[n]))
+    inv_top = field_inv(field, field.mul(field.add(1, 1), g[n]))
     for k in range(1, n + 1):
         idx = 2 * n - k
         acc = f.coeffs[idx] if idx < len(f.coeffs) else 0
@@ -430,7 +433,7 @@ def _reduce_basis(u1, u2):
         L1 = _lead_vector(u1, d1)
         L2 = _lead_vector(u2, d2)
         i = next(i for i, c in enumerate(L1) if c)
-        c = field.mul(L2[i], field.inv(L1[i]))
+        c = field.mul(L2[i], field_inv(field, L1[i]))
         if c == 0 or any(L2[j] != field.mul(c, L1[j]) for j in range(3)):
             return (u1, d1), (u2, d2)
         shift = d2 - d1

@@ -8,12 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import (
-    FqField,
-    Poly,
-    field_from_order,
-    irreducibles_of_degree,
-)
+from hilbcount.fqarith import FqField, field_from_order
 from hilbcount.ratpoints import (
     PAIR_BITS_GUARD,
     _coprime_tuples,
@@ -25,11 +20,13 @@ from hilbcount.ratpoints import (
     schanuel_constant,
 )
 from oracles import (
+    Poly,
     ProjPointFqt,
     all_polys,
     canonicalize,
     divisor_masks_by_poly,
     enumerate_exact_height,
+    irreducibles_of_degree,
     is_monic,
     poly_gcd,
 )
