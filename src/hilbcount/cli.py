@@ -26,26 +26,15 @@ _FORMATS = ("csv", "json")
 # Max --digits: the working precision of every real cell, whose cost grows
 # faster than linearly with it.
 DIGITS_GUARD = 1000
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _config_bool(value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, not {value!r}") from None
-
 
 # Each flag's add_argument keywords, by dest.  The flag is "--" and the dest
-# with "-" for "_".  A config file sets any flag but --config under its dest,
-# typed by its `type` (str if none) or, for the store_true --plot, by
-# _config_bool.
+# with "-" for "_".  Every flag takes a value.  A config file sets any flag
+# but --config under its dest, typed by its `type` (str if none).
 _FLAGS = {
     "q": dict(type=int, help="field size (prime power)"),
     "digits": dict(type=int, default=12, help="printed float digits"),
     "cache_dir": {},
     "format": dict(choices=_FORMATS, default="csv"),
-    "plot": dict(action="store_true"),
     "config": dict(help="key=value config file"),
     "M": dict(type=int, help="height exponent (first)"),
     "M_max": dict(type=int),
@@ -55,7 +44,7 @@ _FLAGS = {
     "mu": {},
     "deg_cut": dict(type=int, default=8),
 }
-_COMMON = ("q", "digits", "cache_dir", "format", "plot", "config")
+_COMMON = ("q", "digits", "cache_dir", "format", "config")
 
 
 class UsageError(Exception):
@@ -76,10 +65,8 @@ def parse_config(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _FLAGS or key == "config":
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            flag = _FLAGS[key]
-            cast = _config_bool if flag.get("action") == "store_true" else flag.get("type", str)
             try:
-                out[key] = cast(value)
+                out[key] = _FLAGS[key].get("type", str)(value)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return out
@@ -208,17 +195,17 @@ _COUNT = ("M", "M_max")
 _CONSTANT = ("m", "mu", "deg_cut")
 
 # (command, subcommand or None) -> (runner, flags beyond _COMMON, defaults
-# the command overrides, (M, numerator, denominator) columns for --plot)
+# the command overrides)
 _COMMANDS = {
-    ("count", "rational"): (_run_count_rational, _COUNT + ("n",), {}, ("M", "observed", "predicted")),
-    ("count", "pairs"): (_run_count_pairs, _COUNT, {}, ("M", "observed", "closed_form")),
-    ("count", "quadratic"): (_run_count_quadratic, _COUNT, {}, ("M", "count", "main_term")),
-    ("cycles", None): (_run_cycles, ("m_max",), {}, None),
-    ("peyre", "pn"): (_run_peyre, ("n",), {"n": 2}, None),
-    ("peyre", "hilb2"): (_run_peyre, (), {}, None),
-    ("peyre", "hilbm"): (_run_peyre, _CONSTANT, {}, None),
-    ("peyre", "cm"): (_run_peyre, _CONSTANT, {}, None),
-    ("verify", "lemmas"): (_run_verify_lemmas, (), {}, None),
+    ("count", "rational"): (_run_count_rational, _COUNT + ("n",), {}),
+    ("count", "pairs"): (_run_count_pairs, _COUNT, {}),
+    ("count", "quadratic"): (_run_count_quadratic, _COUNT, {}),
+    ("cycles", None): (_run_cycles, ("m_max",), {}),
+    ("peyre", "pn"): (_run_peyre, ("n",), {"n": 2}),
+    ("peyre", "hilb2"): (_run_peyre, (), {}),
+    ("peyre", "hilbm"): (_run_peyre, _CONSTANT, {}),
+    ("peyre", "cm"): (_run_peyre, _CONSTANT, {}),
+    ("verify", "lemmas"): (_run_verify_lemmas, (), {}),
 }
 
 _HELP = {
@@ -246,7 +233,7 @@ def build_parser() -> tuple:
     parser = argparse.ArgumentParser(prog="hilbcount")
     subs = parser.add_subparsers(dest="command", required=True)
     tops, groups, leaves = {}, {}, {}
-    for key, (_run, flags, defaults, _plot) in _COMMANDS.items():
+    for key, (_run, flags, defaults) in _COMMANDS.items():
         command, sub = key
         if command not in tops:
             tops[command] = subs.add_parser(command, help=_HELP[command])
@@ -267,22 +254,20 @@ def _parse_plain(argv, config=None):
     """The namespace argparse makes of argv, read from _COMMANDS and _FLAGS
     alone, or None if argv is not of the one plain form: a command path,
     then flags of that command spelled in full, each with its value in the
-    next token or after "=", and --plot with none.  An abbreviation, help,
-    "--", an unknown or extra token, and a value that is empty, starts with
-    "-" or is refused by its flag's type or choices all give None.  Values
-    come from the flag defaults, then the command's defaults, then the keys
-    of config (a parsed config file) the command has flags for, then the
-    flags."""
+    next token or after "=".  An abbreviation, help, "--", an unknown or
+    extra token, and a value that is empty, starts with "-" or is refused by
+    its flag's type or choices all give None.  Values come from the flag
+    defaults, then the command's defaults, then the keys of config (a parsed
+    config file) the command has flags for, then the flags."""
     key = _named_command(argv)
     if key is None:
         return None
     command, sub = key
-    own, defaults = _COMMANDS[key][1:3]
+    own, defaults = _COMMANDS[key][1:]
     dests = _COMMON + own
     values = {"command": command} if sub is None else {"command": command, "subcommand": sub}
     for dest in dests:
-        spec = _FLAGS[dest]
-        values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+        values[dest] = _FLAGS[dest].get("default")
     values.update(defaults)
     values.update((k, v) for k, v in (config or {}).items() if k in dests)
     spelled = {"--" + dest.replace("_", "-"): dest for dest in dests}
@@ -293,11 +278,6 @@ def _parse_plain(argv, config=None):
         if dest is None:
             return None
         spec = _FLAGS[dest]
-        if spec.get("action") == "store_true":
-            if eq:
-                return None
-            values[dest] = True
-            continue
         if not eq:
             value = next(tokens, "")
         if not value or value[0] == "-":
@@ -333,35 +313,13 @@ def _parse_args(argv):
     return args
 
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-# reads the data file written alongside and plots ratio vs M (log-scale M)
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else {data!r}
-M, ratio = [], []
-with open(path, newline="") as fh:
-    for row in csv.DictReader(fh):
-        M.append(int(row["M"]))
-        ratio.append(float(row["ratio"]))
-plt.semilogx(M, ratio, marker="o")
-plt.xlabel("M")
-plt.ylabel("count / main term")
-plt.savefig({out!r}, dpi=150)
-print("wrote", {out!r})
-"""
-
-
 def _fingerprint_config(args, key) -> dict:
     """The run configuration a cache entry is keyed by, including a digest
     of the package source, so rows computed by other code are never
     served."""
     from . import cache
 
-    skip = {"cache_dir", "format", "plot", "config"}
+    skip = {"cache_dir", "format", "config"}
     cfg = {
         "command": list(k for k in key if k),
         "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),
@@ -383,29 +341,6 @@ def _emit(columns, rows, fmt, out):
 
         out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
         out.write("\n")
-
-
-def _emit_plot(key, columns, rows):
-    from fractions import Fraction
-
-    spec = _COMMANDS[key][3]
-    if spec is None:
-        print("note: --plot is only supported for count subcommands", file=sys.stderr)
-        return
-    m_col, num_col, den_col = spec
-    name = "_".join(k for k in key if k)
-    data_path = f"{name}_plot.csv"
-    script_path = f"{name}_plot.py"
-    with open(data_path, "w", encoding="utf-8") as fh:
-        fh.write("M,ratio\n")
-        for row in rows:
-            rec = dict(zip(columns, row))
-            num = Fraction(rec[num_col])
-            den = Fraction(rec[den_col])
-            fh.write(f"{rec[m_col]},{float(num / den)!r}\n")
-    with open(script_path, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_SCRIPT.format(data=data_path, out=f"{name}_plot.png"))
-    print(f"wrote {data_path} and {script_path}", file=sys.stderr)
 
 
 def dispatch(argv, out=None) -> int:
@@ -438,8 +373,6 @@ def dispatch(argv, out=None) -> int:
         else:
             columns, rows = payload["columns"], payload["rows"]
         _emit(columns, rows, args.format, out)
-        if args.plot:
-            _emit_plot(key, columns, rows)
         return 0
     except (UsageError, CharacteristicError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,9 @@ from .ratpoints import schanuel_constant
 # Max bit length of q^deg_cut, the norm of the last places an Euler product
 # takes in; its exact factors and working digits grow with it.
 EULER_BITS_GUARD = 512
+# Max bit length of q^(n+1), the size of the Schanuel constant's numerator
+# that the P^n constant prints exactly.
+PN_BITS_GUARD = 2**15
 
 
 def zeta_fqt(s: int, q: int) -> Fraction:
@@ -185,9 +188,14 @@ def alpha_star_hilbm(mu) -> Fraction:
 
 
 def peyre_constant_pn(n: int, q: int, dps: int):
-    """Leading constant for P^n over F_q(t): S(n+1, 1) / ((n+1) log q)."""
+    """Leading constant for P^n over F_q(t): S(n+1, 1) / ((n+1) log q).
+    Refuses q^(n+1) past PN_BITS_GUARD bits before any work."""
     if n < 1:
         raise ValueError("n >= 1 required")
+    # q^(n+1) has more than (n+1)(bit_length(q) - 1) bits, so it is built
+    # only below twice the guard
+    if (n + 1) * (q.bit_length() - 1) >= PN_BITS_GUARD or (q ** (n + 1)).bit_length() > PN_BITS_GUARD:
+        raise SizeError(f"P^n constant at n = {n}: q^(n+1) = {q}^{n + 1} exceeds guard of {PN_BITS_GUARD} bits")
     S = schanuel_constant(n, q)
     with localcontext() as ctx:
         ctx.prec = dps

@@ -430,17 +430,25 @@ def test_count_pairs_range_counts_each_height_once(monkeypatch):
             "Euler product to deg_cut 1000000: q^deg_cut = 3^1000000 exceeds guard of 512 bits",
         ),
         (["peyre", "cm", "--q", "16", "--m", "3", "--deg-cut", "128"], "deg_cut 128: q^deg_cut = 16^128 exceeds"),
+        (
+            ["peyre", "pn", "--q", "3", "--n", "1000000"],
+            "P^n constant at n = 1000000: q^(n+1) = 3^1000001 exceeds guard of 32768 bits",
+        ),
+        (["peyre", "pn", "--q", "1099511627689", "--n", "819"], "n = 819: q^(n+1) = 1099511627689^820 exceeds"),
     ],
 )
 def test_bit_guards_refuse_before_any_work(argv, message, monkeypatch, capsys):
-    """The pair count and the Euler product refuse on the bit length of the
-    power of q their cost grows with, before a point count or a place count
-    is made, so neither a large q nor a large M or cut slips past."""
+    """The pair count, the Euler product and the P^n constant refuse on the
+    bit length of the power of q their cost grows with, before a point
+    count, a place count or the P^n Schanuel constant is made, so neither a
+    large q nor a large M, cut or n slips past."""
     def no_work(*args):
         raise AssertionError("work was done before the guard")
 
     monkeypatch.setattr(ratpoints, "point_count_exact_height", no_work)
     monkeypatch.setattr(peyre, "irreducible_count", no_work)
+    if argv[1] == "pn":  # cm reads the small S(3, 1) before its guard
+        monkeypatch.setattr(peyre, "schanuel_constant", no_work)
     start = time.monotonic()
     code, out = run(argv)
     assert time.monotonic() - start < 1
@@ -449,14 +457,19 @@ def test_bit_guards_refuse_before_any_work(argv, message, monkeypatch, capsys):
 
 
 def test_bit_guards_admit_their_limit():
-    """The largest M and cut at q = 16 run; one more is refused."""
+    """The largest M, cut and n run; one more is refused."""
     assert ratpoints.count_reducible_pairs(16, 2730, 2730)[0].match
     assert len(peyre.places_by_degree(16, 127)) == 127
     assert len(peyre.places_by_degree(3, 323)) == 323
+    for n, q in ((20673, 3), (32766, 2), (818, 1099511627689)):
+        assert peyre.peyre_constant_pn(n, q, dps=50).exact_prefactor == ratpoints.schanuel_constant(n, q)
     for call in (
         lambda: ratpoints.count_reducible_pairs(16, 2731, 2731),
         lambda: peyre.places_by_degree(16, 128),
         lambda: peyre.places_by_degree(3, 324),
+        lambda: peyre.peyre_constant_pn(20674, 3, dps=50),
+        lambda: peyre.peyre_constant_pn(32767, 2, dps=50),
+        lambda: peyre.peyre_constant_pn(819, 1099511627689, dps=50),
     ):
         with pytest.raises(SizeError):
             call()
@@ -719,23 +732,22 @@ def test_digits_guard_refuses_before_any_work(tmp_path, monkeypatch, capsys):
     assert out.splitlines()[1].split(",")[0] == fmt_value(value, limit)
 
 
-def test_config_plot_is_checked(tmp_path, monkeypatch, capsys):
+def test_plot_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """--plot, with or without a value, and a config line plot = ... are
+    refused as any unknown flag or key is, with exit 2 and nothing written:
+    argparse prints its usage line and one error line, a config file one
+    error line."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "p.cfg"
-    argv = ["count", "pairs", "--q", "2", "--M", "1", "--config", str(cfg)]
-    for value in ("on", "2", ""):
-        cfg.write_text(f"plot = {value}\n")
-        code, out = run(argv)
-        assert code == 2 and out == ""
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}:1: bad value for plot: ") and err.count("\n") == 1
-    assert not list(tmp_path.glob("count_pairs_plot.*"))
-    for value, plotted in (("Yes", True), ("true", True), ("1", True), ("NO", False), ("false", False), ("0", False)):
-        cfg.write_text(f"plot = {value}\n")
-        assert run(argv)[0] == 0
-        assert (tmp_path / "count_pairs_plot.csv").exists() is plotted
-        for path in tmp_path.glob("count_pairs_plot.*"):
-            path.unlink()
+    cfg.write_text("plot = yes\n")
+    command = ["count", "pairs", "--q", "2", "--M", "1"]
+    for flag in ("--plot", "--plot=1"):
+        assert run(command + [flag]) == (2, "")
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: ") and error == f"hilbcount: error: unrecognized arguments: {flag}"
+    assert run(command + ["--config", str(cfg)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'plot'\n"
+    assert os.listdir(tmp_path) == ["p.cfg"]
 
 
 def test_parse_config(tmp_path):
@@ -928,18 +940,6 @@ def test_cache_roundtrip_helper(tmp_path):
     assert cache_roundtrip(str(tmp_path), {"k": "v"}, payload) == payload
 
 
-def test_plot_outputs(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, _ = run(["count", "pairs", "--q", "2", "--M", "1", "--M-max", "3", "--plot"])
-    assert code == 0
-    data = (tmp_path / "count_pairs_plot.csv").read_text()
-    lines = data.splitlines()
-    assert lines[0] == "M,ratio"
-    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
-    script = (tmp_path / "count_pairs_plot.py").read_text()
-    assert "semilogx" in script
-
-
 # per command, a non-default value of each flag it has beyond the common ones
 _OWN_FLAGS = {
     ("count", "rational"): {"M": "1", "M_max": "2", "n": "1"},
@@ -974,7 +974,7 @@ def _key_id(key):
 # SHA-256 of the JSON list of [argv, exit code, stdout, stderr] of dispatch
 # over _help_and_error_argv() at COLUMNS=80, pinned while argparse built only
 # the leaf of the command that argv names.
-HELP_AND_ERRORS_SHA256 = "cd4c4726a7a6d92e5bd2ee7ab77207a06b2c1c36867fcf193f4be67e696a681a"
+HELP_AND_ERRORS_SHA256 = "1677c88b033bc40bbcbf2579833aaf8827b372d14e31ea7e38e43fa61137bbd4"
 
 
 def _help_and_error_argv():
@@ -1012,8 +1012,8 @@ def test_plain_parse_reads_own_flags(key):
     """Each command's own flags, with every value spaced or after "=", are
     read from the tables, into the namespace argparse makes of them."""
     command = [k for k in key if k]
-    spaced = command + ["--q", "3", "--plot", "--format", "json"]
-    joined = command + ["--q=3", "--plot", "--format=json"]
+    spaced = command + ["--q", "3", "--format", "json"]
+    joined = command + ["--q=3", "--format=json"]
     for name, value in _OWN_FLAGS[key].items():
         flag = "--" + name.replace("_", "-")
         spaced += [flag, value]
@@ -1040,7 +1040,6 @@ def test_plain_parse_reads_own_flags(key):
         ["count", "pairs", "--q", "x"],
         ["count", "pairs", "--format", "xml"],
         ["count", "pairs", "--format=xml"],
-        ["count", "pairs", "--plot=1"],
         ["count", "pairs", "--q"],
         ["count", "pairs", "--q", "3", "extra"],
         ["count", "pairs", "--q", "3", "--n", "2"],
@@ -1057,9 +1056,8 @@ def test_plain_parse_leaves_the_rest_to_argparse(argv):
 _SPELLINGS = ["--" + dest.replace("_", "-") for dest in cli._FLAGS]
 _GOOD_VALUES = ["1", "2", "3", "12", "csv", "json", "1/2"]
 _BAD_VALUES = ["-1", "-3", "", "x", " 4", "xml", "--q"]
-_CONFIG_LINES = ["q = 5", "digits = 7", "format = json", "format = xml", "plot = yes", "plot = 0",
-                 "M = 2", "M_max = 4", "n = 3", "m_max = 5", "m = 4", "mu = 1/3", "deg_cut = 9",
-                 "digits = x", "zq = 1"]
+_CONFIG_LINES = ["q = 5", "digits = 7", "format = json", "format = xml", "M = 2", "M_max = 4",
+                 "n = 3", "m_max = 5", "m = 4", "mu = 1/3", "deg_cut = 9", "digits = x", "zq = 1"]
 
 
 def _dispatch_namespace(argv):
@@ -1086,7 +1084,7 @@ def test_plain_parse_agrees_with_argparse(config_path, data):
     paths = [[k for k in key if k] for key in cli._COMMANDS] + [["count"], ["peyre", "nope"], ["nope"], []]
     exact = st.sampled_from(_SPELLINGS)
     abbreviated = exact.flatmap(lambda f: st.integers(3, len(f)).map(lambda n: f[:n]))
-    odd = st.sampled_from(["-h", "--help", "--", "-q", "--nope", "--plot=x", "--plot=", "extra"])
+    odd = st.sampled_from(["-h", "--help", "--", "-q", "--nope", "extra"])
     flag = st.one_of(exact, exact, abbreviated, odd)
     value = st.sampled_from(_GOOD_VALUES + _BAD_VALUES)
     item = st.one_of(
@@ -1115,23 +1113,22 @@ def test_plain_parse_agrees_with_argparse(config_path, data):
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
-def test_config_file_equals_flags(key, tmp_path, monkeypatch, capsys):
+def test_config_file_equals_flags(key, tmp_path, capsys):
     """A config file setting each flag of a command prints what the same
     flags print, under the same cache entry; a key whose flag only another
     command has is ignored."""
-    monkeypatch.chdir(tmp_path)  # --plot writes its files here
     own = _OWN_FLAGS[key]
     assert set(own) == set(cli._COMMANDS[key][1])
     cache_dir = tmp_path / "cache"
     values = {"q": "3", "digits": "8", "format": "json", "cache_dir": str(cache_dir), **own}
     command = [k for k in key if k]
-    argv = command + ["--plot"]
+    argv = list(command)
     for name, value in values.items():
         argv += ["--" + name.replace("_", "-"), value]
     cfg = tmp_path / "run.cfg"
     lines = [f"{name} = {value}" for name, value in values.items()]
     lines += [f"{name} = {value}" for name, value in _FOREIGN_FLAGS.items() if name not in own]
-    cfg.write_text("\n".join(lines + ["plot = yes"]) + "\n")
+    cfg.write_text("\n".join(lines) + "\n")
 
     code, flagged = run(argv)
     flagged_err = capsys.readouterr().err
@@ -1139,3 +1136,22 @@ def test_config_file_equals_flags(key, tmp_path, monkeypatch, capsys):
     assert run(command + ["--config", str(cfg)]) == (0, flagged)
     assert capsys.readouterr().err == flagged_err
     assert len(os.listdir(cache_dir)) == 1  # the second run was a hit
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
+def test_no_command_writes_outside_its_cache_dir(key, tmp_path, monkeypatch):
+    """Run from an empty working directory, a command writes nothing there
+    without --cache-dir, and with it only the cache directory gains files."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [k for k in key if k] + ["--q", "3"]
+    for name, value in _OWN_FLAGS[key].items():
+        argv += ["--" + name.replace("_", "-"), value]
+    assert run(argv)[0] == 0
+    assert os.listdir(work) == []
+    cache_dir = tmp_path / "cache"
+    assert run(argv + ["--cache-dir", str(cache_dir)])[0] == 0
+    assert os.listdir(work) == []
+    assert sorted(os.listdir(tmp_path)) == ["cache", "work"] and os.listdir(cache_dir)

@@ -340,9 +340,12 @@ def test_every_import_is_used():
 
 def test_every_flag_is_used_by_a_command():
     """Every `cli._FLAGS` entry is a common flag or a flag of some command in
-    `cli._COMMANDS`, so a flag that no command parses cannot linger."""
-    used = set(cli._COMMON).union(*(flags for _run, flags, _defaults, _plot in cli._COMMANDS.values()))
+    `cli._COMMANDS`, so a flag that no command parses cannot linger, and
+    every flag takes a value: no entry has an `action`, which is what lets
+    the table parser and `parse_config` read each value one way."""
+    used = set(cli._COMMON).union(*(flags for _run, flags, _defaults in cli._COMMANDS.values()))
     assert sorted(set(cli._FLAGS) - used) == []
+    assert [dest for dest, spec in cli._FLAGS.items() if "action" in spec] == []
 
 
 # The only code outside fqarith that names F_q itself: the count that does
