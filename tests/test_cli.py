@@ -732,20 +732,25 @@ def test_digits_guard_refuses_before_any_work(tmp_path, monkeypatch, capsys):
     assert out.splitlines()[1].split(",")[0] == fmt_value(value, limit)
 
 
-def test_plot_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    """--plot, with or without a value, and a config line plot = ... are
-    refused as any unknown flag or key is, with exit 2 and nothing written:
-    argparse prints its usage line and one error line, a config file one
-    error line."""
+def test_plot_outputs(tmp_path, monkeypatch, capsys):
+    """--plot, with or without a value, is refused as any unknown flag is:
+    exit 2, argparse's usage line and one error line, and nothing written."""
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("plot = yes\n")
     command = ["count", "pairs", "--q", "2", "--M", "1"]
     for flag in ("--plot", "--plot=1"):
         assert run(command + [flag]) == (2, "")
         usage, error = capsys.readouterr().err.splitlines()
         assert usage.startswith("usage: ") and error == f"hilbcount: error: unrecognized arguments: {flag}"
-    assert run(command + ["--config", str(cfg)]) == (2, "")
+    assert os.listdir(tmp_path) == []
+
+
+def test_config_plot_is_checked(tmp_path, monkeypatch, capsys):
+    """A config line plot = ... is refused as any unknown key is: exit 2,
+    one error line, and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("plot = yes\n")
+    assert run(["count", "pairs", "--q", "2", "--M", "1", "--config", str(cfg)]) == (2, "")
     assert capsys.readouterr().err == f"error: {cfg}:1: unknown config key 'plot'\n"
     assert os.listdir(tmp_path) == ["p.cfg"]
 
@@ -1040,6 +1045,7 @@ def test_plain_parse_reads_own_flags(key):
         ["count", "pairs", "--q", "x"],
         ["count", "pairs", "--format", "xml"],
         ["count", "pairs", "--format=xml"],
+        ["count", "pairs", "--plot=1"],
         ["count", "pairs", "--q"],
         ["count", "pairs", "--q", "3", "extra"],
         ["count", "pairs", "--q", "3", "--n", "2"],
