@@ -19,7 +19,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import CharacteristicError, SizeError
+from .errors import SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
 _FORMATS = ("csv", "json")
@@ -374,7 +374,7 @@ def dispatch(argv, out=None) -> int:
             columns, rows = payload["columns"], payload["rows"]
         _emit(columns, rows, args.format, out)
         return 0
-    except (UsageError, CharacteristicError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeError as exc:

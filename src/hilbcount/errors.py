@@ -1,9 +1,5 @@
-"""Shared exception types."""
+"""The exception of the hard size guards."""
 
 
 class SizeError(Exception):
     """A requested enumeration or series computation exceeds a hard guard."""
-
-
-class CharacteristicError(Exception):
-    """Operation requires odd characteristic."""

@@ -22,7 +22,6 @@ from .errors import SizeError
 from .fqarith import mobius
 
 SERIES_ORDER_GUARD = 64
-SERIES_Q_GUARD = 16
 
 
 def _check_field_size(q: int):
@@ -35,18 +34,12 @@ def _check_series_order(order: int):
         raise SizeError(f"series order {order} exceeds guard order <= {SERIES_ORDER_GUARD}")
 
 
-def _check_series_guard(q: int, order: int):
-    _check_series_order(order)
-    if q > SERIES_Q_GUARD:
-        raise SizeError(f"series at q = {q} exceeds guard q <= {SERIES_Q_GUARD}")
-
-
 def sym_counts(q: int, m_max: int) -> list[int]:
     """|Sym^m P^2(F_q)| for m = 0..m_max: the coefficients of the zeta
     series 1/((1-t)(1-qt)(1-q^2 t)), each geometric factor 1/(1 - a t)
     applied in place by series[i] += a * series[i-1]."""
     _check_field_size(q)
-    _check_series_guard(q, m_max)
+    _check_series_order(m_max)
     series = [1] + [0] * m_max
     for a in (1, q, q * q):
         for i in range(1, m_max + 1):
@@ -87,7 +80,7 @@ def hilb_counts(q: int, m_max: int) -> list[int]:
     the plane.  With b_n = n * [t^n] of the argument, an integer, they obey
     n h_n = sum_{k=1}^{n} b_k h_{n-k}; the division by n must be exact."""
     _check_field_size(q)
-    _check_series_guard(q, m_max)
+    _check_series_order(m_max)
     # b_n = sum over k | n of (n/k) N_k q^(n-k)
     b = [0] * (m_max + 1)
     for k in range(1, m_max + 1):

@@ -1,19 +1,25 @@
-"""The count of the degree-2 points of the projective plane over F_q(t), q
-odd, of a given exact height, and the geometry it rests on.
+"""The count of the degree-2 points of the projective plane over F_q(t) of a
+given exact height, and the geometry it rests on.
 
-Coordinates: an element a + b sqrt(D) of L = F_q(t)(sqrt(D)) holds
-polynomial parts a, b in F_q[t].  Every point of P^2(L) has such
-coordinates, and a canonical choice needs no division in L: multiplying by
-the conjugate of the first nonzero coordinate x_0 turns it into N(x_0) in
-F_q[t], which leaves only F_q(t)^* to scale by, and removing the content of
-the six parts and making the first nonzero leading coefficient 1 fixes that
-scale.  A Galois orbit {x, conj x} is a point of Sym^2 P^2, the point
-(x_i conj(x_i), x_i conj(x_j) + x_j conj(x_i)) of P^5(F_q(t)), the
-coefficients of the product of the two conjugate linear forms; it is
-unchanged by conjugation and by scaling, and it is the orbit's key.  The
-count builds neither coordinates nor keys; the tests build both for every
-orbit it counts at q = 3, M = 1 (the explicit-orbit route of
-tests/oracles.py) and read each height off the key.
+Keys: a Galois orbit {x, x'} of degree-2 points is a point of Sym^2 P^2,
+the coefficients (x_i x'_i, x_i x'_j + x_j x'_i) in P^5(F_q(t)) of the
+product of the two conjugate linear forms; it is unchanged by conjugation
+and by scaling, and it is the orbit's key.  On a line with basis (P, Q)
+(below) the point of a form A s^2 + B s u + C u^2 is x = s_0 P + Q with
+A s_0^2 + B s_0 + C = 0, and A times its key is, with no square root and
+in every characteristic,
+
+    key_ii = C P_i^2 - B P_i Q_i + A Q_i^2,
+    key_ij = 2 C P_i P_j - B (P_i Q_j + P_j Q_i) + 2 A Q_i Q_j    (i < j).
+
+The count builds no keys; the tests build them on walked lines at small q,
+even q included (the key route of tests/oracles.py), and read each height
+off the key.  At odd q they also build coordinates (the explicit-orbit
+route, at q = 3, M = 1): a + b sqrt(D) in L = F_q(t)(sqrt(D)) with
+polynomial parts a, b, made canonical with no division in L by
+multiplying by the conjugate of the first nonzero coordinate, which turns
+it into its norm in F_q[t], then removing the content of the six parts and
+making the first nonzero leading coefficient 1.
 
 Height: H(x) = (prod_w max_i |x_i|_w)^(1/2) over the places w of L, with
 |z|_w = q^(-w(z) deg(w)), w the valuation onto Z, deg(w) = f_w times the
@@ -75,8 +81,8 @@ one segment, whatever cancels in B.  Taking half of the ordered pairs plus
 the repeated ones gives the unordered pairs per key, and the primitive
 forms less these are the irreducible ones.  The tests hold this count
 equal, key by key, to a scan over every coefficient triple that keeps the
-primitive forms whose discriminant is not a square; that scan is the
-oracle.
+primitive forms with B != a d + b c for every factorisation a c = A (a
+monic) and b d = C; that scan is the oracle.
 
 The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
 H^2 >= q^(deg F + 2 d_P), so the count reads only those classes and forms.
@@ -106,16 +112,11 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import CharacteristicError, SizeError
+from .errors import SizeError
 from .records import fmt_fraction
 
 # max height exponent M of a degree-2 count, whose class sum is O(M^5)
 M_GUARD = 30
-
-
-def _require_odd(q: int):
-    if q % 2 == 0:
-        raise CharacteristicError("quadratic extensions need odd q")
 
 
 def _line_count(q: int, dP: int, dQ: int) -> int:
@@ -223,7 +224,6 @@ def enumerate_degree2(q: int, M: int, M_max: int) -> list[QuadraticCount]:
     the module docstring a class and form reaching exponent M have
     2 d_Q <= M and deg F <= M, so every count is complete.  Refuses
     M_max > M_GUARD before any work."""
-    _require_odd(q)
     if M_max > M_GUARD:
         raise SizeError(f"form count at M = {M_max} exceeds guard M <= {M_GUARD}")
     if M < 1:

@@ -18,11 +18,14 @@ package against them.
 - P^n(F_q(t)): `canonicalize`, which reduces a coordinate tuple to its
   canonical point by a gcd, and `enumerate_exact_height`, which builds every
   point that `ratpoints.count_exact_height` counts from the `Poly` sieve.
-- Degree-2 points of the plane: the quadratic extensions L =
+- Degree-2 points of the plane: the key route, which reads the orbit key
+  in Sym^2 P^2 of the point of an irreducible form on a line straight off
+  the line's basis and the form's coefficients, at every q (see the
+  `quadfield` docstring); at odd q the quadratic extensions L =
   F_q(t)(sqrt(D)), the canonical coordinates of a point of P^2(L) and its
-  orbit key in Sym^2 P^2 (see the `quadfield` docstring), the height read
-  off that key, and `kt_main_term`, the `Fraction` the integer
-  main_term and ratio cells of `count quadratic` are checked against.
+  orbit key; the height read off a key; and `kt_main_term`, the `Fraction`
+  the integer main_term and ratio cells of `count quadratic` are checked
+  against.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from hilbcount.errors import CharacteristicError, SizeError
+from hilbcount.errors import SizeError
 from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, irreducible_count
-from hilbcount.quadfield import _require_odd
 from hilbcount.ratpoints import schanuel_constant
 
 # Max number of coordinate tuples an enumerate_exact_height scan covers.
@@ -79,7 +81,7 @@ def is_square_unit(field: FqField, a: int) -> bool:
     if a == 0:
         raise ValueError("zero is not a unit")
     if field.q % 2 == 0:
-        raise CharacteristicError("squareness of units needs odd q")
+        raise ValueError("squareness of units needs odd q")
     return field_pow(field, a, (field.q - 1) // 2) == 1
 
 
@@ -481,11 +483,36 @@ def enumerate_exact_height(n: int, field: FqField, M: int):
 # --- degree-2 points of the plane ---
 
 
+def sym2_basis(P, Q) -> list[tuple[Poly, Poly, Poly]]:
+    """The Sym^2 coordinates of P P, P Q + Q P and Q Q for a line with basis
+    (P, Q): one triple (P_i^2, P_i Q_i, Q_i^2) per coordinate ii, then one
+    triple (2 P_i P_j, P_i Q_j + P_j Q_i, 2 Q_i Q_j) per coordinate ij,
+    i < j, in the order of `_orbit_key`."""
+    n = len(P)
+    out = [(P[i] * P[i], P[i] * Q[i], Q[i] * Q[i]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pp = P[i] * P[j]
+            qq = Q[i] * Q[j]
+            out.append((pp + pp, P[i] * Q[j] + P[j] * Q[i], qq + qq))
+    return out
+
+
+def line_form_key(basis, A: Poly, B: Poly, C: Poly) -> ProjPointFqt:
+    """The orbit key in Sym^2 P^2 of the point s_0 P + Q, A s_0^2 + B s_0 + C
+    = 0, of an irreducible form on the line with `sym2_basis` basis: A times
+    the key is C P P - B (P Q + Q P) + A Q Q (see the quadfield docstring),
+    made canonical.  No square root is taken, so it holds at every q, and
+    H^2 = q^(max deg) of the canonical key."""
+    return canonicalize([C * pp - B * pq + A * qq for pp, pq, qq in basis])
+
+
 class QuadExt:
     """L = F_q(t)(sqrt(D)) for squarefree D (or a nonsquare constant)."""
 
     def __init__(self, field: FqField, d: Poly):
-        _require_odd(field.q)
+        if field.q % 2 == 0:
+            raise ValueError("F_q(t)(sqrt(D)) needs odd q")
         if d.is_zero:
             raise ValueError("D must be nonzero")
         if d.degree == 0:

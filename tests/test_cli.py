@@ -202,7 +202,7 @@ def test_verify_lemmas_digits_past_fifty():
 def test_usage_errors_exit_2():
     assert dispatch(["count", "rational", "--q", "2", "--n", "1"], out=io.StringIO()) == 2  # missing --M
     assert dispatch(["count", "rational", "--nope"], out=io.StringIO()) == 2
-    assert dispatch(["count", "quadratic", "--q", "2", "--M", "1"], out=io.StringIO()) == 2  # even q
+    assert dispatch(["count", "quadratic", "--q", "2", "--M", "0"], out=io.StringIO()) == 2  # M < 1
     assert dispatch(["count", "rational", "--q", "6", "--n", "1", "--M", "1"], out=io.StringIO()) == 2
     for m_max in ("0", "-1"):
         assert dispatch(["cycles", "--q", "2", "--m-max", m_max], out=io.StringIO()) == 2
@@ -281,13 +281,14 @@ Q_ONLY = [
     ["peyre", "cm", "--m", "3"],
     ["verify", "lemmas"],
     ["count", "pairs", "--M", "1", "--M-max", "2"],
+    ["cycles"],
 ]
 
 
 @pytest.mark.parametrize("q", [2**24, 3**15])
 def test_q_only_commands_build_no_field(q, monkeypatch, capsys):
     """Past the modulus search guard, every command that reads q alone
-    runs: none builds F_q.  count quadratic needs odd q."""
+    runs at odd and even q: none builds F_q."""
     def no_field(*args):
         raise AssertionError("F_q was built")
 
@@ -296,10 +297,7 @@ def test_q_only_commands_build_no_field(q, monkeypatch, capsys):
         code, out = run(argv + ["--q", str(q)])
         assert code == 0 and len(out.splitlines()) > 1, (argv, capsys.readouterr().err)
     code, out = run(["count", "quadratic", "--q", str(q), "--M", "1"])
-    if q % 2:
-        assert code == 0 and out.splitlines()[1].startswith(f"{q},1,")
-    else:
-        assert code == 2 and capsys.readouterr().err == "error: quadratic extensions need odd q\n"
+    assert code == 0 and out.splitlines()[1].startswith(f"{q},1,")
     code, out = run(["count", "rational", "--q", str(q), "--n", "1", "--M", "0"])
     assert code == 3 and out == ""
     assert capsys.readouterr().err == (
@@ -321,6 +319,10 @@ def test_largest_guarded_field_size_runs():
     # 2^40 - 87, the largest 40-bit prime, is validated by trial division
     code, out = run(["peyre", "pn", "--q", "1099511627689"])
     assert code == 0 and out.startswith("value,residual_bound,exact_prefactor\n")
+    # the series order guard alone bounds cycles, at every admitted q
+    for q, m_max in ((17, 2), (1099511627689, 64)):
+        code, out = run(["cycles", "--q", str(q), "--m-max", str(m_max)])
+        assert code == 0 and len(out.splitlines()) == m_max + 1
 
 
 def test_field_size_guard_before_trial_division(monkeypatch, capsys):
@@ -338,14 +340,15 @@ def test_field_size_guard_before_trial_division(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["cycles", "--q", "17", "--m-max", "2"], "series at q = 17 exceeds guard q <= 16"),
+        (["cycles", "--q", "17", "--m-max", "65"], "series order 65 exceeds guard order <= 64"),
         (["cycles", "--q", "5", "--m-max", "65"], "series order 65 exceeds guard order <= 64"),
         (["peyre", "hilbm", "--q", "3", "--m", "65", "--mu", "1"], "series order 65 exceeds guard order <= 64"),
     ],
 )
 def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
-    """The series guards state the bound exceeded, in one wording for
-    `cycles` and for the Hilb^m polynomial of `peyre hilbm`."""
+    """The series order guard states the bound exceeded, in one wording for
+    `cycles`, past q = 16 as below it, and for the Hilb^m polynomial of
+    `peyre hilbm`."""
     code, out = run(argv)
     assert code == 3 and out == ""
     assert capsys.readouterr().err == f"size guard: {message}\n"

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 
 import oracles
-from hilbcount.errors import CharacteristicError, SizeError
+from hilbcount.errors import SizeError
 from hilbcount.fqarith import FqField, field_from_order
 from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
@@ -21,7 +21,6 @@ from hilbcount.quadfield import (
     _form_key,
     _line_count,
     _main_term_cells,
-    _require_odd,
     enumerate_degree2,
 )
 from oracles import (
@@ -41,16 +40,18 @@ from oracles import (
     is_square_unit,
     is_squarefree,
     kt_main_term,
-    poly_gcd,
+    line_form_key,
     poly_gcd_all,
     poly_xgcd,
     scale,
     serialize,
     squarefree_decompose,
+    sym2_basis,
 )
 
 F2 = FqField(2)
 F3 = FqField(3)
+F4 = field_from_order(4)
 F5 = FqField(5)
 F7 = FqField(7)
 F9 = field_from_order(9)
@@ -77,7 +78,7 @@ def rand_elem(rng, ext, max_deg=3):
 
 
 def test_quadext_validation():
-    with pytest.raises(CharacteristicError):
+    with pytest.raises(ValueError, match="needs odd q"):
         QuadExt(F2, t_poly(F2))
     with pytest.raises(ValueError):
         QuadExt(F3, Poly(F3, ()))
@@ -265,62 +266,37 @@ def test_main_term_cells_match_fraction_oracle(field):
             assert _main_term_cells(q, M, count) == (str(main), str(count / main)), (M, count)
 
 
-def _poly_sqrt_by_coefficients(f):
-    """The polynomial square root of f, or None, by solving for the
-    coefficients from the top down (f nonzero, even degree, square leading
-    unit)."""
-    field = f.field
-    n = f.degree // 2
-    g = [0] * (n + 1)
-    g[n] = next(r for r in range(1, field.q) if field.mul(r, r) == f.lead)
-    inv_top = field_inv(field, field.mul(field.add(1, 1), g[n]))
-    for k in range(1, n + 1):
-        idx = 2 * n - k
-        acc = f.coeffs[idx] if idx < len(f.coeffs) else 0
-        for i in range(n - k + 1, n):
-            acc = field.sub(acc, field.mul(g[i], g[idx - i]))
-        g[n - k] = field.mul(acc, inv_top)
-    cand = Poly(field, g)
-    return cand if cand * cand == f else None
-
-
-def _is_square_by_sqrt(f):
-    if f.is_zero:
-        return True
-    if f.degree % 2 == 1 or not is_square_unit(f.field, f.lead):
-        return False
-    return f.degree == 0 or _poly_sqrt_by_coefficients(f) is not None
-
-
 def _form_stream(field: FqField, fmax: int):
-    """Yield (A, B, C, disc) over primitive forms with monic A, nonsquare
-    discriminant, and coefficient degrees <= fmax.  The form is primitive
-    iff the AND of the divisor masks of A, B and C is 0.  disc = B^2 - 4AC
-    has degree <= 2 fmax, so it is a square, zero included, iff it is the
-    square of a polynomial of degree <= fmax: one of the B^2.  The scan over
-    every coefficient triple is the oracle for quadfield._form_counts."""
-    ncodes = field.q ** (fmax + 1)
+    """Yield (A, B, C) over the primitive irreducible forms with monic A,
+    C != 0 and coefficient degrees <= fmax.  The form is primitive iff the
+    AND of the divisor masks of A, B and C is 0, and by Gauss's lemma
+    reducible iff it is (a s + b u)(c s + d u), that is iff B = a d + b c
+    for some factorisation a c = A (a monic) and b d = C; the factorisations
+    of each code are built once.  No square root is taken, so the scan runs
+    at every q; over every coefficient triple, it is the oracle for
+    quadfield._form_counts."""
     polys, mask, monic_codes = divisor_masks_by_poly(field, fmax)
-    bsq = [f * f for f in polys]
-    squares = {f.coeffs for f in bsq}
-    four = field.add(field.add(1, 1), field.add(1, 1))
+    ncodes = len(polys)
+    code_of = {f.coeffs: code for code, f in enumerate(polys)}
+    factors = [[] for _ in polys]  # (x, y) with x y = f, for each code of f
+    for x in polys[1:]:
+        for y in polys[1 : field.q ** (fmax - x.degree + 1)]:
+            factors[code_of[(x * y).coeffs]].append((x, y))
     for ai in monic_codes:
         A = polys[ai]
+        splits = [(a, c) for a, c in factors[ai] if is_monic(a)]
         for ci in range(1, ncodes):
             C = polys[ci]
-            ac4 = scale(A * C, four)
+            reducible = {(a * d + b * c).coeffs for a, c in splits for b, d in factors[ci]}
             mAC = mask[ai] & mask[ci]
             for bi in range(ncodes):
-                if mAC & mask[bi]:
-                    continue
-                disc = bsq[bi] - ac4
-                if disc.coeffs in squares:
-                    continue
-                yield A, polys[bi], C, disc
+                B = polys[bi]
+                if not mAC & mask[bi] and B.coeffs not in reducible:
+                    yield A, B, C
 
 
-# The streams the form oracles read form by form, held as lists (about 13 MB
-# together); the larger ones, up to 90 MB as lists, are only counted.
+# The streams the form oracles read form by form, held as lists (about 5 MB
+# together); the larger ones, up to 40 MB as lists, are only counted.
 _LISTED_STREAMS = ((F3, 2), (F5, 1), (F9, 1))
 
 
@@ -336,11 +312,12 @@ def _stream_forms(field: FqField, fmax: int) -> Counter:
     deg B = -1 for B = 0; built once per (field, fmax)."""
     listed = (field, fmax) in _LISTED_STREAMS
     forms = _listed_stream(field, fmax) if listed else _form_stream(field, fmax)
-    return Counter((A.degree, B.degree, C.degree) for A, B, C, _disc in forms)
+    return Counter((A.degree, B.degree, C.degree) for A, B, C in forms)
 
 
 @pytest.mark.parametrize(
-    "q, fmax", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (9, 1)]
+    "q, fmax",
+    [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1), (8, 1), (9, 1)],
 )
 def test_form_counts_match_stream(q, fmax):
     """The closed form equals the scan over every coefficient triple, key by
@@ -359,31 +336,6 @@ def test_enumerate_degree2_builds_no_poly(monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", no_poly)
     assert enumerate_degree2(3, 3, 3)[0].count == 6225336
-
-
-def _form_stream_by_sqrt(field, fmax):
-    """The form stream with the square filter that solved for a square root
-    of each discriminant; the oracle for the set lookup of squares."""
-    polys = all_polys(field, fmax)
-    four = field.add(field.add(1, 1), field.add(1, 1))
-    for A in (f for f in polys if is_monic(f)):
-        for C in polys[1:]:
-            ac4 = scale(A * C, four)
-            gAC = poly_gcd(A, C)
-            for B in polys:
-                disc = B * B - ac4
-                if _is_square_by_sqrt(disc):
-                    continue
-                if gAC.degree > 0 and poly_gcd(gAC, B).degree > 0:
-                    continue
-                yield A, B, C, disc
-
-
-def test_form_stream_square_lookup_matches_sqrt_oracle():
-    for field, fmax in _LISTED_STREAMS:
-        got = [tuple(f.coeffs for f in form) for form in _listed_stream(field, fmax)]
-        want = [tuple(f.coeffs for f in form) for form in _form_stream_by_sqrt(field, fmax)]
-        assert got and got == want
 
 
 def test_form_stream_reads_primitivity_from_masks(monkeypatch):
@@ -459,11 +411,72 @@ def _line_classes(field: FqField, dq_cap: int) -> Counter:
     return Counter((dP, dQ) for (_, dP), (_, dQ) in _lines(field, dq_cap))
 
 
-def test_line_count_matches_line_walk():
-    """T equals the walk's classes at q = 3 up to dual height 2."""
-    assert _line_classes(F3, 1) == Counter(
-        {(dP, dQ): _line_count(3, dP, dQ) for dQ in range(2) for dP in range(dQ + 1)}
+@pytest.mark.parametrize("q", [2, 3])
+def test_line_count_matches_line_walk(q):
+    """T equals the walk's classes at q = 2 and 3 up to dual height 2."""
+    assert _line_classes(FqField(q), 1) == Counter(
+        {(dP, dQ): _line_count(q, dP, dQ) for dQ in range(2) for dP in range(dQ + 1)}
     )
+
+
+# The key route: the height of every (line, form) pair read off its Sym^2
+# key, at every q.  Rows walk every line, or the first line of each class
+# where every line is too slow for Tier-1.
+_KEY_ROUTE_ROWS = {(2, 1): True, (2, 2): False, (3, 1): True, (4, 1): False}
+
+
+@functools.lru_cache(maxsize=None)
+def _key_route(q: int, M: int) -> dict:
+    """{(d_P, d_Q): Counter {e: forms}} over the walked lines with
+    d_Q <= M // 2 and the forms of degree <= M, counting the forms whose key
+    has H^2 = q^e, e <= M; each walked line of a class must give its
+    class's Counter.  Where every line is walked, the keys of H^2 <= q^M are
+    pairwise distinct and each class has T(d_P, d_Q) lines."""
+    field = field_from_order(q)
+    every_line = _KEY_ROUTE_ROWS[q, M]
+    forms = list(_form_stream(field, M))
+    heights, walked, keys = {}, Counter(), set()
+    for (P, dP), (Q, dQ) in _lines(field, M // 2):
+        cls = (dP, dQ)
+        if cls in heights and not every_line:
+            continue
+        basis = sym2_basis(P, Q)
+        got = Counter()
+        for A, B, C in forms:
+            key = line_form_key(basis, A, B, C)
+            e = max(c.degree for c in key.coords)
+            if e <= M:
+                got[e] += 1
+                keys.add(key)
+        assert heights.setdefault(cls, got) == got, (cls, P, Q)
+        walked[cls] += 1
+    if every_line:
+        assert walked == {cls: _line_count(q, *cls) for cls in heights}
+        assert len(keys) == sum(walked[cls] * sum(got.values()) for cls, got in heights.items())
+    return heights
+
+
+@pytest.mark.parametrize("q, M", sorted(_KEY_ROUTE_ROWS))
+def test_key_route_heights_match_class_sum(q, M):
+    """Per line class, the forms of each height H^2 = q^e, e <= M, read off
+    the Sym^2 key of every (line, form) pair, are those whose degree profile
+    has _form_exponent e; times T they are the class's share of
+    enumerate_degree2.  This checks the height formula on lines with d_P
+    or d_Q >= 1, at even q too."""
+    heights = _key_route(q, M)
+    assert set(heights) == {(dP, dQ) for dQ in range(M // 2 + 1) for dP in range(dQ + 1)}
+    forms = _form_counts(q, M)
+    for cls, got in heights.items():
+        want = Counter()
+        for key, n in forms.items():
+            e = _form_exponent(*key, *cls)
+            if e <= M:
+                want[e] += n
+        assert got == want, cls
+    rows = enumerate_degree2(q, 1, M)
+    assert [r.count for r in rows] == [
+        sum(_line_count(q, *cls) * got[m] for cls, got in heights.items()) for m in range(1, M + 1)
+    ]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
@@ -593,12 +606,23 @@ def _kind_exponent(fd: FormData, dP: int, dQ: int) -> int:
     return fd.deg_f + g
 
 
-def _classify_form(A: Poly, B: Poly, C: Poly, disc: Poly, field: FqField) -> FormData:
+@functools.lru_cache(maxsize=None)
+def _scaled_product(f: Poly, g: Poly, c: int) -> Poly:
+    """c f g for an integer c; a stream repeats each pair of factors."""
+    return scale(f * g, c % f.field.p)  # the prime-field scalar c has code c mod p
+
+
+def _discriminant(A: Poly, B: Poly, C: Poly) -> Poly:
+    """B^2 - 4 A C, whose square root the odd-q oracles take."""
+    return _scaled_product(B, B, 1) - _scaled_product(A, C, 4)
+
+
+def _classify_form(A: Poly, B: Poly, C: Poly, field: FqField) -> FormData:
     alpha = A.degree
     gamma = C.degree
     beta = B.degree if not B.is_zero else None
     deg_f = max(alpha, gamma) if beta is None else max(alpha, beta, gamma)
-    kind = _infinite_kind(field, disc)
+    kind = _infinite_kind(field, _discriminant(A, B, C))
     if beta is not None and 2 * beta > alpha + gamma:
         assert kind == "split", "distinct Newton slopes force a split infinity"
         return FormData(deg_f, "split2", (alpha - beta, beta - gamma))
@@ -615,8 +639,8 @@ def test_profile_exponent_matches_infinity_type_oracle():
     classes = [(dP, dQ) for dQ in range(4) for dP in range(dQ + 1)]
     for field, fmax in _LISTED_STREAMS:
         pairs = Counter(
-            ((A.degree, B.degree, C.degree), _classify_form(A, B, C, disc, field))
-            for A, B, C, disc in _listed_stream(field, fmax)
+            ((A.degree, B.degree, C.degree), _classify_form(A, B, C, field))
+            for A, B, C in _listed_stream(field, fmax)
         )
         assert {fd.inf_kind for _, fd in pairs} == {"split2", "split1", "inert", "ramified"}
         for profile, fd in pairs:
@@ -646,12 +670,18 @@ def test_m_guard_message_states_size_and_limit(monkeypatch):
         (F9, 1, 5307120),
         (FqField(7), 2, 780376968),
         (F3, 4, 254964996),
+        (F2, 1, 168),
+        (F2, 2, 2793),
+        (F4, 1, 20160),
     ],
 )
 def test_enumerate_degree2_reach(field, M, count):
-    """Pinned counts.  (7,2) and (3,4) were reached by the form scan in
-    about 40 s each."""
+    """Pinned counts, each even-q one also by the key route.  (7,2) and
+    (3,4) were reached by the form scan in about 40 s each."""
     assert enumerate_degree2(field.q, M, M)[0].count == count
+    if (field.q, M) in _KEY_ROUTE_ROWS:
+        heights = _key_route(field.q, M)
+        assert sum(_line_count(field.q, *cls) * got[M] for cls, got in heights.items()) == count
 
 
 @pytest.mark.parametrize("field, M_max", [(F3, 4), (F5, 2), (F7, 2)])
@@ -672,14 +702,13 @@ def test_sweep_rows_equal_single_counts(field, M_max, monkeypatch):
 
 def degree2_orbits(field: FqField, M: int):
     """Construct each counted orbit explicitly (slow; for cross-validation).
-    Yields DegreeTwoPoint values, one per orbit."""
-    _require_odd(field.q)
+    Yields DegreeTwoPoint values, one per orbit; QuadExt needs odd q."""
     forms = list(_form_stream(field, M))
     for (P, dP), (Q, dQ) in _lines(field, M // 2):
-        for A, B, C, disc in forms:
+        for A, B, C in forms:
             if _form_exponent(A.degree, B.degree, C.degree, dP, dQ) != M:
                 continue
-            d0, h = squarefree_decompose(disc)
+            d0, h = squarefree_decompose(_discriminant(A, B, C))
             ext = QuadExt(field, d0)
             two_a = A + A
             coords = []
@@ -730,8 +759,6 @@ def test_enumerate_degree2_contains_sqrt_t_orbit(orbits_f3_m1):
 
 
 def test_enumerate_degree2_errors():
-    with pytest.raises(CharacteristicError):
-        enumerate_degree2(2, 1, 1)
     with pytest.raises(ValueError):
         enumerate_degree2(3, 0, 1)
     with pytest.raises(SizeError):  # the top M's guard comes first
