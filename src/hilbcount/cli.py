@@ -1,5 +1,6 @@
-"""Command-line surface: argument parsing, key=value config files, result
-caching, and CSV/JSON table emission.
+"""Command-line surface: argument parsing, result caching, and CSV/JSON
+table emission.  Every setting is a flag; only the cache directory can also
+come from the ACL_CACHE_DIR environment variable.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
@@ -22,20 +23,18 @@ from types import SimpleNamespace
 from .errors import SizeError
 
 CACHE_ENV = "ACL_CACHE_DIR"
-_FORMATS = ("csv", "json")
 # Max --digits: the working precision of every real cell, whose cost grows
 # faster than linearly with it.
 DIGITS_GUARD = 1000
 
 # Each flag's add_argument keywords, by dest.  The flag is "--" and the dest
-# with "-" for "_".  Every flag takes a value.  A config file sets any flag
-# but --config under its dest, typed by its `type` (str if none).
+# with "-" for "_".  Every flag takes a value, typed by its `type` (str if
+# none).
 _FLAGS = {
     "q": dict(type=int, help="field size (prime power)"),
     "digits": dict(type=int, default=12, help="printed float digits"),
     "cache_dir": {},
-    "format": dict(choices=_FORMATS, default="csv"),
-    "config": dict(help="key=value config file"),
+    "format": dict(choices=("csv", "json"), default="csv"),
     "M": dict(type=int, help="height exponent (first)"),
     "M_max": dict(type=int),
     "n": dict(type=int, help="projective dimension"),
@@ -44,40 +43,16 @@ _FLAGS = {
     "mu": {},
     "deg_cut": dict(type=int, default=8),
 }
-_COMMON = ("q", "digits", "cache_dir", "format", "config")
+_COMMON = ("q", "digits", "cache_dir", "format")
 
 
 class UsageError(Exception):
     pass
 
 
-def parse_config(path: str) -> dict:
-    """Flat key=value lines, UTF-8, '#' comments; values typed per flag."""
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _FLAGS or key == "config":
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                out[key] = _FLAGS[key].get("type", str)(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return out
-
-
 def _check_output_args(args):
-    """Reject a format that came from a config file (argparse applies choices
-    to flags only) and digits below 1 from either; refuse digits past
-    DIGITS_GUARD as a size error."""
-    if args.format not in _FORMATS:
-        raise UsageError(f"format must be one of {', '.join(_FORMATS)}, not {args.format!r}")
+    """Reject digits below 1; refuse digits past DIGITS_GUARD as a size
+    error."""
     if args.digits < 1:
         raise UsageError(f"digits must be >= 1, not {args.digits}")
     if args.digits > DIGITS_GUARD:
@@ -225,14 +200,13 @@ def _named_command(argv):
     return None
 
 
-def build_parser() -> tuple:
-    """The argparse parser and, by _COMMANDS key, the leaf parser of each
-    command."""
+def build_parser():
+    """The argparse parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="hilbcount")
     subs = parser.add_subparsers(dest="command", required=True)
-    tops, groups, leaves = {}, {}, {}
+    tops, groups = {}, {}
     for key, (_run, flags, defaults) in _COMMANDS.items():
         command, sub = key
         if command not in tops:
@@ -246,19 +220,17 @@ def build_parser() -> tuple:
         for dest in _COMMON + flags:
             leaf.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
         leaf.set_defaults(**defaults)
-        leaves[key] = leaf
-    return parser, leaves
+    return parser
 
 
-def _parse_plain(argv, config=None):
+def _parse_plain(argv):
     """The namespace argparse makes of argv, read from _COMMANDS and _FLAGS
     alone, or None if argv is not of the one plain form: a command path,
     then flags of that command spelled in full, each with its value in the
     next token or after "=".  An abbreviation, help, "--", an unknown or
     extra token, and a value that is empty, starts with "-" or is refused by
     its flag's type or choices all give None.  Values come from the flag
-    defaults, then the command's defaults, then the keys of config (a parsed
-    config file) the command has flags for, then the flags."""
+    defaults, then the command's defaults, then the flags."""
     key = _named_command(argv)
     if key is None:
         return None
@@ -269,7 +241,6 @@ def _parse_plain(argv, config=None):
     for dest in dests:
         values[dest] = _FLAGS[dest].get("default")
     values.update(defaults)
-    values.update((k, v) for k, v in (config or {}).items() if k in dests)
     spelled = {"--" + dest.replace("_", "-"): dest for dest in dests}
     tokens = iter(argv[1 if sub is None else 2 :])
     for token in tokens:
@@ -293,24 +264,10 @@ def _parse_plain(argv, config=None):
 
 
 def _parse_args(argv):
-    """The namespace of argv, with --config's file read: from the tables
-    when argv is plain, else from argparse, which prints any help, usage or
-    error and raises SystemExit.  Flags win over the file, and the command
-    takes only the file's keys it has flags for, so a file shared between
-    commands adds nothing unread to a cache key."""
+    """The namespace of argv: from the tables when argv is plain, else from
+    argparse, which prints any help, usage or error and raises SystemExit."""
     args = _parse_plain(argv)
-    if args is not None:
-        return args if args.config is None else _parse_plain(argv, parse_config(args.config))
-    parser, leaves = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        # every spelling argparse accepts names the file
-        key = (args.command, getattr(args, "subcommand", None))
-        flags = _COMMON + _COMMANDS[key][1]
-        config = parse_config(args.config)
-        leaves[key].set_defaults(**{k: v for k, v in config.items() if k in flags})
-        args = parser.parse_args(argv)
-    return args
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _fingerprint_config(args, key) -> dict:
@@ -319,7 +276,7 @@ def _fingerprint_config(args, key) -> dict:
     served."""
     from . import cache
 
-    skip = {"cache_dir", "format", "config"}
+    skip = {"cache_dir", "format"}
     cfg = {
         "command": list(k for k in key if k),
         "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),

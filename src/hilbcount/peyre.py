@@ -233,11 +233,11 @@ def cm_constant(m: int, q: int, mu=None, *, deg_cut: int, dps: int):
     displayed product formula."""
     if m < 2:
         raise ValueError("m >= 2 required")
+    mu = mu_slope(m, mu)  # a given mu is checked at m = 2 too, though unread
     if m == 2:
         with localcontext() as ctx:
             ctx.prec = dps
             return PeyreResult(Decimal(2) / 3, Decimal(0), Fraction(2, 3))
-    mu = mu_slope(m, mu)
     S = schanuel_constant(2, q)
     prefactor = (
         mu

@@ -1,7 +1,8 @@
 """Checks on the package source itself, made with `ast` alone, and on the
-CLI's flag and command tables."""
+CLI's flag and command tables and the README's account of them."""
 
 import ast
+import re
 from pathlib import Path
 
 from hilbcount import cli
@@ -17,7 +18,7 @@ def _parse(directory):
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # where the walk over the package starts, besides the runners in cli._COMMANDS
-ROOTS = ("dispatch", "main", "parse_config")
+ROOTS = ("dispatch", "main")
 
 
 def _is_dunder(name) -> bool:
@@ -121,8 +122,8 @@ def test_test_only_exports_have_reasons():
 
 def test_test_only_exports_are_listed():
     """Every function, class and named method of the package is reached by
-    a walk over its name references from the command runners, dispatch, main
-    and parse_config, or is listed in TEST_ONLY_EXPORTS and read by a test;
+    a walk over its name references from the command runners, dispatch and
+    main, or is listed in TEST_ONLY_EXPORTS and read by a test;
     so code that only the tests or other unreached code read fails here,
     and so does a listed entry that gains a reader or loses its last one."""
     roots = ROOTS + tuple(command[0].__name__ for command in cli._COMMANDS.values())
@@ -342,7 +343,7 @@ def test_every_flag_is_used_by_a_command():
     """Every `cli._FLAGS` entry is a common flag or a flag of some command in
     `cli._COMMANDS`, so a flag that no command parses cannot linger, and
     every flag takes a value: no entry has an `action`, which is what lets
-    the table parser and `parse_config` read each value one way."""
+    the table parser read each value one way."""
     used = set(cli._COMMON).union(*(flags for _run, flags, _defaults in cli._COMMANDS.values()))
     assert sorted(set(cli._FLAGS) - used) == []
     assert [dest for dest, spec in cli._FLAGS.items() if "action" in spec] == []
@@ -388,3 +389,29 @@ def test_the_count_builds_no_poly():
         if name in ORACLE_ONLY
     )
     assert naming == []
+
+
+# a flag in backticks, then its default in parentheses if it has one
+_README_FLAG = r"`--([\w-]+)[^`]*`(?: \((?:default )?`?([^`)]*)`?\))?"
+
+
+def _table_flags(dests, defaults):
+    """(name, default or "") of each flag of dests, as _README_FLAG reads it."""
+    out = []
+    for dest in dests:
+        default = defaults.get(dest, cli._FLAGS[dest].get("default"))
+        out.append((dest.replace("_", "-"), "" if default is None else str(default)))
+    return out
+
+
+def test_readme_names_the_flag_tables():
+    """The README's common-flags sentence names `cli._COMMON`, and its
+    command table each `cli._COMMANDS` entry's own flags, in table order
+    with their defaults, so the docs cannot drift from the tables."""
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    common = readme.split("Flags common to all commands:", 1)[1].split(".", 1)[0]
+    assert re.findall(_README_FLAG, common) == _table_flags(cli._COMMON, {})
+    rows = dict(re.findall(r"^\| `([^`]+)` \| (.*) \|$", readme, flags=re.M))
+    assert list(rows) == [" ".join(k for k in key if k) for key in cli._COMMANDS]
+    for (command, cell), (_run, flags, defaults) in zip(rows.items(), cli._COMMANDS.values()):
+        assert re.findall(_README_FLAG, cell) == _table_flags(flags, defaults), command
