@@ -1,15 +1,17 @@
-"""On-disk result cache: one JSON file per command fingerprint, written
-atomically (temp file then rename).  The payload is a table: a dict whose
-"columns" is a list of strings and whose "rows" is a list of lists of
-strings.  Corrupted files, malformed tables included, are quarantined with a
-warning and treated as misses.  The CLI keys each entry by a digest of the
-package source too, so an edit to any byte of it, the version and this
-entry format included, makes every old entry a miss.
+"""On-disk result cache: one file per command fingerprint, written
+atomically (temp file then rename).  An entry is a header line, the
+fingerprint and the SHA-256 of the body, then the body: the exact CSV text
+`--format csv` prints.  An entry whose header does not match the
+fingerprint and a fresh digest of its body (an edited cell, a dropped row,
+a truncated or misplaced file) is quarantined with a warning and treated as
+a miss.  The CLI keys each entry by a digest of the package source too, so
+an edit to any byte of it, the version and this entry format included,
+makes every old entry a miss.
 
 This is the one module that hashes.  SHA-256 comes from the interpreter's
 builtin module, so a cached run never loads `hashlib` and with it OpenSSL's
-libcrypto; the digests are the same bytes either way.  `json` is imported by
-the functions that use it, so importing this module loads none.
+libcrypto; the digests are the same bytes either way.  Nothing here loads
+`json`.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ except ImportError:
         from hashlib import sha256  # an interpreter built without them
 
 
-def fingerprint(config: dict) -> str:
-    """sha256 of the canonical JSON serialization of the run configuration."""
-    import json
+def _digest(text: str) -> str:
+    return sha256(text.encode("utf-8")).hexdigest()
 
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return sha256(blob.encode("utf-8")).hexdigest()
+
+def fingerprint(config: dict) -> str:
+    """sha256 of the repr of the config's sorted items.  Its keys are
+    strings and its values strings or lists of them, whose reprs quote and
+    escape every character, so two configs share a form only when they are
+    equal, whatever free text a value holds."""
+    return _digest(repr(sorted(config.items())))
 
 
 def source_digest(pkg_dir: str) -> str:
@@ -47,21 +53,18 @@ def source_digest(pkg_dir: str) -> str:
 
 
 def _path(cache_dir: str, fp: str) -> str:
-    return os.path.join(cache_dir, f"{fp}.json")
+    return os.path.join(cache_dir, f"{fp}.csv")
 
 
-def store(cache_dir: str, config: dict, payload) -> str:
-    """Write the payload table under the config's fingerprint; returns the
-    path."""
-    import json
-
+def store(cache_dir: str, config: dict, payload: str) -> str:
+    """Write the CSV text under the config's fingerprint, after a header of
+    the fingerprint and the text's digest; returns the path."""
     os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
-    entry = {"fingerprint": fp, "payload": payload}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"{fp} {_digest(payload)}\n{payload}")
         os.replace(tmp, _path(cache_dir, fp))
     except BaseException:
         if os.path.exists(tmp):
@@ -70,38 +73,20 @@ def store(cache_dir: str, config: dict, payload) -> str:
     return _path(cache_dir, fp)
 
 
-def _is_table(payload) -> bool:
-    if not isinstance(payload, dict):
-        return False
-    columns, rows = payload.get("columns"), payload.get("rows")
-    return (
-        isinstance(columns, list)
-        and all(isinstance(c, str) for c in columns)
-        and isinstance(rows, list)
-        and all(isinstance(r, list) and all(isinstance(v, str) for v in r) for r in rows)
-    )
-
-
 def load(cache_dir: str, config: dict):
-    """Return the cached payload for this config, or None on miss.  A file
-    that fails to parse or violates its invariants is renamed aside."""
-    import json
-
+    """Return the cached CSV text for this config, or None on miss.  A file
+    whose header does not match the fingerprint and its body's digest is
+    renamed aside."""
     fp = fingerprint(config)
     path = _path(cache_dir, fp)
     if not os.path.exists(path):
         return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if not isinstance(entry, dict):
-            raise ValueError("cache entry is not an object")
-        if entry.get("fingerprint") != fp:
-            raise ValueError("fingerprint mismatch")
-        payload = entry["payload"]
-        if not _is_table(payload):
-            raise ValueError("payload is not a table of string columns and rows")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, _, body = fh.read().partition("\n")
+        if header != f"{fp} {_digest(body)}":
+            raise ValueError("header does not match the fingerprint and body digest")
+    except ValueError as exc:  # a UnicodeDecodeError too
         quarantine = path + ".corrupt"
         os.replace(path, quarantine)
         import logging
@@ -110,4 +95,4 @@ def load(cache_dir: str, config: dict):
             "quarantined corrupt cache file %s (%s)", quarantine, exc
         )
         return None
-    return payload
+    return body

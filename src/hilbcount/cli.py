@@ -4,11 +4,14 @@ come from the ACL_CACHE_DIR environment variable.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
-them.  The cache module and json load only when a run uses them, and no run
-loads hashlib: the cache hashes with the builtin SHA-256.  A well-formed
-call (a command path, then that command's flags spelled in full, each with
-a value) is read from the flag and command tables and loads no argparse;
-anything else goes to argparse, which alone prints help, usage and errors.
+them.  A table is rendered once, as CSV text: CSV output writes it as is, a
+cache entry holds it, and JSON output splits it on newlines and commas, so
+a CSV run and a JSON run share one entry.  The cache module loads only with
+a cache dir and json only for JSON output, and no run loads hashlib: the
+cache hashes with the builtin SHA-256.  A well-formed call (a command path,
+then that command's flags spelled in full, each with a value) is read from
+the flag and command tables and loads no argparse; anything else goes to
+argparse, which alone prints help, usage and errors.
 
 Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
 error, 3 guard violation (size error).
@@ -288,14 +291,15 @@ def _fingerprint_config(args, key) -> dict:
     return cfg
 
 
-def _emit(columns, rows, fmt, out):
+def _emit(table, fmt, out):
+    """Write the CSV text as is, or as a JSON array of row objects: every
+    cell is token-safe, so the lines and commas of the text delimit them."""
     if fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+        out.write(table)
     else:
         import json
 
+        columns, *rows = (line.split(",") for line in table.splitlines())
         out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
         out.write("\n")
 
@@ -311,25 +315,24 @@ def dispatch(argv, out=None) -> int:
         key = (args.command, getattr(args, "subcommand", None))
         _check_output_args(args)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-        payload = None
+        table = None
         if cache_dir:
             from . import cache
 
             fp_config = _fingerprint_config(args, key)
-            payload = cache.load(cache_dir, fp_config)
-        if payload is None:
+            table = cache.load(cache_dir, fp_config)
+        if table is None:
             from .fqarith import prime_power
             from .records import fmt_value
 
             _require(args, "q")
             prime_power(args.q)  # every runner reads a checked q
-            columns, raw_rows = _COMMANDS[key][0](args)
-            rows = [[fmt_value(v, args.digits) for v in row] for row in raw_rows]
+            columns, rows = _COMMANDS[key][0](args)
+            cells = [columns] + [[fmt_value(v, args.digits) for v in row] for row in rows]
+            table = "".join(",".join(line) + "\n" for line in cells)
             if cache_dir:
-                cache.store(cache_dir, fp_config, {"columns": columns, "rows": rows})
-        else:
-            columns, rows = payload["columns"], payload["rows"]
-        _emit(columns, rows, args.format, out)
+                cache.store(cache_dir, fp_config, table)
+        _emit(table, args.format, out)
         return 0
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

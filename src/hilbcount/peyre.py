@@ -233,8 +233,10 @@ def cm_constant(m: int, q: int, mu=None, *, deg_cut: int, dps: int):
     displayed product formula."""
     if m < 2:
         raise ValueError("m >= 2 required")
-    mu = mu_slope(m, mu)  # a given mu is checked at m = 2 too, though unread
+    mu = mu_slope(m, mu)  # a given mu and deg_cut are checked at m = 2 too, though unread
     if m == 2:
+        if deg_cut < 1:
+            raise ValueError("deg_cut >= 1 required")
         with localcontext() as ctx:
             ctx.prec = dps
             return PeyreResult(Decimal(2) / 3, Decimal(0), Fraction(2, 3))

@@ -219,6 +219,8 @@ def test_usage_errors_exit_2():
         (["peyre", "cm", "--q", "2", "--m", "3", "--mu", "-1"], "error: mu must be positive"),
         (["peyre", "cm", "--q", "2", "--m", "3", "--mu", "1/0"], "error: mu '1/0' has a zero denominator"),
         (["peyre", "hilbm", "--q", "2", "--m", "2", "--mu", "0"], "error: mu must be positive"),
+        # m = 2 reads no Euler product, but a given cut is checked as at m = 3
+        (["peyre", "cm", "--q", "3", "--m", "2", "--deg-cut=-5"], "error: deg_cut >= 1 required"),
     ],
 )
 def test_peyre_bad_input_exit_2(capsys, argv, message):
@@ -577,13 +579,29 @@ def _import_probe(plan, codes=None) -> dict:
     return steps
 
 
+_NO_JSON = r"""
+import io, sys
+from hilbcount import cache, cli
+assert "json" not in sys.modules, "import"
+loads, load = [], cache.load
+cache.load = lambda cache_dir, config: loads.append(load(cache_dir, config)) or loads[-1]
+argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", sys.argv[1]]
+outs = [io.StringIO(), io.StringIO()]
+assert [cli.dispatch(argv, out=out) for out in outs] == [0, 0]
+assert [table is None for table in loads] == [True, False], "a miss, then a hit"
+assert outs[1].getvalue() == outs[0].getvalue() == "q,M,observed,closed_form,match\n2,1,294,294,true\n"
+assert "json" not in sys.modules, "run"
+"""
+
+
 def test_each_command_imports_only_its_modules(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps alike here and in the probe
     # the probe loads json itself, so this interpreter checks that importing
-    # the CLI and the cache does not: the cache's functions import it
-    no_json = "import sys; from hilbcount import cache, cli; assert 'json' not in sys.modules"
+    # the CLI and the cache does not, nor a CSV run with a cache dir, a miss
+    # and then a hit: an entry holds the CSV text
     proc = subprocess.run(
-        [sys.executable, "-c", no_json], capture_output=True, text=True, env=_src_env(), timeout=60
+        [sys.executable, "-c", _NO_JSON, str(tmp_path / "csv")],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     hit_argv = ["peyre", "hilb2", "--q", "3", "--cache-dir", str(tmp_path)]
@@ -750,13 +768,13 @@ def test_cache_warm_equals_cold(tmp_path):
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
     code1, cold = run(argv)
     assert code1 == 0
-    files = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+    files = [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
     assert len(files) == 1
     code2, warm = run(argv)
     assert code2 == 0 and warm == cold
     # a different parameter must not hit the same entry
     run(["count", "pairs", "--q", "3", "--M", "1", "--cache-dir", str(tmp_path)])
-    assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
+    assert len([f for f in os.listdir(tmp_path) if f.endswith(".csv")]) == 2
 
 
 def test_cache_source_change_recomputes(tmp_path, monkeypatch):
@@ -770,7 +788,7 @@ def test_cache_source_change_recomputes(tmp_path, monkeypatch):
     code, out = run(argv)
     assert code == 0 and out == cold
     assert len(calls) == 2  # a miss: the entry of the other code is not served
-    assert len([f for f in os.listdir(tmp_path) if f.endswith(".json")]) == 2
+    assert len([f for f in os.listdir(tmp_path) if f.endswith(".csv")]) == 2
     code, out = run(argv)
     assert code == 0 and out == cold and len(calls) == 2  # same code: a hit
 
@@ -801,16 +819,15 @@ def test_source_digest_reads_every_byte(tmp_path, monkeypatch):
 
 
 def test_digests_are_hashlib_sha256():
-    """The builtin SHA-256 the cache uses gives hashlib's bytes, so the
-    fingerprints and source digests of entries already on disk still match."""
+    """The builtin SHA-256 the cache uses gives hashlib's bytes, so an
+    interpreter that falls back to hashlib keys and checks entries alike."""
     import hashlib
 
     config = {"a": 1}
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert cache.fingerprint(config) == hashlib.sha256(blob).hexdigest()
-    assert cache.fingerprint(config) == "015abd7f5cc57a2dd94b7590f04ad8084273905ee33ec5cebeae62276a97f862"
+    assert cache.fingerprint(config) == hashlib.sha256(b"[('a', 1)]").hexdigest()
+    assert cache.fingerprint(config) == "0713fe02cba45e60d7b8cea56581c7b1db1b0a04407b5783d664c1659c67f9df"
     config = {"command": ["peyre", "hilbm"], "mu": "None", "q": "3", "source": "0" * 64}
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = repr(sorted(config.items())).encode("utf-8")
     assert cache.fingerprint(config) == hashlib.sha256(blob).hexdigest()
 
     pkg = os.path.dirname(os.path.abspath(cache.__file__))
@@ -820,6 +837,12 @@ def test_digests_are_hashlib_sha256():
             data = fh.read()
         h.update(name.encode() + b"\0" + str(len(data)).encode() + b"\0" + data)
     assert cache.source_digest(pkg) == h.hexdigest()
+
+
+def test_fingerprint_tells_free_text_apart():
+    """A value may hold any text (--mu is the user's), so configs that a
+    k=v join would run together have different fingerprints."""
+    assert cache.fingerprint({"mu": "1,q=2", "q": "3"}) != cache.fingerprint({"mu": "1", "q": "2,q=3"})
 
 
 def test_version_has_one_copy():
@@ -838,49 +861,83 @@ def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _ = run(["count", "pairs", "--q", "2", "--M", "1"])
     assert code == 0
-    assert any(f.endswith(".json") for f in os.listdir(tmp_path))
+    assert any(f.endswith(".csv") for f in os.listdir(tmp_path))
+
+
+_PAIRS_TABLE = "q,M,observed,closed_form,match\n2,1,294,294,true\n2,2,3234,3234,true\n"
+
+
+def _edit_digit(header, body):
+    return header + "\n" + body.replace("2,1,294,294", "2,1,295,294")
+
+
+def _drop_row(header, body):
+    return header + "\n" + "".join(body.splitlines(keepends=True)[:-1])
+
+
+def _truncate(header, body):
+    return header + "\n" + body[: len(body) // 2]
+
+
+def _replace_fingerprint(header, body):
+    return "0" * 64 + header[64:] + "\n" + body
+
+
+# edits to an entry of _PAIRS_TABLE, each given its header and body
+_ENTRY_EDITS = [_edit_digit, _drop_row, _truncate, _replace_fingerprint]
+
+
+def _edit_entry(path, edit):
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, _, body = fh.read().partition("\n")
+    assert body == _PAIRS_TABLE
+    edited = edit(header, body)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edited)
+    return header + "\n" + body
 
 
 def test_cache_corrupt_quarantine(tmp_path, caplog):
-    config = {"a": 1}
-    path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})
-    assert cache.load(str(tmp_path), config) == {"columns": [], "rows": []}
-    with open(path, "w") as fh:
-        fh.write("{not json")
+    """Every edit of an entry is renamed aside with one warning, and the
+    load is a miss."""
+    config = {"a": "1"}
+    for edit in _ENTRY_EDITS:
+        caplog.clear()
+        path = cache.store(str(tmp_path), config, _PAIRS_TABLE)
+        assert cache.load(str(tmp_path), config) == _PAIRS_TABLE
+        _edit_entry(path, edit)
+        assert cache.load(str(tmp_path), config) is None, edit.__name__
+        assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
+        (rec,) = caplog.records
+        assert (rec.name, rec.levelno) == ("hilbcount.cache", logging.WARNING)
+        assert rec.getMessage().startswith(f"quarantined corrupt cache file {path}.corrupt (")
+    # an entry that is not UTF-8 is quarantined too
+    path = cache.store(str(tmp_path), config, _PAIRS_TABLE)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
     assert cache.load(str(tmp_path), config) is None
-    assert os.path.exists(path + ".corrupt")
-    (rec,) = caplog.records
-    assert (rec.name, rec.levelno) == ("hilbcount.cache", logging.WARNING)
-    assert rec.getMessage().startswith(f"quarantined corrupt cache file {path}.corrupt (")
-    assert not os.path.exists(path)
-    # fingerprint mismatch is also quarantined
-    path = cache.store(str(tmp_path), config, {"columns": [], "rows": []})
-    with open(path) as fh:
-        entry = json.load(fh)
-    entry["fingerprint"] = "0" * 64
-    with open(path, "w") as fh:
-        json.dump(entry, fh)
-    assert cache.load(str(tmp_path), config) is None
-    assert os.path.exists(path + ".corrupt")
+    assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"rows": []}, {"columns": ["a"], "rows": [1]}])
-def test_cache_malformed_payload_recomputed(tmp_path, payload):
-    argv = ["count", "pairs", "--q", "2", "--M", "1", "--cache-dir", str(tmp_path)]
+@pytest.mark.parametrize("edit", _ENTRY_EDITS, ids=lambda edit: edit.__name__.lstrip("_"))
+def test_cache_malformed_payload_recomputed(tmp_path, monkeypatch, caplog, edit):
+    """An edited entry is quarantined, recomputed to the cold stdout and
+    stored again, and the next run is a hit."""
+    calls = _counting(monkeypatch, ratpoints, "count_reducible_pairs")
+    argv = ["count", "pairs", "--q", "2", "--M", "1", "--M-max", "2", "--cache-dir", str(tmp_path)]
     code, cold = run(argv)
-    assert code == 0
-    (name,) = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+    assert code == 0 and cold == _PAIRS_TABLE
+    (name,) = os.listdir(tmp_path)
     path = os.path.join(tmp_path, name)
-    with open(path) as fh:
-        entry = json.load(fh)
-    entry["payload"] = payload
-    with open(path, "w") as fh:
-        json.dump(entry, fh)
+    entry = _edit_entry(path, edit)
     code, out = run(argv)
-    assert code == 0 and out == cold
+    assert code == 0 and out == cold and len(calls) == 2
     assert os.path.exists(path + ".corrupt")
-    # the recomputed table is stored again
-    assert os.path.exists(path)
+    assert [rec.name for rec in caplog.records] == ["hilbcount.cache"]
+    # the recomputed table is stored again, and served
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == entry
+    assert run(argv) == (0, cold) and len(calls) == 2
 
 
 def cache_roundtrip(cache_dir, config, payload):
@@ -890,7 +947,7 @@ def cache_roundtrip(cache_dir, config, payload):
 
 
 def test_cache_roundtrip_helper(tmp_path):
-    payload = {"columns": ["a"], "rows": [["1"], ["2"]]}
+    payload = "a\n1\n2\n"
     assert cache_roundtrip(str(tmp_path), {"k": "v"}, payload) == payload
 
 
@@ -1061,3 +1118,26 @@ def test_no_command_writes_outside_its_cache_dir(key, tmp_path, monkeypatch):
     assert run(argv + ["--cache-dir", str(cache_dir)])[0] == 0
     assert os.listdir(work) == []
     assert sorted(os.listdir(tmp_path)) == ["cache", "work"] and os.listdir(cache_dir)
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=_key_id)
+def test_json_is_the_csv_split_on_commas(key, tmp_path, monkeypatch):
+    """Every cell is token-safe, so JSON output is the CSV output split on
+    newlines and commas: cold, and on a hit from the entry that a run in the
+    other format wrote."""
+    argv = [k for k in key if k] + ["--q", "3"]
+    for name, value in _OWN_FLAGS[key].items():
+        argv += ["--" + name.replace("_", "-"), value]
+
+    out = {fmt: run(argv + ["--format", fmt]) for fmt in ("csv", "json")}
+    assert out["csv"][0] == out["json"][0] == 0
+    columns, *rows = (line.split(",") for line in out["csv"][1].splitlines())
+    assert rows and all(len(row) == len(columns) for row in rows), out["csv"]
+    assert json.loads(out["json"][1]) == [dict(zip(columns, row)) for row in rows]
+    flags, defaults = cli._COMMANDS[key][1:]
+    for first, then in (("csv", "json"), ("json", "csv")):
+        cached = argv + ["--cache-dir", str(tmp_path / first)]
+        assert run(cached + ["--format", first]) == out[first]
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, key, (None, flags, defaults))  # a miss would call it
+            assert run(cached + ["--format", then]) == out[then]
