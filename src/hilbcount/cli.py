@@ -1,6 +1,9 @@
 """Command-line surface: argument parsing, result caching, and CSV/JSON
 table emission.  Every setting is a flag; only the cache directory can also
-come from the ACL_CACHE_DIR environment variable.
+come from the ACL_CACHE_DIR environment variable.  One parser, `_parse`,
+reads every argv from the command and flag tables: it builds the namespace
+of a call, writes the help that -h or --help asks for, and refuses anything
+else with one error line.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
@@ -8,13 +11,10 @@ them.  A table is rendered once, as CSV text: CSV output writes it as is, a
 cache entry holds it, and JSON output splits it on newlines and commas, so
 a CSV run and a JSON run share one entry.  The cache module loads only with
 a cache dir and json only for JSON output, and no run loads hashlib: the
-cache hashes with the builtin SHA-256.  A well-formed call (a command path,
-then that command's flags spelled in full, each with a value) is read from
-the flag and command tables and loads no argparse; anything else goes to
-argparse, which alone prints help, usage and errors.
+cache hashes with the builtin SHA-256.
 
-Exit codes: 0 ok, 1 internal error (one stderr line, no traceback), 2 usage
-error, 3 guard violation (size error).
+Exit codes: 0 ok or help, 1 internal error (one stderr line, no traceback),
+2 usage error, 3 guard violation (size error).
 """
 
 from __future__ import annotations
@@ -30,21 +30,21 @@ CACHE_ENV = "ACL_CACHE_DIR"
 # faster than linearly with it.
 DIGITS_GUARD = 1000
 
-# Each flag's add_argument keywords, by dest.  The flag is "--" and the dest
-# with "-" for "_".  Every flag takes a value, typed by its `type` (str if
-# none).
+# Each flag's spec, by dest: its value's `type` (str if none), any `choices`
+# and `default`, and the `help` text.  The flag is "--" and the dest with "-"
+# for "_", and every flag takes a value.
 _FLAGS = {
     "q": dict(type=int, help="field size (prime power)"),
-    "digits": dict(type=int, default=12, help="printed float digits"),
-    "cache_dir": {},
-    "format": dict(choices=("csv", "json"), default="csv"),
+    "digits": dict(type=int, default=12, help="significant digits of real cells"),
+    "cache_dir": dict(help=f"directory of cached tables (else ${CACHE_ENV})"),
+    "format": dict(choices=("csv", "json"), default="csv", help="table format, csv or json"),
     "M": dict(type=int, help="height exponent (first)"),
-    "M_max": dict(type=int),
+    "M_max": dict(type=int, help="height exponent (last; --M if not given)"),
     "n": dict(type=int, help="projective dimension"),
-    "m_max": dict(type=int, default=8),
-    "m": dict(type=int, default=2),
-    "mu": {},
-    "deg_cut": dict(type=int, default=8),
+    "m_max": dict(type=int, default=8, help="largest m in the table"),
+    "m": dict(type=int, default=2, help="number of points m of Hilb^m P^2"),
+    "mu": dict(help="minimum slope mu of the effective cone (a fraction)"),
+    "deg_cut": dict(type=int, default=8, help="largest place degree in the Euler product"),
 }
 _COMMON = ("q", "digits", "cache_dir", "format")
 
@@ -172,13 +172,12 @@ _COUNT = ("M", "M_max")
 # each constant gets only the flags it reads, so none enters a cache key unread
 _CONSTANT = ("m", "mu", "deg_cut")
 
-# (command, subcommand or None) -> (runner, flags beyond _COMMON, defaults
-# the command overrides)
+# command path -> (runner, flags beyond _COMMON, defaults it overrides)
 _COMMANDS = {
     ("count", "rational"): (_run_count_rational, _COUNT + ("n",), {}),
     ("count", "pairs"): (_run_count_pairs, _COUNT, {}),
     ("count", "quadratic"): (_run_count_quadratic, _COUNT, {}),
-    ("cycles", None): (_run_cycles, ("m_max",), {}),
+    ("cycles",): (_run_cycles, ("m_max",), {}),
     ("peyre", "pn"): (_run_peyre, ("n",), {"n": 2}),
     ("peyre", "hilb2"): (_run_peyre, (), {}),
     ("peyre", "hilbm"): (_run_peyre, _CONSTANT, {}),
@@ -186,6 +185,7 @@ _COMMANDS = {
     ("verify", "lemmas"): (_run_verify_lemmas, (), {}),
 }
 
+_HELP_FLAGS = ("-h", "--help")
 _HELP = {
     "count": "exact point counts",
     "cycles": "0-cycle count table",
@@ -194,83 +194,83 @@ _HELP = {
 }
 
 
-def _named_command(argv):
-    """The _COMMANDS key whose command path argv starts with, or None."""
-    for key in _COMMANDS:
-        path = [k for k in key if k]
-        if list(argv[: len(path)]) == path:
-            return key
-    return None
+def _help(words):
+    """The flags of every command, then each command whose path starts
+    with words and the flags of its own."""
+    groups = [("flags of every command:", _COMMON, {})] + [
+        (f"{' '.join(key)}: {_HELP[key[0]]}", own, defaults)
+        for key, (_run, own, defaults) in _COMMANDS.items()
+        if key[: len(words)] == words
+    ]
+    text = "usage: hilbcount COMMAND [--FLAG VALUE ...]\n"
+    for title, dests, defaults in groups:
+        text += f"\n{title}\n"
+        for dest in dests:
+            default = defaults.get(dest, _FLAGS[dest].get("default"))
+            text += f"  --{dest.replace('_', '-'):<11}{_FLAGS[dest]['help']}"
+            text += "\n" if default is None else f" (default {default})\n"
+    return text
 
 
-def build_parser():
-    """The argparse parser of every command."""
-    import argparse
+def _is_flag(token, flags):
+    """Whether token, after a flag, is a flag and so not that flag's value:
+    "-" and more, and either one of flags (alone or before "="), -h joined
+    to anything, or neither a negative number nor a string with a space.
+    So "--" is never a value, and "-2", "-1 " and "-" are."""
+    if len(token) < 2 or token[0] != "-":
+        return False
+    if token.partition("=")[0] in flags or token[:2] == "-h":
+        return True
+    import re
 
-    parser = argparse.ArgumentParser(prog="hilbcount")
-    subs = parser.add_subparsers(dest="command", required=True)
-    tops, groups = {}, {}
-    for key, (_run, flags, defaults) in _COMMANDS.items():
-        command, sub = key
-        if command not in tops:
-            tops[command] = subs.add_parser(command, help=_HELP[command])
-        if sub is None:
-            leaf = tops[command]
-        else:
-            if command not in groups:
-                groups[command] = tops[command].add_subparsers(dest="subcommand", required=True)
-            leaf = groups[command].add_parser(sub)
-        for dest in _COMMON + flags:
-            leaf.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
-        leaf.set_defaults(**defaults)
-    return parser
+    return not re.match(r"-\d+$|-\d*\.\d+$", token) and " " not in token
 
 
-def _parse_plain(argv):
-    """The namespace argparse makes of argv, read from _COMMANDS and _FLAGS
-    alone, or None if argv is not of the one plain form: a command path,
-    then flags of that command spelled in full, each with its value in the
-    next token or after "=".  An abbreviation, help, "--", an unknown or
-    extra token, and a value that is empty, starts with "-" or is refused by
-    its flag's type or choices all give None.  Values come from the flag
-    defaults, then the command's defaults, then the flags."""
-    key = _named_command(argv)
-    if key is None:
-        return None
-    command, sub = key
-    own, defaults = _COMMANDS[key][1:]
-    dests = _COMMON + own
-    values = {"command": command} if sub is None else {"command": command, "subcommand": sub}
-    for dest in dests:
-        values[dest] = _FLAGS[dest].get("default")
-    values.update(defaults)
-    spelled = {"--" + dest.replace("_", "-"): dest for dest in dests}
-    tokens = iter(argv[1 if sub is None else 2 :])
+def _parse(argv):
+    """The namespace of argv, or the help text it asks for.  argv is a
+    command path, then flags of that command spelled in full, each with its
+    value after "=" or in the next token; -h or --help where a command word
+    or a flag is due asks for help.  Values come from the flag defaults, then
+    the command's, then the flags, the last of a repeated flag winning.
+    Anything else (an unknown or abbreviated flag, a missing value, "--" or
+    an extra token, an unknown or missing command, a value that its flag's
+    type or choices refuse) raises UsageError."""
+    words = ()
+    for token in argv:
+        if token in _HELP_FLAGS:
+            return _help(words)
+        words += (token,)
+        keys = [key for key in _COMMANDS if key[: len(words)] == words]
+        if not keys:
+            raise UsageError(f"unknown command {' '.join(words)!r}; see hilbcount --help")
+        if keys == [words]:
+            break
+    else:
+        raise UsageError(f"missing command after {' '.join(('hilbcount',) + words)!r}; see hilbcount --help")
+    own, defaults = _COMMANDS[words][1:]
+    values = dict(zip(("command", "subcommand"), words))
+    values |= {dest: _FLAGS[dest].get("default") for dest in _COMMON + own} | defaults
+    spelled = {"--" + dest.replace("_", "-"): dest for dest in _COMMON + own}
+    tokens = iter(argv[len(words) :])
     for token in tokens:
+        if token in _HELP_FLAGS:
+            return _help(words)
         flag, eq, value = token.partition("=")
-        dest = spelled.get(flag)
-        if dest is None:
-            return None
-        spec = _FLAGS[dest]
+        if flag not in spelled:
+            raise UsageError(f"unrecognized argument {token!r}")
         if not eq:
-            value = next(tokens, "")
-        if not value or value[0] == "-":
-            return None
+            value = next(tokens, None)
+            if value is None or _is_flag(value, spelled.keys() | _HELP_FLAGS):
+                raise UsageError(f"{flag} expects a value")
+        spec = _FLAGS[spelled[flag]]
         try:
             value = spec.get("type", str)(value)
         except ValueError:
-            return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        values[dest] = value
+            raise UsageError(f"{flag}: invalid {spec['type'].__name__} value {value!r}") from None
+        if value not in spec.get("choices", (value,)):
+            raise UsageError(f"{flag}: invalid choice {value!r} (choose from {', '.join(spec['choices'])})")
+        values[spelled[flag]] = value
     return SimpleNamespace(**values)
-
-
-def _parse_args(argv):
-    """The namespace of argv: from the tables when argv is plain, else from
-    argparse, which prints any help, usage or error and raises SystemExit."""
-    args = _parse_plain(argv)
-    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _fingerprint_config(args, key) -> dict:
@@ -279,15 +279,14 @@ def _fingerprint_config(args, key) -> dict:
     served."""
     from . import cache
 
-    skip = {"cache_dir", "format"}
+    skip = {"cache_dir", "format", "command", "subcommand"}
     cfg = {
-        "command": list(k for k in key if k),
+        "command": list(key),
         "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),
     }
     for name, value in sorted(vars(args).items()):
-        if name in skip or name in ("command", "subcommand"):
-            continue
-        cfg[name] = str(value)
+        if name not in skip:
+            cfg[name] = str(value)
     return cfg
 
 
@@ -308,11 +307,11 @@ def dispatch(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = list(argv)
     try:
-        try:
-            args = _parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        key = (args.command, getattr(args, "subcommand", None))
+        args = _parse(argv)
+        if isinstance(args, str):
+            out.write(args)
+            return 0
+        key = (args.command, args.subcommand) if hasattr(args, "subcommand") else (args.command,)
         _check_output_args(args)
         cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
         table = None

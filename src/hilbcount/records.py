@@ -25,8 +25,8 @@ def fmt_value(v, digits: int = 12) -> str:
 
     if isinstance(v, Fraction):
         return fmt_fraction(v.numerator, v.denominator)
-    if isinstance(v, (Decimal, float)):
-        return _fmt_real(Decimal(v), digits)
+    if isinstance(v, Decimal):
+        return _fmt_real(v, digits)
     raise TypeError(f"cannot format {type(v)!r} for a table")
 
 

@@ -26,14 +26,20 @@ package against them.
   orbit key; the height read off a key; and `kt_main_term`, the `Fraction`
   the integer main_term and ratio cells of `count quadratic` are checked
   against.
+- The command line: `build_parser`, the argparse parser of every command
+  built from `cli._COMMANDS` and `cli._FLAGS` with abbreviations off, which
+  `cli._parse` is held equal to: the same namespace for every argv it
+  accepts, and a refusal of every argv it refuses.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
+from hilbcount import cli
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, irreducible_count
 from hilbcount.ratpoints import schanuel_constant
@@ -628,3 +634,27 @@ def kt_main_term(field: FqField, M: int) -> Fraction:
     """2 S^2 q^(3M) M, the conjectured point count (two points per orbit)."""
     S = schanuel_constant(2, field.q)
     return 2 * S * S * Fraction(field.q) ** (3 * M) * M
+
+
+# --- the command line ---
+
+
+def build_parser():
+    """The argparse parser of every command, from cli._COMMANDS and
+    cli._FLAGS; no parser takes an abbreviated flag."""
+    parser = argparse.ArgumentParser(prog="hilbcount", allow_abbrev=False)
+    subs = parser.add_subparsers(dest="command", required=True)
+    tops, groups = {}, {}
+    for (command, *sub), (_run, flags, defaults) in cli._COMMANDS.items():
+        if command not in tops:
+            tops[command] = subs.add_parser(command, help=cli._HELP[command], allow_abbrev=False)
+        if not sub:
+            leaf = tops[command]
+        else:
+            if command not in groups:
+                groups[command] = tops[command].add_subparsers(dest="subcommand", required=True)
+            leaf = groups[command].add_parser(sub[0], allow_abbrev=False)
+        for dest in cli._COMMON + flags:
+            leaf.add_argument("--" + dest.replace("_", "-"), **cli._FLAGS[dest])
+        leaf.set_defaults(**defaults)
+    return parser

@@ -244,6 +244,21 @@ def test_no_package_module_imports_from_the_tests():
     assert imported == []
 
 
+def test_no_package_module_imports_argparse():
+    """cli._parse reads, explains and refuses every argv from the command
+    and flag tables, so no module of the package imports argparse, at top
+    level or inside a function; tests/oracles.py builds the argparse parser
+    that the table parser is checked against."""
+    importing = sorted(
+        module
+        for module, tree in _parse(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "argparse" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "argparse"
+    )
+    assert importing == []
+
+
 # Defaulted parameters that no call in the package passes, each with the
 # reason it stays.  Any other such parameter is an option that only the
 # tests set: delete it, or give it a caller in the package.
@@ -412,6 +427,6 @@ def test_readme_names_the_flag_tables():
     common = readme.split("Flags common to all commands:", 1)[1].split(".", 1)[0]
     assert re.findall(_README_FLAG, common) == _table_flags(cli._COMMON, {})
     rows = dict(re.findall(r"^\| `([^`]+)` \| (.*) \|$", readme, flags=re.M))
-    assert list(rows) == [" ".join(k for k in key if k) for key in cli._COMMANDS]
+    assert list(rows) == [" ".join(key) for key in cli._COMMANDS]
     for (command, cell), (_run, flags, defaults) in zip(rows.items(), cli._COMMANDS.values()):
         assert re.findall(_README_FLAG, cell) == _table_flags(flags, defaults), command
