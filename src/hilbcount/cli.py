@@ -213,10 +213,11 @@ def _help(words):
 
 
 def _is_flag(token, flags):
-    """Whether token, after a flag, is a flag and so not that flag's value:
-    "-" and more, and either one of flags (alone or before "="), -h joined
-    to anything, or neither a negative number nor a string with a space.
-    So "--" is never a value, and "-2", "-1 " and "-" are."""
+    """Whether token, where a flag's value is due, is a flag and so no
+    value: a "-" and at least one more character that make one of flags
+    (alone or before "="), "-h" with anything joined to it, or a token that
+    is neither a negative number nor holds a space.  So "--" is never a
+    value, and "-2", "-1 " and "-" are."""
     if len(token) < 2 or token[0] != "-":
         return False
     if token.partition("=")[0] in flags or token[:2] == "-h":
@@ -239,13 +240,12 @@ def _parse(argv):
     for token in argv:
         if token in _HELP_FLAGS:
             return _help(words)
-        words += (token,)
-        keys = [key for key in _COMMANDS if key[: len(words)] == words]
-        if not keys:
-            raise UsageError(f"unknown command {' '.join(words)!r}; see hilbcount --help")
-        if keys == [words]:
+        if words in _COMMANDS or token[:1] == "-":
             break
-    else:
+        words += (token,)
+        if not any(key[: len(words)] == words for key in _COMMANDS):
+            raise UsageError(f"unknown command {' '.join(words)!r}; see hilbcount --help")
+    if words not in _COMMANDS:
         raise UsageError(f"missing command after {' '.join(('hilbcount',) + words)!r}; see hilbcount --help")
     own, defaults = _COMMANDS[words][1:]
     values = dict(zip(("command", "subcommand"), words))

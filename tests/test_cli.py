@@ -968,7 +968,7 @@ _OWN_FLAGS = {
 # SHA-256 of the JSON list of [argv, exit code, stdout, stderr] of dispatch
 # over _help_and_error_argv(): the help that cli._help builds from the
 # command and flag tables, and the one error line of each refusal.
-HELP_AND_ERRORS_SHA256 = "1d01cb4dc42a280d0c4e11bf765fc8ae2045971fc7f17970a8646bd67390b8c6"
+HELP_AND_ERRORS_SHA256 = "2c861b647420efac1c048961b5bca783741e4be0143f63302cb608eeb6c8d564"
 
 
 def _help_and_error_argv():
@@ -1073,11 +1073,12 @@ def test_plain_parse_reads_own_flags(key):
     ],
 )
 def test_plain_parse_leaves_the_rest_to_argparse(argv, capsys):
-    """An argv not of the plain form, once left to argparse, is answered by
-    the one parser: with -h or --help where a flag is due, exit 0 and the
-    help of the command named; else exit 2, nothing on stdout and one error
-    line, from the parser or, for a negative --q that it reads, from the
-    check of q.  An abbreviated flag is unknown."""
+    """An argv that is not a well-formed call is answered by the table
+    parser: with -h or --help where a flag is due, exit 0 and the help of
+    the command named; else exit 2, nothing on stdout and one error line,
+    from the parser or, for a negative --q that it reads, from the check of
+    q.  An abbreviated flag is unknown, and a flag where a command word is
+    due leaves the command missing."""
     code, out = run(argv)
     err = capsys.readouterr().err
     if "-h" in argv or "--help" in argv:
@@ -1086,6 +1087,19 @@ def test_plain_parse_leaves_the_rest_to_argparse(argv, capsys):
         assert out.startswith("usage: hilbcount COMMAND ") and f"\n{' '.join(words)}: " in out
     else:
         assert (code, out) == (2, "") and _one_error_line(err), err
+
+
+def test_a_flag_where_a_command_word_is_due_leaves_it_missing(capsys):
+    """A token starting with "-" ends the command path, so the error names
+    the words read so far rather than the flag as a command."""
+    cases = (
+        (["count", "--q", "3"], "hilbcount count"),
+        (["--q", "3", "cycles"], "hilbcount"),
+        (["peyre", "-"], "hilbcount peyre"),
+    )
+    for argv, read in cases:
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: missing command after {read!r}; see hilbcount --help\n"
 
 
 _SPELLINGS = ["--" + dest.replace("_", "-") for dest in cli._FLAGS]
