@@ -1,7 +1,7 @@
 """On-disk result cache: one file per command fingerprint, written
 atomically (temp file then rename).  An entry is a header line, the
 fingerprint and the SHA-256 of the body, then the body: the exact CSV text
-`--format csv` prints.  An entry whose header does not match the
+the command prints.  An entry whose header does not match the
 fingerprint and a fresh digest of its body (an edited cell, a dropped row,
 a truncated or misplaced file) is quarantined with a warning and treated as
 a miss.  The CLI keys each entry by a digest of the package source too, so
@@ -10,8 +10,7 @@ makes every old entry a miss.
 
 This is the one module that hashes.  SHA-256 comes from the interpreter's
 builtin module, so a cached run never loads `hashlib` and with it OpenSSL's
-libcrypto; the digests are the same bytes either way.  Nothing here loads
-`json`.
+libcrypto; the digests are the same bytes either way.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Command-line surface: argument parsing, result caching, and CSV/JSON
-table emission.  Every setting is a flag; only the cache directory can also
+"""Command-line surface: argument parsing, result caching, and CSV table
+emission.  Every setting is a flag; only the cache directory can also
 come from the ACL_CACHE_DIR environment variable.  One parser, `_parse`,
 reads every argv from the command and flag tables: it builds the namespace
 of a call, writes the help that -h or --help asks for, and refuses anything
@@ -7,11 +7,9 @@ else with one error line.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
-them.  A table is rendered once, as CSV text: CSV output writes it as is, a
-cache entry holds it, and JSON output splits it on newlines and commas, so
-a CSV run and a JSON run share one entry.  The cache module loads only with
-a cache dir and json only for JSON output, and no run loads hashlib: the
-cache hashes with the builtin SHA-256.
+them.  A table is rendered once, as CSV text, which a cache entry holds and
+the output stream gets as is.  The cache module loads only with a cache
+dir, and no run loads hashlib: the cache hashes with the builtin SHA-256.
 
 Exit codes: 0 ok or help, 1 internal error (one stderr line, no traceback),
 2 usage error, 3 guard violation (size error).
@@ -30,14 +28,13 @@ CACHE_ENV = "ACL_CACHE_DIR"
 # faster than linearly with it.
 DIGITS_GUARD = 1000
 
-# Each flag's spec, by dest: its value's `type` (str if none), any `choices`
-# and `default`, and the `help` text.  The flag is "--" and the dest with "-"
-# for "_", and every flag takes a value.
+# Each flag's spec, by dest: its value's `type` (str if none), any `default`,
+# and the `help` text.  The flag is "--" and the dest with "-" for "_", and
+# every flag takes a value.
 _FLAGS = {
     "q": dict(type=int, help="field size (prime power)"),
     "digits": dict(type=int, default=12, help="significant digits of real cells"),
     "cache_dir": dict(help=f"directory of cached tables (else ${CACHE_ENV})"),
-    "format": dict(choices=("csv", "json"), default="csv", help="table format, csv or json"),
     "M": dict(type=int, help="height exponent (first)"),
     "M_max": dict(type=int, help="height exponent (last; --M if not given)"),
     "n": dict(type=int, help="projective dimension"),
@@ -46,7 +43,7 @@ _FLAGS = {
     "mu": dict(help="minimum slope mu of the effective cone (a fraction)"),
     "deg_cut": dict(type=int, default=8, help="largest place degree in the Euler product"),
 }
-_COMMON = ("q", "digits", "cache_dir", "format")
+_COMMON = ("q", "digits", "cache_dir")
 
 
 class UsageError(Exception):
@@ -235,7 +232,7 @@ def _parse(argv):
     the command's, then the flags, the last of a repeated flag winning.
     Anything else (an unknown or abbreviated flag, a missing value, "--" or
     an extra token, an unknown or missing command, a value that its flag's
-    type or choices refuse) raises UsageError."""
+    type refuses) raises UsageError."""
     words = ()
     for token in argv:
         if token in _HELP_FLAGS:
@@ -267,8 +264,6 @@ def _parse(argv):
             value = spec.get("type", str)(value)
         except ValueError:
             raise UsageError(f"{flag}: invalid {spec['type'].__name__} value {value!r}") from None
-        if value not in spec.get("choices", (value,)):
-            raise UsageError(f"{flag}: invalid choice {value!r} (choose from {', '.join(spec['choices'])})")
         values[spelled[flag]] = value
     return SimpleNamespace(**values)
 
@@ -279,7 +274,7 @@ def _fingerprint_config(args, key) -> dict:
     served."""
     from . import cache
 
-    skip = {"cache_dir", "format", "command", "subcommand"}
+    skip = {"cache_dir", "command", "subcommand"}
     cfg = {
         "command": list(key),
         "source": cache.source_digest(os.path.dirname(os.path.abspath(__file__))),
@@ -288,19 +283,6 @@ def _fingerprint_config(args, key) -> dict:
         if name not in skip:
             cfg[name] = str(value)
     return cfg
-
-
-def _emit(table, fmt, out):
-    """Write the CSV text as is, or as a JSON array of row objects: every
-    cell is token-safe, so the lines and commas of the text delimit them."""
-    if fmt == "csv":
-        out.write(table)
-    else:
-        import json
-
-        columns, *rows = (line.split(",") for line in table.splitlines())
-        out.write(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
-        out.write("\n")
 
 
 def dispatch(argv, out=None) -> int:
@@ -313,7 +295,8 @@ def dispatch(argv, out=None) -> int:
             return 0
         key = (args.command, args.subcommand) if hasattr(args, "subcommand") else (args.command,)
         _check_output_args(args)
-        cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+        # an explicit --cache-dir, "" included, overrides the variable
+        cache_dir = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir
         table = None
         if cache_dir:
             from . import cache
@@ -331,7 +314,7 @@ def dispatch(argv, out=None) -> int:
             table = "".join(",".join(line) + "\n" for line in cells)
             if cache_dir:
                 cache.store(cache_dir, fp_config, table)
-        _emit(table, args.format, out)
+        out.write(table)
         return 0
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,6 +162,8 @@ def _positive_mu(mu) -> Fraction:
         mu = Fraction(mu)
     except ZeroDivisionError:
         raise ValueError(f"mu {mu!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"mu {mu!r} is not a fraction") from None
     if mu <= 0:
         raise ValueError("mu must be positive")
     return mu

@@ -85,23 +85,6 @@ def test_cycles_golden_rows():
     assert lines[3].startswith("3,155,281,22,155,")
 
 
-def test_json_format():
-    code, out = run(["count", "pairs", "--q", "3", "--M", "1", "--format", "json"])
-    assert code == 0
-    data = json.loads(out)
-    assert isinstance(data, list) and len(data) == 1
-    assert data[0]["observed"] == data[0]["closed_form"]
-    assert data[0]["match"] == "true"
-
-
-def test_peyre_json_keys():
-    code, out = run(["peyre", "hilb2", "--q", "3", "--format", "json"])
-    assert code == 0
-    (row,) = json.loads(out)
-    assert set(row) == {"value", "residual_bound", "exact_prefactor"}
-    assert abs(float(row["value"]) - 12.2927838461584) < 1e-9
-
-
 def test_peyre_digits_past_a_double():
     """Digits a double cannot hold come from the Decimal result itself; each
     printed value is checked against mpmath at 60 digits."""
@@ -228,6 +211,10 @@ def test_usage_errors_exit_2():
         (["peyre", "hilbm", "--q", "2", "--m", "2", "--mu", "0"], "error: mu must be positive"),
         # m = 2 reads no Euler product, but a given cut is checked as at m = 3
         (["peyre", "cm", "--q", "3", "--m", "2", "--deg-cut=-5"], "error: deg_cut >= 1 required"),
+        # a mu that Fraction cannot read is named in the error
+        (["peyre", "hilbm", "--q", "3", "--m", "3", "--mu", ""], "error: mu '' is not a fraction"),
+        (["peyre", "hilbm", "--q", "3", "--m", "3", "--mu", "abc"], "error: mu 'abc' is not a fraction"),
+        (["peyre", "cm", "--q", "3", "--m", "2", "--mu", "1/2/3"], "error: mu '1/2/3' is not a fraction"),
     ],
 )
 def test_peyre_bad_input_exit_2(capsys, argv, message):
@@ -700,17 +687,16 @@ def _assert_unknown_flag(command, spellings, capsys):
 
 def test_config_format_is_checked(tmp_path, monkeypatch, capsys):
     """--config FILE and --config=FILE are unknown flags, so a file setting
-    format = xml changes nothing: exit 2, and nothing written."""
+    format = xml changes nothing, and so is --format with any value: exit 2,
+    and nothing written."""
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "x.cfg"
     cfg.write_text("format=xml\n")
     command = ["count", "rational", "--q", "2", "--n", "1", "--M", "1", "--cache-dir", str(tmp_path / "cache")]
     _assert_unknown_flag(command, [["--config", str(cfg)], [f"--config={cfg}"]], capsys)
+    # every table is CSV
+    _assert_unknown_flag(command, [["--format", "csv"], ["--format=json"]], capsys)
     assert os.listdir(tmp_path) == ["x.cfg"]
-    # --format takes only its choices: exit 2 and one error line
-    code, out = run(["count", "rational", "--q", "2", "--n", "1", "--M", "1", "--format", "xml"])
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err == "error: --format: invalid choice 'xml' (choose from csv, json)\n"
 
 
 def test_digits_below_1_exit_2(capsys):
@@ -858,9 +844,15 @@ def test_version_has_one_copy():
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
+    """The variable stands in only for an absent --cache-dir: an explicit
+    --cache-dir "" runs without a cache and leaves its directory empty."""
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    code, _ = run(["count", "pairs", "--q", "2", "--M", "1"])
-    assert code == 0
+    monkeypatch.chdir(tmp_path)
+    argv = ["count", "pairs", "--q", "2", "--M", "1", "--M-max", "2"]
+    for flag in (["--cache-dir", ""], ["--cache-dir="]):
+        assert run(argv + flag) == (0, _PAIRS_TABLE)
+    assert os.listdir(tmp_path) == []
+    assert run(argv) == (0, _PAIRS_TABLE)
     assert any(f.endswith(".csv") for f in os.listdir(tmp_path))
 
 
@@ -968,7 +960,7 @@ _OWN_FLAGS = {
 # SHA-256 of the JSON list of [argv, exit code, stdout, stderr] of dispatch
 # over _help_and_error_argv(): the help that cli._help builds from the
 # command and flag tables, and the one error line of each refusal.
-HELP_AND_ERRORS_SHA256 = "2c861b647420efac1c048961b5bca783741e4be0143f63302cb608eeb6c8d564"
+HELP_AND_ERRORS_SHA256 = "f5bd1574109191dae45f3904aaf6c5cbee7b89f162484df24da4ffab3aca541a"
 
 
 def _help_and_error_argv():
@@ -1025,8 +1017,8 @@ def test_plain_parse_reads_own_flags(key):
     negative numbers, and any value after "="."""
     assert set(_OWN_FLAGS[key]) == set(cli._COMMANDS[key][1])
     command = list(key)
-    spaced = command + ["--q", "3", "--format", "json"]
-    joined = command + ["--q=3", "--format=json"]
+    spaced = command + ["--q", "3", "--digits", "15"]
+    joined = command + ["--q=3", "--digits=15"]
     for name, value in _OWN_FLAGS[key].items():
         flag = "--" + name.replace("_", "-")
         spaced += [flag, value]
@@ -1103,7 +1095,7 @@ def test_a_flag_where_a_command_word_is_due_leaves_it_missing(capsys):
 
 
 _SPELLINGS = ["--" + dest.replace("_", "-") for dest in cli._FLAGS]
-_GOOD_VALUES = ["1", "2", "3", "12", "csv", "json", "1/2"]
+_GOOD_VALUES = ["1", "2", "3", "12", "1/2"]
 _ODD_VALUES = ["-1", "-3", "", "x", " 4", "xml", "--q", "-", "-1/2", "-x y", "--nope=1 2", "--q=1 2"]
 
 
@@ -1158,7 +1150,9 @@ def test_plain_parse_agrees_with_argparse(data):
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids="-".join)
 def test_no_command_writes_outside_its_cache_dir(key, tmp_path, monkeypatch):
     """Run from an empty working directory, a command writes nothing there
-    without --cache-dir, and with it only the cache directory gains files."""
+    without --cache-dir, and with it only the cache directory gains files.
+    Its table has one cell per column in every row, and a hit serves the
+    same table without calling the runner."""
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     work = tmp_path / "work"
     work.mkdir()
@@ -1166,32 +1160,15 @@ def test_no_command_writes_outside_its_cache_dir(key, tmp_path, monkeypatch):
     argv = list(key) + ["--q", "3"]
     for name, value in _OWN_FLAGS[key].items():
         argv += ["--" + name.replace("_", "-"), value]
-    assert run(argv)[0] == 0
+    code, out = run(argv)
+    assert code == 0
+    columns, *rows = (line.split(",") for line in out.splitlines())
+    assert rows and all(len(row) == len(columns) for row in rows), out
     assert os.listdir(work) == []
-    cache_dir = tmp_path / "cache"
-    assert run(argv + ["--cache-dir", str(cache_dir)])[0] == 0
+    cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+    assert run(cached) == (0, out)
     assert os.listdir(work) == []
-    assert sorted(os.listdir(tmp_path)) == ["cache", "work"] and os.listdir(cache_dir)
-
-
-@pytest.mark.parametrize("key", list(cli._COMMANDS), ids="-".join)
-def test_json_is_the_csv_split_on_commas(key, tmp_path, monkeypatch):
-    """Every cell is token-safe, so JSON output is the CSV output split on
-    newlines and commas: cold, and on a hit from the entry that a run in the
-    other format wrote."""
-    argv = list(key) + ["--q", "3"]
-    for name, value in _OWN_FLAGS[key].items():
-        argv += ["--" + name.replace("_", "-"), value]
-
-    out = {fmt: run(argv + ["--format", fmt]) for fmt in ("csv", "json")}
-    assert out["csv"][0] == out["json"][0] == 0
-    columns, *rows = (line.split(",") for line in out["csv"][1].splitlines())
-    assert rows and all(len(row) == len(columns) for row in rows), out["csv"]
-    assert json.loads(out["json"][1]) == [dict(zip(columns, row)) for row in rows]
+    assert sorted(os.listdir(tmp_path)) == ["cache", "work"] and os.listdir(tmp_path / "cache")
     flags, defaults = cli._COMMANDS[key][1:]
-    for first, then in (("csv", "json"), ("json", "csv")):
-        cached = argv + ["--cache-dir", str(tmp_path / first)]
-        assert run(cached + ["--format", first]) == out[first]
-        with monkeypatch.context() as patch:
-            patch.setitem(cli._COMMANDS, key, (None, flags, defaults))  # a miss would call it
-            assert run(cached + ["--format", then]) == out[then]
+    monkeypatch.setitem(cli._COMMANDS, key, (None, flags, defaults))  # a miss would call it
+    assert run(cached) == (0, out)

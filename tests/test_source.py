@@ -244,19 +244,32 @@ def test_no_package_module_imports_from_the_tests():
     assert imported == []
 
 
-def test_no_package_module_imports_argparse():
-    """cli._parse reads, explains and refuses every argv from the command
-    and flag tables, so no module of the package imports argparse, at top
-    level or inside a function; tests/oracles.py builds the argparse parser
-    that the table parser is checked against."""
-    importing = sorted(
+def _importing(package) -> list:
+    """The package modules that import package, at top level or inside a
+    function."""
+    return sorted(
         module
         for module, tree in _parse(SRC).items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "argparse" for alias in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "argparse"
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == package for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package
     )
-    assert importing == []
+
+
+def test_no_package_module_imports_argparse():
+    """cli._parse reads, explains and refuses every argv from the command
+    and flag tables, so no module of the package imports argparse;
+    tests/oracles.py builds the argparse parser that the table parser is
+    checked against."""
+    assert _importing("argparse") == []
+
+
+def test_no_package_module_imports_json():
+    """Every table is printed and cached as CSV text, so no module of the
+    package imports json; and no flag spec has `choices`, since the table
+    parser checks only a value's type."""
+    assert _importing("json") == []
+    assert [dest for dest, spec in cli._FLAGS.items() if "choices" in spec] == []
 
 
 # Defaulted parameters that no call in the package passes, each with the
