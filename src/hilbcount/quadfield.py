@@ -14,14 +14,17 @@ in every characteristic,
 
 The count builds no keys; the tests build them on walked lines at small q,
 even q included (the key route of tests/oracles.py), and read each height
-off the key.  At odd q they also build coordinates (the explicit-orbit
-route, at q = 3, M = 1): a + b sqrt(D) in L = F_q(t)(sqrt(D)) with
-polynomial parts a, b, made canonical with no division in L by
-multiplying by the conjugate of the first nonzero coordinate, which turns
-it into its norm in F_q[t], then removing the content of the six parts and
-making the first nonzero leading coefficient 1.
+off the key.  The key is a singular conic, and so are the product l_x l_y
+of the lines of two rational points and the square l_x^2 of one; since a
+singular conic splits into two lines over the algebraic closure, there are
+no others.  So the tests also count the singular conics of height q^M,
+the primitive forms with largest coefficient degree M and half-discriminant
+0 (singular_conic_count in tests/oracles.py), and hold them equal to this
+count plus the pairs and doubles of rational points, at even q and M = 2
+too, through no line, key, place or square root.
 
-Height: H(x) = (prod_w max_i |x_i|_w)^(1/2) over the places w of L, with
+Height: H(x) = (prod_w max_i |x_i|_w)^(1/2) over the places w of the
+quadratic extension L of F_q(t) that x is defined over, with
 |z|_w = q^(-w(z) deg(w)), w the valuation onto Z, deg(w) = f_w times the
 degree of the place below and the infinite place of F_q(t) of degree 1, so
 that the product formula holds in L and H is Galois- and

@@ -7,9 +7,8 @@ package against them.
   `fqarith.convolve`, whose remainder `fqarith.poly_rem` is held equal to;
   the recursive, cached listing of monic irreducibles of each degree and
   the irreducibility test on it, the reference for the modulus search of
-  `FqField`; gcd, extended gcd, squarefree test, trial factoring and the
-  squarefree decomposition f = d h^2, with the `Poly` operations only they
-  read (`scale`, `is_monic`, `monic`, `derivative`, `constant`,
+  `FqField`; gcd, extended gcd and the squarefree test, with the `Poly`
+  operations only they read (`scale`, `is_monic`, `monic`, `derivative`,
   `serialize`) as plain functions.
 - F_q[t] by code: `all_polys`, every polynomial of degree <= M as a `Poly`
   indexed by its base-q code, and `divisor_masks_by_poly`, the divisor-mask
@@ -21,11 +20,13 @@ package against them.
 - Degree-2 points of the plane: the key route, which reads the orbit key
   in Sym^2 P^2 of the point of an irreducible form on a line straight off
   the line's basis and the form's coefficients, at every q (see the
-  `quadfield` docstring); at odd q the quadratic extensions L =
-  F_q(t)(sqrt(D)), the canonical coordinates of a point of P^2(L) and its
-  orbit key; the height read off a key; and `kt_main_term`, the `Fraction`
-  the integer main_term and ratio cells of `count quadratic` are checked
-  against.
+  `quadfield` docstring), and the height read off a key;
+  `singular_conic_count`, the singular conics of each height, which
+  count the orbits together with the pairs and doubles of rational points
+  with no line, form key, place or square root; `n2_conjecture`, the
+  conjectured closed form of the orbit count; and `kt_main_term`, the
+  `Fraction` the integer main_term and ratio cells of `count quadratic`
+  are checked against.
 - The command line: `build_parser`, the argparse parser of every command
   built from `cli._COMMANDS` and `cli._FLAGS` with abbreviations off, which
   `cli._parse` is held equal to: the same namespace for every argv it
@@ -36,20 +37,17 @@ from __future__ import annotations
 
 import argparse
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from hilbcount import cli
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, irreducible_count
-from hilbcount.ratpoints import schanuel_constant
+from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, field_from_order, irreducible_count
+from hilbcount.ratpoints import divisor_masks, schanuel_constant
 
 # Max number of coordinate tuples an enumerate_exact_height scan covers.
 TUPLE_GUARD = 10**9
-
-
-class WrongDegreeError(Exception):
-    """Point does not have the algebraic degree the operation expects."""
 
 
 # --- F_q and F_q[t] ---
@@ -251,10 +249,6 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def constant(field: FqField, c: int) -> Poly:
-    return Poly(field, (c % field.q if field.k == 1 else c,))
-
-
 def scale(f: Poly, c: int) -> Poly:
     F = f.field
     return Poly(F, (F.mul(c, x) for x in f.coeffs))
@@ -330,43 +324,6 @@ def is_squarefree(f: Poly) -> bool:
     # any repeated factor divides gcd(f, f'); this covers char p since a
     # square factor g^2 | f forces g | f' as well
     return poly_gcd(f, derivative(f)).degree == 0
-
-
-def trial_factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor a nonzero polynomial into monic irreducibles by trial division.
-    Only intended for small degrees."""
-    if f.is_zero:
-        raise ValueError("cannot factor zero")
-    factors = []
-    g = monic(f)
-    d = 1
-    while g.degree >= 1:
-        if d > g.degree // 2:
-            factors.append((g, 1))
-            break
-        for p in irreducibles_of_degree(d, f.field):
-            if (g % p).is_zero:
-                e = 0
-                while (g % p).is_zero:
-                    g = g // p
-                    e += 1
-                factors.append((p, e))
-        d += 1
-    return factors
-
-
-def squarefree_decompose(f: Poly) -> tuple[Poly, Poly]:
-    """Write f = d * h^2 with d squarefree.  The unit of f stays on d."""
-    F = f.field
-    unit = f.lead
-    d = constant(F, unit)
-    h = Poly.one(F)
-    for p, e in trial_factor(f):
-        if e % 2:
-            d = d * p
-        h = h * p ** (e // 2)
-    assert d * h * h == f
-    return d, h
 
 
 def all_polys(field: FqField, max_deg: int) -> list[Poly]:
@@ -493,7 +450,8 @@ def sym2_basis(P, Q) -> list[tuple[Poly, Poly, Poly]]:
     """The Sym^2 coordinates of P P, P Q + Q P and Q Q for a line with basis
     (P, Q): one triple (P_i^2, P_i Q_i, Q_i^2) per coordinate ii, then one
     triple (2 P_i P_j, P_i Q_j + P_j Q_i, 2 Q_i Q_j) per coordinate ij,
-    i < j, in the order of `_orbit_key`."""
+    i < j: the order of the coefficients (a, b, c, d, e, f) of
+    a X^2 + b Y^2 + c Z^2 + d XY + e XZ + f YZ in `singular_conic_count`."""
     n = len(P)
     out = [(P[i] * P[i], P[i] * Q[i], Q[i] * Q[i]) for i in range(n)]
     for i in range(n):
@@ -513,127 +471,107 @@ def line_form_key(basis, A: Poly, B: Poly, C: Poly) -> ProjPointFqt:
     return canonicalize([C * pp - B * pq + A * qq for pp, pq, qq in basis])
 
 
-class QuadExt:
-    """L = F_q(t)(sqrt(D)) for squarefree D (or a nonsquare constant)."""
+def singular_conic_count(q: int, M: int) -> int:
+    """D(M), the number of singular conics over F_q(t) of height q^M, M >= 1:
+    the primitive forms a X^2 + b Y^2 + c Z^2 + d XY + e XZ + f YZ over
+    F_q[t], up to F_q^*, of largest coefficient degree exactly M and
+    half-discriminant 4abc + def - af^2 - be^2 - cd^2 = 0.  The half-
+    discriminant is the singularity test in characteristic 2 too.
 
-    def __init__(self, field: FqField, d: Poly):
-        if field.q % 2 == 0:
-            raise ValueError("F_q(t)(sqrt(D)) needs odd q")
-        if d.is_zero:
-            raise ValueError("D must be nonzero")
-        if d.degree == 0:
-            if is_square_unit(field, d.lead):
-                raise ValueError("constant D must be a nonsquare unit")
-        elif not is_squarefree(d):
-            raise ValueError("D must be squarefree")
-        self.field = field
-        self.d = d
+    A singular conic splits into two lines over the algebraic closure, so it
+    is the Sym^2 key l_x l_x' of a degree-2 orbit {x, x'}, the product
+    l_x l_y of two rational points, of height q^(N + N') by Gauss's lemma,
+    or the square l_x^2 of a doubled one.  With P_2(M) half the ordered
+    pairs of rational points (the `observed` cell of `count pairs`) and
+    A(N) the rational points of height q^N, that gives
+    D(M) = N_2(M) + P_2(M) + [M even] A(M/2)/2, with no line, form key,
+    place or square root.
 
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and self.field == other.field and self.d == other.d
+    The half-discriminant is linear in b: b (4ac - e^2) = af^2 + cd^2 - def.
+    So each (a, c, d, e, f) of codes below q^(M+1) has at most one b, looked
+    up among the multiples of Delta = 4ac - e^2 by a b of degree <= M, and
+    where Delta = 0 and the right side is 0 every b counts, read off the
+    histogram of masks.  A tuple is primitive iff the AND of its divisor
+    masks (`ratpoints.divisor_masks`) is 0; the tuples are counted and the
+    q - 1 units divided out.
+    """
+    field = field_from_order(q)
+    mask = divisor_masks(field, M)
+    n, top, L = q ** (M + 1), q**M, 3 * M + 1  # codes >= top have degree M
+    polys = [f.coeffs for f in all_polys(field, M)]
 
-    def __hash__(self):
-        return hash((self.field, self.d))
+    def times(*factors) -> tuple:
+        out = (1,)
+        for f in factors:
+            out = convolve(field, out, f)
+        return tuple(out) + (0,) * (L - len(out))
 
-    def __repr__(self):
-        return f"QuadExt(q={self.field.q}, D={self.d!r})"
-
-
-class QuadElem:
-    """a + b sqrt(D) with polynomial parts."""
-
-    __slots__ = ("ext", "a", "b")
-
-    def __init__(self, ext: QuadExt, a: Poly, b: Poly):
-        self.ext = ext
-        self.a = a
-        self.b = b
-
-    @property
-    def is_zero(self):
-        return self.a.is_zero and self.b.is_zero
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadElem)
-            and self.ext == other.ext
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __add__(self, other):
-        return QuadElem(self.ext, self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        return QuadElem(
-            self.ext,
-            self.a * other.a + self.ext.d * (self.b * other.b),
-            self.a * other.b + self.b * other.a,
-        )
-
-    def conj(self):
-        return QuadElem(self.ext, self.a, -self.b)
-
-    def norm(self) -> Poly:
-        return self.a * self.a - self.ext.d * (self.b * self.b)
-
-    def trace(self) -> Poly:
-        return self.a + self.a
-
-    def __repr__(self):
-        return f"QuadElem({self.a!r} + {self.b!r}*sqrt(D))"
-
-
-class DegreeTwoPoint(NamedTuple):
-    ext: QuadExt
-    coords: tuple[QuadElem, ...]  # polynomial parts, canonical
-    orbit_key: ProjPointFqt  # the orbit's point of Sym^2 P^2
-
-
-def _orbit_key(y: tuple[QuadElem, ...]) -> ProjPointFqt:
-    """The orbit's point of Sym^2 P^2 in P^5(F_q(t)): the products
-    x_i conj(x_i), then x_i conj(x_j) + x_j conj(x_i) for i < j.  They lie
-    in F_q(t) and do not depend on which sqrt(D) presentation of the residue
-    field was used; conjugation fixes them and scaling x by c multiplies them
-    all by N(c)."""
-    n = len(y)
-    cross = [(y[i] * y[j].conj()).trace() for i in range(n) for j in range(i + 1, n)]
-    return canonicalize([c.norm() for c in y] + cross)
-
-
-def canonicalize_quadratic(ext: QuadExt, coords) -> DegreeTwoPoint:
-    """Scale by the conjugate of the first nonzero coordinate, which makes
-    that coordinate its norm in F_q[t], remove the polynomial content of the
-    parts, and make the first nonzero leading coefficient 1.  Raises
-    WrongDegreeError when the point is actually rational."""
-    coords = tuple(coords)
-    pivot = next((c for c in coords if not c.is_zero), None)
-    if pivot is None:
-        raise ValueError("all coordinates are zero")
-    conj = pivot.conj()
-    y = [c * conj for c in coords]
-    if all(c.b.is_zero for c in y):
-        raise WrongDegreeError("point is rational (degree 1), not degree 2")
-    parts = [f for c in y for f in (c.a, c.b)]
-    g = poly_gcd_all(parts)
-    if g.degree > 0:
-        parts = [f // g for f in parts]
-    u = field_inv(ext.field, next(f for f in parts if not f.is_zero).lead)
-    parts = [scale(f, u) for f in parts]
-    out = tuple(QuadElem(ext, a, b) for a, b in zip(parts[::2], parts[1::2]))
-    return DegreeTwoPoint(ext, out, _orbit_key(out))
-
-
-def height_degree2(P: DegreeTwoPoint) -> Fraction:
-    """Exponent h with H(P) = q^h: half the max degree of the orbit key; see
-    the quadfield docstring."""
-    return Fraction(max(c.degree for c in P.orbit_key.coords), 2)
+    codes = range(n)
+    sq = [[times(x, y, y) for y in polys] for x in polys]  # x y^2
+    neg = [[[tuple(map(field.neg, times(x, y, z))) for z in polys] for y in polys] for x in polys]
+    hists = Counter(mask[top:]), Counter(mask)  # the masks of b, by whether b may have degree < M
+    free_b: dict[tuple[int, bool], int] = {}
+    four = 4 % field.p  # the prime-field scalar 4 has code 4 mod p
+    zero = (0,) * L
+    quotients: dict[tuple, dict | None] = {}
+    total = 0
+    for a in codes:
+        for c in codes:
+            ac4 = tuple(field.mul(four, x) for x in times(polys[a], polys[c]))
+            for e in codes:
+                delta = tuple(map(field.sub, ac4, times(polys[e], polys[e])))
+                if delta not in quotients:  # deg Delta <= 2M, so b Delta has L coefficients
+                    multiples = {times(polys[b], delta[: 2 * M + 1]): b for b in codes}
+                    quotients[delta] = multiples if any(delta) else None
+                quot = quotients[delta]
+                g_ace, high_ace = mask[a] & mask[c] & mask[e], max(a, c, e) >= top
+                sq_a, sq_c, neg_e = sq[a], sq[c], neg[e]
+                for d in codes:
+                    sq_cd, neg_ed = sq_c[d], neg_e[d]
+                    g_d, high_d = g_ace & mask[d], high_ace or d >= top
+                    for f in codes:
+                        rhs = tuple(map(field.add, map(field.add, sq_a[f], sq_cd), neg_ed[f]))
+                        g, high = g_d & mask[f], high_d or f >= top
+                        if quot is None:
+                            if rhs == zero:
+                                if (g, high) not in free_b:
+                                    free_b[g, high] = sum(k for m, k in hists[high].items() if not g & m)
+                                total += free_b[g, high]
+                        else:
+                            b = quot.get(rhs)
+                            if b is not None and not g & mask[b] and (high or b >= top):
+                                total += 1
+    assert total % (q - 1) == 0
+    return total // (q - 1)
 
 
 def kt_main_term(field: FqField, M: int) -> Fraction:
     """2 S^2 q^(3M) M, the conjectured point count (two points per orbit)."""
     S = schanuel_constant(2, field.q)
     return 2 * S * S * Fraction(field.q) ** (3 * M) * M
+
+
+def n2_conjecture(q: int, M: int) -> Fraction:
+    """A conjecture, not a derivation: the closed form of N_2(M), the
+    degree-2 orbits of the plane with H^2 = q^M, M >= 1, that the class sum
+    of `enumerate_degree2` has matched at every row compared.  With
+    S = schanuel_constant(2), s = q^2 + q + 1,
+    c_1 = -q (2q^2 + 3q + 2) / ((q^2 - 1) s) and
+    c_0 = (q^2 - 6q + 1) / (2 (q^2 - 1)):
+
+        odd M:  S^2 [(M + c_1) q^(3M) + (q + 1)^2 / ((q - 1) s) q^((5M+1)/2)]
+        even M: S^2 [(M + c_0) q^(3M) - c_1 q^(5M/2)
+                     - q^2 / (2 (q^2 - 1) s) q^(3M/2)]
+    """
+    S = schanuel_constant(2, q)
+    s = q * q + q + 1
+    c1 = Fraction(-q * (2 * q * q + 3 * q + 2), (q * q - 1) * s)
+    if M % 2:
+        return S * S * ((M + c1) * q ** (3 * M) + Fraction((q + 1) ** 2, (q - 1) * s) * q ** ((5 * M + 1) // 2))
+    c0 = Fraction(q * q - 6 * q + 1, 2 * (q * q - 1))
+    return S * S * (
+        (M + c0) * q ** (3 * M) - c1 * q ** (5 * M // 2) - Fraction(q * q, 2 * (q * q - 1) * s) * q ** (3 * M // 2)
+    )
 
 
 # --- the command line ---

@@ -18,19 +18,15 @@ from hilbcount.fqarith import (
 from oracles import (
     Poly,
     all_polys,
-    constant,
     field_inv,
     irreducibles_of_degree,
     is_irreducible,
     is_monic,
     is_square_unit,
-    is_squarefree,
     poly_gcd,
     poly_gcd_all,
     poly_xgcd,
     serialize,
-    squarefree_decompose,
-    trial_factor,
 )
 
 F2 = FqField(2)
@@ -300,30 +296,6 @@ def test_all_polys_complete():
     ps = all_polys(F3, 2)
     assert len(ps) == 27
     assert len({p.coeffs for p in ps}) == 27
-
-
-@given(a=codes)
-@settings(max_examples=40, deadline=None)
-def test_trial_factor_reassembles(a):
-    f = poly_from_code(F3, a, 5)
-    if f.is_zero:
-        return
-    prod = constant(F3, f.lead)
-    for p, e in trial_factor(f):
-        assert is_irreducible(p)
-        prod = prod * p**e
-    assert prod == f
-
-
-@given(a=codes)
-@settings(max_examples=40, deadline=None)
-def test_squarefree_decompose(a):
-    f = poly_from_code(F3, a, 5)
-    if f.is_zero:
-        return
-    d, h = squarefree_decompose(f)
-    assert d * h * h == f
-    assert d.degree == 0 or is_squarefree(d)
 
 
 def test_enumeration_guard():

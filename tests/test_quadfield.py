@@ -1,7 +1,5 @@
 import functools
-import hashlib
 import itertools
-import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -25,27 +23,19 @@ from hilbcount.quadfield import (
 )
 from oracles import (
     Poly,
-    QuadElem,
-    QuadExt,
-    WrongDegreeError,
-    all_polys,
-    canonicalize_quadratic,
-    constant,
     divisor_masks_by_poly,
     enumerate_exact_height,
     field_inv,
-    height_degree2,
     is_irreducible,
     is_monic,
     is_square_unit,
     is_squarefree,
     kt_main_term,
     line_form_key,
-    poly_gcd_all,
+    n2_conjecture,
     poly_xgcd,
     scale,
-    serialize,
-    squarefree_decompose,
+    singular_conic_count,
     sym2_basis,
 )
 
@@ -57,38 +47,21 @@ F7 = FqField(7)
 F9 = field_from_order(9)
 
 
-def mk(field, *coeff_lists):
-    return tuple(Poly(field, c) for c in coeff_lists)
-
-
 def t_poly(field):
     return Poly(field, (0, 1))
 
 
-def ext_t(field=F3):
-    return QuadExt(field, t_poly(field))
+def z0_key(field, A, B, C):
+    """The Sym^2 key of the point [s_0 : 1 : 0], A s_0^2 + B s_0 + C = 0, of
+    an irreducible form on the line Z = 0, with basis P = (1, 0, 0) and
+    Q = (0, 1, 0)."""
+    zero, one = Poly(field, ()), Poly.one(field)
+    return line_form_key(sym2_basis((one, zero, zero), (zero, one, zero)), A, B, C)
 
 
-def rand_elem(rng, ext, max_deg=3):
-    polys = all_polys(ext.field, max_deg)
-    while True:
-        a, b = rng.choice(polys), rng.choice(polys)
-        if not (a.is_zero and b.is_zero):
-            return QuadElem(ext, a, b)
-
-
-def test_quadext_validation():
-    with pytest.raises(ValueError, match="needs odd q"):
-        QuadExt(F2, t_poly(F2))
-    with pytest.raises(ValueError):
-        QuadExt(F3, Poly(F3, ()))
-    with pytest.raises(ValueError):
-        QuadExt(F3, Poly.one(F3))  # square constant
-    t = t_poly(F3)
-    with pytest.raises(ValueError):
-        QuadExt(F3, t * t)  # not squarefree
-    # a nonsquare constant is allowed
-    assert QuadExt(F3, constant(F3, 2)).d == constant(F3, 2)
+def key_exponent(key) -> int:
+    """The exponent e of H^2 = q^e read off a canonical key."""
+    return max(c.degree for c in key.coords)
 
 
 def test_records_are_immutable():
@@ -98,151 +71,36 @@ def test_records_are_immutable():
             setattr(qc, name, 0)
 
 
-def test_element_arithmetic():
-    rng = random.Random(11)
-    ext = QuadExt(F3, Poly(F3, [1, 0, 1]))  # D = 1 + t^2, squarefree
-    for _ in range(40):
-        z = rand_elem(rng, ext, 2)
-        w = rand_elem(rng, ext, 2)
-        assert z.norm() * w.norm() == (z * w).norm()
-        # trace and norm against explicit conjugate products
-        s = z + z.conj()
-        assert s.b.is_zero and s.a == z.trace()
-        p = z * z.conj()
-        assert p.b.is_zero and p.a == z.norm()
-
-
-@pytest.mark.parametrize("field", [F3, F5, F7, F9])
+@pytest.mark.parametrize("field", [F3, F5, F7, F9, F2, F4])
 def test_height_family_sqrt_d(field):
-    """H([sqrt(D):1:0]) = q^(deg D / 2) for monic squarefree D, deg <= 3."""
-    zero, one = Poly(field, ()), Poly.one(field)
+    """H([sqrt(D):1:0]) = q^(deg D / 2) for monic squarefree D, deg <= 3,
+    read off the key of s^2 - D, at even q too."""
+    one = Poly.one(field)
     for deg in (1, 2, 3):
         for tail in itertools.product(range(field.q), repeat=deg):
             d = Poly(field, list(tail) + [1])
-            if not is_squarefree(d):
-                continue
-            ext = QuadExt(field, d)
-            pt = canonicalize_quadratic(
-                ext, (QuadElem(ext, zero, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
-            )
-            assert height_degree2(pt) == Fraction(d.degree, 2)
+            if is_squarefree(d):
+                assert key_exponent(z0_key(field, one, Poly(field, ()), -d)) == d.degree
 
 
 def test_height_spec_spots():
-    ext = ext_t()
-    zero, one = Poly(F3, ()), Poly.one(F3)
-    pt = canonicalize_quadratic(
-        ext, (QuadElem(ext, one, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
-    )
-    assert height_degree2(pt) == Fraction(1, 2)  # [1+sqrt(t) : 1 : 0]
+    t, one = t_poly(F3), Poly.one(F3)
+    # [1+sqrt(t) : 1 : 0], the point of (s - 1)^2 - t, has H^2 = q
+    assert key_exponent(z0_key(F3, one, -(one + one), one - t)) == 1
 
 
 def test_height_past_a_large_split_place():
     """[a + sqrt(t) : 1 : 0] over F_7 with a = 1 + t^2 + t^4: the norms share
     p = a^2 - t, irreducible of degree 8, at which t is a square.  A height
     read place by place needs a square root of t in the 7^8 residue field of
-    p; read off the key (a^2 - t, 1, 0, 2a, 0, 0) it is q^4."""
-    ext = ext_t(F7)
-    zero, one = Poly(F7, ()), Poly.one(F7)
+    p; read off the key (a^2 - t, 1, 0, 2a, 0, 0) of the point of
+    (s - a)^2 - t it is q^4."""
+    zero, one, t = Poly(F7, ()), Poly.one(F7), t_poly(F7)
     a = Poly(F7, (1, 0, 1, 0, 1))
-    assert is_irreducible(a * a - t_poly(F7))
-    pt = canonicalize_quadratic(
-        ext, (QuadElem(ext, a, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
-    )
-    assert pt.orbit_key.coords == (a * a - t_poly(F7), one, zero, a + a, zero, zero)
-    assert height_degree2(pt) == 4
-
-
-def test_rational_point_rejected():
-    ext = ext_t()
-    one, zero = Poly.one(F3), Poly(F3, ())
-    with pytest.raises(WrongDegreeError):
-        canonicalize_quadratic(
-            ext, (QuadElem(ext, one, zero), QuadElem(ext, zero, zero), QuadElem(ext, one, zero))
-        )
-    with pytest.raises(ValueError):
-        canonicalize_quadratic(
-            ext, (QuadElem(ext, zero, zero),) * 3
-        )
-
-
-def test_conjugation_and_scaling_invariance():
-    rng = random.Random(23)
-    ds = [Poly(F3, [0, 1]), Poly(F3, [1, 0, 1]), Poly(F3, [2, 1, 0, 1])]
-    checked = 0
-    while checked < 30:
-        ext = QuadExt(F3, rng.choice(ds))
-        coords = tuple(rand_elem(rng, ext, 2) for _ in range(3))
-        if all(c.b.is_zero for c in coords):
-            continue
-        try:
-            pt = canonicalize_quadratic(ext, coords)
-        except WrongDegreeError:
-            continue
-        h = height_degree2(pt)
-        conj = canonicalize_quadratic(ext, tuple(c.conj() for c in coords))
-        assert conj.orbit_key == pt.orbit_key
-        assert height_degree2(conj) == h
-        s = rand_elem(rng, ext, 2)
-        scaled = canonicalize_quadratic(ext, tuple(c * s for c in coords))
-        assert scaled == pt
-        checked += 1
-
-
-def _random_integral_point(rng, ext, common):
-    """Three coordinates a + b sqrt(D) with parts of degree <= 2, not all
-    zero, each multiplied by the common factor."""
-    polys = all_polys(ext.field, 2)
-    while True:
-        coords = tuple(QuadElem(ext, rng.choice(polys), rng.choice(polys)) for _ in range(3))
-        if any(not c.is_zero for c in coords):
-            return tuple(c * common for c in coords)
-
-
-@pytest.mark.parametrize("q", [3, 5, 9])
-def test_canonical_form_without_division(q):
-    """On random integral inputs with a common factor: the pivot coordinate
-    is its norm in F_q[t], the point is unchanged, the six parts are
-    primitive with first nonzero leading coefficient 1, and the orbit key
-    ignores conjugation and scaling."""
-    field = field_from_order(q)
-    rng = random.Random(100 + q)
-    t, one = t_poly(field), Poly.one(field)
-    ds = (t, t * t + t + constant(field, 2), t * t * t + t + one)
-    exts = [QuadExt(field, d) for d in ds if is_squarefree(d)]
-    nonzero = [f for f in all_polys(field, 2) if not f.is_zero]
-    checked = 0
-    while checked < 60:
-        ext = rng.choice(exts)
-        common = QuadElem(ext, rng.choice(nonzero), Poly(field, ()))
-        if rng.randrange(2):
-            common = common * rand_elem(rng, ext, 1)
-        x = _random_integral_point(rng, ext, common)
-        try:
-            pt = canonicalize_quadratic(ext, x)
-        except WrongDegreeError:
-            continue
-        y = pt.coords
-        pivot = next(i for i, c in enumerate(y) if not c.is_zero)
-        assert y[pivot].b.is_zero
-        assert all(y[i] * x[j] == y[j] * x[i] for i in range(3) for j in range(3))
-        parts = [f for c in y for f in (c.a, c.b)]
-        assert poly_gcd_all(parts) == one
-        assert next(f for f in parts if not f.is_zero).lead == 1
-        c = rand_elem(rng, ext, 2)
-        for other in (tuple(z.conj() for z in x), tuple(z * c for z in x)):
-            assert canonicalize_quadratic(ext, other).orbit_key == pt.orbit_key
-        checked += 1
-    # a rational point scaled by an irrational factor is still rational
-    zero = Poly(field, ())
-    for _ in range(20):
-        ext = rng.choice(exts)
-        s = QuadElem(ext, rng.choice(nonzero), rng.choice(nonzero))
-        rational = [QuadElem(ext, f, zero) for f in (zero, rng.choice(nonzero), rng.choice(nonzero))]
-        with pytest.raises(WrongDegreeError):
-            canonicalize_quadratic(ext, [z * s for z in rational])
-    with pytest.raises(ValueError):
-        canonicalize_quadratic(ext, (QuadElem(ext, zero, zero),) * 3)
+    assert is_irreducible(a * a - t)
+    key = z0_key(F7, one, -(a + a), a * a - t)
+    assert key.coords == (a * a - t, one, zero, a + a, zero, zero)
+    assert key_exponent(key) == 8
 
 
 def test_kt_main_term():
@@ -347,7 +205,7 @@ def test_form_stream_reads_primitivity_from_masks(monkeypatch):
 
 
 # A walk over every rational line, by a reduced basis of each dual vector:
-# the oracle for T, and the lines of the explicit orbits.
+# the oracle for T, and the lines of the key route.
 
 
 def _line_basis(lams: tuple[Poly, Poly, Poly]):
@@ -513,10 +371,13 @@ def _brute_matches(fmax, classes, M, min_deg=0):
 
 
 def _brute_degree2(M, bound=None):
-    """Oracle for enumerate_degree2 over F_3 with enlarged bounds: every form
-    is checked against every class, the line classes go two past the d_Q
-    cap, and the forms of degree in (fmax, fmax+2] are scanned as well.
-    Returns (count, stable, nonzero extra matches)."""
+    """Oracle for enumerate_degree2 over F_3 past the bounds (dq_cap, fmax)
+    it stops at, (M // 2, M) unless given: it counts the forms of degree
+    <= fmax on the lines with d_Q <= dq_cap, and also matches every form
+    against the line classes with d_Q up to dq_cap + 2 and the forms of
+    degree in (fmax, fmax + 2] against every class.  Returns (count,
+    whether no form past the bounds matches, the nonzero matches of the
+    forms past fmax per class)."""
     dq_cap, fmax = bound if bound is not None else (M // 2, M)
     classes = _line_classes(F3, dq_cap)
     boundary = [(dP, dQ) for dQ in (dq_cap + 1, dq_cap + 2) for dP in range(dQ + 1)]
@@ -524,23 +385,23 @@ def _brute_degree2(M, bound=None):
     matches = _brute_matches(fmax, all_classes, M)
     count = sum(classes[cls] * matches[cls] for cls in classes)
     extra = _brute_matches(fmax + 2, all_classes, M, min_deg=fmax + 1)
-    stable = all(matches[cls] == 0 for cls in boundary) and all(v == 0 for v in extra.values())
-    return count, stable, {cls: v for cls, v in extra.items() if v}
+    complete = all(matches[cls] == 0 for cls in boundary) and all(v == 0 for v in extra.values())
+    return count, complete, {cls: v for cls, v in extra.items() if v}
 
 
 @pytest.mark.parametrize(
-    "M, bound, count, stable, extra",
+    "M, bound, count, complete, extra",
     [
         (1, None, 2808, True, {}),
         (1, (0, 0), 0, False, {(0, 0): 216}),
         (2, (1, 1), 34632, False, {(0, 0): 7260, (0, 1): 141}),
     ],
 )
-def test_profile_probe_matches_brute_force(M, bound, count, stable, extra):
-    """At the proven bounds the enlarged-bound oracle finds nothing that
-    enumerate_degree2 leaves out; the truncated bounds show that the oracle
-    catches a search that stops short."""
-    assert _brute_degree2(M, bound) == (count, stable, extra)
+def test_no_form_past_the_proven_bounds_matches(M, bound, count, complete, extra):
+    """At the proven bounds no form past them matches, so enumerate_degree2
+    leaves nothing out; the truncated bounds show that the oracle catches a
+    search that stops short."""
+    assert _brute_degree2(M, bound) == (count, complete, extra)
     if bound is None:
         assert enumerate_degree2(3, M, M)[0].count == count
 
@@ -613,7 +474,7 @@ def _scaled_product(f: Poly, g: Poly, c: int) -> Poly:
 
 
 def _discriminant(A: Poly, B: Poly, C: Poly) -> Poly:
-    """B^2 - 4 A C, whose square root the odd-q oracles take."""
+    """B^2 - 4 A C, whose leading term gives the type at infinity at odd q."""
     return _scaled_product(B, B, 1) - _scaled_product(A, C, 4)
 
 
@@ -700,62 +561,25 @@ def test_sweep_rows_equal_single_counts(field, M_max, monkeypatch):
     assert enumerate_degree2(field.q, 2, M_max) == rows[1:]
 
 
-def degree2_orbits(field: FqField, M: int):
-    """Construct each counted orbit explicitly (slow; for cross-validation).
-    Yields DegreeTwoPoint values, one per orbit; QuadExt needs odd q."""
-    forms = list(_form_stream(field, M))
-    for (P, dP), (Q, dQ) in _lines(field, M // 2):
-        for A, B, C in forms:
-            if _form_exponent(A.degree, B.degree, C.degree, dP, dQ) != M:
-                continue
-            d0, h = squarefree_decompose(_discriminant(A, B, C))
-            ext = QuadExt(field, d0)
-            two_a = A + A
-            coords = []
-            for Pi, Qi in zip(P, Q):
-                coords.append(QuadElem(ext, -(B * Pi) + two_a * Qi, h * Pi))
-            yield canonicalize_quadratic(ext, coords)
+def test_enumerate_degree2_cross_validation():
+    """The class sum equals D(M) - P_2(M) - [M even] A(M/2)/2, the singular
+    conics less the pairs and doubles of rational points (see
+    oracles.singular_conic_count), a route through no line class, form key
+    or square root: at odd and even q, and at M = 2, where the doubles
+    enter."""
+    for q, M, D in ((2, 1, 462), (3, 1, 6864), (2, 2, 6048)):
+        assert singular_conic_count(q, M) == D, (q, M)
+        pairs = ratpoints.count_reducible_pairs(q, M, M)[0].observed
+        doubles = 0 if M % 2 else ratpoints.point_count_exact_height(2, q, M // 2)
+        assert 2 * enumerate_degree2(q, M, M)[0].count == 2 * (D - pairs) - doubles, (q, M)
 
 
-@pytest.fixture(scope="module")
-def orbits_f3_m1():
-    """degree2_orbits(F3, 1), built once for the tests that read it."""
-    return list(degree2_orbits(F3, 1))
-
-
-def test_enumerate_degree2_cross_validation(orbits_f3_m1):
-    """The class-count total must equal the number of distinct canonical
-    orbits built explicitly, and every orbit's height, read off its key
-    rather than its line class and form, must come out as q^(M/2)."""
-    orbits = orbits_f3_m1
-    keys = {o.orbit_key for o in orbits}
-    assert len(orbits) == len(keys) == 2808
-    assert all(height_degree2(o) == Fraction(1, 2) for o in orbits)
-
-
-# SHA-256 of the sorted lines "D;a0:b0/a1:b1/a2:b2" of the canonical
-# coordinates of degree2_orbits(F3, 1), pinned while points were still
-# canonicalized by division in F_q(t)(sqrt D).
-ORBITS_F3_M1_SHA256 = "5cf943b6c89e1e85688fb9582008332bc28ad454289154aa86c7d82f8d7fc24f"
-
-
-def test_orbit_coordinates_match_pinned_digest(orbits_f3_m1):
-    lines = sorted(
-        serialize(o.ext.d) + ";" + "/".join(f"{serialize(c.a)}:{serialize(c.b)}" for c in o.coords)
-        for o in orbits_f3_m1
-    )
-    assert len(lines) == 2808
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ORBITS_F3_M1_SHA256
-
-
-def test_enumerate_degree2_contains_sqrt_t_orbit(orbits_f3_m1):
-    ext = ext_t()
-    zero, one = Poly(F3, ()), Poly.one(F3)
-    target = canonicalize_quadratic(
-        ext, (QuadElem(ext, zero, one), QuadElem(ext, one, zero), QuadElem(ext, zero, zero))
-    )
-    keys = {o.orbit_key for o in orbits_f3_m1}
-    assert target.orbit_key in keys
+@pytest.mark.parametrize("q, M_max", [(2, 12), (3, 12), (4, 8), (5, 8), (7, 6), (8, 6), (9, 6), (16, 4)])
+def test_n2_conjecture_matches_class_sum(q, M_max):
+    """The conjectured closed form equals every row of a sweep, at odd and
+    even M and at every characteristic."""
+    rows = enumerate_degree2(q, 1, M_max)
+    assert [n2_conjecture(q, r.M) for r in rows] == [r.count for r in rows]
 
 
 def test_enumerate_degree2_errors():
