@@ -119,11 +119,7 @@ def _run_count_quadratic(args):
 def _run_cycles(args):
     from . import genfun
 
-    cols = ["m", "sym", "hilb", "primes", "chen7", "chen8", "chen8_valid", "ratio_error"]
-    rows = []
-    for r in genfun.cycle_table(args.q, args.m_max):
-        rows.append([r.m, r.sym, r.hilb, r.primes, r.chen7, r.chen8, r.chen8_valid, r.ratio_error])
-    return cols, rows
+    return list(genfun.CycleRow._fields), [list(r) for r in genfun.cycle_table(args.q, args.m_max)]
 
 
 def _run_peyre(args):
@@ -138,8 +134,7 @@ def _run_peyre(args):
         res = peyre.peyre_constant_hilbm(args.m, args.q, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
     else:
         res = peyre.cm_constant(args.m, args.q, mu=args.mu, deg_cut=args.deg_cut, dps=dps)
-    cols = ["value", "residual_bound", "exact_prefactor"]
-    return cols, [[res.value, res.residual_bound, res.exact_prefactor]]
+    return list(peyre.PeyreResult._fields), [list(res)]
 
 
 def _run_verify_lemmas(args):

@@ -5,12 +5,17 @@ Everything here is exact: series coefficients are integers, point-count
 polynomials have integer coefficients, and integrality of the final counts
 is asserted rather than assumed.
 
-|Hilb^m P^2| comes by two routes that share no arithmetic.  The polynomial
-in the field size, `hilb_count_poly`, is Goettsche's product over Z[x]
-(shift-and-add on ints that pack the x-coefficients); the numeric counts,
-`hilb_counts`, are the exponential formula as an integer recurrence with
-exact division.  The tests hold the two equal for every m up to the series
-guard.
+One product gives every series: Goettsche's
+
+    sum_m |Hilb^m P^2| t^m = prod_{n>=1} Z(x^(n-1) t^n),
+    Z(u) = 1 / ((1 - u)(1 - x u)(1 - x^2 u)),
+
+on integer coefficient lists (`_goettsche`).  At x = q its n = 1 factor,
+Z(t), is the symmetric-power series and the whole product the Hilbert
+counts; at x = 1 and x = 2^B it gives the polynomial in the field size,
+`hilb_count_poly`.  The tests check it against a `Fraction` exponential
+formula, a coefficient-list product and the punctual cell count.
+Goettsche, Math. Ann. 286 (1990).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import SizeError
-from .fqarith import mobius
+from .fqarith import irreducible_count
 
 SERIES_ORDER_GUARD = 64
 
@@ -34,17 +39,26 @@ def _check_series_order(order: int):
         raise SizeError(f"series order {order} exceeds guard order <= {SERIES_ORDER_GUARD}")
 
 
+def _goettsche(x: int, m_max: int, n_max: int) -> list[int]:
+    """The t^0..t^m_max terms of prod_{n=1}^{n_max} Z(x^(n-1) t^n) at the
+    integer x: each factor 1/(1 - x^s t^n), s in {n-1, n, n+1}, applied in
+    place by series[i] += x^s * series[i-n]."""
+    series = [1] + [0] * m_max
+    for n in range(1, n_max + 1):
+        for s in (n - 1, n, n + 1):
+            x_s = x**s
+            for i in range(n, m_max + 1):
+                series[i] += x_s * series[i - n]
+    return series
+
+
 def sym_counts(q: int, m_max: int) -> list[int]:
     """|Sym^m P^2(F_q)| for m = 0..m_max: the coefficients of the zeta
-    series 1/((1-t)(1-qt)(1-q^2 t)), each geometric factor 1/(1 - a t)
-    applied in place by series[i] += a * series[i-1]."""
+    series Z(t) = 1/((1-t)(1-qt)(1-q^2 t)), the n = 1 factor of the
+    product at x = q."""
     _check_field_size(q)
     _check_series_order(m_max)
-    series = [1] + [0] * m_max
-    for a in (1, q, q * q):
-        for i in range(1, m_max + 1):
-            series[i] += a * series[i - 1]
-    return series
+    return _goettsche(q, m_max, 1)
 
 
 def chen7_closed(q: int, m: int) -> int:
@@ -73,61 +87,29 @@ def chen7_closed(q: int, m: int) -> int:
 
 
 def hilb_counts(q: int, m_max: int) -> list[int]:
-    """|Hilb^m P^2(F_q)| for m = 0..m_max via the exponential formula.
-
-    The counts are the coefficients h_n of exp(sum_k (t^k / k) N_k /
-    (1 - q^k t^k)), N_k = q^(2k) + q^k + 1 the number of F_{q^k}-points of
-    the plane.  With b_n = n * [t^n] of the argument, an integer, they obey
-    n h_n = sum_{k=1}^{n} b_k h_{n-k}; the division by n must be exact."""
+    """|Hilb^m P^2(F_q)| for m = 0..m_max: the product at x = q.  No factor
+    with n > m_max reaches t^m_max."""
     _check_field_size(q)
     _check_series_order(m_max)
-    # b_n = sum over k | n of (n/k) N_k q^(n-k)
-    b = [0] * (m_max + 1)
-    for k in range(1, m_max + 1):
-        n_k = q ** (2 * k) + q**k + 1
-        for n in range(k, m_max + 1, k):
-            b[n] += (n // k) * n_k * q ** (n - k)
-    out = [1] + [0] * m_max
-    for n in range(1, m_max + 1):
-        acc = sum(b[k] * out[n - k] for k in range(1, n + 1))
-        assert acc % n == 0, "Hilbert count coefficients must be integers"
-        out[n] = acc // n
-    return out
+    return _goettsche(q, m_max, m_max)
 
 
 def hilb_count_poly(m: int) -> list[int]:
     """|Hilb^m P^2| as a polynomial in the field size x: its 2m+1 integer
     coefficients, constant term first (degree 2m, monic, second coefficient
-    2), from Goettsche's product over Z[x]:
+    2), read off the t^m term of the product at x = 2^B, whose base-2^B
+    digits are those coefficients.
 
-        sum_m |Hilb^m P^2| t^m = prod_{n>=1} Z(x^(n-1) t^n),
-        Z(u) = 1 / ((1 - u)(1 - x u)(1 - x^2 u)).
-
-    Each factor 1/(1 - x^s t^n), s in {n-1, n, n+1}, is applied in place by
-    series[i] += x^s * series[i-n] for i = n..m.  Each t^i term is one int
-    holding its x-coefficients in fields of B bits, so x^s is a shift by sB
-    bits.  Every step adds, so no coefficient of the t^i term exceeds its
-    value at x = 1: the number of triples of partitions of total size i, at
-    most that of size m, which the same recurrence computes on ints.  B is
-    one bit more than that needs, so no field carries into the next.
-    Goettsche, Math. Ann. 286 (1990)."""
+    Every step of the product adds, so no coefficient of the t^m term
+    exceeds the term's value at x = 1, which the product at x = 1 gives.
+    B is one bit more than that value needs, so no digit carries into the
+    next."""
     if m < 0:
         raise ValueError("m >= 0 required")
     _check_series_order(m)
-    at_one = [1] + [0] * m
-    for n in range(1, m + 1):
-        for _s in range(3):
-            for i in range(n, m + 1):
-                at_one[i] += at_one[i - n]
-    bits = at_one[m].bit_length() + 1
-    series = [1] + [0] * m
-    for n in range(1, m + 1):
-        for s in (n - 1, n, n + 1):
-            shift = s * bits
-            for i in range(n, m + 1):
-                series[i] += series[i - n] << shift
+    bits = _goettsche(1, m, m)[m].bit_length() + 1
+    packed = _goettsche(1 << bits, m, m)[m]
     mask = (1 << bits) - 1
-    packed = series[m]
     poly = [(packed >> (j * bits)) & mask for j in range(2 * m + 1)]
     assert packed >> ((2 * m + 1) * bits) == 0
     assert poly[2 * m] == 1
@@ -138,18 +120,15 @@ def hilb_count_poly(m: int) -> list[int]:
 
 def closed_point_counts(q: int, m_max: int) -> list[int]:
     """Number of closed points of degree m on P^2 over F_q (prime 0-cycles),
-    for m = 1..m_max, via Mobius inversion of the Newton identity."""
+    for m = 1..m_max.  Mobius inversion of the Newton identity
+    sum_{d|m} d P_d = q^(2m) + q^m + 1 gives the monic irreducibles of
+    degree m over F_(q^2) and over F_q, plus one at m = 1, since
+    sum_{d|m} mu(d) = [m = 1]."""
     _check_field_size(q)
-    out = []
-    for m in range(1, m_max + 1):
-        total = 0
-        for d in range(1, m + 1):
-            if m % d == 0:
-                r = m // d
-                total += mobius(d) * (q ** (2 * r) + q**r + 1)
-        assert total % m == 0 and total > 0
-        out.append(total // m)
-    return out
+    return [
+        irreducible_count(m, q * q) + irreducible_count(m, q) + (m == 1)
+        for m in range(1, m_max + 1)
+    ]
 
 
 def _chen8(q: int, m: int) -> Fraction:

@@ -42,12 +42,8 @@ def zeta_fqt(s: int, q: int) -> Fraction:
 def local_density_poly(m: int) -> list[int]:
     """omega_v for Hilb^m of the plane as a polynomial in x = 1/q_v:
     |Hilb^m(F_{q_v})| / q_v^(2m), the count's coefficients reversed.
-    Constant term 1, second coefficient 2."""
-    out = hilb_count_poly(m)[::-1]
-    assert out[0] == 1
-    if m >= 2:
-        assert out[1] == 2
-    return out
+    Constant term 1, second coefficient 2, as hilb_count_poly asserts."""
+    return hilb_count_poly(m)[::-1]
 
 
 def damped_density_poly(m: int) -> list[int]:

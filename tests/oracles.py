@@ -27,6 +27,12 @@ package against them.
   conjectured closed form of the orbit count; and `kt_main_term`, the
   `Fraction` the integer main_term and ratio cells of `count quadratic`
   are checked against.
+- Hilb^m of the plane: `punctual_hilb_counts`, the Hilbert counts as a
+  product over closed points of the punctual series, whose coefficients
+  `cell_sum` counts by the cells of the punctual Hilbert scheme, one per
+  partition, with no Goettsche product; and `punctual_count_by_matrices`,
+  the base case of `cell_sum`, counted from commuting nilpotent matrices
+  with a cyclic vector.
 - The command line: `build_parser`, the argparse parser of every command
   built from `cli._COMMANDS` and `cli._FLAGS` with abbreviations off, which
   `cli._parse` is held equal to: the same namespace for every argv it
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -44,6 +51,7 @@ from typing import NamedTuple
 from hilbcount import cli
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, field_from_order, irreducible_count
+from hilbcount.genfun import closed_point_counts
 from hilbcount.ratpoints import divisor_masks, schanuel_constant
 
 # Max number of coordinate tuples an enumerate_exact_height scan covers.
@@ -572,6 +580,113 @@ def n2_conjecture(q: int, M: int) -> Fraction:
     return S * S * (
         (M + c0) * q ** (3 * M) - c1 * q ** (5 * M // 2) - Fraction(q * q, 2 * (q * q - 1) * s) * q ** (3 * M // 2)
     )
+
+
+# --- Hilb^m of the plane ---
+
+
+def partitions(k: int, largest: int):
+    """Yield every partition of k into parts <= largest, each as a tuple of
+    parts in non-increasing order."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part,) + rest
+
+
+def cell_sum(Q: int, k: int) -> int:
+    """sum over partitions lambda of k of Q^(k - len(lambda)): the points
+    over F_Q of the punctual Hilbert scheme of k points at a point of the
+    plane, one affine cell per partition (Ellingsrud and Stromme, Invent.
+    Math. 87, 1987)."""
+    return sum(Q ** (k - len(lam)) for lam in partitions(k, k))
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two series truncated to the length of a."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
+def punctual_hilb_counts(q: int, m_max: int) -> list[int]:
+    """|Hilb^m P^2(F_q)| for m = 0..m_max from the closed points of the
+    plane and the punctual cells, with no Goettsche product: a subscheme
+    is one punctual subscheme at each closed point it meets, so the counts
+    are [t^m] prod_d P_0(q^d, t^d)^(N_d), with P_0(Q, t) = sum_k
+    cell_sum(Q, k) t^k and N_d the closed points of degree d
+    (`genfun.closed_point_counts`).  Each power is the binomial series
+    sum_j C(N_d, j) (P_0 - 1)^j in integers; P_0 - 1 has no constant term,
+    so it stops at j = m_max // d."""
+    out = [1] + [0] * m_max
+    for d, n_d in enumerate(closed_point_counts(q, m_max), 1):
+        cells = [0] * (m_max + 1)
+        for k in range(1, m_max // d + 1):
+            cells[k * d] = cell_sum(q**d, k)
+        power, term = list(out), list(out)
+        for j in range(1, m_max // d + 1):
+            term = _times(term, cells)
+            power = [a + math.comb(n_d, j) * b for a, b in zip(power, term)]
+        out = power
+    return out
+
+
+def _spans(A, B, v, p: int) -> bool:
+    """Whether v, A v, B v, A B v, ... span F_p^k: the closure of v under A
+    and B, kept as rows with a leading 1 at distinct pivots."""
+    k = len(v)
+    basis: dict[int, list[int]] = {}
+    todo = [v]
+    while todo:
+        w = list(todo.pop())
+        for pivot in sorted(basis):
+            if w[pivot]:
+                c = w[pivot]
+                w = [(x - c * y) % p for x, y in zip(w, basis[pivot])]
+        lead = next((i for i, x in enumerate(w) if x), None)
+        if lead is None:
+            continue
+        inv = pow(w[lead], p - 2, p)
+        basis[lead] = [x * inv % p for x in w]
+        for M in (A, B):
+            todo.append([sum(M[i][j] * w[j] for j in range(k)) % p for i in range(k)])
+    return len(basis) == k
+
+
+def punctual_count_by_matrices(p: int, k: int) -> int:
+    """The points over the prime field F_p of the punctual Hilbert scheme of
+    k points of the plane, by its quiver description: the triples (A, B, v)
+    of commuting nilpotent A, B in M_k(F_p) and a vector v with F_p[A, B] v
+    = F_p^k, over |GL_k(F_p)|, which acts on the triples freely (Feit and
+    Fine, Duke Math. J. 27, 1960; Bryan and Morrison, J. Algebraic Geom.
+    24, 2015).  A naive scan of every pair, for the base case of
+    cell_sum."""
+
+    def mul(A, B):
+        return tuple(tuple(sum(A[i][l] * B[l][j] for l in range(k)) % p for j in range(k)) for i in range(k))
+
+    def nilpotent(A):
+        power = A
+        for _ in range(k - 1):
+            power = mul(power, A)
+        return not any(map(any, power))
+
+    matrices = (tuple(zip(*[iter(flat)] * k)) for flat in itertools.product(range(p), repeat=k * k))
+    nil = [A for A in matrices if nilpotent(A)]
+    vectors = list(itertools.product(range(p), repeat=k))[1:]
+    triples = 0
+    for A in nil:
+        for B in nil:
+            if mul(A, B) == mul(B, A):
+                triples += sum(_spans(A, B, v, p) for v in vectors)
+    gl = math.prod(p**k - p**i for i in range(k))
+    assert triples % gl == 0
+    return triples // gl
 
 
 # --- the command line ---

@@ -14,6 +14,7 @@ from hilbcount.genfun import (
     hilb_counts,
     sym_counts,
 )
+from oracles import cell_sum, punctual_count_by_matrices, punctual_hilb_counts
 
 
 class TruncSeries:
@@ -286,6 +287,20 @@ def test_hilb_count_poly_shape():
         assert p[2 * m - 1] == 2
     with pytest.raises(SizeError, match=r"^series order 65 exceeds guard order <= 64$"):
         hilb_count_poly(65)
+
+
+def test_punctual_cells_equal_hilb_counts():
+    # the product over closed points of the punctual cell series shares no
+    # step with Goettsche's product but the closed-point counts
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        assert punctual_hilb_counts(q, 16) == hilb_counts(q, 16), q
+
+
+@pytest.mark.parametrize(("p", "k", "points"), [(2, 1, 1), (2, 2, 3), (2, 3, 7), (3, 1, 1), (3, 2, 4)])
+def test_cell_sum_base_case(p, k, points):
+    # the cyclic commuting nilpotent triples over |GL_k(F_p)| count the
+    # punctual Hilbert scheme with no cell decomposition
+    assert punctual_count_by_matrices(p, k) == cell_sum(p, k) == points
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
