@@ -24,7 +24,8 @@ def technical_sum(q: int, t: int, j: int, m: int, M: int, dps: int):
 
 
 def technical_main_term(q: int, t: int, j: int, m: int, M: int, dps: int):
-    """Predicted leading term (1/(((t-j)/t) log q) + 1/2) q^((t-j)M/t) M^(m-t)."""
+    """Predicted leading term (1/(alpha log q) + 1/2) q^(alpha M) M^(m-t),
+    alpha = (t-j)/t; the constant is 1/(1 - q^(-alpha)) to two terms only."""
     with localcontext() as ctx:
         ctx.prec = dps
         alpha = Decimal(t - j) / t
@@ -34,7 +35,8 @@ def technical_main_term(q: int, t: int, j: int, m: int, M: int, dps: int):
 
 def technical_lemma_check(q: int, t: int, j: int, m: int, M: int, dps: int):
     """Normalized deviation dev(M) = |sum/main - 1| * M; bounded in M when
-    the lemma's main term is right."""
+    the main term is right, but technical_main_term's constant is short,
+    so for q >= 3 dev grows about like M (12.7 at q = 5 and M = 400)."""
     s = technical_sum(q, t, j, m, M, dps)
     main = technical_main_term(q, t, j, m, M, dps)
     with localcontext() as ctx:

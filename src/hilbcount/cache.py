@@ -58,7 +58,6 @@ def _path(cache_dir: str, fp: str) -> str:
 def store(cache_dir: str, config: dict, payload: str) -> str:
     """Write the CSV text under the config's fingerprint, after a header of
     the fingerprint and the text's digest; returns the path."""
-    os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -73,9 +72,10 @@ def store(cache_dir: str, config: dict, payload: str) -> str:
 
 
 def load(cache_dir: str, config: dict):
-    """Return the cached CSV text for this config, or None on miss.  A file
-    whose header does not match the fingerprint and its body's digest is
-    renamed aside."""
+    """Make the directory, then return the cached CSV text for this config,
+    or None on miss.  A file whose header does not match the fingerprint
+    and its body's digest is renamed aside."""
+    os.makedirs(cache_dir, exist_ok=True)
     fp = fingerprint(config)
     path = _path(cache_dir, fp)
     if not os.path.exists(path):

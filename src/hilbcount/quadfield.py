@@ -59,14 +59,14 @@ profile (alpha, beta, gamma) = (deg A, deg B, deg C), with deg 0 = -1.  In
 the valuation v = -deg of F_q(t) at infinity, extended: if 2 beta > alpha +
 gamma the polygon has two slopes, the two roots have the distinct
 valuations alpha - beta and beta - gamma, and infinity splits.  Otherwise
-the polygon is one segment, and both conjugate roots have valuation W / 2
-with W = alpha - gamma at every place above infinity.  Since sum e f = 2
-there, the product over w | infty then has the exponent
-max(2 d_P - W, 2 d_Q) - max(-W, 0) whether infinity splits, is inert or
-ramifies.  So a form's class is its key: (alpha, beta, gamma) if
-2 beta > alpha + gamma, else (alpha, -1, gamma), which holds W and
-max(alpha, beta, gamma) = max(alpha, gamma).  The type at infinity never
-enters the count.
+the polygon is one segment, and both conjugate roots have valuation
+(alpha - gamma) / 2 at every place above infinity.  Since sum e f = 2
+there, the product over w | infty reads only u_1 <= u_2, twice the roots'
+valuations, whether infinity splits, is inert or ramifies.  So a form's
+class is its key (deg F, u_1, u_2), the type at infinity never enters
+the count, and the exponent has one term per root:
+
+    deg F + (1/2) sum_{u in (u_1, u_2)} max(2 d_P - u, 2 d_Q) - max(-u, 0).
 
 Forms per key, by Moebius inversion over the monic gcd g of (A, B, C):
 sum_{deg g = k} mu(g) is 1, -q and 0 for k = 0, k = 1 and k >= 2, and a
@@ -78,14 +78,14 @@ reducible ones among them are, by Gauss's lemma, the products
 (a s + b u)(c s + d u) of two points (a : b), (c : d) of P^1 with a, c
 monic and b, d != 0, so unordered pairs of such points, repeats allowed.
 N_1(i, j) points have deg a = i and deg b = j, by the same count.  A pair
-has alpha = i_1 + i_2, gamma = j_1 + j_2 and deg B = max(i_1 + j_2,
-j_1 + i_2) when the two differ, two slopes; when they are equal it has
-one segment, whatever cancels in B.  Taking half of the ordered pairs plus
-the repeated ones gives the unordered pairs per key, and the primitive
-forms less these are the irreducible ones.  The tests hold this count
-equal, key by key, to a scan over every coefficient triple that keeps the
-primitive forms with B != a d + b c for every factorisation a c = A (a
-monic) and b d = C; that scan is the oracle.
+has the roots -b / a of its points, of valuation i - j, and by Gauss's
+lemma at infinity the degree d_1 + d_2, d = max(i, j), whatever cancels
+in B; so its key is (d_1 + d_2, u_1, u_2) with u = 2 (i - j).  Half of
+the ordered pairs plus the repeated ones are the unordered pairs per key,
+and the primitive forms less these are the irreducible ones.  The tests
+hold this count equal, key by key, to a scan over every coefficient
+triple that keeps the primitive forms with B != a d + b c for every
+factorisation a c = A (a monic) and b d = C; that scan is the oracle.
 
 The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
 H^2 >= q^(deg F + 2 d_P), so the count reads only those classes and forms.
@@ -135,26 +135,23 @@ def _line_count(q: int, dP: int, dQ: int) -> int:
     return s * (q * q - 1) ** 2 * q ** (4 * dP + 2 * dQ - 3)
 
 
-def _form_exponent(alpha: int, beta: int, gamma: int, dP: int, dQ: int) -> int:
-    """Exponent of q in H^2 for the point of a form with coefficient degrees
-    (alpha, beta, gamma) on a (d_P, d_Q) line; beta = -1 for B = 0."""
-    if 2 * beta > alpha + gamma:
-        # distinct Newton slopes: one term per root, of valuation v
-        g = 0
-        for v in (alpha - beta, beta - gamma):
-            g += max(dP - v, dQ) - max(-v, 0)
-    else:
-        W = alpha - gamma
-        g = max(2 * dP - W, 2 * dQ) - max(-W, 0)
-    assert g >= 0
-    return max(alpha, beta, gamma) + g
+def _form_exponent(deg_f: int, u1: int, u2: int, dP: int, dQ: int) -> int:
+    """Exponent of q in H^2 for the point of a form of key (deg F, u_1, u_2)
+    on a (d_P, d_Q) line: one term per root, u twice its valuation."""
+    g = 0
+    for u in (u1, u2):
+        g += max(2 * dP - u, 2 * dQ) - max(-u, 0)
+    assert g >= 0 and g % 2 == 0
+    return deg_f + g // 2
 
 
 def _form_key(alpha: int, beta: int, gamma: int) -> tuple[int, int, int]:
-    """The class of a form of coefficient degrees (alpha, beta, gamma): the
-    profile itself if its Newton polygon has two slopes, else
-    (alpha, -1, gamma), which has the same _form_exponent."""
-    return (alpha, beta, gamma) if 2 * beta > alpha + gamma else (alpha, -1, gamma)
+    """The class (deg F, u_1, u_2) of a form of coefficient degrees
+    (alpha, beta, gamma), beta = -1 for B = 0: u_1 <= u_2 are twice the
+    valuations at infinity of its roots, read off its Newton polygon."""
+    if 2 * beta > alpha + gamma:
+        return (max(alpha, beta, gamma), 2 * (alpha - beta), 2 * (beta - gamma))
+    return (max(alpha, gamma), alpha - gamma, alpha - gamma)
 
 
 def _coprime_count(q: int, degs) -> int:
@@ -187,14 +184,15 @@ def _form_counts(q: int, fmax: int) -> Counter:
         for gamma in degs:
             for beta in range(-1, fmax + 1):
                 counts[_form_key(alpha, beta, gamma)] += _coprime_count(q, (alpha, beta, gamma))
-    points = [(i, j, _coprime_count(q, (i, j))) for i in degs for j in degs]
+    # each point (a : b) of P^1 as (its degree, twice the valuation of -b / a)
+    points = [(max(i, j), 2 * (i - j), _coprime_count(q, (i, j))) for i in degs for j in degs]
     pairs = Counter()  # ordered pairs, plus each repeated pair once more
-    for i1, j1, n1 in points:
-        pairs[_form_key(2 * i1, -1, 2 * j1)] += n1
-        for i2, j2, n2 in points:
-            pairs[_form_key(i1 + i2, max(i1 + j2, j1 + i2), j1 + j2)] += n1 * n2
+    for d1, u1, n1 in points:
+        pairs[2 * d1, u1, u1] += n1
+        for d2, u2, n2 in points:
+            pairs[d1 + d2, min(u1, u2), max(u1, u2)] += n1 * n2
     for key, n in pairs.items():
-        if max(key) <= fmax:
+        if key[0] <= fmax:
             assert n % 2 == 0
             counts[key] -= n // 2
     return counts

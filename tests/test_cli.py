@@ -856,6 +856,21 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert any(f.endswith(".csv") for f in os.listdir(tmp_path))
 
 
+def test_unusable_cache_dir_is_refused_before_the_compute(tmp_path, monkeypatch, capsys):
+    """A --cache-dir that is a regular file exits 2 with one error line and
+    no table before the runner is called."""
+    def no_run(args):
+        raise AssertionError("the runner was called before the cache dir was made")
+
+    key = ("count", "quadratic")
+    monkeypatch.setitem(cli._COMMANDS, key, (no_run, *cli._COMMANDS[key][1:]))
+    path = tmp_path / "F"
+    path.write_text("")
+    assert run(["count", "quadratic", "--q", "3", "--M", "20", "--cache-dir", str(path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 _PAIRS_TABLE = "q,M,observed,closed_form,match\n2,1,294,294,true\n2,2,3234,3234,true\n"
 
 

@@ -188,6 +188,23 @@ def test_form_counts_match_stream(q, fmax):
     assert dict(counts) == dict(keyed)
 
 
+def test_pair_keys_read_off_the_two_points():
+    """The key of a product (a s + b u)(c s + d u), deg a, b, c, d = i1, j1,
+    i2, j2 < 6, is (max(i1, j1) + max(i2, j2), the sorted 2 (i - j) of its
+    points), the rule _form_counts keys the reducible pairs by: at the deg B
+    of the product when i1 + j2 != j1 + i2, and at every deg B from -1 up
+    when they are equal, since B can cancel there.  The stream oracle
+    reaches only degree 3."""
+    for i1, j1, i2, j2 in itertools.product(range(6), repeat=4):
+        want = (max(i1, j1) + max(i2, j2), *sorted((2 * (i1 - j1), 2 * (i2 - j2))))
+        if i1 + j2 != j1 + i2:
+            betas = [max(i1 + j2, j1 + i2)]
+        else:
+            betas = range(-1, i1 + j2 + 1)
+        for beta in betas:
+            assert _form_key(i1 + i2, beta, j1 + j2) == want, (i1, j1, i2, j2, beta)
+
+
 def test_enumerate_degree2_builds_no_poly(monkeypatch):
     def no_poly(*args):
         raise AssertionError("the degree-2 count built a Poly")
@@ -365,7 +382,7 @@ def _brute_matches(fmax, classes, M, min_deg=0):
         if max(profile) < min_deg:
             continue
         for cls in classes:
-            if _form_exponent(*profile, *cls) == M:
+            if _form_exponent(*_form_key(*profile), *cls) == M:
                 counts[cls] += n
     return counts
 
@@ -420,13 +437,13 @@ def test_form_exponent_proven_bounds():
     for profile in profiles:
         deg_f = max(profile)
         for dP, dQ in classes:
-            e = _form_exponent(*profile, dP, dQ)
+            e = _form_exponent(*_form_key(*profile), dP, dQ)
             assert e >= 2 * dQ and e >= deg_f + 2 * dP, (profile, dP, dQ)
     for M in range(1, 9):
         boundary = [(dP, dQ) for dQ in (M // 2 + 1, M // 2 + 2) for dP in range(dQ + 1)]
         for profile in profiles:
             checked = classes if max(profile) > M else boundary
-            assert all(_form_exponent(*profile, *cls) != M for cls in checked), (M, profile)
+            assert all(_form_exponent(*_form_key(*profile), *cls) != M for cls in checked), (M, profile)
 
 
 # Each form classified by its type at infinity, with an exponent formula per
@@ -506,7 +523,7 @@ def test_profile_exponent_matches_infinity_type_oracle():
         assert {fd.inf_kind for _, fd in pairs} == {"split2", "split1", "inert", "ramified"}
         for profile, fd in pairs:
             for cls in classes:
-                assert _form_exponent(*profile, *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
+                assert _form_exponent(*_form_key(*profile), *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
 
 
 def test_m_guard_message_states_size_and_limit(monkeypatch):
