@@ -5,7 +5,8 @@ of the code are the coordinates in the polynomial basis 1, x, ..., x^(k-1)
 of F_{p^k} over F_p; for k = 1 the code is just the residue mod p.  For
 k > 1 the defining modulus is the lexicographically least monic irreducible
 of degree k over F_p (by coefficient sequence, lowest degree first), so
-(p, k) alone fixes a field and outputs are reproducible across runs.
+q alone fixes a field and outputs are reproducible across runs.  `FqField(q)`
+builds F_q, and `prime_power(q)` is the one check of a field size.
 
 Polynomials over F_q are lists or tuples of element codes, lowest degree
 first, multiplied by `convolve` and reduced by a monic polynomial with
@@ -20,6 +21,7 @@ Python's arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import SizeError
 
@@ -30,17 +32,6 @@ ENUM_GUARD = 10**7
 Q_BITS_GUARD = 40
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_power(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k.  Refuses q past Q_BITS_GUARD bits before any
     trial division."""
@@ -48,11 +39,7 @@ def prime_power(q: int) -> tuple[int, int]:
         raise ValueError("q must be a prime power >= 2")
     if q.bit_length() > Q_BITS_GUARD:
         raise SizeError(f"field size q = {q} exceeds guard of {Q_BITS_GUARD} bits")
-    p = 2
-    while p * p <= q and q % p != 0:
-        p += 1
-    if q % p != 0:
-        p = q  # q itself is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     n = q
     while n % p == 0:
@@ -61,11 +48,6 @@ def prime_power(q: int) -> tuple[int, int]:
     if n != 1:
         raise ValueError(f"{q} is not a prime power")
     return p, k
-
-
-def field_from_order(q: int) -> "FqField":
-    """F_q for a prime power q = p^k."""
-    return FqField(*prime_power(q))
 
 
 def mobius(n: int) -> int:
@@ -96,18 +78,13 @@ def irreducible_count(d: int, q: int) -> int:
 
 
 class FqField:
-    """The finite field F_{p^k} with integer-coded elements."""
+    """The finite field F_q, q = p^k, with integer-coded elements."""
 
-    def __init__(self, p: int, k: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
-        self.p = p
-        self.k = k
-        self.q = p**k
+    def __init__(self, q: int):
+        p, k = prime_power(q)
+        self.p, self.k, self.q = p, k, q
         if k > 1:
-            if self.q > ENUM_GUARD:
+            if q > ENUM_GUARD:
                 raise SizeError(f"modulus search over {p}^{k} candidates exceeds guard {ENUM_GUARD}")
             base = FqField(p)
             # the least irreducible is the first candidate no monic g of degree
@@ -127,15 +104,13 @@ class FqField:
         self._mul_cache: dict[tuple[int, int], int] = {}
 
     def __repr__(self):
-        if self.k == 1:
-            return f"FqField({self.p})"
-        return f"FqField({self.p}, {self.k})"
+        return f"FqField({self.q})"
 
     def __eq__(self, other):
-        return isinstance(other, FqField) and (self.p, self.k) == (other.p, other.k)
+        return isinstance(other, FqField) and self.q == other.q
 
     def __hash__(self):
-        return hash((self.p, self.k))
+        return hash(self.q)
 
     # --- element codecs ---
 

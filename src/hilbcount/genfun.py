@@ -29,11 +29,6 @@ from .fqarith import irreducible_count
 SERIES_ORDER_GUARD = 64
 
 
-def _check_field_size(q: int):
-    if q < 2:
-        raise ValueError("field size must be >= 2")
-
-
 def _check_series_order(order: int):
     if order > SERIES_ORDER_GUARD:
         raise SizeError(f"series order {order} exceeds guard order <= {SERIES_ORDER_GUARD}")
@@ -56,7 +51,6 @@ def sym_counts(q: int, m_max: int) -> list[int]:
     """|Sym^m P^2(F_q)| for m = 0..m_max: the coefficients of the zeta
     series Z(t) = 1/((1-t)(1-qt)(1-q^2 t)), the n = 1 factor of the
     product at x = q."""
-    _check_field_size(q)
     _check_series_order(m_max)
     return _goettsche(q, m_max, 1)
 
@@ -72,7 +66,6 @@ def chen7_closed(q: int, m: int) -> int:
     (q+1) sum / q in integers; each division is asserted exact."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    _check_field_size(q)
     total = sum((i + 1) * (q ** (2 * (m - i)) + q ** (2 * i + 1)) for i in range(m // 2))
     total, rem = divmod((q + 1) * total, q)
     assert rem == 0
@@ -89,7 +82,6 @@ def chen7_closed(q: int, m: int) -> int:
 def hilb_counts(q: int, m_max: int) -> list[int]:
     """|Hilb^m P^2(F_q)| for m = 0..m_max: the product at x = q.  No factor
     with n > m_max reaches t^m_max."""
-    _check_field_size(q)
     _check_series_order(m_max)
     return _goettsche(q, m_max, m_max)
 
@@ -124,7 +116,6 @@ def closed_point_counts(q: int, m_max: int) -> list[int]:
     sum_{d|m} d P_d = q^(2m) + q^m + 1 gives the monic irreducibles of
     degree m over F_(q^2) and over F_q, plus one at m = 1, since
     sum_{d|m} mu(d) = [m = 1]."""
-    _check_field_size(q)
     return [
         irreducible_count(m, q * q) + irreducible_count(m, q) + (m == 1)
         for m in range(1, m_max + 1)

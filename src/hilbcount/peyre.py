@@ -67,8 +67,9 @@ def places_by_degree(q: int, deg_cut: int) -> list[tuple[int, int]]:
     with q^deg_cut past EULER_BITS_GUARD bits before any work."""
     if deg_cut < 1:
         raise ValueError("deg_cut >= 1 required")
-    # q >= 2, so q^deg_cut has more than deg_cut bits and is built only below the guard
-    if deg_cut >= EULER_BITS_GUARD or (q**deg_cut).bit_length() > EULER_BITS_GUARD:
+    # q^deg_cut has more than deg_cut (bit_length(q) - 1) bits, so it is
+    # built only below twice the guard
+    if deg_cut * (q.bit_length() - 1) >= EULER_BITS_GUARD or (q**deg_cut).bit_length() > EULER_BITS_GUARD:
         raise SizeError(
             f"Euler product to deg_cut {deg_cut}: q^deg_cut = {q}^{deg_cut} "
             f"exceeds guard of {EULER_BITS_GUARD} bits"

@@ -24,7 +24,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import SizeError
-from .fqarith import FqField, convolve, field_from_order
+from .fqarith import FqField, convolve
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -128,7 +128,7 @@ def count_exact_height(n: int, q: int, M: int, M_max: int) -> list[int]:
     guard_count(n, q, M_max)
     if M < 0:
         raise ValueError("need n >= 1 and M >= 0")
-    mask = divisor_masks(field_from_order(q), M_max)
+    mask = divisor_masks(FqField(q), M_max)
     tuples = [_coprime_tuples(mask[: q**m], n + 1) for m in range(M, M_max + 2)]
     assert all((b - a) % (q - 1) == 0 for a, b in zip(tuples, tuples[1:]))
     return [(b - a) // (q - 1) for a, b in zip(tuples, tuples[1:])]
@@ -181,10 +181,12 @@ def count_reducible_pairs(q: int, M: int, M_max: int) -> list[PairCount]:
     each A(N) once."""
     if M_max < 1:
         raise ValueError("M >= 1 required")
-    # q >= 2, so q^(3M) has more than 3M bits and is built only below the guard
-    if 3 * M_max >= PAIR_BITS_GUARD or (q ** (3 * M_max)).bit_length() > PAIR_BITS_GUARD:
+    # q^(3M) has more than 3M(bit_length(q) - 1) bits, so it is built only
+    # below twice the guard
+    e = 3 * M_max
+    if e * (q.bit_length() - 1) >= PAIR_BITS_GUARD or (q**e).bit_length() > PAIR_BITS_GUARD:
         raise SizeError(
-            f"pair count at M = {M_max}: q^(3M) = {q}^{3 * M_max} exceeds guard of {PAIR_BITS_GUARD} bits"
+            f"pair count at M = {M_max}: q^(3M) = {q}^{e} exceeds guard of {PAIR_BITS_GUARD} bits"
         )
     if M < 1:
         raise ValueError("M >= 1 required")

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from hilbcount import cli
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, field_from_order, irreducible_count
+from hilbcount.fqarith import ENUM_GUARD, FqField, convolve, irreducible_count
 from hilbcount.genfun import closed_point_counts
 from hilbcount.ratpoints import divisor_masks, schanuel_constant
 
@@ -503,7 +503,7 @@ def singular_conic_count(q: int, M: int) -> int:
     masks (`ratpoints.divisor_masks`) is 0; the tuples are counted and the
     q - 1 units divided out.
     """
-    field = field_from_order(q)
+    field = FqField(q)
     mask = divisor_masks(field, M)
     n, top, L = q ** (M + 1), q**M, 3 * M + 1  # codes >= top have degree M
     polys = [f.coeffs for f in all_polys(field, M)]

@@ -315,12 +315,17 @@ def test_largest_guarded_field_size_runs():
         assert code == 0 and len(out.splitlines()) == m_max + 1
 
 
-def test_field_size_guard_before_trial_division(monkeypatch, capsys):
-    def no_trial_division(n):
-        raise AssertionError("is_prime ran before the guard")
+class _NoTrialDivision(int):
+    """An int that refuses to be trial-divided."""
 
-    monkeypatch.setattr(fqarith, "is_prime", no_trial_division)
+    def __mod__(self, other):
+        raise AssertionError("trial division ran before the guard")
+
+
+def test_field_size_guard_before_trial_division(capsys):
     q = 2**40 + 15  # prime, 41 bits
+    with pytest.raises(SizeError):
+        fqarith.prime_power(_NoTrialDivision(q))
     code, out = run(["peyre", "pn", "--q", str(q)])
     assert code == 3 and out == ""
     err = capsys.readouterr().err
@@ -466,6 +471,23 @@ def test_bit_guards_admit_their_limit():
     ):
         with pytest.raises(SizeError):
             call()
+
+
+class _NoPower(int):
+    """An int that refuses to be raised to a power."""
+
+    def __pow__(self, other):
+        raise AssertionError("the guarded power was built")
+
+
+def test_bit_guards_build_no_power_they_refuse():
+    """At a 40-bit q the pair and Euler guards refuse from the bit length of
+    q alone, without building q^(3M) or q^deg_cut."""
+    q = _NoPower(2**40 - 87)
+    with pytest.raises(SizeError):
+        ratpoints.count_reducible_pairs(q, 10922, 10922)
+    with pytest.raises(SizeError):
+        peyre.places_by_degree(q, 14)
 
 
 def test_pair_range_guard_admits_its_limit(monkeypatch):
@@ -1160,6 +1182,28 @@ def test_plain_parse_agrees_with_argparse(data):
         with contextlib.redirect_stderr(err):
             assert run(argv) == (2, ""), argv
         assert _one_error_line(err.getvalue()), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids="-".join)
+def test_bad_field_size_is_refused_before_the_runner(key, monkeypatch, capsys):
+    """q = 0, 1 or 6 exits 2 with one error line and no table, before the
+    runner is called: `prime_power` in dispatch is the one check of q that
+    every runner relies on."""
+    def no_run(args):
+        raise AssertionError("the runner was called with a bad q")
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setitem(cli._COMMANDS, key, (no_run, *cli._COMMANDS[key][1:]))
+    argv = list(key)
+    for name, value in _OWN_FLAGS[key].items():
+        argv += ["--" + name.replace("_", "-"), value]
+    for q, message in (
+        ("0", "q must be a prime power >= 2"),
+        ("1", "q must be a prime power >= 2"),
+        ("6", "6 is not a prime power"),
+    ):
+        assert run(argv + ["--q", q]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key", list(cli._COMMANDS), ids="-".join)

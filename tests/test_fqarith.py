@@ -8,9 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hilbcount.errors import SizeError
 from hilbcount.fqarith import (
     FqField,
-    field_from_order,
     irreducible_count,
-    is_prime,
     mobius,
     poly_rem,
     prime_power,
@@ -31,9 +29,9 @@ from oracles import (
 
 F2 = FqField(2)
 F3 = FqField(3)
-F4 = FqField(2, 2)
+F4 = FqField(4)
 F5 = FqField(5)
-F9 = FqField(3, 2)
+F9 = FqField(9)
 
 
 def poly_from_code(field, code, length):
@@ -47,20 +45,21 @@ def poly_from_code(field, code, length):
 codes = st.integers(min_value=0, max_value=3**5 - 1)
 
 
-def test_is_prime_and_mobius():
-    assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+def test_mobius():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
     with pytest.raises(ValueError):
         mobius(0)
 
 
 def test_field_from_order():
-    assert field_from_order(9).q == 9
-    assert field_from_order(7).q == 7
-    with pytest.raises(ValueError):
-        field_from_order(6)
-    with pytest.raises(ValueError):
-        field_from_order(1)
+    assert [(F.p, F.k, F.q) for F in (FqField(9), FqField(7))] == [(3, 2, 9), (7, 1, 7)]
+    with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        FqField(6)
+    with pytest.raises(ValueError, match="^q must be a prime power >= 2$"):
+        FqField(1)
+    # F_q itself is refused past its modulus search, and says where the limit is
+    with pytest.raises(SizeError, match=r"^modulus search over 2\^24 candidates exceeds guard 10000000$"):
+        FqField(2**24)
 
 
 def test_prime_power_builds_no_field():
@@ -71,16 +70,13 @@ def test_prime_power_builds_no_field():
         prime_power(6)
     with pytest.raises(ValueError):
         prime_power(1)
-    # F_q itself is refused past its modulus search, and says where the limit is
-    with pytest.raises(SizeError, match=r"^modulus search over 2\^24 candidates exceeds guard 10000000$"):
-        field_from_order(2**24)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
 def test_extension_add_sub_neg_match_digitwise_oracle(q):
     """add, sub and neg on codes equal digit-wise arithmetic mod p, computed
     here from the base-p digits of each code."""
-    field = field_from_order(q)
+    field = FqField(q)
     p = field.p
 
     def digits(a):
@@ -146,7 +142,7 @@ def test_extension_field_modulus_irreducible():
 def test_extension_field_modulus_is_least_irreducible(p, k, modulus):
     """The default modulus is the least monic irreducible of degree k,
     coefficients lowest degree first."""
-    assert FqField(p, k).modulus == modulus
+    assert FqField(p**k).modulus == modulus
 
 
 def _least_irreducible_by_full_scan(p, k):
@@ -159,17 +155,18 @@ def _least_irreducible_by_full_scan(p, k):
             return f.coeffs
 
 
-_EXTENSIONS = [(p, k) for p in range(2, 65) if is_prime(p) for k in range(2, 13) if p**k <= 4096]
+_PRIMES_BELOW_65 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_EXTENSIONS = [(p, k) for p in _PRIMES_BELOW_65 for k in range(2, 13) if p**k <= 4096]
 
 
 @pytest.mark.parametrize("p, k", _EXTENSIONS)
 def test_modulus_search_matches_full_scan(p, k):
-    assert FqField(p, k).modulus == _least_irreducible_by_full_scan(p, k)
+    assert FqField(p**k).modulus == _least_irreducible_by_full_scan(p, k)
 
 
 def test_modulus_search_budget():
     start = time.perf_counter()
-    F = FqField(2, 20)
+    F = FqField(2**20)
     assert time.perf_counter() - start < 2
     assert F.modulus == (1,) + (0,) * 16 + (1, 0, 0, 1)
 
@@ -179,7 +176,7 @@ def test_extension_field_builds_no_per_element_table():
     2^19 elements allocates no table of q entries."""
     tracemalloc.start()
     try:
-        F = FqField(2, 19)
+        F = FqField(2**19)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -211,7 +208,7 @@ def test_poly_rem_matches_poly_mod(case):
 def test_extension_mul_matches_poly_product(q):
     """Every product in F_{p^k} is the Poly product of the two digit
     polynomials over F_p reduced by the modulus."""
-    field = field_from_order(q)
+    field = FqField(q)
     base = FqField(field.p)
     modulus = Poly(base, field.modulus)
     for a in range(q):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from hilbcount.errors import SizeError
-from hilbcount.fqarith import FqField, field_from_order
+from hilbcount.fqarith import FqField
 from hilbcount import quadfield, ratpoints
 from hilbcount.quadfield import (
     M_GUARD,
@@ -41,10 +41,10 @@ from oracles import (
 
 F2 = FqField(2)
 F3 = FqField(3)
-F4 = field_from_order(4)
+F4 = FqField(4)
 F5 = FqField(5)
 F7 = FqField(7)
-F9 = field_from_order(9)
+F9 = FqField(9)
 
 
 def t_poly(field):
@@ -181,7 +181,7 @@ def test_form_counts_match_stream(q, fmax):
     """The closed form equals the scan over every coefficient triple, key by
     key; every key of the closed form has forms."""
     keyed = Counter()
-    for profile, n in _stream_forms(field_from_order(q), fmax).items():
+    for profile, n in _stream_forms(FqField(q), fmax).items():
         keyed[_form_key(*profile)] += n
     counts = _form_counts(q, fmax)
     assert all(n > 0 for n in counts.values())
@@ -307,7 +307,7 @@ def _key_route(q: int, M: int) -> dict:
     has H^2 = q^e, e <= M; each walked line of a class must give its
     class's Counter.  Where every line is walked, the keys of H^2 <= q^M are
     pairwise distinct and each class has T(d_P, d_Q) lines."""
-    field = field_from_order(q)
+    field = FqField(q)
     every_line = _KEY_ROUTE_ROWS[q, M]
     forms = list(_form_stream(field, M))
     heights, walked, keys = {}, Counter(), set()

@@ -385,16 +385,16 @@ FIELD_USERS = ("ratpoints.py:count_exact_height", "ratpoints.py:divisor_masks")
 
 
 def test_only_the_rational_count_names_a_field():
-    """Outside fqarith, only FIELD_USERS name FqField or field_from_order,
-    imports aside (test_every_import_is_used keeps each import read), so a
-    function that reads only q does not take a field again."""
+    """Outside fqarith, only FIELD_USERS name FqField, imports aside
+    (test_every_import_is_used keeps each import read), so a function that
+    reads only q does not take a field again."""
     naming = [
         f"{module}:{getattr(top, 'name', top.lineno)}"
         for module, tree in sorted(_parse(SRC).items())
         if module != "fqarith.py"
         for top in tree.body
         if not isinstance(top, (ast.Import, ast.ImportFrom))
-        and {"FqField", "field_from_order"} & {name for _attr, name in _reads(top)}
+        and "FqField" in {name for _attr, name in _reads(top)}
     ]
     assert sorted(naming) == sorted(FIELD_USERS)
 
