@@ -1,9 +1,8 @@
 """Command-line surface: argument parsing, result caching, and CSV table
-emission.  Every setting is a flag; only the cache directory can also
-come from the ACL_CACHE_DIR environment variable.  One parser, `_parse`,
-reads every argv from the command and flag tables: it builds the namespace
-of a call, writes the help that -h or --help asks for, and refuses anything
-else with one error line.
+emission.  Every setting is a flag, and no environment variable is read.
+One parser, `_parse`, reads every argv from the command and flag tables:
+it builds the namespace of a call, writes the help that -h or --help asks
+for, and refuses anything else with one error line.
 
 Each runner imports the compute modules of its own command when it runs, so
 a command loads only what it computes with and a cache hit loads none of
@@ -23,7 +22,6 @@ from types import SimpleNamespace
 
 from .errors import SizeError
 
-CACHE_ENV = "ACL_CACHE_DIR"
 # Max --digits: the working precision of every real cell, whose cost grows
 # faster than linearly with it.
 DIGITS_GUARD = 1000
@@ -34,7 +32,7 @@ DIGITS_GUARD = 1000
 _FLAGS = {
     "q": dict(type=int, help="field size (prime power)"),
     "digits": dict(type=int, default=12, help="significant digits of real cells"),
-    "cache_dir": dict(help=f"directory of cached tables (else ${CACHE_ENV})"),
+    "cache_dir": dict(help="directory of cached tables"),
     "M": dict(type=int, help="height exponent (first)"),
     "M_max": dict(type=int, help="height exponent (last; --M if not given)"),
     "n": dict(type=int, help="projective dimension"),
@@ -290,14 +288,12 @@ def dispatch(argv, out=None) -> int:
             return 0
         key = (args.command, args.subcommand) if hasattr(args, "subcommand") else (args.command,)
         _check_output_args(args)
-        # an explicit --cache-dir, "" included, overrides the variable
-        cache_dir = os.environ.get(CACHE_ENV) if args.cache_dir is None else args.cache_dir
         table = None
-        if cache_dir:
+        if args.cache_dir:
             from . import cache
 
             fp_config = _fingerprint_config(args, key)
-            table = cache.load(cache_dir, fp_config)
+            table = cache.load(args.cache_dir, fp_config)
         if table is None:
             from .fqarith import prime_power
             from .records import fmt_value
@@ -307,8 +303,8 @@ def dispatch(argv, out=None) -> int:
             columns, rows = _COMMANDS[key][0](args)
             cells = [columns] + [[fmt_value(v, args.digits) for v in row] for row in rows]
             table = "".join(",".join(line) + "\n" for line in cells)
-            if cache_dir:
-                cache.store(cache_dir, fp_config, table)
+            if args.cache_dir:
+                cache.store(args.cache_dir, fp_config, table)
         out.write(table)
         return 0
     except (UsageError, OSError, ValueError) as exc:

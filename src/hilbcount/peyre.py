@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import SizeError
+from .errors import SizeError, refuse_power
 from .fqarith import irreducible_count
 from .genfun import hilb_count_poly
 from .ratpoints import schanuel_constant
@@ -67,13 +67,7 @@ def places_by_degree(q: int, deg_cut: int) -> list[tuple[int, int]]:
     with q^deg_cut past EULER_BITS_GUARD bits before any work."""
     if deg_cut < 1:
         raise ValueError("deg_cut >= 1 required")
-    # q^deg_cut has more than deg_cut (bit_length(q) - 1) bits, so it is
-    # built only below twice the guard
-    if deg_cut * (q.bit_length() - 1) >= EULER_BITS_GUARD or (q**deg_cut).bit_length() > EULER_BITS_GUARD:
-        raise SizeError(
-            f"Euler product to deg_cut {deg_cut}: q^deg_cut = {q}^{deg_cut} "
-            f"exceeds guard of {EULER_BITS_GUARD} bits"
-        )
+    refuse_power(q, deg_cut, EULER_BITS_GUARD, f"Euler product to deg_cut {deg_cut}: q^deg_cut")
     out = []
     for d in range(1, deg_cut + 1):
         count = irreducible_count(d, q) + (1 if d == 1 else 0)
@@ -191,10 +185,7 @@ def peyre_constant_pn(n: int, q: int, dps: int):
     Refuses q^(n+1) past PN_BITS_GUARD bits before any work."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    # q^(n+1) has more than (n+1)(bit_length(q) - 1) bits, so it is built
-    # only below twice the guard
-    if (n + 1) * (q.bit_length() - 1) >= PN_BITS_GUARD or (q ** (n + 1)).bit_length() > PN_BITS_GUARD:
-        raise SizeError(f"P^n constant at n = {n}: q^(n+1) = {q}^{n + 1} exceeds guard of {PN_BITS_GUARD} bits")
+    refuse_power(q, n + 1, PN_BITS_GUARD, f"P^n constant at n = {n}: q^(n+1)")
     S = schanuel_constant(n, q)
     with localcontext() as ctx:
         ctx.prec = dps

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import SizeError
+from .errors import SizeError, refuse_power
 from .fqarith import FqField, convolve
 
 if TYPE_CHECKING:
@@ -181,13 +181,7 @@ def count_reducible_pairs(q: int, M: int, M_max: int) -> list[PairCount]:
     each A(N) once."""
     if M_max < 1:
         raise ValueError("M >= 1 required")
-    # q^(3M) has more than 3M(bit_length(q) - 1) bits, so it is built only
-    # below twice the guard
-    e = 3 * M_max
-    if e * (q.bit_length() - 1) >= PAIR_BITS_GUARD or (q**e).bit_length() > PAIR_BITS_GUARD:
-        raise SizeError(
-            f"pair count at M = {M_max}: q^(3M) = {q}^{e} exceeds guard of {PAIR_BITS_GUARD} bits"
-        )
+    refuse_power(q, 3 * M_max, PAIR_BITS_GUARD, f"pair count at M = {M_max}: q^(3M)")
     if M < 1:
         raise ValueError("M >= 1 required")
     total = 3 * q.bit_length() * (M_max * (M_max + 1) - M * (M - 1)) // 2

@@ -481,13 +481,15 @@ class _NoPower(int):
 
 
 def test_bit_guards_build_no_power_they_refuse():
-    """At a 40-bit q the pair and Euler guards refuse from the bit length of
-    q alone, without building q^(3M) or q^deg_cut."""
+    """At a 40-bit q the pair, Euler and P^n guards refuse from the bit
+    length of q alone, without building q^(3M), q^deg_cut or q^(n+1)."""
     q = _NoPower(2**40 - 87)
     with pytest.raises(SizeError):
         ratpoints.count_reducible_pairs(q, 10922, 10922)
     with pytest.raises(SizeError):
         peyre.places_by_degree(q, 14)
+    with pytest.raises(SizeError):
+        peyre.peyre_constant_pn(840, q, dps=50)
 
 
 def test_pair_range_guard_admits_its_limit(monkeypatch):
@@ -531,7 +533,6 @@ def _src_env():
     src = os.path.dirname(os.path.dirname(hilbcount.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    env.pop(cli.CACHE_ENV, None)
     return env
 
 
@@ -821,7 +822,6 @@ def test_source_digest_reads_every_byte(tmp_path, monkeypatch):
         raise AssertionError("the source was read without a cache dir")
 
     # without a cache dir no source file is read
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setattr(cache, "source_digest", unread)
     assert run(["count", "pairs", "--q", "2", "--M", "1"])[0] == 0
 
@@ -865,17 +865,16 @@ def test_version_has_one_copy():
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hilbcount.__version__"}
 
 
-def test_cache_env_var(tmp_path, monkeypatch):
-    """The variable stands in only for an absent --cache-dir: an explicit
-    --cache-dir "" runs without a cache and leaves its directory empty."""
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+def test_cache_dir_is_read_only_from_argv(tmp_path, monkeypatch):
+    """Only --cache-dir turns the cache on: with ACL_CACHE_DIR set to a
+    directory, no --cache-dir, an empty one and an empty one after "=" all
+    print the table and leave that directory empty."""
+    monkeypatch.setenv("ACL_CACHE_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     argv = ["count", "pairs", "--q", "2", "--M", "1", "--M-max", "2"]
-    for flag in (["--cache-dir", ""], ["--cache-dir="]):
+    for flag in ([], ["--cache-dir", ""], ["--cache-dir="]):
         assert run(argv + flag) == (0, _PAIRS_TABLE)
     assert os.listdir(tmp_path) == []
-    assert run(argv) == (0, _PAIRS_TABLE)
-    assert any(f.endswith(".csv") for f in os.listdir(tmp_path))
 
 
 def test_unusable_cache_dir_is_refused_before_the_compute(tmp_path, monkeypatch, capsys):
@@ -997,7 +996,7 @@ _OWN_FLAGS = {
 # SHA-256 of the JSON list of [argv, exit code, stdout, stderr] of dispatch
 # over _help_and_error_argv(): the help that cli._help builds from the
 # command and flag tables, and the one error line of each refusal.
-HELP_AND_ERRORS_SHA256 = "f5bd1574109191dae45f3904aaf6c5cbee7b89f162484df24da4ffab3aca541a"
+HELP_AND_ERRORS_SHA256 = "1141da187bedcaa84c275d8fd94408fba64cb4b97c8902ad253596ed6428d9e4"
 
 
 def _help_and_error_argv():
@@ -1192,7 +1191,6 @@ def test_bad_field_size_is_refused_before_the_runner(key, monkeypatch, capsys):
     def no_run(args):
         raise AssertionError("the runner was called with a bad q")
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setitem(cli._COMMANDS, key, (no_run, *cli._COMMANDS[key][1:]))
     argv = list(key)
     for name, value in _OWN_FLAGS[key].items():
@@ -1212,7 +1210,6 @@ def test_no_command_writes_outside_its_cache_dir(key, tmp_path, monkeypatch):
     without --cache-dir, and with it only the cache directory gains files.
     Its table has one cell per column in every row, and a hit serves the
     same table without calling the runner."""
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)

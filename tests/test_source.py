@@ -272,6 +272,18 @@ def test_no_package_module_imports_json():
     assert [dest for dest, spec in cli._FLAGS.items() if "choices" in spec] == []
 
 
+def test_no_package_module_reads_the_environment():
+    """Every setting is a flag, so a run reads only its argv: no module of
+    the package names `environ` or `getenv`, as an attribute (os.environ)
+    or as a name (from os import getenv)."""
+    readers = sorted(
+        module
+        for module, tree in _parse(SRC).items()
+        if {name for _is_attribute, name in _reads(tree)} & {"environ", "getenv"}
+    )
+    assert readers == []
+
+
 # Defaulted parameters that no call in the package passes, each with the
 # reason it stays.  Any other such parameter is an option that only the
 # tests set: delete it, or give it a caller in the package.
