@@ -48,9 +48,11 @@ height of the point attached to a form F is exactly
     H^2 = q^(deg F) * prod_{w | infty} max(|z|_w q^(e f d_P), q^(e f d_Q))
                                        / max(|z|_w, 1)
 
-with z the root of F, so it depends on the line only through (d_P, d_Q).
-Counting therefore factors as (number of lines per degree class) times
-(number of forms matching the target height per class).
+with z the root of F.  Since sum e f = 2 over w | infty, H^2 is
+q^(2 d_Q) times a power of q that reads the line only through its offset
+delta = d_Q - d_P >= 0.  Counting therefore factors per offset, not per
+class: (number of lines of each class (d_Q - delta, d_Q)) times (number of
+forms of each offset at delta).
 
 A form F = A s^2 + B s u + C u^2 enters H^2 only through deg F and the
 absolute values |z|_w of its root at the places above infinity, and those
@@ -64,9 +66,13 @@ the polygon is one segment, and both conjugate roots have valuation
 there, the product over w | infty reads only u_1 <= u_2, twice the roots'
 valuations, whether infinity splits, is inert or ramifies.  So a form's
 class is its key (deg F, u_1, u_2), the type at infinity never enters
-the count, and the exponent has one term per root:
+the count, and the exponent on a line of class (d_P, d_Q) has one term per
+root:
 
-    deg F + (1/2) sum_{u in (u_1, u_2)} max(2 d_P - u, 2 d_Q) - max(-u, 0).
+    2 d_Q + deg F + (1/2) sum_{u in (u_1, u_2)} clamp(u, -2 delta, 0),
+
+with clamp(u, a, b) = max(a, min(u, b)); all but 2 d_Q is the form's
+offset at delta (_form_exponent).
 
 Forms per key, by Moebius inversion over the monic gcd g of (A, B, C):
 sum_{deg g = k} mu(g) is 1, -q and 0 for k = 0, k = 1 and k >= 2, and a
@@ -88,10 +94,11 @@ triple that keeps the primitive forms with B != a d + b c for every
 factorisation a c = A (a monic) and b d = C; that scan is the oracle.
 
 The bounds 2 d_Q <= M and deg F <= M are provable from H^2 >= q^(2 d_Q) and
-H^2 >= q^(deg F + 2 d_P), so the count reads only those classes and forms.
-The tests check both inequalities on _form_exponent for every degree
-profile and line class of degree up to 8, so no form matches a line class
-with d_Q > M // 2 and no form of degree above M matches at all.
+H^2 >= q^(deg F + 2 d_P), that is from offsets >= 0 and >= deg F - 2 delta,
+so the count reads only those classes and forms.  The tests check both
+inequalities on _form_exponent for every degree profile and the offset of
+every line class of degree up to 8, so no form matches a line class with
+d_Q > M // 2 and no form of degree above M matches at all.
 
 Lines per class: a line is the kernel E = O(-d_P) + O(-d_Q) of a primitive
 dual vector O^3 -> O(d_P + d_Q) on P^1 (its Grothendieck splitting; d_P is
@@ -118,8 +125,9 @@ from typing import NamedTuple
 from .errors import SizeError
 from .records import fmt_fraction
 
-# max height exponent M of a degree-2 count, whose class sum is O(M^5)
-M_GUARD = 30
+# max height exponent M of a degree-2 count, whose time is the O(M^4) pair
+# loop of _form_counts
+M_GUARD = 38
 
 
 def _line_count(q: int, dP: int, dQ: int) -> int:
@@ -135,13 +143,13 @@ def _line_count(q: int, dP: int, dQ: int) -> int:
     return s * (q * q - 1) ** 2 * q ** (4 * dP + 2 * dQ - 3)
 
 
-def _form_exponent(deg_f: int, u1: int, u2: int, dP: int, dQ: int) -> int:
-    """Exponent of q in H^2 for the point of a form of key (deg F, u_1, u_2)
-    on a (d_P, d_Q) line: one term per root, u twice its valuation."""
-    g = 0
-    for u in (u1, u2):
-        g += max(2 * dP - u, 2 * dQ) - max(-u, 0)
-    assert g >= 0 and g % 2 == 0
+def _form_exponent(deg_f: int, u1: int, u2: int, delta: int) -> int:
+    """The form's part of the exponent of q in H^2 for the point of a form
+    of key (deg F, u_1, u_2) on a line of offset delta = d_Q - d_P: H^2 is
+    q^(2 d_Q) times q to this offset.  One term per root, u twice its
+    valuation."""
+    g = max(-2 * delta, min(u1, 0)) + max(-2 * delta, min(u2, 0))
+    assert g % 2 == 0
     return deg_f + g // 2
 
 
@@ -219,10 +227,12 @@ def enumerate_degree2(q: int, M: int, M_max: int) -> list[QuadraticCount]:
     """Count Galois orbits of degree-2 points of the plane with H^2 = q^m,
     one row for each m from M to M_max, in one sweep.
 
-    Each line class with d_Q <= M_max // 2 and each form key of coefficient
-    degree <= M_max add T(d_P, d_Q) times the forms of the key to the count
-    of their exponent, if that is <= M_max.  By the height inequalities in
-    the module docstring a class and form reaching exponent M have
+    For each offset delta <= M_max // 2, the forms of the keys of
+    coefficient degree <= M_max are grouped once into a histogram of their
+    offsets h at delta; each line class (d_Q - delta, d_Q) with
+    d_Q <= M_max // 2 adds T(d_Q - delta, d_Q) times that histogram to the
+    counts of the exponents 2 d_Q + h <= M_max.  By the height inequalities
+    in the module docstring a class and form reaching exponent M have
     2 d_Q <= M and deg F <= M, so every count is complete.  Refuses
     M_max > M_GUARD before any work."""
     if M_max > M_GUARD:
@@ -231,11 +241,14 @@ def enumerate_degree2(q: int, M: int, M_max: int) -> list[QuadraticCount]:
         raise ValueError("M >= 1 required")
     forms = _form_counts(q, M_max).items()
     counts = [0] * (M_max + 1)
-    for dQ in range(M_max // 2 + 1):
-        for dP in range(dQ + 1):
-            lines = _line_count(q, dP, dQ)
-            for key, n in forms:
-                e = _form_exponent(*key, dP, dQ)
+    for delta in range(M_max // 2 + 1):
+        offsets = Counter()
+        for key, n in forms:
+            offsets[_form_exponent(*key, delta)] += n
+        for dQ in range(delta, M_max // 2 + 1):
+            lines = _line_count(q, dQ - delta, dQ)
+            for h, n in offsets.items():
+                e = 2 * dQ + h
                 if e <= M_max:
                     counts[e] += lines * n
     return [

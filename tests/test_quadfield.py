@@ -64,6 +64,12 @@ def key_exponent(key) -> int:
     return max(c.degree for c in key.coords)
 
 
+def class_exponent(form_key, dP: int, dQ: int) -> int:
+    """The exponent e of H^2 = q^e for a form of this key on a (d_P, d_Q)
+    line: 2 d_Q plus the form's offset at d_Q - d_P."""
+    return 2 * dQ + _form_exponent(*form_key, dQ - dP)
+
+
 def test_records_are_immutable():
     qc = QuadraticCount(3, 1, 0, "1", "0")
     for name in ("count", "ratio"):
@@ -335,16 +341,16 @@ def _key_route(q: int, M: int) -> dict:
 def test_key_route_heights_match_class_sum(q, M):
     """Per line class, the forms of each height H^2 = q^e, e <= M, read off
     the Sym^2 key of every (line, form) pair, are those whose degree profile
-    has _form_exponent e; times T they are the class's share of
-    enumerate_degree2.  This checks the height formula on lines with d_P
-    or d_Q >= 1, at even q too."""
+    has e = 2 d_Q + _form_exponent at the class's offset d_Q - d_P; times T
+    they are the class's share of enumerate_degree2.  This checks the
+    height formula on lines with d_P or d_Q >= 1, at even q too."""
     heights = _key_route(q, M)
     assert set(heights) == {(dP, dQ) for dQ in range(M // 2 + 1) for dP in range(dQ + 1)}
     forms = _form_counts(q, M)
     for cls, got in heights.items():
         want = Counter()
         for key, n in forms.items():
-            e = _form_exponent(*key, *cls)
+            e = class_exponent(key, *cls)
             if e <= M:
                 want[e] += n
         assert got == want, cls
@@ -382,7 +388,7 @@ def _brute_matches(fmax, classes, M, min_deg=0):
         if max(profile) < min_deg:
             continue
         for cls in classes:
-            if _form_exponent(*_form_key(*profile), *cls) == M:
+            if class_exponent(_form_key(*profile), *cls) == M:
                 counts[cls] += n
     return counts
 
@@ -425,9 +431,10 @@ def test_no_form_past_the_proven_bounds_matches(M, bound, count, complete, extra
 
 def test_form_exponent_proven_bounds():
     """The completeness bounds of enumerate_degree2, H^2 >= q^(2 d_Q) and
-    H^2 >= q^(deg F + 2 d_P), for every degree profile and line class of
-    degree up to 8; so no form matches a line class past d_Q = M // 2 and no
-    form of degree above M matches at all, for every M <= 8."""
+    H^2 >= q^(deg F + 2 d_P), that is offset >= 0 and offset >= deg F - 2
+    delta with delta = d_Q - d_P, for every degree profile and line class
+    of degree up to 8; so no form matches a line class past d_Q = M // 2
+    and no form of degree above M matches at all, for every M <= 8."""
     degs = range(9)
     profiles = [
         (alpha, beta, gamma) for alpha in degs for beta in (-1, *degs) for gamma in degs
@@ -437,13 +444,13 @@ def test_form_exponent_proven_bounds():
     for profile in profiles:
         deg_f = max(profile)
         for dP, dQ in classes:
-            e = _form_exponent(*_form_key(*profile), dP, dQ)
-            assert e >= 2 * dQ and e >= deg_f + 2 * dP, (profile, dP, dQ)
+            h = _form_exponent(*_form_key(*profile), dQ - dP)
+            assert h >= 0 and h >= deg_f - 2 * (dQ - dP), (profile, dP, dQ)
     for M in range(1, 9):
         boundary = [(dP, dQ) for dQ in (M // 2 + 1, M // 2 + 2) for dP in range(dQ + 1)]
         for profile in profiles:
             checked = classes if max(profile) > M else boundary
-            assert all(_form_exponent(*_form_key(*profile), *cls) != M for cls in checked), (M, profile)
+            assert all(class_exponent(_form_key(*profile), *cls) != M for cls in checked), (M, profile)
 
 
 # Each form classified by its type at infinity, with an exponent formula per
@@ -512,8 +519,9 @@ def _classify_form(A: Poly, B: Poly, C: Poly, field: FqField) -> FormData:
 
 def test_profile_exponent_matches_infinity_type_oracle():
     """On every form of the stream and every line class with d_Q <= 3, the
-    exponent of the form's degree profile equals the exponent of its type
-    at infinity; the stream reaches all four types."""
+    exponent of the form's degree profile, 2 d_Q + _form_exponent at the
+    offset d_Q - d_P, equals the exponent of its type at infinity; the
+    stream reaches all four types."""
     classes = [(dP, dQ) for dQ in range(4) for dP in range(dQ + 1)]
     for field, fmax in _LISTED_STREAMS:
         pairs = Counter(
@@ -523,7 +531,7 @@ def test_profile_exponent_matches_infinity_type_oracle():
         assert {fd.inf_kind for _, fd in pairs} == {"split2", "split1", "inert", "ramified"}
         for profile, fd in pairs:
             for cls in classes:
-                assert _form_exponent(*_form_key(*profile), *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
+                assert class_exponent(_form_key(*profile), *cls) == _kind_exponent(fd, *cls), (profile, fd, cls)
 
 
 def test_m_guard_message_states_size_and_limit(monkeypatch):
@@ -578,6 +586,16 @@ def test_sweep_rows_equal_single_counts(field, M_max, monkeypatch):
     assert enumerate_degree2(field.q, 2, M_max) == rows[1:]
 
 
+def test_class_sum_reads_each_key_once_per_offset(monkeypatch):
+    """The class sum reads each form key once per offset delta <= M_max // 2,
+    not once per line class: 7 times at M_max = 12, which has 28 classes."""
+    deltas = []
+    form_exponent = quadfield._form_exponent
+    monkeypatch.setattr(quadfield, "_form_exponent", lambda *args: deltas.append(args[-1]) or form_exponent(*args))
+    enumerate_degree2(3, 1, 12)
+    assert Counter(deltas) == {delta: len(_form_counts(3, 12)) for delta in range(7)}
+
+
 def test_enumerate_degree2_cross_validation():
     """The class sum equals D(M) - P_2(M) - [M even] A(M/2)/2, the singular
     conics less the pairs and doubles of rational points (see
@@ -591,7 +609,9 @@ def test_enumerate_degree2_cross_validation():
         assert 2 * enumerate_degree2(q, M, M)[0].count == 2 * (D - pairs) - doubles, (q, M)
 
 
-@pytest.mark.parametrize("q, M_max", [(2, 12), (3, 12), (4, 8), (5, 8), (7, 6), (8, 6), (9, 6), (16, 4)])
+@pytest.mark.parametrize(
+    "q, M_max", [(2, 12), (3, 12), (4, 8), (5, 8), (7, 6), (8, 6), (9, 6), (16, 4), (2, 20), (3, 20)]
+)
 def test_n2_conjecture_matches_class_sum(q, M_max):
     """The conjectured closed form equals every row of a sweep, at odd and
     even M and at every characteristic."""
