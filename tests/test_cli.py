@@ -353,9 +353,10 @@ def test_cycles_guard_names_the_bound_exceeded(argv, message, capsys):
     "argv, message",
     [
         (["count", "rational", "--q", "3", "--n", "1", "--M", "7", "--M-max", "9"], "M = 9: fold of about"),
-        (
+        pytest.param(
             ["count", "quadratic", "--q", "5", "--M", "2", "--M-max", str(quadfield.M_GUARD + 1)],
             f"form count at M = {quadfield.M_GUARD + 1}",
+            id="argv1-form count at M = M_GUARD + 1",
         ),
         (["count", "rational", "--q", "3", "--n", "1", "--M", "0", "--M-max", "9"], "M = 9: fold of about"),
         (["count", "pairs", "--q", "16", "--M", "1", "--M-max", "2731"], "M = 2731: q^(3M) = 16^8193 exceeds"),
